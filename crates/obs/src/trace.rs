@@ -583,15 +583,29 @@ impl SpanTree {
     }
 
     /// Total I/O of this subtree. A span's own counters already include
-    /// same-thread descendants, so the rollup adds only children that
-    /// ran on a *different* thread (see the module docs on attribution).
+    /// everything its thread did while it was open, so a descendant's
+    /// counters are added only when no enclosing span ran on the same
+    /// thread (see the module docs on attribution). The walk descends
+    /// through same-thread spans too: a worker pool spawned under a
+    /// same-thread child (say `external.pack` under the build root) is
+    /// still found.
     pub fn io_rollup(&self) -> IoCounts {
-        let mut total = self.record.io;
-        for child in &self.children {
-            if child.record.thread != self.record.thread {
-                total = total.add(&child.io_rollup());
+        fn go(node: &SpanTree, covered: &mut Vec<u32>, total: &mut IoCounts) {
+            let thread = node.record.thread;
+            let counted = !covered.contains(&thread);
+            if counted {
+                *total = total.add(&node.record.io);
+                covered.push(thread);
+            }
+            for child in &node.children {
+                go(child, covered, total);
+            }
+            if counted {
+                covered.pop();
             }
         }
+        let mut total = IoCounts::default();
+        go(self, &mut Vec::new(), &mut total);
         total
     }
 
@@ -1019,6 +1033,44 @@ mod tests {
         assert_eq!(trees.len(), 2);
         let total: usize = trees.iter().map(SpanTree::span_count).sum();
         assert_eq!(total, 3, "every record appears exactly once");
+    }
+
+    #[test]
+    fn io_rollup_finds_workers_under_same_thread_children() {
+        let io = |pages_read| IoCounts {
+            pages_read,
+            ..IoCounts::default()
+        };
+        let rec = |span, parent, thread, pages| SpanRecord {
+            trace: 1,
+            span,
+            parent,
+            name: "x",
+            thread,
+            start_ns: span,
+            dur_ns: 1,
+            io: io(pages),
+        };
+        // t0: root (10 reads, inclusive of its t0 child `pack`, 4 reads)
+        //   t1: two workers under `pack`, 3 and 5 reads
+        //     t0: a callback back on the root's thread, already inside
+        //         the root's 10, so it must not count twice
+        let records = vec![
+            rec(1, 0, 0, 10),
+            rec(2, 1, 0, 4),
+            rec(3, 2, 1, 3),
+            rec(4, 2, 1, 5),
+            rec(5, 4, 0, 2),
+        ];
+        let trees = stitch(&records);
+        assert_eq!(trees.len(), 1);
+        let root = &trees[0];
+        assert_eq!(root.depth(), 4);
+        assert_eq!(root.io_rollup().pages_read, 10 + 3 + 5);
+        // Rooted at `pack`: its own 4 plus the workers'.
+        assert_eq!(root.children[0].io_rollup().pages_read, 4 + 3 + 5);
+        // Rooted at a worker: the callback ran on another thread.
+        assert_eq!(root.children[0].children[1].io_rollup().pages_read, 5 + 2);
     }
 
     #[test]

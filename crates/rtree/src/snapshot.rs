@@ -214,14 +214,29 @@ impl<const D: usize> SharedRTree<D> {
     /// Checkpoint: flush the pool, advance the WAL watermark, recycle
     /// fully-applied segments (see [`RTree::persist`]).
     pub fn checkpoint(&self) -> Result<()> {
-        lock(&self.inner.writer).persist()
+        let mut tree = lock(&self.inner.writer);
+        self.release_ready(&mut tree);
+        tree.persist()
     }
 
     /// Run `f` against the writer tree (queries, `check`, stats). Blocks
     /// writers for the duration — prefer [`snapshot`](Self::snapshot)
-    /// for reads.
+    /// for reads. Garbage every reader has moved past is released first,
+    /// so `f` sees no page as leaked just because no write has run since
+    /// the last snapshot was dropped.
     pub fn with_tree<R>(&self, f: impl FnOnce(&RTree<D>) -> R) -> R {
-        f(&lock(&self.inner.writer))
+        let mut tree = lock(&self.inner.writer);
+        self.release_ready(&mut tree);
+        f(&tree)
+    }
+
+    /// Hand the pages no snapshot can reach any more back to the writer
+    /// tree's free list. The caller holds the writer mutex.
+    fn release_ready(&self, tree: &mut RTree<D>) {
+        let ready = std::mem::take(&mut lock(&self.inner.state).ready);
+        if !ready.is_empty() {
+            tree.release_pages(ready);
+        }
     }
 
     /// Entry count of the newest published state.
@@ -277,12 +292,8 @@ impl<const D: usize> SharedRTree<D> {
                     st.garbage.push((retire, frees));
                 }
             }
-            let ready = std::mem::take(&mut st.ready);
-            drop(st);
-            if !ready.is_empty() {
-                tree.release_pages(ready);
-            }
         }
+        self.release_ready(&mut tree);
         drop(tree);
 
         // Durability, outside the writer mutex: every writer that

@@ -5,8 +5,8 @@
 
 use geom::Rect;
 use rtree::codec::{self, max_capacity, NodeView};
-use rtree::{Entry, Node};
-use storage::PageId;
+use rtree::{store, Entry, Node};
+use storage::{fnv1a_update, PageId, FNV_SEED};
 
 const PAGE: usize = 4096;
 
@@ -131,21 +131,67 @@ fn non_finite_rectangle_rejected_identically() {
     codec::encode(&node, &mut page);
     let off = 24 + 2 * 40; // entry 2, lo(0)
     page[off..off + 8].copy_from_slice(&f64::NAN.to_le_bytes());
-    // Recompute checksum the same way the encoder does: header prefix
-    // plus body. Reuse encode on a scratch node to learn nothing — do it
-    // by brute force: checksum field is bytes 16..24 over [0..16]+body.
     let body_end = 24 + 4 * 40;
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in page[..16].iter().chain(&page[24..body_end]) {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    page[16..24].copy_from_slice(&h.to_le_bytes());
+    let sum = store::page_checksum(&page, body_end);
+    page[16..24].copy_from_slice(&sum.to_le_bytes());
     assert_paths_agree(&page, PageId(5));
     let err = codec::decode::<2>(&page, PageId(5))
         .unwrap_err()
         .to_string();
     assert!(err.contains("bad rectangle"), "{err}");
+}
+
+#[test]
+fn inverted_and_infinite_rectangles_judged_identically() {
+    // Re-sealed so only the rectangle check decides. An inverted axis
+    // is rejected by both paths with the same error; infinite (but
+    // ordered) coordinates are legal rectangles to both.
+    let cases: [(usize, f64, bool); 4] = [
+        (0, 0.9, false),  // entry 1 lo(0) above its hi(0)
+        (3, -0.5, false), // entry 1 hi(1) below its lo(1)
+        (0, f64::NEG_INFINITY, true),
+        (2, f64::INFINITY, true),
+    ];
+    for (word, value, accepted) in cases {
+        let mut page = encoded(4);
+        let off = 24 + 40 + word * 8;
+        page[off..off + 8].copy_from_slice(&value.to_le_bytes());
+        let sum = store::page_checksum(&page, 24 + 4 * 40);
+        page[16..24].copy_from_slice(&sum.to_le_bytes());
+        assert_paths_agree(&page, PageId(6));
+        let res = codec::decode::<2>(&page, PageId(6));
+        assert_eq!(res.is_ok(), accepted, "word {word} = {value}: {res:?}");
+        if let Err(e) = res {
+            assert!(e.to_string().contains("bad rectangle"), "{e}");
+        }
+    }
+}
+
+#[test]
+fn legacy_fnv_sealed_page_still_accepted_by_both_paths() {
+    // Builds before the word-parallel checksum sealed node pages with
+    // FNV-1a over the header prefix and the entry region. Such pages
+    // must keep opening, through both read paths.
+    let node = sample_node(7);
+    let mut page = vec![0u8; PAGE];
+    codec::encode(&node, &mut page);
+    let body_end = 24 + 7 * 40;
+    let legacy = fnv1a_update(fnv1a_update(FNV_SEED, &page[..16]), &page[24..body_end]);
+    assert_ne!(legacy, store::page_checksum(&page, body_end));
+    page[16..24].copy_from_slice(&legacy.to_le_bytes());
+
+    assert_eq!(codec::decode::<2>(&page, PageId(3)).unwrap(), node);
+    let view = NodeView::<2>::parse(&page, PageId(3)).unwrap();
+    assert_eq!(view.to_node(), node);
+    assert_paths_agree(&page, PageId(3));
+
+    // The legacy seal covers the same bytes: a flipped entry bit fails it.
+    page[24 + 40 + 3] ^= 0x10;
+    let err = codec::decode::<2>(&page, PageId(3))
+        .unwrap_err()
+        .to_string();
+    assert!(err.contains("checksum mismatch"), "{err}");
+    assert_paths_agree(&page, PageId(3));
 }
 
 #[test]

@@ -59,7 +59,7 @@ use std::sync::Arc;
 use bytes::{Buf, BufMut};
 use parking_lot::Mutex;
 
-use crate::{Disk, PageId, Result, StorageError};
+use crate::{fnv1a_update, Disk, PageId, Result, StorageError, FNV_SEED};
 
 /// Superblock magic: `"STR2"` little-endian.
 pub const FORMAT_V2_MAGIC: u32 = u32::from_le_bytes(*b"STR2");
@@ -76,20 +76,6 @@ const FIXED_LEN: usize = 48;
 const V2_FIXED_LEN: usize = 40;
 const ENTRY_LEN: usize = 48;
 const MAX_NAME_LEN: usize = 39;
-
-/// FNV-1a 64-bit offset basis: the seed for [`fnv1a_update`] chains.
-pub const FNV_SEED: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// Fold `data` into an FNV-1a 64-bit hash state. Chain calls to hash
-/// discontiguous regions (the superblock does; so does the flat tier's
-/// whole-file checksum, which skips the checksum field itself).
-pub fn fnv1a_update(mut h: u64, data: &[u8]) -> u64 {
-    for &b in data {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 fn corrupt(page: PageId, reason: impl Into<String>) -> StorageError {
     StorageError::Corrupt {

@@ -20,6 +20,7 @@ pub mod buffer;
 pub mod disk;
 pub mod fault;
 pub mod format;
+pub mod hash;
 pub mod mmap;
 pub mod page;
 pub mod seq;
@@ -28,9 +29,8 @@ pub mod wal;
 pub use buffer::{BufferPool, BufferStats, PinGuard, ShardedBufferPool};
 pub use disk::{Disk, FileDisk, IoStats, LatencyDisk, MemDisk};
 pub use fault::{FaultDisk, FaultId, FaultKind, FaultOp, FaultSpec, SyncClock, Trigger};
-pub use format::{
-    fnv1a_update, CatalogEntry, PageAllocator, FNV_SEED, FORMAT_V2_MAGIC, FREE_PAGE_MAGIC,
-};
+pub use format::{CatalogEntry, PageAllocator, FORMAT_V2_MAGIC, FREE_PAGE_MAGIC};
+pub use hash::{fnv1a_update, wide_hash, FNV_SEED};
 pub use mmap::Mmap;
 pub use page::{PageId, DEFAULT_PAGE_SIZE};
 pub use seq::SequentialPageWriter;
