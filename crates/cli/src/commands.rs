@@ -49,7 +49,7 @@ pub fn open_index(path: &Path, buffer: usize, tree: &str) -> CliResult<RTree<2>>
 /// `external_budget` > 0 switches STR to the out-of-core pipeline with
 /// that many records of sort memory (ignored for other packers, which
 /// have no streaming formulation); `threads` > 1 additionally runs the
-/// pipeline's parallel run formation, scatter and per-slab pack — the
+/// pipeline's run formation and per-slab pack on worker threads — the
 /// resulting file is byte-identical to the single-threaded build.
 ///
 /// With `tree: Some(name)` the pack targets that catalog entry: if
@@ -180,15 +180,15 @@ pub fn query_region_flat(path: &Path, region: geom::Rect2) -> CliResult<String> 
     Ok(out)
 }
 
-/// The three files/directories of an on-disk LSM tree under `dir`:
-/// superblock+meta disk, WAL directory, segment directory.
-fn open_lsm_parts(
-    dir: &Path,
-) -> CliResult<(
+type LsmParts = (
     Arc<dyn storage::Disk>,
     Arc<dyn storage::LogStore>,
     Arc<dyn lsm::SegmentStore>,
-)> {
+);
+
+/// The three files/directories of an on-disk LSM tree under `dir`:
+/// superblock+meta disk, WAL directory, segment directory.
+fn open_lsm_parts(dir: &Path) -> CliResult<LsmParts> {
     std::fs::create_dir_all(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
     let index = dir.join("index.v2");
     let disk: Arc<dyn storage::Disk> = Arc::new(
@@ -928,7 +928,7 @@ mod tests {
             v.join("\n")
         };
         assert_eq!(body(&paged), body(&flat));
-        assert!(flat.contains("flat tier"), "{flat}");
+        assert!(flat.contains("flat backend"), "{flat}");
 
         // --out writes where told.
         let alt = tmp("alt.flat");

@@ -98,7 +98,7 @@ fn gen_build_query_pipeline() {
         String::from_utf8_lossy(&out.stderr)
     );
     let flat_out = String::from_utf8_lossy(&out.stdout);
-    assert!(flat_out.contains("flat tier"), "{flat_out}");
+    assert!(flat_out.contains("flat backend"), "{flat_out}");
     let mut flat_hits: Vec<String> = flat_out
         .lines()
         .filter(|l| !l.starts_with('#'))

@@ -12,40 +12,41 @@
 //! 2. once the sort finishes, `r` is known and every slab boundary is an
 //!    exact *rank* in the sorted stream — slab `s` is rectangles
 //!    `[s·slab, (s+1)·slab)`, a few node-capacities of memory regardless
-//!    of data size. The sorted stream is scattered into independent
-//!    per-slab run files on the scratch disk;
-//! 3. a pool of workers packs slabs concurrently: each reads its slab
-//!    back, tiles it over the remaining coordinates (§2.2's recursion),
-//!    and writes its leaves into a contiguous page range reserved for it
-//!    up front ([`rtree::ParallelLoad`]);
+//!    of data size. The merge thread cuts the sorted stream into slabs
+//!    in memory; the scratch disk is only the sort's spill device;
+//! 3. each slab is tiled over the remaining coordinates (§2.2's
+//!    recursion) and its leaves are written into a contiguous page range
+//!    reserved for it up front ([`rtree::ParallelLoad`]) — by a pool of
+//!    workers fed over a rendezvous channel, or inline on the merge
+//!    thread when there is one thread;
 //! 4. the (tiny) upper levels are stitched sequentially at the end.
 //!
-//! Peak memory is `O(sort budget + threads · slab size)` — independent
-//! of `r` — while the result is **bit-identical** to in-memory
-//! [`StrPacker`](crate::StrPacker) packing at every thread count (the
-//! tests assert it page by page).
+//! Peak memory is `O(sort budget + (threads + 1) · slab size)` —
+//! independent of `r` — while the result is **bit-identical** to
+//! in-memory [`StrPacker`](crate::StrPacker) packing at every thread
+//! count (the tests assert it page by page).
 
-use std::sync::mpsc::channel;
+use std::sync::mpsc::sync_channel;
 use std::sync::{Arc, Mutex};
 
-use extsort::{ExternalSorter, FixedRecord};
+use extsort::ExternalSorter;
 use geom::Rect;
 use hilbert::f64_order_key;
 use obs::{LazyCounter, LazyHistogram};
 use rtree::{BulkLoader, Entry, NodeCapacity, RTree};
-use storage::{BufferPool, Disk, PageId};
+use storage::{BufferPool, Disk};
 
 use crate::str_pack::{order_slab, slab_pages};
 use crate::PackingOrder;
 
-// Per-phase wall times and volumes (see DESIGN.md §13). Phases overlap
-// when threads > 1: scatter is the main thread's merge+scatter loop,
-// pack is first-job-to-last-worker-done.
+// Per-phase wall times and volumes (see DESIGN.md §13). Phases overlap:
+// scatter is the merge thread's cut-and-hand-off loop (with one thread it
+// includes the inline packing), pack runs from the first slab to the
+// last worker done.
 static SORT_NS: LazyHistogram = LazyHistogram::new("external.sort_ns");
 static SCATTER_NS: LazyHistogram = LazyHistogram::new("external.scatter_ns");
 static PACK_NS: LazyHistogram = LazyHistogram::new("external.pack_ns");
 static STITCH_NS: LazyHistogram = LazyHistogram::new("external.stitch_ns");
-static SCATTER_PAGES: LazyCounter = LazyCounter::new("external.scatter_pages");
 static SLABS_PACKED: LazyCounter = LazyCounter::new("external.slabs_packed");
 
 /// Errors from the external packing pipeline.
@@ -89,24 +90,18 @@ impl From<rtree::RTreeError> for ExternalPackError {
     }
 }
 
-impl From<storage::StorageError> for ExternalPackError {
-    fn from(e: storage::StorageError) -> Self {
-        ExternalPackError::Sort(extsort::SortError::Storage(e))
-    }
-}
-
 /// Tuning knobs for the external build.
 #[derive(Debug, Clone, Copy)]
 pub struct ExternalPackOptions {
     /// Total records buffered in memory by the sort phase.
     pub budget: usize,
-    /// Worker threads for run formation and slab packing. `1` runs the
-    /// fully sequential streaming pipeline.
+    /// Worker threads for run formation and slab packing. `1` packs
+    /// every slab inline on the merge thread.
     pub threads: usize,
 }
 
 impl ExternalPackOptions {
-    /// Sequential pipeline with the given sort budget.
+    /// Single-threaded pipeline with the given sort budget.
     pub fn new(budget: usize) -> Self {
         Self { budget, threads: 1 }
     }
@@ -121,8 +116,8 @@ impl ExternalPackOptions {
 /// STR-pack `items` into a tree on `pool`, sorting through `scratch`
 /// with an in-memory budget of `budget` records.
 ///
-/// `budget` plays the role of the sort buffer in a real DBMS; the slab
-/// buffer additionally holds one slab (`n·⌈P^((k−1)/k)⌉` records). The
+/// `budget` plays the role of the sort buffer in a real DBMS; packing
+/// additionally holds one slab (`n·⌈P^((k−1)/k)⌉` records). The
 /// produced tree is identical to `StrPacker::new().pack(...)` on the
 /// same items.
 pub fn pack_str_external<const D: usize, I>(
@@ -161,8 +156,8 @@ where
 }
 
 /// [`pack_str_external_named`] with full [`ExternalPackOptions`] —
-/// notably a worker thread count for parallel run formation, scatter
-/// consumption, and per-slab packing.
+/// notably a worker thread count for parallel run formation and
+/// per-slab packing.
 pub fn pack_str_external_opts<const D: usize, I>(
     pool: Arc<BufferPool>,
     name: &str,
@@ -211,10 +206,7 @@ where
     drop(sort_tspan);
     drop(sort_span);
 
-    if threads == 1 {
-        return pack_sequential(pool, name, merge, total, slab_size, cap);
-    }
-    pack_parallel(pool, name, scratch, merge, total, slab_size, cap, threads)
+    pack_slabs(pool, name, merge, total, slab_size, cap, threads)
 }
 
 /// Drain an item stream straight into a flat segment image: STR-pack it
@@ -239,7 +231,8 @@ where
     // levels) stays pooled; the pool grows the backing MemDisk as the
     // tree does.
     let pool = Arc::new(BufferPool::new(mem, 1024));
-    let tree = pack_str_external_opts::<D, I>(pool, rtree::DEFAULT_TREE, scratch, items, cap, opts)?;
+    let tree =
+        pack_str_external_opts::<D, I>(pool, rtree::DEFAULT_TREE, scratch, items, cap, opts)?;
     Ok(flat::flatten_to_bytes(&tree)?)
 }
 
@@ -249,84 +242,18 @@ fn key<const D: usize>(e: &Entry<D>) -> u64 {
 
 type Merge<const D: usize> = extsort::MergeIter<Entry<D>, u64, fn(&Entry<D>) -> u64>;
 
-/// The fully streaming single-threaded pipeline: consume the merge slab
-/// by slab, tile each slab in memory, and feed the streaming bulk
-/// loader, which writes finished leaves and keeps only the (tiny) upper
-/// levels in memory.
-fn pack_sequential<const D: usize>(
+/// The tail of the pipeline: cut the merged stream at fixed ranks into
+/// whole-leaf slabs, tile each slab ([`order_slab`]) and write its leaves
+/// into the range [`rtree::ParallelLoad`] reserved for it, then stitch
+/// the upper levels. With `threads > 1` each slab is handed over a
+/// rendezvous channel to a pool of `threads` workers, so at most
+/// `threads + 1` slabs are resident; with one thread the merge thread
+/// packs each slab itself: always spawning one worker measured ~9% fewer
+/// LSM ingest inserts/s (six alternating perfbench `ingest` pairs on a
+/// 2-vCPU VM, equal peak RSS), where every compaction is a 1-thread pack.
+fn pack_slabs<const D: usize>(
     pool: Arc<BufferPool>,
     name: &str,
-    mut merge: Merge<D>,
-    total: usize,
-    slab_size: usize,
-    cap: NodeCapacity,
-) -> Result<RTree<D>, ExternalPackError> {
-    let _pack_tspan = obs::trace::span("external.pack");
-    let n = cap.max();
-    let mut failure: Option<extsort::SortError> = None;
-
-    // An iterator adapter that pulls from the merge stream, buffers one
-    // slab, tiles it, and yields its entries leaf-ready.
-    let mut slab: Vec<Entry<D>> = Vec::with_capacity(slab_size.min(total));
-    let mut drained: std::vec::IntoIter<Entry<D>> = Vec::new().into_iter();
-    let leaf_stream = std::iter::from_fn(|| {
-        loop {
-            if let Some(e) = drained.next() {
-                return Some(e);
-            }
-            if failure.is_some() {
-                return None;
-            }
-            // Refill: read one slab from the merge.
-            while slab.len() < slab_size {
-                match merge.next() {
-                    Some(Ok(e)) => slab.push(e),
-                    Some(Err(err)) => {
-                        failure = Some(err);
-                        return None;
-                    }
-                    None => break,
-                }
-            }
-            if slab.is_empty() {
-                return None;
-            }
-            order_slab::<D>(&mut slab, n);
-            drained = std::mem::take(&mut slab).into_iter();
-        }
-    });
-
-    // Stream into the bulk loader; upper levels get the normal in-memory
-    // STR treatment, matching the batch path.
-    let loader = BulkLoader::new(cap);
-    let str_packer = crate::StrPacker::new();
-    let tree = loader.load_streamed_into(pool, name, leaf_stream, &mut |entries, level| {
-        str_packer.order_level(entries, level, cap)
-    })?;
-
-    if let Some(err) = failure {
-        return Err(ExternalPackError::Sort(err));
-    }
-    Ok(tree)
-}
-
-/// One scattered slab run file on the scratch disk.
-#[derive(Clone, Copy)]
-struct SlabFile {
-    /// Slab ordinal — also fixes its leaf range in the tree.
-    idx: usize,
-    first: PageId,
-    records: u64,
-}
-
-/// The parallel tail of the pipeline: scatter the merge stream into
-/// per-slab run files while a worker pool packs finished slabs into
-/// their pre-reserved leaf ranges; stitch the upper levels at the end.
-#[allow(clippy::too_many_arguments)]
-fn pack_parallel<const D: usize>(
-    pool: Arc<BufferPool>,
-    name: &str,
-    scratch: Arc<dyn Disk>,
     mut merge: Merge<D>,
     total: usize,
     slab_size: usize,
@@ -341,285 +268,97 @@ fn pack_parallel<const D: usize>(
     debug_assert!(num_slabs == 1 || slab_size.is_multiple_of(n));
     let leaves_per_slab = (slab_size / n) as u64;
 
-    let loader = BulkLoader::new(cap);
-    let load = loader.begin_parallel::<D>(pool, name, total_leaves)?;
+    let load = BulkLoader::new(cap).begin_parallel::<D>(pool, name, total_leaves)?;
+    let level1: Mutex<Vec<Vec<Entry<D>>>> = Mutex::new(vec![Vec::new(); num_slabs]);
+    let pack = |idx: usize, mut slab: Vec<Entry<D>>| -> Result<(), ExternalPackError> {
+        let _slab_span = obs::trace::span("external.pack_slab");
+        order_slab::<D>(&mut slab, n);
+        let mut writer =
+            load.leaf_writer(idx as u64 * leaves_per_slab, slab.len().div_ceil(n) as u64);
+        let parents = slab
+            .chunks(n)
+            .map(|group| writer.write_leaf(group))
+            .collect::<rtree::Result<Vec<_>>>()?;
+        writer.finish()?;
+        level1.lock().expect("a slab packer panicked")[idx] = parents;
+        SLABS_PACKED.inc();
+        Ok(())
+    };
 
-    let per_page = scratch.page_size() / Entry::<D>::SIZE;
     let error: Mutex<Option<ExternalPackError>> = Mutex::new(None);
-    let level1: Mutex<Vec<Option<Vec<Entry<D>>>>> = Mutex::new(vec![None; num_slabs]);
-    let (tx, rx) = channel::<SlabFile>();
-    let rx = Arc::new(Mutex::new(rx));
-
     let pack_span = PACK_NS.start();
     let pack_tspan = obs::trace::span("external.pack");
     let ctx = obs::trace::current();
     std::thread::scope(|scope| -> Result<(), ExternalPackError> {
-        for _ in 0..threads {
-            let rx = rx.clone();
-            let scratch = scratch.clone();
-            let load = &load;
-            let error = &error;
-            let level1 = &level1;
-            scope.spawn(move || {
-                let _attached = ctx.attach();
-                let mut slab_buf: Vec<Entry<D>> = Vec::new();
-                loop {
-                    let job = rx.lock().unwrap().recv();
-                    let Ok(slab) = job else { return };
-                    if error.lock().unwrap().is_some() {
-                        continue;
-                    }
-                    let _slab_span = obs::trace::span("external.pack_slab");
-                    let leaf_offset = slab.idx as u64 * leaves_per_slab;
-                    let result = pack_slab(
-                        scratch.as_ref(),
-                        load,
-                        slab,
-                        leaf_offset,
-                        n,
-                        per_page,
-                        &mut slab_buf,
-                    );
-                    match result {
-                        Ok(parents) => {
-                            level1.lock().unwrap()[slab.idx] = Some(parents);
-                            SLABS_PACKED.inc();
-                        }
-                        Err(e) => {
-                            let mut slot = error.lock().unwrap();
-                            if slot.is_none() {
-                                *slot = Some(e);
-                            }
+        let tx = (threads > 1).then(|| {
+            let (tx, rx) = sync_channel::<(usize, Vec<Entry<D>>)>(0);
+            let rx = Arc::new(Mutex::new(rx));
+            for _ in 0..threads {
+                let (rx, pack, error) = (rx.clone(), &pack, &error);
+                scope.spawn(move || {
+                    let _attached = ctx.attach();
+                    loop {
+                        // Hold the receiver lock across `recv` only, not
+                        // across the pack.
+                        let job = rx.lock().expect("slab receiver poisoned").recv();
+                        let Ok((idx, slab)) = job else { return };
+                        if let Err(e) = pack(idx, slab) {
+                            error.lock().expect("error slot poisoned").get_or_insert(e);
                         }
                     }
-                }
-            });
-        }
+                });
+            }
+            tx
+        });
 
-        // Scatter: stream the merge into per-slab run files. Each slab's
-        // page run is reserved atomically, filled with batched
-        // sequential writes, and handed to the pool the moment it is
-        // complete — packing overlaps the remainder of the merge.
-        let scatter_span = SCATTER_NS.start();
-        let scatter_tspan = obs::trace::span("external.scatter");
-        let mut scatter = ScatterWriter::<D>::new(scratch.as_ref());
-        let mut result: Result<(), ExternalPackError> = Ok(());
-        'scatter: for idx in 0..num_slabs {
-            let records = slab_size.min(total - idx * slab_size) as u64;
-            if let Err(e) = scatter.begin_slab(records) {
-                result = Err(e.into());
-                break;
-            }
+        let _scatter_span = SCATTER_NS.start();
+        let _scatter_tspan = obs::trace::span("external.scatter");
+        for idx in 0..num_slabs {
+            let records = slab_size.min(total - idx * slab_size);
+            let mut slab = Vec::with_capacity(records);
             for _ in 0..records {
-                match merge.next() {
-                    Some(Ok(entry)) => {
-                        if let Err(e) = scatter.push(&entry) {
-                            result = Err(e.into());
-                            break 'scatter;
-                        }
-                    }
-                    Some(Err(e)) => {
-                        result = Err(e.into());
-                        break 'scatter;
-                    }
-                    None => {
-                        // The sorter counted `total` records; the merge
-                        // cannot come up short without an error.
-                        unreachable!("merge ended early");
-                    }
-                }
+                // The sorter counted `total` records; the merge cannot
+                // come up short without an error.
+                slab.push(merge.next().expect("merge ended early")?);
             }
-            match scatter.end_slab(idx) {
-                Ok(slab) => {
-                    // Workers only hang up after an error; surfaced below.
-                    if tx.send(slab).is_err() {
-                        break 'scatter;
+            match &tx {
+                Some(tx) => {
+                    // Workers only hang up by panicking; the scope
+                    // re-raises that.
+                    if tx.send((idx, slab)).is_err()
+                        || error.lock().expect("error slot poisoned").is_some()
+                    {
+                        break;
                     }
                 }
-                Err(e) => {
-                    result = Err(e.into());
-                    break;
-                }
-            }
-            if error.lock().unwrap().is_some() {
-                break;
+                None => pack(idx, slab)?,
             }
         }
-        drop(scatter_tspan);
-        drop(scatter_span);
-        drop(tx); // Hang up: workers drain remaining jobs and exit.
-        result
+        Ok(())
     })?;
     drop(pack_tspan);
     drop(pack_span);
-
-    if let Some(e) = error.into_inner().unwrap() {
+    if let Some(e) = error.into_inner().expect("error slot poisoned") {
         return Err(e);
     }
 
-    // All slabs packed; flatten the per-slab parent entries in slab
-    // order and stitch the upper levels exactly like the streaming
-    // loader would.
-    let stitch_span = STITCH_NS.start();
-    let stitch_tspan = obs::trace::span("external.stitch");
-    let mut parents: Vec<Entry<D>> = Vec::with_capacity(total_leaves as usize);
-    for slot in level1.into_inner().unwrap() {
-        parents.extend(slot.expect("every slab packed"));
+    // The merge's cursor buffers are no longer needed; free them before
+    // the stitch.
+    drop(merge);
+
+    // Level-1 entries in slab order, stitched exactly as in-memory
+    // packing stitches its upper levels. Each slab's parents are freed as
+    // they are moved, so the level is held once.
+    let _stitch_span = STITCH_NS.start();
+    let _stitch_tspan = obs::trace::span("external.stitch");
+    let mut parents = Vec::with_capacity(total_leaves as usize);
+    for slab in level1.into_inner().expect("a slab packer panicked") {
+        parents.extend(slab);
     }
     let str_packer = crate::StrPacker::new();
-    let tree = load.finish(total as u64, parents, &mut |entries, level| {
+    Ok(load.finish(total as u64, parents, &mut |entries, level| {
         str_packer.order_level(entries, level, cap)
-    })?;
-    drop(stitch_tspan);
-    drop(stitch_span);
-    Ok(tree)
-}
-
-/// Read one scattered slab back, tile it, and write its leaves into the
-/// tree's reserved range. Returns the leaf parent entries in leaf order.
-fn pack_slab<const D: usize>(
-    scratch: &dyn Disk,
-    load: &rtree::ParallelLoad<D>,
-    slab: SlabFile,
-    leaf_offset: u64,
-    n: usize,
-    per_page: usize,
-    slab_buf: &mut Vec<Entry<D>>,
-) -> Result<Vec<Entry<D>>, ExternalPackError> {
-    // Sequential page reads; the buffer is reused across slabs.
-    slab_buf.clear();
-    slab_buf.reserve(slab.records as usize);
-    let mut page_buf = vec![0u8; scratch.page_size()];
-    let mut remaining = slab.records as usize;
-    let mut page = slab.first.index();
-    while remaining > 0 {
-        scratch.read_page(PageId(page), &mut page_buf)?;
-        let in_page = per_page.min(remaining);
-        for i in 0..in_page {
-            slab_buf.push(Entry::<D>::decode(
-                &page_buf[i * Entry::<D>::SIZE..(i + 1) * Entry::<D>::SIZE],
-            ));
-        }
-        remaining -= in_page;
-        page += 1;
-    }
-
-    // §2.2's recursion over the remaining coordinates — the same call
-    // the sequential pipeline makes per slab.
-    order_slab::<D>(slab_buf, n);
-
-    let leaf_count = slab_buf.len().div_ceil(n) as u64;
-    let mut writer = load.leaf_writer(leaf_offset, leaf_count);
-    let mut parents = Vec::with_capacity(leaf_count as usize);
-    for group in slab_buf.chunks(n) {
-        parents.push(writer.write_leaf(group)?);
-    }
-    writer.finish()?;
-    Ok(parents)
-}
-
-/// Streams sorted entries into per-slab run files: one atomically
-/// reserved contiguous page range per slab, filled through a batched
-/// sequential appender.
-struct ScatterWriter<'a, const D: usize> {
-    scratch: &'a dyn Disk,
-    page_size: usize,
-    per_page: usize,
-    batch: Vec<u8>,
-    batch_pages: usize,
-    // Current slab.
-    first: PageId,
-    next_page: u64,
-    in_page: usize,
-    page_in_batch: usize,
-    records: u64,
-    expected: u64,
-}
-
-/// Pages per batched scatter flush.
-const SCATTER_BATCH_PAGES: usize = 64;
-
-impl<'a, const D: usize> ScatterWriter<'a, D> {
-    fn new(scratch: &'a dyn Disk) -> Self {
-        let page_size = scratch.page_size();
-        Self {
-            scratch,
-            page_size,
-            per_page: page_size / Entry::<D>::SIZE,
-            batch: vec![0u8; page_size * SCATTER_BATCH_PAGES],
-            batch_pages: SCATTER_BATCH_PAGES,
-            first: PageId::INVALID,
-            next_page: 0,
-            in_page: 0,
-            page_in_batch: 0,
-            records: 0,
-            expected: 0,
-        }
-    }
-
-    fn begin_slab(&mut self, records: u64) -> storage::Result<()> {
-        debug_assert!(records > 0);
-        let pages = (records as usize).div_ceil(self.per_page) as u64;
-        self.first = self.scratch.allocate_run(pages)?;
-        self.next_page = self.first.index();
-        self.in_page = 0;
-        self.page_in_batch = 0;
-        self.records = 0;
-        self.expected = records;
-        // Zero the first page slot; subsequent slots are zeroed as the
-        // batch rolls onto them.
-        self.batch[..self.page_size].fill(0);
-        Ok(())
-    }
-
-    fn push(&mut self, entry: &Entry<D>) -> storage::Result<()> {
-        let base = self.page_in_batch * self.page_size + self.in_page * Entry::<D>::SIZE;
-        entry.encode(&mut self.batch[base..base + Entry::<D>::SIZE]);
-        self.in_page += 1;
-        self.records += 1;
-        if self.in_page == self.per_page {
-            self.in_page = 0;
-            self.page_in_batch += 1;
-            if self.page_in_batch == self.batch_pages {
-                self.flush()?;
-            } else {
-                let base = self.page_in_batch * self.page_size;
-                self.batch[base..base + self.page_size].fill(0);
-            }
-        }
-        Ok(())
-    }
-
-    fn flush(&mut self) -> storage::Result<()> {
-        let full_pages = self.page_in_batch + usize::from(self.in_page > 0);
-        if full_pages == 0 {
-            return Ok(());
-        }
-        self.scratch.write_pages(
-            PageId(self.next_page),
-            &self.batch[..full_pages * self.page_size],
-        )?;
-        self.next_page += full_pages as u64;
-        self.page_in_batch = 0;
-        if self.in_page == 0 {
-            self.batch[..self.page_size].fill(0);
-        }
-        Ok(())
-    }
-
-    fn end_slab(&mut self, idx: usize) -> storage::Result<SlabFile> {
-        debug_assert_eq!(self.records, self.expected);
-        // A partially filled page still needs writing out.
-        self.flush()?;
-        if obs::enabled() {
-            SCATTER_PAGES.add(self.next_page - self.first.index());
-        }
-        Ok(SlabFile {
-            idx,
-            first: self.first,
-            records: self.records,
-        })
-    }
+    })?)
 }
 
 #[cfg(test)]
@@ -676,28 +415,21 @@ mod tests {
         external.validate(false).unwrap();
     }
 
-    /// The parallel pipeline produces the same disk image as the
-    /// sequential one — every page byte-identical — at several thread
-    /// counts.
+    /// The external pipeline writes the same disk image as in-memory
+    /// STR packing — every page byte-identical — at every thread count.
     #[test]
-    fn parallel_pipeline_is_byte_identical() {
+    fn byte_identical_to_in_memory_at_every_thread_count() {
         let data = items(9_876, 5);
         let cap = NodeCapacity::new(32).unwrap();
-        let seq_disk = Arc::new(MemDisk::default_size());
-        let seq = pack_str_external(
-            pool_on(seq_disk.clone()),
-            Arc::new(MemDisk::default_size()),
-            data.clone(),
-            cap,
-            700,
-        )
-        .unwrap();
-        seq.validate(false).unwrap();
+        let mem_disk = Arc::new(MemDisk::default_size());
+        StrPacker::new()
+            .pack(pool_on(mem_disk.clone()), data.clone(), cap)
+            .unwrap();
 
-        for threads in [2usize, 4, 8] {
-            let par_disk = Arc::new(MemDisk::default_size());
-            let par = pack_str_external_opts(
-                pool_on(par_disk.clone()),
+        for threads in [1usize, 2, 4, 8] {
+            let ext_disk = Arc::new(MemDisk::default_size());
+            let ext = pack_str_external_opts(
+                pool_on(ext_disk.clone()),
                 rtree::DEFAULT_TREE,
                 Arc::new(MemDisk::default_size()),
                 data.clone(),
@@ -705,19 +437,18 @@ mod tests {
                 ExternalPackOptions::new(700).threads(threads),
             )
             .unwrap();
-            par.validate(false).unwrap();
-            assert_eq!(seq.len(), par.len());
-            assert_eq!(seq.height(), par.height());
+            ext.validate(false).unwrap();
+            assert_eq!(ext.len(), data.len() as u64);
             assert_eq!(
-                seq_disk.num_pages(),
-                par_disk.num_pages(),
+                mem_disk.num_pages(),
+                ext_disk.num_pages(),
                 "threads={threads}"
             );
-            let mut a = vec![0u8; seq_disk.page_size()];
-            let mut b = vec![0u8; par_disk.page_size()];
-            for p in 0..seq_disk.num_pages() {
-                seq_disk.read_page(PageId(p), &mut a).unwrap();
-                par_disk.read_page(PageId(p), &mut b).unwrap();
+            let mut a = vec![0u8; mem_disk.page_size()];
+            let mut b = vec![0u8; ext_disk.page_size()];
+            for p in 0..mem_disk.num_pages() {
+                mem_disk.read_page(storage::PageId(p), &mut a).unwrap();
+                ext_disk.read_page(storage::PageId(p), &mut b).unwrap();
                 assert_eq!(a, b, "threads={threads}: page {p} differs");
             }
         }
@@ -748,82 +479,49 @@ mod tests {
 
     #[test]
     fn rejects_empty_input() {
-        let scratch = Arc::new(MemDisk::default_size());
-        let err = pack_str_external::<2, _>(
-            pool(),
-            scratch,
-            std::iter::empty(),
-            NodeCapacity::new(10).unwrap(),
-            100,
-        )
-        .unwrap_err();
-        assert!(matches!(
-            err,
-            ExternalPackError::Tree(rtree::RTreeError::EmptyLoad)
-        ));
-    }
-
-    #[test]
-    fn parallel_rejects_empty_input() {
-        let scratch = Arc::new(MemDisk::default_size());
-        let err = pack_str_external_opts::<2, _>(
-            pool(),
-            rtree::DEFAULT_TREE,
-            scratch,
-            std::iter::empty(),
-            NodeCapacity::new(10).unwrap(),
-            ExternalPackOptions::new(100).threads(4),
-        )
-        .unwrap_err();
-        assert!(matches!(
-            err,
-            ExternalPackError::Tree(rtree::RTreeError::EmptyLoad)
-        ));
-    }
-
-    #[test]
-    fn tiny_budget_still_correct() {
-        let data = items(1_000, 3);
-        let cap = NodeCapacity::new(20).unwrap();
-        let scratch = Arc::new(MemDisk::default_size());
-        let tree = pack_str_external(pool(), scratch, data.clone(), cap, 7).unwrap();
-        assert_eq!(tree.len(), 1_000);
-        tree.validate(false).unwrap();
-        let batch = StrPacker::new().pack(pool(), data, cap).unwrap();
-        assert_eq!(batch.level_mbrs(0).unwrap(), tree.level_mbrs(0).unwrap());
-    }
-
-    #[test]
-    fn parallel_tiny_budget_and_single_slab_edge_cases() {
-        // Tiny budget: many runs. Small input: single slab, one leaf
-        // range. Both must match the sequential pipeline.
-        let cap = NodeCapacity::new(20).unwrap();
-        for (count, budget) in [(1_000usize, 7usize), (15, 4), (21, 5)] {
-            let data = items(count, 30 + count as u64);
-            let seq = pack_str_external(
-                pool(),
-                Arc::new(MemDisk::default_size()),
-                data.clone(),
-                cap,
-                budget,
-            )
-            .unwrap();
-            let par = pack_str_external_opts(
+        for threads in [1usize, 4] {
+            let err = pack_str_external_opts::<2, _>(
                 pool(),
                 rtree::DEFAULT_TREE,
                 Arc::new(MemDisk::default_size()),
-                data,
-                cap,
-                ExternalPackOptions::new(budget).threads(3),
+                std::iter::empty(),
+                NodeCapacity::new(10).unwrap(),
+                ExternalPackOptions::new(100).threads(threads),
             )
-            .unwrap();
-            assert_eq!(seq.len(), par.len(), "count={count}");
-            assert_eq!(
-                seq.level_mbrs(0).unwrap(),
-                par.level_mbrs(0).unwrap(),
-                "count={count}"
+            .unwrap_err();
+            assert!(
+                matches!(err, ExternalPackError::Tree(rtree::RTreeError::EmptyLoad)),
+                "threads={threads}"
             );
-            par.validate(false).unwrap();
+        }
+    }
+
+    #[test]
+    fn tiny_budget_and_single_slab_edge_cases() {
+        // Tiny budget: many runs. Small input: single slab, one leaf
+        // range. Both must match in-memory packing at every thread count.
+        let cap = NodeCapacity::new(20).unwrap();
+        for (count, budget) in [(1_000usize, 7usize), (15, 4), (21, 5)] {
+            let data = items(count, 30 + count as u64);
+            let batch = StrPacker::new().pack(pool(), data.clone(), cap).unwrap();
+            for threads in [1usize, 3] {
+                let tree = pack_str_external_opts(
+                    pool(),
+                    rtree::DEFAULT_TREE,
+                    Arc::new(MemDisk::default_size()),
+                    data.clone(),
+                    cap,
+                    ExternalPackOptions::new(budget).threads(threads),
+                )
+                .unwrap();
+                assert_eq!(tree.len(), count as u64, "count={count} threads={threads}");
+                assert_eq!(
+                    batch.level_mbrs(0).unwrap(),
+                    tree.level_mbrs(0).unwrap(),
+                    "count={count} threads={threads}"
+                );
+                tree.validate(false).unwrap();
+            }
         }
     }
 

@@ -1,17 +1,18 @@
 //! The out-of-core STR pipeline under fire and under the microscope:
 //!
-//! * **Fault injection** — [`storage::FaultDisk`] schedules on the
-//!   *scratch* disk (the destination pool stays clean): write errors and
-//!   torn spills during run formation, read errors during the merge, and
-//!   faults landing in the scatter and per-slab pack phases. Every
-//!   injected failure must surface as a clean `Err` from the pipeline —
-//!   no panic, no hang, no half-registered tree — at thread count 1 and
-//!   4 alike.
+//! * **Fault injection** — [`storage::FaultDisk`] schedules on one
+//!   device at a time. On the *scratch* disk, which is only the sort's
+//!   spill device, faults land in run formation (write errors, torn
+//!   spills) and in the merge (read errors). On the *destination* disk
+//!   they land in the leaf-range writes of the slab packers and in the
+//!   stitch of the upper levels. Every injected failure must surface as
+//!   a clean `Err` from the pipeline — no panic, no hang, no
+//!   half-registered tree — at thread count 1 and 4 alike.
 //! * **Differential property test** — for random (n, capacity, budget,
-//!   threads) configurations, the parallel external build, the
-//!   sequential external build, and the in-memory `StrPacker` must
-//!   produce identical trees; the two external builds are compared page
-//!   by page, byte for byte.
+//!   threads) configurations, the external build at one thread and at
+//!   several must each write the same disk image, page by page and
+//!   byte for byte, as the in-memory `StrPacker`, and the same tree
+//!   level by level.
 
 use std::sync::Arc;
 
@@ -22,8 +23,7 @@ use storage::{
     BufferPool, Disk, FaultDisk, FaultKind, FaultOp, FaultSpec, MemDisk, PageId, Trigger,
 };
 use str_core::{
-    pack_str_external, pack_str_external_opts, ExternalPackError, ExternalPackOptions,
-    PackingOrder, StrPacker,
+    pack_str_external_opts, ExternalPackError, ExternalPackOptions, PackingOrder, StrPacker,
 };
 
 fn uniform_items(n: usize, seed: u64) -> Vec<(Rect<2>, u64)> {
@@ -47,18 +47,32 @@ fn pool() -> Arc<BufferPool> {
     Arc::new(BufferPool::new(Arc::new(MemDisk::default_size()), 512))
 }
 
-/// Run the external build with a fault schedule installed on scratch.
+/// Which device of the build a fault schedule is installed on.
+#[derive(Debug, Clone, Copy)]
+enum Device {
+    Scratch,
+    Dest,
+}
+
+/// Run the external build with a fault schedule installed on `device`;
+/// the other device stays clean.
 fn build_with_faults(
+    device: Device,
     threads: usize,
     n: usize,
     schedule: &[FaultSpec],
 ) -> Result<rtree::RTree<2>, ExternalPackError> {
-    let scratch = Arc::new(FaultDisk::new(Arc::new(MemDisk::default_size())));
+    let faulty = Arc::new(FaultDisk::new(Arc::new(MemDisk::default_size())));
     for &spec in schedule {
-        scratch.push(spec);
+        faulty.push(spec);
     }
+    let clean: Arc<dyn Disk> = Arc::new(MemDisk::default_size());
+    let (scratch, dest): (Arc<dyn Disk>, Arc<dyn Disk>) = match device {
+        Device::Scratch => (faulty, clean),
+        Device::Dest => (clean, faulty),
+    };
     pack_str_external_opts(
-        pool(),
+        Arc::new(BufferPool::new(dest, 512)),
         rtree::DEFAULT_TREE,
         scratch,
         uniform_items(n, 42),
@@ -71,6 +85,7 @@ fn build_with_faults(
 fn write_error_during_run_formation_is_clean() {
     for threads in [1usize, 4] {
         let err = build_with_faults(
+            Device::Scratch,
             threads,
             3_000,
             &[FaultSpec {
@@ -93,6 +108,7 @@ fn torn_spill_mid_run_is_clean() {
         // Tear a page a few writes into run formation: only a prefix
         // reaches the media and the write reports failure.
         let err = build_with_faults(
+            Device::Scratch,
             threads,
             3_000,
             &[FaultSpec {
@@ -115,6 +131,7 @@ fn read_error_during_merge_is_clean() {
         // Reads on scratch only begin at the merge; the very first one
         // failing kills the build before any slab completes.
         let err = build_with_faults(
+            Device::Scratch,
             threads,
             3_000,
             &[FaultSpec {
@@ -131,28 +148,27 @@ fn read_error_during_merge_is_clean() {
     }
 }
 
-/// Sweep one-shot faults across the whole operation stream, far enough
-/// to land in every phase (run formation and scatter for writes; merge
-/// and per-slab pack reads for reads). Whatever the placement, the
-/// pipeline either completes with a valid, correct tree or returns a
-/// clean error — never a panic, hang, or corrupt success.
-#[test]
-fn fault_sweep_every_phase_fails_clean_or_succeeds_valid() {
+/// Sweep one-shot faults across the whole operation stream of one
+/// device, far enough to land in every phase that touches it. Scratch
+/// writes land in run formation and scratch reads in the merge; the
+/// slab packers never touch scratch. Destination writes land in the
+/// catalog set-up, the packers' leaf ranges, the stitch of the upper
+/// levels and the final persist. Whatever the placement, the pipeline
+/// either completes with a valid, correct tree or returns a clean error
+/// of the device's kind — never a panic, hang, or corrupt success.
+fn sweep_one_shot_faults(device: Device, ops: &[FaultOp], ats: impl Iterator<Item = u64> + Clone) {
     let n = 3_000;
-    let reference = pack_str_external(
-        pool(),
-        Arc::new(MemDisk::default_size()),
-        uniform_items(n, 42),
-        NodeCapacity::new(16).unwrap(),
-        128,
-    )
-    .unwrap();
+    let reference = StrPacker::new()
+        .pack(pool(), uniform_items(n, 42), NodeCapacity::new(16).unwrap())
+        .unwrap();
     let expected_leaf = reference.level_mbrs(0).unwrap();
 
     for threads in [1usize, 4] {
-        for op in [FaultOp::Write, FaultOp::Read] {
-            for at in (0..80).step_by(7) {
+        for &op in ops {
+            let mut failed = 0;
+            for at in ats.clone() {
                 let result = build_with_faults(
+                    device,
                     threads,
                     n,
                     &[FaultSpec {
@@ -161,32 +177,56 @@ fn fault_sweep_every_phase_fails_clean_or_succeeds_valid() {
                         trigger: Trigger::OnceAt(at),
                     }],
                 );
+                let case = format!("{device:?} threads={threads} {op:?}@{at}");
                 match result {
                     Ok(tree) => {
                         // Fault placed beyond the stream: the build must
                         // be untouched by the schedule.
                         tree.validate(false).unwrap();
-                        assert_eq!(
-                            tree.level_mbrs(0).unwrap(),
-                            expected_leaf,
-                            "threads={threads} {op:?}@{at}"
-                        );
+                        assert_eq!(tree.level_mbrs(0).unwrap(), expected_leaf, "{case}");
                     }
                     Err(e) => {
+                        failed += 1;
                         assert!(
-                            matches!(e, ExternalPackError::Sort(_)),
-                            "threads={threads} {op:?}@{at}: {e}"
+                            matches!(
+                                (device, &e),
+                                (Device::Scratch, ExternalPackError::Sort(_))
+                                    | (Device::Dest, ExternalPackError::Tree(_))
+                            ),
+                            "{case}: {e}"
                         );
                     }
                 }
             }
+            assert!(
+                failed > 0,
+                "{device:?} threads={threads} {op:?}: no fault landed"
+            );
         }
     }
 }
 
 #[test]
+fn fault_sweep_every_phase_fails_clean_or_succeeds_valid() {
+    sweep_one_shot_faults(
+        Device::Scratch,
+        &[FaultOp::Write, FaultOp::Read],
+        (0..80).step_by(7),
+    );
+}
+
+/// 3000 entries at capacity 16 write 188 leaves and 13 upper-level
+/// pages, so the sweep crosses every leaf batch and the stitch, and
+/// ends past the last write.
+#[test]
+fn destination_fault_sweep_fails_clean_or_succeeds_valid() {
+    sweep_one_shot_faults(Device::Dest, &[FaultOp::Write], (0..230).step_by(3));
+}
+
+#[test]
 fn crash_fault_fails_everything_after() {
     let err = build_with_faults(
+        Device::Scratch,
         4,
         3_000,
         &[FaultSpec {
@@ -199,10 +239,11 @@ fn crash_fault_fails_everything_after() {
     assert!(matches!(err, ExternalPackError::Sort(_)));
 }
 
-/// Build the three-way comparison for one configuration and assert the
-/// identities. Returns an error string on mismatch so proptest can
-/// shrink.
-fn assert_three_way_identical(
+/// Build one configuration in memory and externally at one thread and
+/// at `threads`, and assert both external builds write the in-memory
+/// build's disk image byte for byte and match it level by level.
+/// Returns an error on mismatch so proptest can shrink.
+fn assert_identical_to_in_memory(
     n: usize,
     cap: usize,
     budget: usize,
@@ -212,53 +253,48 @@ fn assert_three_way_identical(
     let data = uniform_items(n, seed);
     let cap = NodeCapacity::new(cap).unwrap();
 
-    let in_memory = StrPacker::new().pack(pool(), data.clone(), cap).unwrap();
+    let mem_disk = Arc::new(MemDisk::default_size());
+    let in_memory = StrPacker::new()
+        .pack(
+            Arc::new(BufferPool::new(mem_disk.clone(), 512)),
+            data.clone(),
+            cap,
+        )
+        .unwrap();
 
-    let seq_disk = Arc::new(MemDisk::default_size());
-    let seq = pack_str_external(
-        Arc::new(BufferPool::new(seq_disk.clone(), 512)),
-        Arc::new(MemDisk::default_size()),
-        data.clone(),
-        cap,
-        budget,
-    )
-    .unwrap();
+    for t in [1, threads] {
+        let ext_disk = Arc::new(MemDisk::default_size());
+        let ext = pack_str_external_opts(
+            Arc::new(BufferPool::new(ext_disk.clone(), 512)),
+            rtree::DEFAULT_TREE,
+            Arc::new(MemDisk::default_size()),
+            data.clone(),
+            cap,
+            ExternalPackOptions::new(budget).threads(t),
+        )
+        .unwrap();
+        ext.validate(false).unwrap();
 
-    let par_disk = Arc::new(MemDisk::default_size());
-    let par = pack_str_external_opts(
-        Arc::new(BufferPool::new(par_disk.clone(), 512)),
-        rtree::DEFAULT_TREE,
-        Arc::new(MemDisk::default_size()),
-        data,
-        cap,
-        ExternalPackOptions::new(budget).threads(threads),
-    )
-    .unwrap();
-    par.validate(false).unwrap();
+        prop_assert_eq!(in_memory.len(), ext.len());
+        prop_assert_eq!(in_memory.height(), ext.height());
+        for level in 0..in_memory.height() {
+            prop_assert_eq!(
+                in_memory.level_mbrs(level).unwrap(),
+                ext.level_mbrs(level).unwrap(),
+                "level {} differs from in-memory (threads={})",
+                level,
+                t
+            );
+        }
 
-    // External sequential vs in-memory: identical structure, level by
-    // level.
-    prop_assert_eq!(in_memory.len(), seq.len());
-    prop_assert_eq!(in_memory.height(), seq.height());
-    for level in 0..in_memory.height() {
-        prop_assert_eq!(
-            in_memory.level_mbrs(level).unwrap(),
-            seq.level_mbrs(level).unwrap(),
-            "level {} differs from in-memory",
-            level
-        );
-    }
-
-    // Parallel vs sequential external: the same disk image, byte for
-    // byte.
-    prop_assert_eq!(seq.len(), par.len());
-    prop_assert_eq!(seq_disk.num_pages(), par_disk.num_pages());
-    let mut a = vec![0u8; seq_disk.page_size()];
-    let mut b = vec![0u8; par_disk.page_size()];
-    for p in 0..seq_disk.num_pages() {
-        seq_disk.read_page(PageId(p), &mut a).unwrap();
-        par_disk.read_page(PageId(p), &mut b).unwrap();
-        prop_assert_eq!(&a, &b, "page {} differs (threads={})", p, threads);
+        prop_assert_eq!(mem_disk.num_pages(), ext_disk.num_pages());
+        let mut a = vec![0u8; mem_disk.page_size()];
+        let mut b = vec![0u8; ext_disk.page_size()];
+        for p in 0..mem_disk.num_pages() {
+            mem_disk.read_page(PageId(p), &mut a).unwrap();
+            ext_disk.read_page(PageId(p), &mut b).unwrap();
+            prop_assert_eq!(&a, &b, "page {} differs (threads={})", p, t);
+        }
     }
     Ok(())
 }
@@ -266,10 +302,10 @@ fn assert_three_way_identical(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// parallel-external == sequential-external == in-memory, for
-    /// random configurations across thread counts. `n >= 3 * cap`
-    /// keeps the tree multi-leaf (single-leaf trees take a different —
-    /// documented — tie-break path in the external pipeline).
+    /// external at 1 thread == external at k threads == in-memory, page
+    /// by page, for random configurations. `n >= 3 * cap` keeps the
+    /// tree multi-leaf (a single leaf is x-sorted by the external
+    /// pipeline but left in input order in memory).
     #[test]
     fn external_builds_identical_across_thread_counts(
         n in 200usize..1_500,
@@ -279,6 +315,6 @@ proptest! {
         seed in 1u64..1_000,
     ) {
         prop_assume!(n >= 3 * cap);
-        assert_three_way_identical(n, cap, budget, threads, seed)?;
+        assert_identical_to_in_memory(n, cap, budget, threads, seed)?;
     }
 }

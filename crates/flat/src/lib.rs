@@ -445,7 +445,7 @@ impl<const D: usize> SpatialIndex<D> for FlatTree<'_, D> {
         query: &Rect<D>,
         visit: &mut dyn FnMut(Rect<D>, u64),
     ) -> rtree::Result<()> {
-        self.for_each_in_region(query, |rect, id| visit(rect, id));
+        self.for_each_in_region(query, visit);
         Ok(())
     }
 
@@ -478,6 +478,19 @@ impl<const D: usize> std::fmt::Debug for FlatTree<'_, D> {
     }
 }
 
+/// Cast `len` bytes at `off` to a typed slice, mapping every cast
+/// failure (range, alignment, slop) to a clean [`FlatError`].
+fn cast_section<T: bytemuck::Pod>(bytes: &[u8], off: usize, len: usize) -> Result<&[T]> {
+    let end = off.checked_add(len).ok_or(FlatError::Unaligned)?;
+    let section = bytes
+        .get(off..end)
+        .ok_or_else(|| FlatError::Parse(format!("section [{off}, {end}) out of bounds")))?;
+    bytemuck::try_cast_slice(section).map_err(|e| match e {
+        bytemuck::PodCastError::TargetAlignmentGreaterAndInputNotAligned => FlatError::Unaligned,
+        other => FlatError::Parse(format!("section cast failed: {other}")),
+    })
+}
+
 #[cfg(test)]
 mod segment_name_tests {
     use super::*;
@@ -500,17 +513,4 @@ mod segment_name_tests {
             assert_eq!(parse_segment_file_name(bad), None, "{bad}");
         }
     }
-}
-
-/// Cast `len` bytes at `off` to a typed slice, mapping every cast
-/// failure (range, alignment, slop) to a clean [`FlatError`].
-fn cast_section<T: bytemuck::Pod>(bytes: &[u8], off: usize, len: usize) -> Result<&[T]> {
-    let end = off.checked_add(len).ok_or(FlatError::Unaligned)?;
-    let section = bytes
-        .get(off..end)
-        .ok_or_else(|| FlatError::Parse(format!("section [{off}, {end}) out of bounds")))?;
-    bytemuck::try_cast_slice(section).map_err(|e| match e {
-        bytemuck::PodCastError::TargetAlignmentGreaterAndInputNotAligned => FlatError::Unaligned,
-        other => FlatError::Parse(format!("section cast failed: {other}")),
-    })
 }

@@ -71,7 +71,10 @@ impl MemSegmentStore {
     fn check_crashed(&self, op: &'static str) -> Result<()> {
         if let Some(clock) = &self.clock {
             if clock.is_crashed() {
-                return Err(StorageError::FaultInjected { op, page: PageId(0) });
+                return Err(StorageError::FaultInjected {
+                    op,
+                    page: PageId(0),
+                });
             }
         }
         Ok(())
@@ -169,7 +172,9 @@ impl SegmentStore for FileSegmentStore {
     fn put(&self, id: u64, bytes: &[u8]) -> Result<()> {
         // Write-then-rename so a crash mid-put never leaves a segment
         // file with torn contents under its final name.
-        let tmp = self.dir.join(format!(".{}.tmp", flat::segment_file_name(id)));
+        let tmp = self
+            .dir
+            .join(format!(".{}.tmp", flat::segment_file_name(id)));
         let mut f = fs::File::create(&tmp)?;
         f.write_all(bytes)?;
         f.flush()?;

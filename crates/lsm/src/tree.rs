@@ -661,7 +661,7 @@ impl<const D: usize> SpatialIndex<D> for LsmTree<D> {
             mem.for_each_intersecting(query, visit)?;
         }
         for seg in levels {
-            seg.tree.for_each_in_region(query, |rect, id| visit(rect, id));
+            seg.tree.for_each_in_region(query, &mut *visit);
         }
         Ok(())
     }
@@ -699,7 +699,14 @@ mod tests {
         }
     }
 
-    fn open_mem(opts: LsmOptions) -> (LsmTree<2>, Arc<dyn Disk>, Arc<dyn LogStore>, Arc<dyn SegmentStore>) {
+    type MemParts = (
+        LsmTree<2>,
+        Arc<dyn Disk>,
+        Arc<dyn LogStore>,
+        Arc<dyn SegmentStore>,
+    );
+
+    fn open_mem(opts: LsmOptions) -> MemParts {
         let disk: Arc<dyn Disk> = Arc::new(MemDisk::default_size());
         let log: Arc<dyn LogStore> = MemLogStore::new();
         let segs: Arc<dyn SegmentStore> = Arc::new(MemSegmentStore::new());

@@ -166,7 +166,13 @@ fn quiescent(quick: bool) -> Result<Sample, String> {
     let lat: Vec<u64> = std::thread::scope(|s| {
         let tree = &tree;
         let handles: Vec<_> = (0..READERS as u64)
-            .map(|t| s.spawn(move || (0..reads).map(|k| timed_read(tree, t, k)).collect::<Vec<_>>()))
+            .map(|t| {
+                s.spawn(move || {
+                    (0..reads)
+                        .map(|k| timed_read(tree, t, k))
+                        .collect::<Vec<_>>()
+                })
+            })
             .collect();
         handles
             .into_iter()
@@ -290,8 +296,7 @@ pub fn run(quick: bool) -> Result<(), String> {
         ("readers", READERS.to_string()),
         ("writer_threads", "[1, 4, 8]".to_string()),
     ];
-    let path =
-        str_bench::write_artifact("ingest", &config, &metrics).map_err(|e| e.to_string())?;
+    let path = str_bench::write_artifact("ingest", &config, &metrics).map_err(|e| e.to_string())?;
     println!("wrote {}", path.display());
     verify()
 }
@@ -342,7 +347,11 @@ pub fn verify() -> Result<(), String> {
                  {base_p99:.0} ns (limit 2x)"
             ));
         }
-        let inserts = sample_field(&doc, &format!("ingest/insert/{writers}t"), "throughput_per_sec")?;
+        let inserts = sample_field(
+            &doc,
+            &format!("ingest/insert/{writers}t"),
+            "throughput_per_sec",
+        )?;
         println!(
             "gate OK: {writers} writer(s) sustained {inserts:.0} inserts/s; read p99 \
              {during_p99:.0} ns vs quiescent {base_p99:.0} ns ({:.2}x, {compactions:.0} compaction(s))",

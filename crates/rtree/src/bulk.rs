@@ -77,80 +77,39 @@ impl BulkLoader {
         &self,
         pool: Arc<BufferPool>,
         name: &str,
-        entries: Vec<Entry<D>>,
+        mut entries: Vec<Entry<D>>,
         order: &mut dyn FnMut(&mut Vec<Entry<D>>, u32),
     ) -> Result<RTree<D>> {
         if entries.is_empty() {
             return Err(RTreeError::EmptyLoad);
         }
-        let max = crate::codec::max_capacity::<D>(pool.page_size());
-        if self.cap.max() > max {
-            return Err(RTreeError::CapacityTooLarge {
-                requested: self.cap.max(),
-                max,
-            });
-        }
-        let store = NodeStore::<RectCodec<D>>::create(pool.clone(), name)?;
+        let store = self.create_store::<D>(&pool, name)?;
 
         let disk = pool.disk().clone();
         let mut writer = SequentialPageWriter::new(disk.as_ref());
+        order(&mut entries, 0);
         let n = self.cap.max();
+        let mut level1 = Vec::with_capacity(entries.len().div_ceil(n));
+        for group in entries.chunks(n) {
+            let (page, ()) = writer.append(|buf| crate::codec::encode_entries(0, group, buf))?;
+            level1.push(Entry::child(
+                Rect::union_all(group.iter().map(|e| &e.rect)),
+                page,
+            ));
+        }
         let total = entries.len() as u64;
-        let mut level: u32 = 0;
-        let mut current = entries;
-        loop {
-            order(&mut current, level);
-            let mut next: Vec<Entry<D>> = Vec::with_capacity(current.len() / n + 1);
-            for group in current.chunks(n) {
-                let (page, ()) =
-                    writer.append(|buf| crate::codec::encode_entries(level, group, buf))?;
-                next.push(Entry::child(
-                    Rect::union_all(group.iter().map(|e| &e.rect)),
-                    page,
-                ));
-            }
-            if next.len() == 1 {
-                writer.flush()?;
-                let root = next[0].child_page();
-                let mut tree = RTree::from_parts(store, self.cap, root, level + 1, total);
-                tree.persist()?;
-                return Ok(tree);
-            }
-            current = next;
-            level += 1;
-        }
-    }
-}
-
-impl BulkLoader {
-    /// Streaming variant of [`load`](Self::load): leaf entries arrive
-    /// from an iterator **already in packing order** (e.g. the output of
-    /// an external sort), so the leaf level never needs to fit in
-    /// memory. Upper levels are 1/capacity the size of the data and are
-    /// packed in memory with `order_upper`, which sees levels ≥ 1 only.
-    pub fn load_streamed<const D: usize, I>(
-        &self,
-        pool: Arc<BufferPool>,
-        leaf_entries: I,
-        order_upper: &mut dyn FnMut(&mut Vec<Entry<D>>, u32),
-    ) -> Result<RTree<D>>
-    where
-        I: IntoIterator<Item = Entry<D>>,
-    {
-        self.load_streamed_into(pool, DEFAULT_TREE, leaf_entries, order_upper)
+        // The data is the bulk of memory; free it before the upper levels.
+        drop(entries);
+        stitch_upper(store, &mut writer, self.cap, total, level1, order)
     }
 
-    /// [`load_streamed`](Self::load_streamed) into a named catalog entry.
-    pub fn load_streamed_into<const D: usize, I>(
+    /// Check that the capacity fits a page, then create the tree's
+    /// catalog entry.
+    fn create_store<const D: usize>(
         &self,
-        pool: Arc<BufferPool>,
+        pool: &Arc<BufferPool>,
         name: &str,
-        leaf_entries: I,
-        order_upper: &mut dyn FnMut(&mut Vec<Entry<D>>, u32),
-    ) -> Result<RTree<D>>
-    where
-        I: IntoIterator<Item = Entry<D>>,
-    {
+    ) -> Result<NodeStore<RectCodec<D>>> {
         let max = crate::codec::max_capacity::<D>(pool.page_size());
         if self.cap.max() > max {
             return Err(RTreeError::CapacityTooLarge {
@@ -158,36 +117,14 @@ impl BulkLoader {
                 max,
             });
         }
-        let store = NodeStore::<RectCodec<D>>::create(pool.clone(), name)?;
-
-        let disk = pool.disk().clone();
-        let mut writer = SequentialPageWriter::new(disk.as_ref());
-        let n = self.cap.max();
-        let mut total: u64 = 0;
-        let mut group: Vec<Entry<D>> = Vec::with_capacity(n);
-        let mut next: Vec<Entry<D>> = Vec::new();
-        for entry in leaf_entries {
-            total += 1;
-            group.push(entry);
-            if group.len() == n {
-                next.push(flush_leaf(&mut writer, &mut group)?);
-            }
-        }
-        if !group.is_empty() {
-            next.push(flush_leaf(&mut writer, &mut group)?);
-        }
-        if next.is_empty() {
-            return Err(RTreeError::EmptyLoad);
-        }
-
-        stitch_upper(store, &mut writer, self.cap, total, next, order_upper)
+        NodeStore::create(pool.clone(), name)
     }
 }
 
 /// Pack the upper levels from the level-1 entries (one per leaf, already
-/// in leaf order) up to the root, then seal the tree. Shared by the
-/// streaming loader and [`ParallelLoad::finish`] so both produce the
-/// same pages in the same order.
+/// in leaf order) up to the root, then seal the tree. Shared by
+/// [`BulkLoader::load_into`] and [`ParallelLoad::finish`] so both
+/// produce the same pages in the same order.
 fn stitch_upper<const D: usize>(
     store: NodeStore<RectCodec<D>>,
     writer: &mut SequentialPageWriter<'_>,
@@ -232,9 +169,9 @@ impl BulkLoader {
     /// leaf level, so every worker can write its slice of leaves with
     /// pure page arithmetic — no allocator traffic, no coordination —
     /// via [`ParallelLoad::leaf_writer`]. Because the reservation
-    /// happens where the sequential loaders would have written their
-    /// first leaf, the finished file is byte-identical to a
-    /// single-threaded [`load_streamed`](Self::load_streamed).
+    /// happens where [`load`](Self::load) would have written its first
+    /// leaf, the finished file is byte-identical to `load` given the
+    /// same leaf order.
     pub fn begin_parallel<const D: usize>(
         &self,
         pool: Arc<BufferPool>,
@@ -244,14 +181,7 @@ impl BulkLoader {
         if leaf_count == 0 {
             return Err(RTreeError::EmptyLoad);
         }
-        let max = crate::codec::max_capacity::<D>(pool.page_size());
-        if self.cap.max() > max {
-            return Err(RTreeError::CapacityTooLarge {
-                requested: self.cap.max(),
-                max,
-            });
-        }
-        let store = NodeStore::<RectCodec<D>>::create(pool.clone(), name)?;
+        let store = self.create_store::<D>(&pool, name)?;
         let first_leaf = pool.disk().allocate_run(leaf_count)?;
         Ok(ParallelLoad {
             store,
@@ -416,19 +346,6 @@ impl<const D: usize> LeafRangeWriter<D> {
     }
 }
 
-/// Stage one full leaf from `group` and return its parent entry. The
-/// group buffer is cleared for reuse, not dropped — the streaming loader
-/// allocates nothing per leaf.
-fn flush_leaf<const D: usize>(
-    writer: &mut SequentialPageWriter<'_>,
-    group: &mut Vec<Entry<D>>,
-) -> Result<Entry<D>> {
-    let mbr = Rect::union_all(group.iter().map(|e| &e.rect));
-    let (page, ()) = writer.append(|buf| crate::codec::encode_entries(0, group, buf))?;
-    group.clear();
-    Ok(Entry::child(mbr, page))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -567,95 +484,71 @@ mod tests {
     }
 
     #[test]
-    fn streamed_load_matches_batch_load() {
-        let loader = BulkLoader::new(NodeCapacity::new(10).unwrap());
-        let entries = grid_entries(1234);
-        let batch = loader.load(pool(), entries.clone(), &mut identity).unwrap();
-        let streamed = loader
-            .load_streamed(pool(), entries, &mut |_, _| {})
-            .unwrap();
-        assert_eq!(batch.len(), streamed.len());
-        assert_eq!(batch.height(), streamed.height());
-        assert_eq!(
-            batch.level_mbrs(0).unwrap(),
-            streamed.level_mbrs(0).unwrap(),
-            "same leaf structure"
-        );
-        streamed.validate(false).unwrap();
-    }
-
-    #[test]
-    fn streamed_load_rejects_empty() {
+    fn parallel_load_rejects_empty() {
         let loader = BulkLoader::new(NodeCapacity::new(4).unwrap());
         let err = loader
-            .load_streamed::<2, _>(pool(), std::iter::empty(), &mut |_, _| {})
-            .unwrap_err();
+            .begin_parallel::<2>(pool(), crate::store::DEFAULT_TREE, 0)
+            .err()
+            .unwrap();
         assert!(matches!(err, RTreeError::EmptyLoad));
     }
 
+    /// Two-worker parallel leaf writing produces the same bytes as
+    /// [`BulkLoader::load`], page for page — for a single leaf and for a
+    /// multi-level tree.
     #[test]
-    fn streamed_load_single_leaf() {
-        let loader = BulkLoader::new(NodeCapacity::new(10).unwrap());
-        let t = loader
-            .load_streamed(pool(), grid_entries(7), &mut |_, _| {})
-            .unwrap();
-        assert_eq!(t.height(), 1);
-        assert_eq!(t.len(), 7);
-        t.validate(false).unwrap();
-    }
-
-    /// Two-worker parallel leaf writing produces the same bytes as the
-    /// streaming loader, page for page.
-    #[test]
-    fn parallel_load_is_byte_identical_to_streamed() {
+    fn parallel_load_is_byte_identical_to_load() {
         let cap = NodeCapacity::new(10).unwrap();
         let loader = BulkLoader::new(cap);
-        let entries = grid_entries(1234);
+        for count in [7usize, 1234] {
+            let entries = grid_entries(count);
 
-        let streamed_disk = Arc::new(MemDisk::default_size());
-        let streamed_pool = Arc::new(BufferPool::new(streamed_disk.clone(), 256));
-        let streamed = loader
-            .load_streamed(streamed_pool, entries.clone(), &mut |_, _| {})
-            .unwrap();
+            let load_disk = Arc::new(MemDisk::default_size());
+            let load_pool = Arc::new(BufferPool::new(load_disk.clone(), 256));
+            let loaded = loader
+                .load(load_pool, entries.clone(), &mut identity)
+                .unwrap();
 
-        let par_disk = Arc::new(MemDisk::default_size());
-        let par_pool = Arc::new(BufferPool::new(par_disk.clone(), 256));
-        let n = cap.max();
-        let leaf_count = entries.len().div_ceil(n) as u64;
-        let load = loader
-            .begin_parallel::<2>(par_pool, crate::store::DEFAULT_TREE, leaf_count)
-            .unwrap();
-        // Split the leaves between two workers at a leaf boundary.
-        let split_leaf = leaf_count / 2;
-        let split_entry = split_leaf as usize * n;
-        let (lo, hi) = entries.split_at(split_entry);
-        let mut level1 = vec![None; leaf_count as usize];
-        let (res_lo, res_hi) = level1.split_at_mut(split_leaf as usize);
-        std::thread::scope(|s| {
-            for (slice, first_leaf, results) in [(lo, 0u64, res_lo), (hi, split_leaf, res_hi)] {
-                let mut writer = load.leaf_writer(first_leaf, slice.len().div_ceil(n) as u64);
-                s.spawn(move || {
-                    for (i, group) in slice.chunks(n).enumerate() {
-                        results[i] = Some(writer.write_leaf(group).unwrap());
-                    }
-                    writer.finish().unwrap();
-                });
+            let par_disk = Arc::new(MemDisk::default_size());
+            let par_pool = Arc::new(BufferPool::new(par_disk.clone(), 256));
+            let n = cap.max();
+            let leaf_count = entries.len().div_ceil(n) as u64;
+            let load = loader
+                .begin_parallel::<2>(par_pool, crate::store::DEFAULT_TREE, leaf_count)
+                .unwrap();
+            // Split the leaves between two workers at a leaf boundary.
+            let split_leaf = leaf_count / 2;
+            let split_entry = split_leaf as usize * n;
+            let (lo, hi) = entries.split_at(split_entry);
+            let mut level1 = vec![None; leaf_count as usize];
+            let (res_lo, res_hi) = level1.split_at_mut(split_leaf as usize);
+            std::thread::scope(|s| {
+                for (slice, first_leaf, results) in [(lo, 0u64, res_lo), (hi, split_leaf, res_hi)] {
+                    let mut writer = load.leaf_writer(first_leaf, slice.len().div_ceil(n) as u64);
+                    s.spawn(move || {
+                        for (i, group) in slice.chunks(n).enumerate() {
+                            results[i] = Some(writer.write_leaf(group).unwrap());
+                        }
+                        writer.finish().unwrap();
+                    });
+                }
+            });
+            let level1: Vec<Entry<2>> = level1.into_iter().map(|e| e.unwrap()).collect();
+            let par = load
+                .finish(entries.len() as u64, level1, &mut identity)
+                .unwrap();
+            par.validate(false).unwrap();
+
+            assert_eq!(par.len(), loaded.len(), "count={count}");
+            assert_eq!(par.height(), loaded.height(), "count={count}");
+            assert_eq!(load_disk.num_pages(), par_disk.num_pages(), "count={count}");
+            let mut a = vec![0u8; load_disk.page_size()];
+            let mut b = vec![0u8; par_disk.page_size()];
+            for p in 0..load_disk.num_pages() {
+                load_disk.read_page(storage::PageId(p), &mut a).unwrap();
+                par_disk.read_page(storage::PageId(p), &mut b).unwrap();
+                assert_eq!(a, b, "count={count}: page {p} differs");
             }
-        });
-        let level1: Vec<Entry<2>> = level1.into_iter().map(|e| e.unwrap()).collect();
-        let par = load
-            .finish(entries.len() as u64, level1, &mut |_, _| {})
-            .unwrap();
-
-        assert_eq!(par.len(), streamed.len());
-        assert_eq!(par.height(), streamed.height());
-        assert_eq!(streamed_disk.num_pages(), par_disk.num_pages());
-        let mut a = vec![0u8; streamed_disk.page_size()];
-        let mut b = vec![0u8; par_disk.page_size()];
-        for p in 0..streamed_disk.num_pages() {
-            streamed_disk.read_page(storage::PageId(p), &mut a).unwrap();
-            par_disk.read_page(storage::PageId(p), &mut b).unwrap();
-            assert_eq!(a, b, "page {p} differs");
         }
     }
 

@@ -236,11 +236,7 @@ impl<'t, const D: usize> QueryExecutor<'t, D> {
         EXEC_BATCHES.inc();
         Ok(BatchReport {
             results,
-            stats: self
-                .index
-                .buffer_stats()
-                .unwrap_or_default()
-                .since(&before),
+            stats: self.index.buffer_stats().unwrap_or_default().since(&before),
             elapsed: start.elapsed(),
             threads,
             latency,

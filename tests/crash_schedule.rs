@@ -325,7 +325,11 @@ fn every_lsm_sync_point_preserves_acknowledged_inserts() {
         tree.flush()
             .unwrap_or_else(|e| panic!("n={n}: post-recovery flush failed: {e}"));
         let full: BTreeSet<u64> = (0..TOTAL).collect();
-        assert_eq!(lsm_contents(&tree), full, "n={n}: post-recovery state diverges");
+        assert_eq!(
+            lsm_contents(&tree),
+            full,
+            "n={n}: post-recovery state diverges"
+        );
     }
 }
 
