@@ -56,8 +56,6 @@ pub enum ExternalPackError {
     Sort(extsort::SortError),
     /// Failure building the tree (destination disk).
     Tree(rtree::RTreeError),
-    /// Failure lowering the packed tree into a flat segment.
-    Flat(flat::FlatError),
 }
 
 impl std::fmt::Display for ExternalPackError {
@@ -65,7 +63,6 @@ impl std::fmt::Display for ExternalPackError {
         match self {
             ExternalPackError::Sort(e) => write!(f, "external sort: {e}"),
             ExternalPackError::Tree(e) => write!(f, "tree build: {e}"),
-            ExternalPackError::Flat(e) => write!(f, "flat lowering: {e}"),
         }
     }
 }
@@ -75,12 +72,6 @@ impl std::error::Error for ExternalPackError {}
 impl From<extsort::SortError> for ExternalPackError {
     fn from(e: extsort::SortError) -> Self {
         ExternalPackError::Sort(e)
-    }
-}
-
-impl From<flat::FlatError> for ExternalPackError {
-    fn from(e: flat::FlatError) -> Self {
-        ExternalPackError::Flat(e)
     }
 }
 
@@ -209,33 +200,6 @@ where
     pack_slabs(pool, name, merge, total, slab_size, cap, threads)
 }
 
-/// Drain an item stream straight into a flat segment image: STR-pack it
-/// through the out-of-core pipeline onto a throwaway in-memory pool,
-/// then lower the finished tree to flat bytes. This is the LSM
-/// compaction's drain-to-segment entry point — the returned buffer goes
-/// through `flat`'s one persist path and the caller commits it with a
-/// catalog flip. The intermediate paged tree never leaves memory, so a
-/// crash mid-drain leaves nothing to clean up but scratch pages.
-pub fn pack_str_external_to_flat<const D: usize, I>(
-    scratch: Arc<dyn Disk>,
-    items: I,
-    cap: NodeCapacity,
-    opts: ExternalPackOptions,
-) -> Result<Vec<u8>, ExternalPackError>
-where
-    I: IntoIterator<Item = (Rect<D>, u64)>,
-{
-    let _tspan = obs::trace::span("external.to_flat");
-    let mem: Arc<dyn Disk> = Arc::new(storage::MemDisk::default_size());
-    // Frame count sized so the build's working set (leaf front + upper
-    // levels) stays pooled; the pool grows the backing MemDisk as the
-    // tree does.
-    let pool = Arc::new(BufferPool::new(mem, 1024));
-    let tree =
-        pack_str_external_opts::<D, I>(pool, rtree::DEFAULT_TREE, scratch, items, cap, opts)?;
-    Ok(flat::flatten_to_bytes(&tree)?)
-}
-
 fn key<const D: usize>(e: &Entry<D>) -> u64 {
     f64_order_key(e.rect.center_coord(0))
 }
@@ -250,7 +214,8 @@ type Merge<const D: usize> = extsort::MergeIter<Entry<D>, u64, fn(&Entry<D>) -> 
 /// `threads + 1` slabs are resident; with one thread the merge thread
 /// packs each slab itself: always spawning one worker measured ~9% fewer
 /// LSM ingest inserts/s (six alternating perfbench `ingest` pairs on a
-/// 2-vCPU VM, equal peak RSS), where every compaction is a 1-thread pack.
+/// 2-vCPU VM, equal peak RSS), measured while every LSM compaction still
+/// drained through this pipeline as a 1-thread pack.
 fn pack_slabs<const D: usize>(
     pool: Arc<BufferPool>,
     name: &str,

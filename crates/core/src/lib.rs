@@ -28,8 +28,8 @@ pub mod str_pack;
 pub mod tgs;
 
 pub use external::{
-    pack_str_external, pack_str_external_named, pack_str_external_opts, pack_str_external_to_flat,
-    ExternalPackError, ExternalPackOptions,
+    pack_str_external, pack_str_external_named, pack_str_external_opts, ExternalPackError,
+    ExternalPackOptions,
 };
 pub use hs::HilbertPacker;
 pub use metrics::TreeMetrics;
@@ -75,6 +75,28 @@ pub fn pack_named<const D: usize, O: PackingOrder<D> + ?Sized>(
         .collect();
     BulkLoader::new(cap).load_into(pool, name, entries, &mut |es, level| {
         order.order_level(es, level, cap)
+    })
+}
+
+/// STR-pack `(rect, id)` items straight into a flat image
+/// ([`flat::pack_to_bytes`]) — no disk, no pool, no paged tree. Every
+/// level is ordered by [`StrPacker::with_threads`]`(threads)`, so the
+/// image is byte-identical to lowering `StrPacker::new().pack(..)` with
+/// [`flat::flatten_to_bytes`]. This is the LSM compaction's drain: it
+/// already holds every item in memory, so there is nothing for an
+/// external sort to bound.
+pub fn pack_str_to_flat<const D: usize>(
+    items: Vec<(Rect<D>, u64)>,
+    cap: NodeCapacity,
+    threads: usize,
+) -> flat::Result<Vec<u8>> {
+    let entries: Vec<Entry<D>> = items
+        .into_iter()
+        .map(|(rect, id)| Entry::data(rect, id))
+        .collect();
+    let packer = StrPacker::with_threads(threads);
+    flat::pack_to_bytes(entries, cap, &mut |es, level| {
+        packer.order_level(es, level, cap)
     })
 }
 

@@ -16,7 +16,7 @@
 //! | off | size | field                                         |
 //! |-----|------|-----------------------------------------------|
 //! |   0 |    4 | magic `b"FLT1"`                               |
-//! |   4 |    2 | version (`1`)                                 |
+//! |   4 |    2 | version (`2`; `1` still opens, see below)     |
 //! |   6 |    2 | dims                                          |
 //! |   8 |    4 | node capacity of the source tree              |
 //! |  12 |    4 | num_levels                                    |
@@ -24,7 +24,12 @@
 //! |  24 |    8 | num_nodes (slot count over all levels)        |
 //! |  32 |    8 | total_len (whole-buffer byte length)          |
 //! |  40 |   16 | reserved, zero                                |
-//! |  56 |    8 | FNV-1a checksum of bytes `[0..56) ++ [64..total_len)` |
+//! |  56 |    8 | checksum of bytes `[0..56) ++ [64..total_len)` |
+//!
+//! Version 2 seals the image with the word-parallel
+//! [`storage::wide_hash`], chained over the two ranges. Version 1 images
+//! carry a byte-serial FNV-1a checksum of the same ranges; they still
+//! open, but nothing writes them any more.
 //!
 //! Levels are stored *items first*: level 0 holds the data items
 //! (slot coords = item MBR, `idx` = item payload), level 1 the source
@@ -35,12 +40,14 @@
 //! last slot of a level, since levels tile the slot space gap-free.
 
 use crate::FlatError;
-use storage::{fnv1a_update, FNV_SEED};
+use storage::{fnv1a_update, wide_hash, FNV_SEED};
 
 /// Magic bytes at offset 0.
 pub const MAGIC: [u8; 4] = *b"FLT1";
-/// Current wire version.
-pub const VERSION: u16 = 1;
+/// Current wire version: sealed with [`storage::wide_hash`].
+pub const VERSION: u16 = 2;
+/// The read-only older version, sealed with FNV-1a.
+pub const LEGACY_VERSION: u16 = 1;
 /// Fixed header length in bytes.
 pub const HEADER_LEN: usize = 64;
 /// Offset of the checksum field within the header.
@@ -103,8 +110,23 @@ impl Layout {
     }
 
     /// Total buffer length this layout implies.
+    ///
+    /// # Panics
+    /// Panics if the length overflows `usize`; a layout read from
+    /// untrusted bytes goes through [`checked_total_len`](Self::checked_total_len).
     pub fn total_len(self) -> usize {
-        self.idx_off() + 8 * self.num_nodes
+        self.checked_total_len()
+            .expect("flat layout length overflows usize")
+    }
+
+    /// [`total_len`](Self::total_len), or `None` when the counts are so
+    /// large that the length overflows `usize`.
+    pub fn checked_total_len(self) -> Option<usize> {
+        // header + 16·L bounds + (16·D + 8)·N slot bytes
+        let slot_bytes = self.dims.checked_mul(16)?.checked_add(8)?;
+        HEADER_LEN
+            .checked_add(self.num_levels.checked_mul(16)?)?
+            .checked_add(slot_bytes.checked_mul(self.num_nodes)?)
     }
 }
 
@@ -149,11 +171,15 @@ impl Header {
         let u32le = |o: usize| u32::from_le_bytes(bytes[o..o + 4].try_into().unwrap());
         let u64le = |o: usize| u64::from_le_bytes(bytes[o..o + 8].try_into().unwrap());
         let version = u16le(4);
-        if version != VERSION {
-            return Err(FlatError::Parse(format!(
-                "unsupported flat version {version} (expected {VERSION})"
-            )));
-        }
+        let seal: fn(&[u8]) -> u64 = match version {
+            VERSION => checksum,
+            LEGACY_VERSION => legacy_checksum,
+            _ => {
+                return Err(FlatError::Parse(format!(
+                    "unsupported flat version {version} (expected {LEGACY_VERSION} or {VERSION})"
+                )))
+            }
+        };
         let hdr = Header {
             dims: u16le(6),
             node_capacity: u32le(8),
@@ -179,15 +205,22 @@ impl Header {
                 bytes.len()
             )));
         }
-        let layout = hdr.layout();
-        if layout.total_len() as u64 != hdr.total_len {
+        // The counts are untrusted until the checksum passes: size the
+        // layout with checked arithmetic so inflated counts are a parse
+        // error, not an overflow.
+        let implied = hdr.layout().checked_total_len().ok_or_else(|| {
+            FlatError::Parse(format!(
+                "section layout for {} levels and {} slots overflows",
+                hdr.num_levels, hdr.num_nodes
+            ))
+        })?;
+        if implied as u64 != hdr.total_len {
             return Err(FlatError::Parse(format!(
-                "section layout implies {} bytes, header claims {}",
-                layout.total_len(),
+                "section layout implies {implied} bytes, header claims {}",
                 hdr.total_len
             )));
         }
-        let computed = checksum(bytes);
+        let computed = seal(bytes);
         if computed != hdr.checksum {
             return Err(FlatError::ChecksumMismatch {
                 stored: hdr.checksum,
@@ -198,9 +231,15 @@ impl Header {
     }
 }
 
-/// Whole-buffer FNV-1a checksum: everything except the checksum field
-/// itself and the header's trailing pad (bytes `[56..64)`).
+/// Whole-buffer checksum of a version-2 image: [`storage::wide_hash`]
+/// over everything except the checksum field itself (bytes `[56..64)`).
 pub fn checksum(bytes: &[u8]) -> u64 {
+    wide_hash(wide_hash(0, &bytes[..CHECKSUM_OFF]), &bytes[HEADER_LEN..])
+}
+
+/// Whole-buffer checksum of a version-1 image: FNV-1a over the same
+/// ranges as [`checksum`]. Only verified, never written.
+fn legacy_checksum(bytes: &[u8]) -> u64 {
     fnv1a_update(
         fnv1a_update(FNV_SEED, &bytes[..CHECKSUM_OFF]),
         &bytes[HEADER_LEN..],
@@ -286,7 +325,7 @@ mod tests {
         assert!(matches!(Header::parse(&bad), Err(FlatError::Parse(_))));
 
         let mut bad = buf.clone();
-        bad[4] = 9; // version
+        bad[4] = 3; // the next version: unknown to this build
         assert!(matches!(Header::parse(&bad), Err(FlatError::Parse(_))));
 
         // Flip one payload byte: checksum must catch it.
@@ -299,5 +338,31 @@ mod tests {
 
         assert!(Header::parse(&buf[..40]).is_err());
         assert!(Header::parse(&[]).is_err());
+    }
+
+    /// Counts inflated so far that sizing the layout overflows `usize`
+    /// are a parse error: no panic, no wrapped length that happens to
+    /// match the buffer.
+    #[test]
+    fn inflated_counts_are_a_parse_error() {
+        for (num_levels, num_nodes) in [(2, u64::MAX / 4), (u32::MAX, 2), (u32::MAX, u64::MAX / 4)]
+        {
+            let hdr = Header {
+                dims: 2,
+                node_capacity: 4,
+                num_levels,
+                num_items: 1,
+                num_nodes,
+                total_len: 256,
+                checksum: 0,
+            };
+            let mut buf = hdr.encode().to_vec();
+            buf.resize(256, 0);
+            let err = Header::parse(&buf).unwrap_err();
+            assert!(
+                matches!(err, FlatError::Parse(_)),
+                "{num_levels}/{num_nodes}: {err}"
+            );
+        }
     }
 }

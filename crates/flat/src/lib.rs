@@ -3,10 +3,11 @@
 //! STR-packed trees are static by construction (paper §2.2), yet the
 //! paged [`rtree`] crate routes every query through the buffer-pool
 //! machinery built for *dynamic* trees — page pins, codec header checks,
-//! per-node hash lookups. This crate lowers a finished packed tree into
-//! one contiguous buffer (flatbush-style: fixed header, per-level slot
-//! bounds, structure-of-arrays MBRs, one child/payload index per slot)
-//! that is served exactly as it sits on disk:
+//! per-node hash lookups. This crate lowers a finished packed tree
+//! ([`flatten_to_bytes`]), or packs items directly ([`pack_to_bytes`]),
+//! into one contiguous buffer (flatbush-style: fixed header, per-level
+//! slot bounds, structure-of-arrays MBRs, one child/payload index per
+//! slot) that is served exactly as it sits on disk:
 //!
 //! * [`FlatTree::open`] memory-maps a `.flat` file and queries it in
 //!   place — no deserialization, no pool, the page cache is the cache;
@@ -32,8 +33,8 @@ use geom::{Point, Rect, SoaRects};
 use rtree::{IndexStats, RTree, SpatialIndex};
 use storage::Mmap;
 
-pub use abi::{Header, Layout, HEADER_LEN, MAGIC, VERSION};
-pub use build::flatten_to_bytes;
+pub use abi::{Header, Layout, HEADER_LEN, LEGACY_VERSION, MAGIC, VERSION};
+pub use build::{flatten_to_bytes, pack_to_bytes};
 
 /// File-name stem for LSM flat segments: `seg-<id, 8 hex digits>.flat`.
 /// One naming scheme shared by the compaction writer, recovery's orphan

@@ -106,6 +106,11 @@ fn empty_tree_flattens_and_serves() {
 fn corruption_is_caught_by_checksum() {
     let tree = packed(200, 3);
     let bytes = flat::flatten_to_bytes(&tree).unwrap();
+    assert_eq!(
+        u16::from_le_bytes([bytes[4], bytes[5]]),
+        2,
+        "wide_hash seal"
+    );
     // Flip one bit in every section in turn; each must be rejected.
     for off in [70usize, bytes.len() / 2, bytes.len() - 1] {
         let mut bad = bytes.clone();
@@ -166,5 +171,38 @@ fn missing_file_is_io_error() {
     assert!(matches!(
         FlatTree::<2>::open(tmp("does-not-exist.flat")),
         Err(FlatError::Io(_))
+    ));
+}
+
+/// An image written by an older build — version 1, sealed with
+/// byte-serial FNV-1a over `[0..56) ++ [64..)` — still opens, and
+/// answers exactly like the version-2 image of the same tree.
+#[test]
+fn hand_sealed_version_1_image_still_opens() {
+    let tree = packed(500, 9);
+    let current = flat::flatten_to_bytes(&tree).unwrap();
+    let mut v1 = current.clone();
+    v1[4..6].copy_from_slice(&1u16.to_le_bytes());
+    let sum = storage::fnv1a_update(
+        storage::fnv1a_update(storage::FNV_SEED, &v1[..56]),
+        &v1[64..],
+    );
+    v1[56..64].copy_from_slice(&sum.to_le_bytes());
+
+    let old = FlatTree::<2>::from_vec(v1.clone()).unwrap();
+    let new = FlatTree::<2>::from_vec(current).unwrap();
+    assert_eq!(old.len(), 500);
+    for side in [0.1, 0.4, 1.0] {
+        let q = Rect::new([0.2, 0.2], [0.2 + side, 0.2 + side]);
+        assert_eq!(sorted(old.query_region(&q)), sorted(new.query_region(&q)));
+    }
+
+    // The FNV seal still guards a version-1 image.
+    let mut bad = v1;
+    let mid = bad.len() / 2;
+    bad[mid] ^= 0x10;
+    assert!(matches!(
+        FlatTree::<2>::from_vec(bad),
+        Err(FlatError::ChecksumMismatch { .. })
     ));
 }

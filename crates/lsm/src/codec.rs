@@ -4,12 +4,14 @@
 //! Everything here is little-endian and self-validating. Notes travel
 //! inside the WAL's checksummed record frames, so they carry only a tag
 //! byte; the segment meta page lives on a raw disk page and carries its
-//! own FNV-1a header checksum plus a checksum of the segment bytes it
+//! own header checksum plus a checksum of the segment bytes it
 //! describes, so recovery can tell a committed segment from a torn one
-//! without trusting the segment store.
+//! without trusting the segment store. Version-2 meta pages use
+//! [`storage::wide_hash`] for both; version-1 pages (FNV-1a for both)
+//! still decode and match, but nothing writes them any more.
 
 use geom::Rect;
-use storage::{fnv1a_update, PageId, FNV_SEED};
+use storage::{fnv1a_update, wide_hash, PageId, FNV_SEED};
 
 use crate::{LsmError, Result};
 
@@ -20,8 +22,10 @@ pub const NOTE_FLIP: u8 = 2;
 
 /// Magic prefix of a segment meta page.
 pub const SEGMENT_META_MAGIC: [u8; 4] = *b"SEGM";
-/// Segment meta page format version.
-pub const SEGMENT_META_VERSION: u16 = 1;
+/// Segment meta page format version: checksums are [`wide_hash`].
+pub const SEGMENT_META_VERSION: u16 = 2;
+/// The read-only older version, whose checksums are FNV-1a.
+pub const SEGMENT_META_LEGACY_VERSION: u16 = 1;
 /// Fixed encoded size of a segment meta header (checksum included).
 pub const SEGMENT_META_LEN: usize = 56;
 
@@ -188,7 +192,7 @@ impl<const D: usize> Note<D> {
 ///
 /// Lives on its own meta page inside the v2 superblock catalog; the
 /// catalog maps `seg-XXXXXXXX.flat` → this page, and this page pins the
-/// exact bytes (length + FNV checksum) the segment store must serve.
+/// exact bytes (length + checksum) the segment store must serve.
 /// A segment whose bytes disagree with its meta page is treated as
 /// absent — recovery then re-executes or discards the flip that
 /// introduced it.
@@ -200,7 +204,8 @@ pub struct SegmentMeta {
     pub item_count: u64,
     /// Exact byte length of the flat-tree image.
     pub byte_len: u64,
-    /// FNV-1a checksum of the flat-tree image.
+    /// Checksum of the flat-tree image: [`wide_hash`], or FNV-1a on a
+    /// version-1 page.
     pub data_checksum: u64,
     /// WAL watermark the segment's contents cover.
     pub seal_lsn: u64,
@@ -209,7 +214,7 @@ pub struct SegmentMeta {
 impl SegmentMeta {
     /// Checksum the tier uses to pin segment bytes.
     pub fn checksum_of(bytes: &[u8]) -> u64 {
-        fnv1a_update(FNV_SEED, bytes)
+        wide_hash(0, bytes)
     }
 
     /// Describe `bytes` as the image of segment `seg_id`.
@@ -223,9 +228,13 @@ impl SegmentMeta {
         }
     }
 
-    /// Whether `bytes` are exactly the image this meta page pins.
+    /// Whether `bytes` are exactly the image this meta page pins. The
+    /// current checksum is tried first; FNV-1a, what a version-1 page
+    /// pins, only when that misses.
     pub fn matches(&self, bytes: &[u8]) -> bool {
-        bytes.len() as u64 == self.byte_len && Self::checksum_of(bytes) == self.data_checksum
+        bytes.len() as u64 == self.byte_len
+            && (Self::checksum_of(bytes) == self.data_checksum
+                || fnv1a_update(FNV_SEED, bytes) == self.data_checksum)
     }
 
     /// Encode into a zero-padded page image of `page_size` bytes.
@@ -240,7 +249,7 @@ impl SegmentMeta {
         out[24..32].copy_from_slice(&self.byte_len.to_le_bytes());
         out[32..40].copy_from_slice(&self.data_checksum.to_le_bytes());
         out[40..48].copy_from_slice(&self.seal_lsn.to_le_bytes());
-        let sum = fnv1a_update(FNV_SEED, &out[..48]);
+        let sum = wide_hash(0, &out[..48]);
         out[48..56].copy_from_slice(&sum.to_le_bytes());
         out
     }
@@ -254,13 +263,16 @@ impl SegmentMeta {
             return Err(LsmError::Corrupt("segment meta magic mismatch".into()));
         }
         let version = u16::from_le_bytes([page[4], page[5]]);
-        if version != SEGMENT_META_VERSION {
-            return Err(LsmError::Corrupt(format!(
-                "unsupported segment meta version {version}"
-            )));
-        }
+        let computed = match version {
+            SEGMENT_META_VERSION => wide_hash(0, &page[..48]),
+            SEGMENT_META_LEGACY_VERSION => fnv1a_update(FNV_SEED, &page[..48]),
+            _ => {
+                return Err(LsmError::Corrupt(format!(
+                    "unsupported segment meta version {version}"
+                )))
+            }
+        };
         let stored = u64::from_le_bytes(page[48..56].try_into().unwrap());
-        let computed = fnv1a_update(FNV_SEED, &page[..48]);
         if stored != computed {
             return Err(LsmError::Corrupt("segment meta checksum mismatch".into()));
         }
@@ -276,8 +288,61 @@ impl SegmentMeta {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// `meta` as a version-1 page pinning `bytes`, hand-sealed the way
+    /// older builds wrote it: FNV-1a over the image and over the header.
+    pub(crate) fn v1_meta_page(meta: &SegmentMeta, bytes: &[u8], page_size: usize) -> Vec<u8> {
+        let mut page = vec![0u8; page_size];
+        page[0..4].copy_from_slice(&SEGMENT_META_MAGIC);
+        page[4..6].copy_from_slice(&1u16.to_le_bytes());
+        page[8..16].copy_from_slice(&meta.seg_id.to_le_bytes());
+        page[16..24].copy_from_slice(&meta.item_count.to_le_bytes());
+        page[24..32].copy_from_slice(&(bytes.len() as u64).to_le_bytes());
+        page[32..40].copy_from_slice(&fnv1a_update(FNV_SEED, bytes).to_le_bytes());
+        page[40..48].copy_from_slice(&meta.seal_lsn.to_le_bytes());
+        let sum = fnv1a_update(FNV_SEED, &page[..48]);
+        page[48..56].copy_from_slice(&sum.to_le_bytes());
+        page
+    }
+
+    #[test]
+    fn version_1_meta_page_still_decodes_and_matches() {
+        let bytes = b"flat tree image stand-in".to_vec();
+        let current = SegmentMeta::describe(11, 1000, 42, &bytes);
+        let page = v1_meta_page(&current, &bytes, 4096);
+        let meta = SegmentMeta::decode_page(&page).unwrap();
+        assert_eq!(
+            (meta.seg_id, meta.item_count, meta.byte_len, meta.seal_lsn),
+            (11, 1000, bytes.len() as u64, 42)
+        );
+        assert_eq!(meta.data_checksum, fnv1a_update(FNV_SEED, &bytes));
+        assert!(meta.matches(&bytes));
+        let mut other = bytes.clone();
+        other[3] ^= 1;
+        assert!(!meta.matches(&other));
+
+        // The version selects the header hash: a v1 page relabelled v2
+        // fails its checksum, and an unknown version is refused.
+        let mut relabelled = page.clone();
+        relabelled[4] = 2;
+        assert!(SegmentMeta::decode_page(&relabelled).is_err());
+        let mut future = page.clone();
+        future[4] = 3;
+        assert!(SegmentMeta::decode_page(&future).is_err());
+    }
+
+    #[test]
+    fn new_meta_pages_are_version_2_sealed_with_the_wide_hash() {
+        let bytes = b"flat tree image stand-in".to_vec();
+        let meta = SegmentMeta::describe(11, 1000, 42, &bytes);
+        assert_eq!(meta.data_checksum, wide_hash(0, &bytes));
+        let page = meta.encode_page(4096);
+        assert_eq!(u16::from_le_bytes([page[4], page[5]]), 2);
+        let sum = u64::from_le_bytes(page[48..56].try_into().unwrap());
+        assert_eq!(sum, wide_hash(0, &page[..48]));
+    }
 
     #[test]
     fn insert_note_round_trips() {

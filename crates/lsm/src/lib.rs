@@ -8,11 +8,11 @@
 //!   Hilbert index of each rectangle's center (the "Simpler is Faster"
 //!   observation: sorting along a space-filling curve is itself a
 //!   competitive index), logged as WAL notes before acknowledgement;
-//! * a full memtable is **sealed** and drained by background compaction
-//!   through the out-of-core STR build
-//!   ([`str_core::pack_str_external_to_flat`]) into a new immutable
-//!   flat segment ([`flat::FlatTree`]) — ingest sustains near bulk-load
-//!   throughput while queries keep STR-packed locality;
+//! * a full memtable is **sealed** and drained by background compaction,
+//!   which STR-packs it straight into a new immutable flat segment
+//!   ([`str_core::pack_str_to_flat`], [`flat::FlatTree`]) — ingest
+//!   sustains near bulk-load throughput while queries keep STR-packed
+//!   locality;
 //! * the drain **commits with an atomic catalog flip**: segment bytes
 //!   durable, segment meta page durable, one WAL flip note (the commit
 //!   point), then one format-v2 superblock write that adds the new
@@ -40,12 +40,8 @@ pub use tree::{LsmOptions, LsmStats, LsmTree};
 pub enum LsmError {
     /// Storage-layer failure (disk, WAL, allocator, segment store).
     Storage(storage::StorageError),
-    /// Paged-tree failure inside a drain.
-    Tree(rtree::RTreeError),
-    /// Flat-tier failure loading or validating a segment.
+    /// Flat-tier failure packing, loading or validating a segment.
     Flat(flat::FlatError),
-    /// The external pack pipeline failed mid-drain.
-    Pack(str_core::ExternalPackError),
     /// Persistent state that violates the commit protocol's invariants.
     Corrupt(String),
 }
@@ -54,9 +50,7 @@ impl std::fmt::Display for LsmError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             LsmError::Storage(e) => write!(f, "storage: {e}"),
-            LsmError::Tree(e) => write!(f, "tree: {e}"),
             LsmError::Flat(e) => write!(f, "flat segment: {e}"),
-            LsmError::Pack(e) => write!(f, "compaction drain: {e}"),
             LsmError::Corrupt(msg) => write!(f, "lsm state corrupt: {msg}"),
         }
     }
@@ -66,9 +60,7 @@ impl std::error::Error for LsmError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             LsmError::Storage(e) => Some(e),
-            LsmError::Tree(e) => Some(e),
             LsmError::Flat(e) => Some(e),
-            LsmError::Pack(e) => Some(e),
             LsmError::Corrupt(_) => None,
         }
     }
@@ -80,21 +72,9 @@ impl From<storage::StorageError> for LsmError {
     }
 }
 
-impl From<rtree::RTreeError> for LsmError {
-    fn from(e: rtree::RTreeError) -> Self {
-        LsmError::Tree(e)
-    }
-}
-
 impl From<flat::FlatError> for LsmError {
     fn from(e: flat::FlatError) -> Self {
         LsmError::Flat(e)
-    }
-}
-
-impl From<str_core::ExternalPackError> for LsmError {
-    fn from(e: str_core::ExternalPackError) -> Self {
-        LsmError::Pack(e)
     }
 }
 

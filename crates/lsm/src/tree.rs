@@ -4,8 +4,10 @@
 //! # Commit protocol
 //!
 //! A compaction drains the sealed memtable (and, for a major
-//! compaction, every existing level) through the out-of-core STR build
-//! into one new flat segment, then commits it in this exact order:
+//! compaction, every existing level) into one new flat segment — STR
+//! packed in memory straight into the `FLT1` image
+//! ([`str_core::pack_str_to_flat`]) — then commits it in this exact
+//! order:
 //!
 //! 1. segment bytes durable in the [`SegmentStore`] (`put` + `sync`);
 //! 2. segment meta page written to the main disk and synced;
@@ -39,9 +41,9 @@ use obs::{LazyCounter, LazyGauge, LazyHistogram};
 use parking_lot::{Condvar, Mutex, RwLock};
 use rtree::{IndexStats, NodeCapacity, SpatialIndex};
 use storage::{
-    truncate_torn_tail, wal::scan, Disk, LogStore, MemDisk, PageAllocator, PageId, Wal, WalOptions,
+    truncate_torn_tail, wal::scan, Disk, LogStore, PageAllocator, PageId, Wal, WalOptions,
 };
-use str_core::{pack_str_external_to_flat, ExternalPackOptions};
+use str_core::pack_str_to_flat;
 
 use crate::codec::{FlipNote, InsertNote, Note, SegmentMeta};
 use crate::memtable::Memtable;
@@ -62,10 +64,9 @@ pub struct LsmOptions {
     /// Maximum flat levels before a compaction goes major (drains every
     /// level plus the sealed memtable into one segment).
     pub max_levels: usize,
-    /// Worker threads for the STR drain pipeline.
+    /// Threads ordering each level of a compaction's STR pack
+    /// ([`StrPacker::with_threads`](str_core::StrPacker::with_threads)).
     pub threads: usize,
-    /// Sort budget (records in memory) for the STR drain pipeline.
-    pub drain_budget: usize,
     /// Run compactions on a background thread (`true`) or inline on the
     /// inserting thread (`false`; deterministic, used by crash tests).
     pub background: bool,
@@ -78,7 +79,6 @@ impl Default for LsmOptions {
             memtable_items: 4096,
             max_levels: 4,
             threads: 1,
-            drain_budget: 1 << 15,
             background: false,
         }
     }
@@ -524,7 +524,6 @@ impl<const D: usize> Inner<D> {
     /// docs for the ordering argument.
     fn compact_once(&self) -> Result<bool> {
         let _serial = self.compact_mx.lock();
-        let _tspan = obs::trace::span("lsm.compact");
 
         let (mem, seal_lsn, victims, new_id) = {
             let g = self.state.read();
@@ -535,6 +534,9 @@ impl<const D: usize> Inner<D> {
             let victims: Vec<Arc<Segment<D>>> = if major { g.levels.clone() } else { Vec::new() };
             (sealed.mem.clone(), sealed.seal_lsn, victims, g.next_seg_id)
         };
+        // Traced only once there is work: a worker woken for a memtable
+        // a foreground caller already drained records nothing.
+        let _tspan = obs::trace::span("lsm.compact");
 
         let mut items = mem.items_ordered();
         for seg in &victims {
@@ -553,16 +555,7 @@ impl<const D: usize> Inner<D> {
 
         let bytes = {
             let _dspan = obs::trace::span("lsm.drain");
-            let scratch: Arc<dyn Disk> = Arc::new(MemDisk::default_size());
-            pack_str_external_to_flat::<D, _>(
-                scratch,
-                items,
-                self.opts.capacity,
-                ExternalPackOptions {
-                    budget: self.opts.drain_budget,
-                    threads: self.opts.threads,
-                },
-            )?
+            pack_str_to_flat(items, self.opts.capacity, self.opts.threads)?
         };
 
         // (1) Segment bytes durable before anything references them.
@@ -689,7 +682,7 @@ impl<const D: usize> SpatialIndex<D> for LsmTree<D> {
 mod tests {
     use super::*;
     use crate::segstore::MemSegmentStore;
-    use storage::MemLogStore;
+    use storage::{fnv1a_update, MemDisk, MemLogStore, FNV_SEED};
 
     fn small_opts() -> LsmOptions {
         LsmOptions {
@@ -761,6 +754,56 @@ mod tests {
             let hits = idx.query(&rect_for(i)).unwrap();
             assert!(hits.iter().any(|&(_, id)| id == i), "item {i} lost");
         }
+    }
+
+    /// A store written by an older build — version-1 `FLT1` images
+    /// sealed with FNV-1a, pinned by version-1 meta pages — reopens
+    /// with every item queryable and keeps compacting on top.
+    #[test]
+    fn store_of_version_1_segments_reopens() {
+        let opts = small_opts();
+        let disk: Arc<dyn Disk> = Arc::new(MemDisk::default_size());
+        let log: Arc<dyn LogStore> = MemLogStore::new();
+        let segs: Arc<dyn SegmentStore> = Arc::new(MemSegmentStore::new());
+        {
+            let tree = LsmTree::<2>::open(disk.clone(), log.clone(), segs.clone(), opts).unwrap();
+            for i in 0..100u64 {
+                tree.insert(rect_for(i), i).unwrap();
+            }
+            tree.flush().unwrap();
+            assert!(tree.stats().levels >= 1);
+        }
+        // Downgrade every segment and its meta page to version 1.
+        let mut downgraded = 0;
+        for entry in PageAllocator::open(disk.clone()).unwrap().trees() {
+            let id = flat::parse_segment_file_name(&entry.name).unwrap();
+            let meta = read_meta_page(&disk, entry.meta_page).unwrap();
+            let mut bytes = segs.read(id).unwrap().unwrap();
+            bytes[4..6].copy_from_slice(&flat::LEGACY_VERSION.to_le_bytes());
+            let sum = fnv1a_update(fnv1a_update(FNV_SEED, &bytes[..56]), &bytes[64..]);
+            bytes[56..64].copy_from_slice(&sum.to_le_bytes());
+            segs.put(id, &bytes).unwrap();
+            let page = crate::codec::tests::v1_meta_page(&meta, &bytes, disk.page_size());
+            disk.write_page(entry.meta_page, &page).unwrap();
+            downgraded += 1;
+        }
+        segs.sync().unwrap();
+        disk.sync().unwrap();
+        assert!(downgraded >= 1);
+
+        let tree = LsmTree::<2>::open(disk, log, segs, opts).unwrap();
+        assert_eq!(SpatialIndex::len(&tree), 100);
+        let idx: &dyn SpatialIndex<2> = &tree;
+        for i in 0..100u64 {
+            let hits = idx.query(&rect_for(i)).unwrap();
+            assert!(hits.iter().any(|&(_, id)| id == i), "item {i} lost");
+        }
+        // Old segments compact together with new ones.
+        for i in 100..300u64 {
+            tree.insert(rect_for(i), i).unwrap();
+        }
+        tree.flush().unwrap();
+        assert_eq!(SpatialIndex::len(&tree), 300);
     }
 
     #[test]

@@ -77,30 +77,15 @@ impl BulkLoader {
         &self,
         pool: Arc<BufferPool>,
         name: &str,
-        mut entries: Vec<Entry<D>>,
+        entries: Vec<Entry<D>>,
         order: &mut dyn FnMut(&mut Vec<Entry<D>>, u32),
     ) -> Result<RTree<D>> {
         if entries.is_empty() {
             return Err(RTreeError::EmptyLoad);
         }
         let store = self.create_store::<D>(&pool, name)?;
-
-        let disk = pool.disk().clone();
-        let mut writer = SequentialPageWriter::new(disk.as_ref());
-        order(&mut entries, 0);
-        let n = self.cap.max();
-        let mut level1 = Vec::with_capacity(entries.len().div_ceil(n));
-        for group in entries.chunks(n) {
-            let (page, ()) = writer.append(|buf| crate::codec::encode_entries(0, group, buf))?;
-            level1.push(Entry::child(
-                Rect::union_all(group.iter().map(|e| &e.rect)),
-                page,
-            ));
-        }
         let total = entries.len() as u64;
-        // The data is the bulk of memory; free it before the upper levels.
-        drop(entries);
-        stitch_upper(store, &mut writer, self.cap, total, level1, order)
+        write_levels(store, self.cap, total, 0, entries, order)
     }
 
     /// Check that the capacity fits a page, then create the tree's
@@ -121,42 +106,70 @@ impl BulkLoader {
     }
 }
 
-/// Pack the upper levels from the level-1 entries (one per leaf, already
-/// in leaf order) up to the root, then seal the tree. Shared by
-/// [`BulkLoader::load_into`] and [`ParallelLoad::finish`] so both
-/// produce the same pages in the same order.
-fn stitch_upper<const D: usize>(
-    store: NodeStore<RectCodec<D>>,
-    writer: &mut SequentialPageWriter<'_>,
+/// The General Algorithm's level loop, shared by every bulk builder:
+/// order the level (`order(entries, level)`), cut it into runs of
+/// `cap.max()`, hand each run to `sink` together with its level, and
+/// make the level above from one entry per run — the run's MBR and the
+/// payload `sink` returned for it (a page id for a paged tree, a run
+/// index for a flat image). Repeats until a single entry remains; a
+/// level-0 input always gets at least one leaf, so a one-item build is
+/// a one-leaf tree.
+///
+/// Returns the root entry (the MBR of the whole tree and the root's
+/// payload) and the tree height — the number of node levels written,
+/// counting the levels below `level` the caller packed itself.
+pub fn pack_levels<const D: usize, E, S>(
     cap: NodeCapacity,
-    total: u64,
+    mut level: u32,
     mut current: Vec<Entry<D>>,
-    order_upper: &mut dyn FnMut(&mut Vec<Entry<D>>, u32),
-) -> Result<RTree<D>> {
-    // Upper levels: tiny (total / n^level entries), packed in memory.
+    order: &mut dyn FnMut(&mut Vec<Entry<D>>, u32),
+    mut sink: S,
+) -> std::result::Result<(Entry<D>, u32), E>
+where
+    S: FnMut(u32, &[Entry<D>]) -> std::result::Result<u64, E>,
+{
     let n = cap.max();
-    let mut level: u32 = 1;
-    loop {
-        if current.len() == 1 {
-            writer.flush()?;
-            let root = current[0].child_page();
-            let mut tree = RTree::from_parts(store, cap, root, level, total);
-            tree.persist()?;
-            return Ok(tree);
+    while level == 0 || current.len() > 1 {
+        order(&mut current, level);
+        let mut next = Vec::with_capacity(current.len().div_ceil(n));
+        for run in current.chunks(n) {
+            let payload = sink(level, run)?;
+            next.push(Entry {
+                rect: Rect::union_all(run.iter().map(|e| &e.rect)),
+                payload,
+            });
         }
-        order_upper(&mut current, level);
-        let mut next = Vec::with_capacity(current.len() / n + 1);
-        for chunk in current.chunks(n) {
-            let (page, ()) =
-                writer.append(|buf| crate::codec::encode_entries(level, chunk, buf))?;
-            next.push(Entry::child(
-                Rect::union_all(chunk.iter().map(|e| &e.rect)),
-                page,
-            ));
-        }
+        // Dropping the finished level first keeps one level resident:
+        // the data, the bulk of memory, is gone before the upper levels.
         current = next;
         level += 1;
     }
+    Ok((current[0], level))
+}
+
+/// Pack `entries` (the level-`level` entries of a tree over `total`
+/// data items) through [`pack_levels`] onto the tail of `store`'s disk
+/// in sequential batches, then seal the tree. Shared by
+/// [`BulkLoader::load_into`] and [`ParallelLoad::finish`] so both
+/// produce the same pages in the same order.
+fn write_levels<const D: usize>(
+    store: NodeStore<RectCodec<D>>,
+    cap: NodeCapacity,
+    total: u64,
+    level: u32,
+    entries: Vec<Entry<D>>,
+    order: &mut dyn FnMut(&mut Vec<Entry<D>>, u32),
+) -> Result<RTree<D>> {
+    let disk = store.pool().disk().clone();
+    let mut writer = SequentialPageWriter::new(disk.as_ref());
+    let (root, height) = pack_levels(cap, level, entries, order, |level, run| {
+        let (page, ()) = writer.append(|buf| crate::codec::encode_entries(level, run, buf))?;
+        Ok::<_, RTreeError>(page.index())
+    })?;
+    writer.flush()?;
+    let mut tree = RTree::from_parts(store, cap, root.child_page(), height, total);
+    tree.persist()?;
+    Ok(tree)
 }
 
 impl BulkLoader {
@@ -253,16 +266,7 @@ impl<const D: usize> ParallelLoad<D> {
             self.leaf_count,
             "one parent entry per reserved leaf"
         );
-        let disk = self.disk();
-        let mut writer = SequentialPageWriter::new(disk.as_ref());
-        stitch_upper(
-            self.store,
-            &mut writer,
-            self.cap,
-            total,
-            level1,
-            order_upper,
-        )
+        write_levels(self.store, self.cap, total, 1, level1, order_upper)
     }
 }
 

@@ -43,7 +43,7 @@ pub mod stats;
 pub mod store;
 pub mod tree;
 
-pub use bulk::{BulkLoader, LeafRangeWriter, ParallelLoad};
+pub use bulk::{pack_levels, BulkLoader, LeafRangeWriter, ParallelLoad};
 pub use capacity::NodeCapacity;
 pub use codec::{NodeView, RectCodec};
 pub use executor::{BatchQuery, BatchReport, QueryExecutor};

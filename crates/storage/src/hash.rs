@@ -2,12 +2,15 @@
 //!
 //! * [`fnv1a_update`] — byte-serial FNV-1a, 64-bit. Small fixed-layout
 //!   records keep it: the superblock and catalog, tree meta pages, WAL
-//!   records, LSM notes and segment meta, and the flat `FLT1` image.
-//!   Each byte waits on the previous multiply, which is fine for a few
-//!   dozen bytes and too slow for anything read on every query.
+//!   records and LSM notes. Each byte waits on the previous multiply,
+//!   which is fine for a few dozen bytes and too slow for anything read
+//!   on every query or written in bulk. Older node pages, flat images
+//!   and segment meta pages sealed with it still verify.
 //! * [`wide_hash`] — word-parallel, 64-bit. Node pages use it (see
 //!   `rtree::store::page_checksum`): a node page is verified on every
-//!   visit, so its checksum sits on the query path. Eight independent
+//!   visit, so its checksum sits on the query path. Version-2 flat
+//!   `FLT1` images and LSM segment meta pages use it too: every LSM
+//!   compaction seals and checks megabytes of segment. Eight independent
 //!   lanes each fold one little-endian `u64` per 64-byte stripe, so the
 //!   multiplies overlap instead of queueing. On a 4016-byte node body
 //!   (header prefix plus 100 2-D entries) FNV-1a costs ≈5.7 µs and
@@ -22,8 +25,8 @@
 pub const FNV_SEED: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// Fold `data` into an FNV-1a 64-bit hash state. Chain calls to hash
-/// discontiguous regions (the superblock does; so does the flat tier's
-/// whole-file checksum, which skips the checksum field itself).
+/// discontiguous regions (the superblock does; so does a version-1 flat
+/// image's whole-file checksum, which skips the checksum field itself).
 pub fn fnv1a_update(mut h: u64, data: &[u8]) -> u64 {
     for &b in data {
         h ^= b as u64;
