@@ -1,5 +1,5 @@
-//! Decoded vs zero-copy vs flat traversal on a 100k-entry STR tree,
-//! plus build throughput — every serving path of the same packed data
+//! Zero-copy paged vs flat traversal on a 100k-entry STR tree, plus
+//! build throughput — every serving path of the same packed data
 //! interleaved in one binary, so the A/B numbers share a process, a
 //! warm cache state, and one artifact.
 //!
@@ -51,23 +51,13 @@ fn bench_traversal(c: &mut Criterion) {
         )
         .unwrap();
     let regions = datagen::region_queries(64, &Rect2::unit(), 0.3, 11);
-    // Warm the pool so both paths measure CPU, not first-touch faults.
+    // Warm the pool so every path measures CPU, not first-touch faults.
     for q in &regions {
         tree.count_region(q).unwrap();
     }
 
     let mut g = c.benchmark_group("region_query_100k");
     g.sample_size(20);
-    let mut i = 0usize;
-    g.bench_function(BenchmarkId::from_parameter("decoded"), |b| {
-        b.iter(|| {
-            i = (i + 1) % regions.len();
-            let mut n = 0u64;
-            tree.query_region_visit_decoded(&regions[i], &mut |_, _| n += 1)
-                .unwrap();
-            n
-        })
-    });
     let mut i = 0usize;
     g.bench_function(BenchmarkId::from_parameter("zero_copy"), |b| {
         b.iter(|| {

@@ -717,49 +717,16 @@ pub fn query_bench(
     }
 }
 
-/// `flight-dump`: replay a short query workload against an index with
-/// the flight recorder armed, then print every captured event.
-///
-/// The recorder is process-global and starts empty in a fresh CLI
-/// process, so the dump is exactly the probe workload's event trail —
-/// page reads, evictions, write-backs, query start/end markers.
-pub fn flight_dump(
-    index: &Path,
-    queries: usize,
-    buffer: usize,
-    seed: u64,
-    tree_name: &str,
-) -> CliResult<String> {
-    obs::set_enabled(true);
-    let tree = open_index(index, buffer, tree_name)?;
-    let bbox = tree.root_mbr().map_err(|e| e.to_string())?;
-    let side = 0.05 * bbox.extent(0).max(bbox.extent(1));
-    for r in datagen::region_queries(queries.max(1), &bbox, side, seed) {
-        tree.query_region_visit(&r, &mut |_, _| {})
-            .map_err(|e| e.to_string())?;
-    }
-    let rec = obs::flight::global();
-    let events = rec.dump();
-    let mut out = format!(
-        "flight recorder: {} events (capacity {}, {} dropped)\n",
-        events.len(),
-        rec.capacity(),
-        rec.dropped()
-    );
-    for e in &events {
-        out.push_str(&obs::flight::format_event(e));
-        out.push('\n');
-    }
-    Ok(out)
-}
-
-/// `trace`: run a seeded probe workload with span tracing on and
-/// report a per-trace summary; the caller (main) writes the Chrome
-/// trace_event file from the same retained records via [`write_trace`].
+/// `trace`: run a seeded probe workload with span tracing on, report a
+/// per-trace summary, and print the most recent records as stitched
+/// trees (the same dump a poisoned tree writes to stderr); the caller
+/// (main) writes the Chrome trace_event file from the same retained
+/// records via [`write_trace`].
 ///
 /// Each probe query runs under its own `cli.query` root span, so the
-/// exported file shows one trace per query with the node visits and
-/// physical reads it caused as the child tree.
+/// exported file shows one trace per query with the node visits,
+/// physical reads (with their page args) and buffer events it caused
+/// as the child tree.
 pub fn trace_command(
     index: &Path,
     queries: usize,
@@ -803,6 +770,8 @@ pub fn trace_command(
             ));
         }
     }
+    out.push_str("recent records:\n");
+    out.push_str(&obs::trace::render_recent());
     Ok(out)
 }
 
@@ -1060,17 +1029,28 @@ mod tests {
     }
 
     #[test]
-    fn flight_dump_records_query_traffic() {
-        let data = tmp("fd.csv");
-        let index = tmp("fd.rtree");
+    fn trace_prints_disk_reads_with_page_args() {
+        let data = tmp("tr.csv");
+        let index = tmp("tr.rtree");
         generate("uniform", 2000, 31, &data).unwrap();
         build(&data, &index, "str", 50, 0, 1, None).unwrap();
 
-        let out = flight_dump(&index, 32, 8, 11, DEF).unwrap();
-        assert!(out.contains("flight recorder:"), "{out}");
-        assert!(out.contains("query_start"), "{out}");
-        assert!(out.contains("query_end"), "{out}");
-        assert!(out.contains("page_read"), "{out}");
+        let out = trace_command(&index, 32, 8, 11, DEF).unwrap();
+        obs::trace::set_enabled(false);
+        assert!(out.contains("query roots"), "{out}");
+        // The stitched dump shows physical reads naming their page and
+        // size (other tests may record into the rings meanwhile, so no
+        // exact counts).
+        let recent = out.split_once("recent records:\n").expect("dump section").1;
+        let reads: Vec<&str> = recent
+            .lines()
+            .map(str::trim_start)
+            .filter(|l| l.starts_with("disk.read "))
+            .collect();
+        assert!(!reads.is_empty(), "{out}");
+        let size = format!(" b={DEFAULT_PAGE_SIZE}");
+        assert!(reads.iter().all(|l| l.ends_with(&size)), "{out}");
+        assert!(reads.iter().any(|l| !l.contains(" a=0 ")), "{out}");
 
         std::fs::remove_file(data).ok();
         std::fs::remove_file(index).ok();

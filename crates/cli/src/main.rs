@@ -12,7 +12,6 @@
 //! rtree-cli knn      --index index.rtree --at 0.5,0.5 --k 10
 //! rtree-cli compare  --input data.csv [--capacity 100] [--buffer 32]
 //! rtree-cli query-bench --index index.rtree [--queries 512] [--threads 8] [--buffer 128] [--seed 11]
-//! rtree-cli flight-dump --index index.rtree [--queries 64] [--buffer 16] [--seed 11]
 //! rtree-cli trace    --index index.rtree [--queries 64] [--buffer 16] [--seed 11] [--trace out.json]
 //! rtree-cli stats    --index index.rtree
 //! rtree-cli validate --index index.rtree
@@ -62,7 +61,7 @@ use rtree_cli::{commands, parse_point, parse_rect, CliResult};
 
 fn usage() -> ! {
     eprintln!(
-        "usage: rtree-cli <gen|build|flatten|query|point|knn|stats|validate|check|dump-leaves|insert|delete|compare|query-bench|flight-dump|trace|trees|wal-stat|recover> \
+        "usage: rtree-cli <gen|build|flatten|query|point|knn|stats|validate|check|dump-leaves|insert|delete|compare|query-bench|trace|trees|wal-stat|recover> \
          [--flag value]... [--tree name] [--metrics text|json] [--trace out.json [--trace-sample N] [--slow-ms MS]]\nsee the crate docs for per-command flags"
     );
     std::process::exit(2);
@@ -234,13 +233,6 @@ fn run() -> CliResult<String> {
             &tree,
         ),
         "trace" => commands::trace_command(
-            &PathBuf::from(flags.req("index")?),
-            flags.parse_num("queries", 64usize)?,
-            flags.parse_num("buffer", 16usize)?,
-            flags.parse_num("seed", 11u64)?,
-            &tree,
-        ),
-        "flight-dump" => commands::flight_dump(
             &PathBuf::from(flags.req("index")?),
             flags.parse_num("queries", 64usize)?,
             flags.parse_num("buffer", 16usize)?,

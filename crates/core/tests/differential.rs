@@ -8,15 +8,15 @@
 //!    (via `visit_nodes`) and `NodeView` (via `visit_views`) and compare
 //!    level, entry count, and every entry byte for byte.
 //! 2. Per query: run the same region queries through the zero-copy
-//!    visitor (`query_region_visit`) and the decoded reference
-//!    (`query_region_visit_decoded`) and require identical result sets
-//!    in identical order.
+//!    visitor (`query_region_visit`) and a decode-based reference
+//!    traversal kept here in test code ([`decoded_query`]) and require
+//!    identical result sets in identical order.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use geom::Rect;
-use rtree::{Entry, NodeCapacity, RTree};
+use rtree::{codec, Entry, NodeCapacity, RTree};
 use storage::{BufferPool, MemDisk, PageId};
 use str_core::PackerKind;
 
@@ -42,6 +42,30 @@ fn packed(kind: PackerKind, n: usize, cap: usize) -> RTree<2> {
     let pool = Arc::new(BufferPool::new(Arc::new(MemDisk::default_size()), 256));
     kind.pack(pool, uniform_items(n), NodeCapacity::new(cap).unwrap())
         .unwrap()
+}
+
+/// Reference region query over fully decoded nodes: each visited page
+/// is read through the pool and materialized with `codec::decode`, and
+/// entries are matched with `Node::matching`. Same depth-first order as
+/// the zero-copy traversal, so results compare in order.
+fn decoded_query(tree: &RTree<2>, query: &Rect<2>) -> Vec<(Rect<2>, u64)> {
+    let mut out = Vec::new();
+    let mut stack = vec![tree.root_page()];
+    while let Some(page) = stack.pop() {
+        let node = tree
+            .pool()
+            .with_page(page, |bytes| codec::decode::<2>(bytes, page))
+            .unwrap()
+            .unwrap();
+        for e in node.matching(query) {
+            if node.is_leaf() {
+                out.push((e.rect, e.payload));
+            } else {
+                stack.push(e.child_page());
+            }
+        }
+    }
+    out
 }
 
 #[test]
@@ -95,9 +119,7 @@ fn zero_copy_queries_match_decoded_reference_on_all_packers() {
             let mut fast: Vec<(Rect<2>, u64)> = Vec::new();
             tree.query_region_visit(q, &mut |r, id| fast.push((r, id)))
                 .unwrap();
-            let mut reference: Vec<(Rect<2>, u64)> = Vec::new();
-            tree.query_region_visit_decoded(q, &mut |r, id| reference.push((r, id)))
-                .unwrap();
+            let reference = decoded_query(&tree, q);
             assert_eq!(fast, reference, "{kind}: query {q:?}");
 
             let streamed: Vec<(Rect<2>, u64)> = tree.iter_region(q).map(|r| r.unwrap()).collect();

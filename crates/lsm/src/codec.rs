@@ -126,6 +126,11 @@ impl<'a> Reader<'a> {
         Ok(f64::from_le_bytes(self.take()?))
     }
 
+    /// Bytes not yet consumed.
+    fn remaining(&self) -> usize {
+        self.buf.len() - self.at
+    }
+
     fn done(&self) -> Result<()> {
         if self.at == self.buf.len() {
             Ok(())
@@ -145,7 +150,9 @@ impl<const D: usize> Note<D> {
         match tag {
             NOTE_INSERT => {
                 let count = r.u32()? as usize;
-                let mut items = Vec::with_capacity(count.min(1 << 20));
+                // Pre-size only for the items the payload can hold, so an
+                // inflated count cannot force a large allocation.
+                let mut items = Vec::with_capacity(count.min(r.remaining() / (16 * D + 8)));
                 for _ in 0..count {
                     let mut lo = [0.0f64; D];
                     let mut hi = [0.0f64; D];
@@ -169,7 +176,7 @@ impl<const D: usize> Note<D> {
                 let meta_page = PageId(r.u64()?);
                 let seal_lsn = r.u64()?;
                 let count = r.u32()? as usize;
-                let mut removed = Vec::with_capacity(count.min(1 << 16));
+                let mut removed = Vec::with_capacity(count.min(r.remaining() / 16));
                 for _ in 0..count {
                     let id = r.u64()?;
                     let page = PageId(r.u64()?);

@@ -1,7 +1,8 @@
 //! Observability layer for the STR reproduction: lock-free counters,
 //! gauges, log-bucketed latency histograms, a global named-metric
 //! registry with point-in-time snapshots, span-style scoped timers,
-//! and a flight recorder of recent structured events.
+//! and request-scoped span tracing ([`trace`]), whose per-thread rings
+//! also hold the system's instant events.
 //!
 //! # Near-zero cost when disabled
 //!
@@ -22,7 +23,6 @@
 mod metric;
 mod registry;
 
-pub mod flight;
 pub mod rss;
 pub mod trace;
 

@@ -1,11 +1,21 @@
-//! Request-scoped span tracing: the layer between the flight recorder's
-//! raw event ring and the registry's process-wide aggregates.
+//! Request-scoped span tracing: the system's one event buffer, beside
+//! the registry's process-wide aggregates.
 //!
 //! A [`Span`] is an RAII guard carrying a 64-bit trace id (shared by
 //! every span of one logical operation) and a span id / parent id pair.
 //! Finished spans are recorded into per-thread ring buffers and stitched
 //! into trees ([`stitch`]) only at dump time, so the hot path never
 //! touches a global structure beyond one uncontended per-thread mutex.
+//!
+//! # Events
+//!
+//! An instant event ([`event`]) is a zero-length span with a two-word
+//! payload in [`SpanRecord::args`]: an eviction, a write-back, a fired
+//! fault, a split, a re-insert, a poisoning. It goes through [`span`],
+//! so it obeys the same enable gate, sampling and parentage as any
+//! span. Terminal `disk.read`/`disk.write` spans carry `[page, bytes]`
+//! in their args too. When a tree poisons, [`dump_to_stderr`] writes
+//! the most recent [`DUMP_RECORDS`] records, stitched, to stderr.
 //!
 //! # Context propagation
 //!
@@ -248,6 +258,9 @@ pub struct SpanRecord {
     pub dur_ns: u64,
     /// I/O attributed to this span (inclusive of same-thread children).
     pub io: IoCounts,
+    /// Two-word payload: `[page index, bytes]` on terminal `disk.*`
+    /// spans, the event's payload on an [`event`], zero otherwise.
+    pub args: [u64; 2],
 }
 
 impl SpanRecord {
@@ -327,6 +340,9 @@ pub struct Span {
     prev: (u64, u64),
     start_ns: u64,
     io_at_start: IoCounts,
+    args: [u64; 2],
+    /// An [`event`]: closes at its start time, so its duration is 0.
+    instant: bool,
     _not_send: PhantomData<*const ()>,
 }
 
@@ -344,11 +360,20 @@ impl Span {
             self.trace
         }
     }
+
+    /// Attach a two-word payload to this span's record.
+    pub fn set_args(&mut self, a: u64, b: u64) {
+        self.args = [a, b];
+    }
 }
 
 impl Drop for Span {
     fn drop(&mut self) {
-        let end = now_ns();
+        let end = if self.instant {
+            self.start_ns
+        } else {
+            now_ns()
+        };
         with_tls(|t| {
             t.ctx.set(self.prev);
             if self.trace == SUPPRESSED {
@@ -363,6 +388,7 @@ impl Drop for Span {
                 start_ns: self.start_ns,
                 dur_ns: end.saturating_sub(self.start_ns),
                 io: t.io.get().since(&self.io_at_start),
+                args: self.args,
             };
             t.ring.push(rec);
             if rec.parent == 0 {
@@ -412,6 +438,8 @@ fn span_slow(name: &'static str) -> Option<Span> {
                     prev: (0, 0),
                     start_ns: 0,
                     io_at_start: IoCounts::default(),
+                    args: [0; 2],
+                    instant: false,
                     _not_send: PhantomData,
                 });
             }
@@ -425,6 +453,8 @@ fn span_slow(name: &'static str) -> Option<Span> {
                 prev: (0, 0),
                 start_ns: now_ns(),
                 io_at_start: t.io.get(),
+                args: [0; 2],
+                instant: false,
                 _not_send: PhantomData,
             })
         } else {
@@ -438,6 +468,8 @@ fn span_slow(name: &'static str) -> Option<Span> {
                 prev: (cur_trace, cur_span),
                 start_ns: now_ns(),
                 io_at_start: t.io.get(),
+                args: [0; 2],
+                instant: false,
                 _not_send: PhantomData,
             })
         }
@@ -445,23 +477,16 @@ fn span_slow(name: &'static str) -> Option<Span> {
     .flatten()
 }
 
-/// The active trace id on this thread (0 when tracing is off, no trace
-/// is active, or the active trace is unsampled). The flight recorder
-/// tags its ring events with this.
+/// Record an instant event: a zero-length span named `name` carrying
+/// `[a, b]` in its args. Opened through [`span`], so it records only
+/// when tracing is on and the trace is sampled, becomes a child of the
+/// thread's current span, and attributes no I/O.
 #[inline]
-pub fn current_trace_id() -> u64 {
-    if !enabled() {
-        return 0;
+pub fn event(name: &'static str, a: u64, b: u64) {
+    if let Some(mut s) = span(name) {
+        s.set_args(a, b);
+        s.instant = true;
     }
-    with_tls(|t| {
-        let (trace, _) = t.ctx.get();
-        if trace == SUPPRESSED {
-            0
-        } else {
-            trace
-        }
-    })
-    .unwrap_or(0)
 }
 
 // ---- cross-thread propagation ---------------------------------------
@@ -550,6 +575,32 @@ pub fn dump() -> Vec<SpanRecord> {
     out
 }
 
+/// How many of the most recent records [`render_recent`] and
+/// [`dump_to_stderr`] include.
+pub const DUMP_RECORDS: usize = 4096;
+
+/// The most recent [`DUMP_RECORDS`] retained records across all rings,
+/// ordered by `(start_ns, span)`, stitched and rendered as text. A
+/// record whose parent fell outside the window renders as a root.
+pub fn render_recent() -> String {
+    let mut records = dump();
+    let recent = records.split_off(records.len().saturating_sub(DUMP_RECORDS));
+    stitch(&recent).iter().map(SpanTree::render_text).collect()
+}
+
+/// Write [`render_recent`] to stderr, headed by `reason`. Called when a
+/// tree poisons, so the run-up to the failure is on record. Does
+/// nothing while tracing is off.
+pub fn dump_to_stderr(reason: &str) {
+    if !enabled() {
+        return;
+    }
+    tracing::warn!("trace dump ({reason}): last {DUMP_RECORDS} records");
+    for line in render_recent().lines() {
+        tracing::warn!("{line}");
+    }
+}
+
 /// Empty every ring and the slow-op log (tests and long-lived servers).
 pub fn clear() {
     for ring in rings().lock().iter() {
@@ -609,12 +660,13 @@ impl SpanTree {
         total
     }
 
-    /// Render the tree as an indented text block (one span per line).
+    /// Render the tree as an indented text block (one span per line;
+    /// args are printed when nonzero).
     pub fn render_text(&self) -> String {
         fn go(node: &SpanTree, depth: usize, out: &mut String) {
             let r = &node.record;
             out.push_str(&format!(
-                "{:indent$}{} {}ns reads={} writes={} hits={} misses={} [t{}]\n",
+                "{:indent$}{} {}ns reads={} writes={} hits={} misses={} [t{}]",
                 "",
                 r.name,
                 r.dur_ns,
@@ -625,6 +677,10 @@ impl SpanTree {
                 r.thread,
                 indent = depth * 2
             ));
+            if r.args != [0; 2] {
+                out.push_str(&format!(" a={} b={}", r.args[0], r.args[1]));
+            }
+            out.push('\n');
             for c in &node.children {
                 go(c, depth + 1, out);
             }
@@ -706,7 +762,8 @@ pub fn stitch(records: &[SpanRecord]) -> Vec<SpanTree> {
 /// Render records as a Chrome `trace_event` JSON document (the format
 /// `chrome://tracing` and Perfetto load): complete (`"ph": "X"`) events
 /// with microsecond timestamps, one track per recording thread, and the
-/// span/trace/parent ids plus per-span I/O attribution in `args`.
+/// span/trace/parent ids, per-span I/O attribution and the record's
+/// two payload words (`a`, `b`) in `args`. Events are `X` with `dur` 0.
 pub fn export_chrome(records: &[SpanRecord]) -> String {
     use std::fmt::Write;
     let mut out = String::from("{\"displayTimeUnit\": \"ns\", \"traceEvents\": [");
@@ -721,7 +778,7 @@ pub fn export_chrome(records: &[SpanRecord]) -> String {
              \"args\": {{\"trace\": {}, \"span\": {}, \"parent\": {}, \
              \"pages_read\": {}, \"pages_written\": {}, \
              \"bytes_read\": {}, \"bytes_written\": {}, \
-             \"cache_hits\": {}, \"cache_misses\": {}}}}}",
+             \"cache_hits\": {}, \"cache_misses\": {}, \"a\": {}, \"b\": {}}}}}",
             r.name,
             r.start_ns as f64 / 1_000.0,
             r.dur_ns as f64 / 1_000.0,
@@ -735,6 +792,8 @@ pub fn export_chrome(records: &[SpanRecord]) -> String {
             r.io.bytes_written,
             r.io.cache_hits,
             r.io.cache_misses,
+            r.args[0],
+            r.args[1],
         );
     }
     out.push_str("]}");
@@ -844,7 +903,9 @@ mod tests {
         let _g = lock_tracer();
         set_enabled(false);
         assert!(span("off").is_none());
-        assert_eq!(current_trace_id(), 0);
+        let before = dump().len();
+        event("off.event", 1, 2);
+        assert_eq!(dump().len(), before, "disabled event recorded");
         assert!(!current().is_active());
     }
 
@@ -857,7 +918,7 @@ mod tests {
         {
             let root = span("root").unwrap();
             root_id = root.id();
-            assert_eq!(current_trace_id(), root.trace_id());
+            assert_eq!(root.trace_id(), root_id);
             {
                 let child = span("child").unwrap();
                 child_id = child.id();
@@ -917,7 +978,8 @@ mod tests {
             let _root = span("unsampled");
             // Children of an unsampled trace don't even allocate ids.
             assert!(span("inner").is_none());
-            assert_eq!(current_trace_id(), 0);
+            event("inner.event", 1, 2);
+            assert!(!current().is_active());
         }
         set_sample_every(1);
         set_enabled(false);
@@ -995,6 +1057,7 @@ mod tests {
                     pages_read: 3,
                     ..IoCounts::default()
                 },
+                args: [0; 2],
             },
             SpanRecord {
                 trace: 7,
@@ -1003,8 +1066,9 @@ mod tests {
                 name: "child",
                 thread: 1,
                 start_ns: 1500,
-                dur_ns: 1000,
+                dur_ns: 0,
                 io: IoCounts::default(),
+                args: [42, 4096],
             },
         ];
         let json = export_chrome(&recs);
@@ -1013,6 +1077,8 @@ mod tests {
         assert!(json.contains("\"ph\": \"X\""));
         assert!(json.contains("\"pages_read\": 3"));
         assert!(json.contains("\"parent\": 7"));
+        assert!(json.contains("\"dur\": 0.000"));
+        assert!(json.contains("\"a\": 42, \"b\": 4096"));
     }
 
     #[test]
@@ -1026,6 +1092,7 @@ mod tests {
             start_ns: start,
             dur_ns: 1,
             io: IoCounts::default(),
+            args: [0; 2],
         };
         // 10's parent (99) was evicted; 11 is 10's child.
         let records = vec![rec(10, 99, 5), rec(11, 10, 6), rec(12, 0, 1)];
@@ -1050,6 +1117,7 @@ mod tests {
             start_ns: span,
             dur_ns: 1,
             io: io(pages),
+            args: [0; 2],
         };
         // t0: root (10 reads, inclusive of its t0 child `pack`, 4 reads)
         //   t1: two workers under `pack`, 3 and 5 reads
@@ -1090,5 +1158,61 @@ mod tests {
             .expect("facade span recorded");
         let root = records.iter().find(|r| r.name == "root").unwrap();
         assert_eq!(facade.parent, root.span);
+    }
+
+    #[test]
+    fn events_are_zero_length_children_with_args() {
+        let _g = lock_tracer();
+        reset();
+        set_enabled(true);
+        let root_id;
+        {
+            let root = span("root").unwrap();
+            root_id = root.id();
+            io_read(1, 4096);
+            event("test.event", 7, 15);
+            let mut read = span("test.read").unwrap();
+            read.set_args(3, 4096);
+        }
+        set_enabled(false);
+        let records = dump();
+        let ev = records.iter().find(|r| r.name == "test.event").unwrap();
+        assert_eq!(ev.parent, root_id);
+        assert_eq!(ev.trace, root_id);
+        assert_eq!(ev.dur_ns, 0);
+        assert_eq!(ev.io, IoCounts::default());
+        assert_eq!(ev.args, [7, 15]);
+        let read = records.iter().find(|r| r.name == "test.read").unwrap();
+        assert_eq!(read.args, [3, 4096]);
+        let root = records.iter().find(|r| r.span == root_id).unwrap();
+        assert_eq!(root.args, [0; 2]);
+
+        let text = stitch(&records)
+            .iter()
+            .find(|t| t.record.span == root_id)
+            .unwrap()
+            .render_text();
+        assert!(text.contains("  test.event 0ns"), "{text}");
+        assert!(text.contains(" a=7 b=15\n"), "{text}");
+        assert!(text.lines().next().unwrap().ends_with(']'), "{text}");
+    }
+
+    #[test]
+    fn recent_dump_keeps_the_newest_records() {
+        let _g = lock_tracer();
+        reset();
+        set_enabled(true);
+        for i in 0..(DUMP_RECORDS as u64 + 100) {
+            event("recent.event", i, 2 * i + 1);
+        }
+        set_enabled(false);
+        let text = render_recent();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), DUMP_RECORDS);
+        // The oldest 100 fell out; the rest are in order.
+        for (line, i) in lines.iter().zip(100u64..) {
+            assert!(line.starts_with("recent.event 0ns"), "{line}");
+            assert!(line.ends_with(&format!(" a={i} b={}", 2 * i + 1)), "{line}");
+        }
     }
 }

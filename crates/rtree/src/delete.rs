@@ -7,7 +7,6 @@
 //! or entries silently lost.
 
 use geom::Rect;
-use obs::flight::EventKind;
 use obs::{LazyCounter, LazyHistogram};
 
 use crate::tree::Staging;
@@ -95,7 +94,7 @@ impl<const D: usize> RTree<D> {
             if level < st.height {
                 REINSERTS.inc();
                 REINSERT_LEVEL.record(u64::from(level));
-                obs::flight::record(EventKind::Reinsert, u64::from(level), entry.payload);
+                obs::trace::event("rtree.reinsert", u64::from(level), entry.payload);
                 self.staged_insert_entry(st, entry, level)?;
             } else {
                 // The tree shrank below the orphan's level (can happen

@@ -7,7 +7,6 @@
 //! comparison.
 
 use geom::Rect;
-use obs::flight::EventKind;
 use obs::LazyCounter;
 use storage::PageId;
 
@@ -32,21 +31,6 @@ impl<const D: usize> RTree<D> {
         let mut st = self.begin_staging();
         st.len += 1;
         if let Err(e) = self.staged_insert_entry(&mut st, Entry::data(rect, data), 0) {
-            self.abandon_staging(st);
-            return Err(e);
-        }
-        self.commit_staging(st)
-    }
-
-    /// Insert `entry` into a node at `level` (0 = leaf), as one staged
-    /// mutation that does not change the recorded object count (the
-    /// subtree-grafting path counts its entries itself). Deletion uses
-    /// non-zero levels to reinsert orphaned subtrees at their original
-    /// height (Guttman's CondenseTree step).
-    pub(crate) fn insert_entry_at(&mut self, entry: Entry<D>, level: u32) -> Result<()> {
-        self.check_poisoned()?;
-        let mut st = self.begin_staging();
-        if let Err(e) = self.staged_insert_entry(&mut st, entry, level) {
             self.abandon_staging(st);
             return Err(e);
         }
@@ -149,7 +133,7 @@ impl<const D: usize> RTree<D> {
             },
         );
         SPLITS.inc();
-        obs::flight::record(EventKind::Split, page.index(), new_page.index());
+        obs::trace::event("rtree.split", page.index(), new_page.index());
         Ok(Entry::child(right_mbr, new_page))
     }
 }

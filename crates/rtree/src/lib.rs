@@ -23,7 +23,6 @@
 //!   ([`stats`]) for the paper's area/perimeter metrics.
 
 pub mod bulk;
-pub mod bulk_insert;
 pub mod capacity;
 pub mod codec;
 pub mod delete;

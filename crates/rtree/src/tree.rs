@@ -1,11 +1,9 @@
 //! The tree object: metadata, node I/O, queries, traversal, validation.
 
 use std::collections::{BinaryHeap, HashMap, HashSet};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use geom::{Point, Rect};
-use obs::flight::EventKind;
 use obs::{LazyCounter, LazyHistogram};
 use storage::{BufferPool, PageId, Wal};
 
@@ -20,8 +18,6 @@ static QUERIES: LazyCounter = LazyCounter::new("rtree.queries");
 static NODES_VISITED: LazyHistogram = LazyHistogram::new("rtree.query.nodes_visited");
 static LEAF_TOUCHES: LazyCounter = LazyCounter::new("rtree.query.leaf_touches");
 static INTERNAL_TOUCHES: LazyCounter = LazyCounter::new("rtree.query.internal_touches");
-/// Ordinal linking each query's start/end flight events.
-static QUERY_SEQ: AtomicU64 = AtomicU64::new(0);
 
 // WAL-mode commit instrumentation (shared with the snapshot layer).
 pub(crate) static WAL_TREE_COMMITS: LazyCounter = LazyCounter::new("rtree.wal.commits");
@@ -380,7 +376,9 @@ impl<const D: usize> RTree<D> {
         self.store.alloc_page()
     }
 
-    /// Return a page to the free list.
+    /// Return a page to the free list (the allocator audit's tests use
+    /// it to plant a double free).
+    #[cfg(test)]
     pub(crate) fn free_page(&mut self, page: PageId) {
         self.store.free_page(page);
     }
@@ -462,11 +460,9 @@ impl<const D: usize> RTree<D> {
                     self.poisoned = true;
                     // Leave the poisoning itself on the record, then
                     // dump everything leading up to it: this is the
-                    // moment the recent-event window is worth keeping.
-                    obs::flight::record(EventKind::TreePoisoned, self.root.index(), 0);
-                    if obs::enabled() {
-                        obs::flight::dump_to_stderr("tree poisoned mid-commit");
-                    }
+                    // moment the recent-record window is worth keeping.
+                    obs::trace::event("rtree.poisoned", self.root.index(), 0);
+                    obs::trace::dump_to_stderr("tree poisoned mid-commit");
                 }
                 return Err(e);
             }
@@ -678,10 +674,8 @@ impl<const D: usize> RTree<D> {
             .and_then(|()| self.store.pool().write_page(tx.meta_page, &tx.meta_image));
         if let Err(e) = commit_res {
             self.poisoned = true;
-            obs::flight::record(EventKind::TreePoisoned, self.root.index(), 0);
-            if obs::enabled() {
-                obs::flight::dump_to_stderr("tree poisoned mid-WAL-commit");
-            }
+            obs::trace::event("rtree.poisoned", self.root.index(), 0);
+            obs::trace::dump_to_stderr("tree poisoned mid-WAL-commit");
             return Err(e.into());
         }
         wal.tx_applied(tx.lsn);
@@ -697,8 +691,7 @@ impl<const D: usize> RTree<D> {
     ///
     /// Requires a v2 file. Direct-write paths that bypass staging
     /// ([`insert_rstar`](Self::insert_rstar)) are refused on a
-    /// WAL-attached tree, and [`bulk_insert`](Self::bulk_insert) falls
-    /// back to ordinary logged insertions.
+    /// WAL-attached tree.
     pub fn attach_wal(&mut self, wal: Arc<Wal>) -> Result<()> {
         self.store.attach_wal(wal)?;
         self.cow = true;
@@ -768,8 +761,7 @@ impl<const D: usize> RTree<D> {
     /// Traverses through zero-copy node views: each visited page is
     /// validated once and its entries are read directly out of the
     /// buffer-pool frame, so a warm query performs no per-node heap
-    /// allocation at all. The decoded reference implementation is
-    /// [`query_region_visit_decoded`](Self::query_region_visit_decoded).
+    /// allocation at all.
     pub fn query_region_visit(
         &self,
         query: &Rect<D>,
@@ -778,13 +770,6 @@ impl<const D: usize> RTree<D> {
         // One flag check per query; when off, the traversal below is
         // byte-identical to the uninstrumented loop (locals only).
         let track = obs::enabled();
-        let ordinal = if track {
-            let ordinal = QUERY_SEQ.fetch_add(1, Ordering::Relaxed);
-            obs::flight::record(EventKind::QueryStart, ordinal, 0);
-            ordinal
-        } else {
-            0
-        };
         let _tspan = obs::trace::span("rtree.query");
         let mut nodes = 0u64;
         let mut leaves = 0u64;
@@ -814,32 +799,6 @@ impl<const D: usize> RTree<D> {
             NODES_VISITED.record(nodes);
             LEAF_TOUCHES.add(leaves);
             INTERNAL_TOUCHES.add(nodes - leaves);
-            obs::flight::record(EventKind::QueryEnd, ordinal, nodes);
-        }
-        Ok(())
-    }
-
-    /// Visitor-form region query over fully decoded nodes — the
-    /// reference implementation the zero-copy path is differentially
-    /// tested (and benchmarked) against. Kept public so those
-    /// comparisons exercise exactly the shipped code.
-    pub fn query_region_visit_decoded(
-        &self,
-        query: &Rect<D>,
-        visit: &mut impl FnMut(Rect<D>, u64),
-    ) -> Result<()> {
-        let mut stack = vec![self.root];
-        while let Some(page) = stack.pop() {
-            let node = self.read_node(page)?;
-            if node.is_leaf() {
-                for e in node.matching(query) {
-                    visit(e.rect, e.payload);
-                }
-            } else {
-                for e in node.matching(query) {
-                    stack.push(e.child_page());
-                }
-            }
         }
         Ok(())
     }

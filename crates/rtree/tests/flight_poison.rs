@@ -1,22 +1,22 @@
-//! Acceptance: the flight recorder captures the events *leading up to*
-//! a poisoned tree.
+//! Acceptance: the trace rings capture the events *leading up to* a
+//! poisoned tree.
 //!
 //! A dynamic tree runs over a `FaultDisk` with a tiny buffer pool, so
 //! commit-phase writes force dirty evictions (physical writes) that an
 //! armed write-fault schedule can hit. Sooner or later a fault lands
 //! after a commit has already applied at least one page — the one
 //! unrecoverable spot in the staged-mutation protocol — and the tree
-//! poisons. The global flight recorder must then hold the whole story:
-//! page traffic and evictions, the injected `fault_fired`, and the
-//! final `tree_poisoned`, in ticket order.
+//! poisons. With tracing on, the rings must then hold the whole story:
+//! `disk.*` spans with their page args, `buffer.eviction` events, the
+//! injected `fault.fired`, and the final `rtree.poisoned`, in time
+//! order.
 //!
-//! Lives in its own integration-test binary on purpose: the recorder
-//! and the `obs` enable flag are process-global.
+//! Lives in its own integration-test binary on purpose: the trace
+//! rings and the enable flags are process-global.
 
 use std::sync::Arc;
 
 use geom::Rect;
-use obs::flight::EventKind;
 use rtree::{NodeCapacity, RTree, RTreeError};
 use storage::{BufferPool, Disk, FaultDisk, FaultKind, FaultOp, FaultSpec, MemDisk, Trigger};
 
@@ -25,11 +25,12 @@ fn square(x: f64, y: f64, s: f64) -> Rect<2> {
 }
 
 #[test]
-fn flight_recorder_captures_run_up_to_poisoning() {
+fn trace_rings_capture_run_up_to_poisoning() {
     obs::set_enabled(true);
+    obs::trace::set_enabled(true);
 
-    let mem: Arc<dyn Disk> = Arc::new(MemDisk::default_size());
-    let faulted = Arc::new(FaultDisk::new(mem));
+    let mem = Arc::new(MemDisk::default_size());
+    let faulted = Arc::new(FaultDisk::new(mem.clone() as Arc<dyn Disk>));
     faulted.set_armed(false);
 
     // Four frames against a tree of hundreds of pages: nearly every
@@ -77,44 +78,55 @@ fn flight_recorder_captures_run_up_to_poisoning() {
         Err(RTreeError::Poisoned)
     ));
 
-    // The recorder must tell the whole story, in order.
-    let events = obs::flight::global().dump();
-    let poison_ticket = events
+    // The rings must tell the whole story, in order.
+    let records = obs::trace::dump();
+    let poisoned_at = records
         .iter()
-        .find(|e| e.kind == EventKind::TreePoisoned)
-        .expect("poisoning must be on the record")
-        .ticket;
-    let last_fault = events
+        .position(|r| r.name == "rtree.poisoned")
+        .expect("poisoning must be on the record");
+    let last_fault = records
         .iter()
-        .rfind(|e| e.kind == EventKind::FaultFired)
+        .rfind(|r| r.name == "fault.fired")
         .expect("the injected fault must be on the record");
-    assert_eq!(last_fault.a, 1, "fired on a write");
-    assert_eq!(last_fault.b, 0, "FaultKind::Error ordinal");
+    assert_eq!(last_fault.args[0], 1, "fired on a write");
+    assert_eq!(last_fault.args[1], 0, "FaultKind::Error ordinal");
+    let before = &records[..poisoned_at];
     assert!(
-        events
-            .iter()
-            .any(|e| e.kind == EventKind::FaultFired && e.ticket < poison_ticket),
+        before.iter().any(|r| r.name == "fault.fired"),
         "a fault firing must precede the poisoning on the record"
     );
     // The run-up traffic is there too: the tiny pool guarantees reads,
     // writebacks and evictions shortly before the poisoning.
-    for kind in [
-        EventKind::PageRead,
-        EventKind::PageWrite,
-        EventKind::Eviction,
-    ] {
+    for name in ["disk.read", "disk.write", "buffer.eviction"] {
         assert!(
-            events
-                .iter()
-                .any(|e| e.kind == kind && e.ticket < poison_ticket),
-            "expected {} before the poisoning",
-            kind.name()
+            before.iter().any(|r| r.name == name),
+            "expected {name} before the poisoning"
         );
     }
-    // Tickets come back sorted — the dump is a coherent timeline.
-    assert!(events.windows(2).all(|w| w[0].ticket < w[1].ticket));
+    // Physical I/O spans name the real page and its size.
+    let pages = mem.num_pages();
+    let page_size = mem.page_size() as u64;
+    for r in before.iter().filter(|r| r.name.starts_with("disk.")) {
+        let [page, bytes] = r.args;
+        assert!(
+            page < pages,
+            "{} of page {page} beyond {pages} pages",
+            r.name
+        );
+        assert_eq!(bytes, page_size, "{} of page {page}", r.name);
+    }
+    assert!(
+        before
+            .iter()
+            .any(|r| r.name.starts_with("disk.") && r.args[0] > 0),
+        "disk spans carry page indexes"
+    );
+    // The dump is a coherent timeline: sorted by (start, span id).
+    assert!(records
+        .windows(2)
+        .all(|w| (w[0].start_ns, w[0].span) < (w[1].start_ns, w[1].span)));
 
-    // The registry agrees with the recorder.
+    // The registry agrees with the rings.
     let snap = obs::snapshot();
     match snap.get("fault.fired") {
         Some(obs::MetricValue::Counter(n)) => assert!(*n >= 1),

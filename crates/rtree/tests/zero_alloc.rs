@@ -2,10 +2,9 @@
 //!
 //! A counting `#[global_allocator]` wraps the system allocator; the
 //! number of heap allocations during a warm region query bounds what the
-//! traversal itself does. The decoded reference path materializes a
-//! `Node` (one `Vec<Entry>`) per visited page, so its count grows with
-//! the tree; the `NodeView` path must stay at a small constant — the
-//! reused descent stack — no matter how many nodes the query touches.
+//! traversal itself does. The `NodeView` path must stay at a small
+//! constant — the reused descent stack — no matter how many nodes the
+//! query touches.
 //!
 //! This lives in its own integration-test binary because a global
 //! allocator is process-wide state no other test should share.
@@ -74,18 +73,6 @@ fn warm_zero_copy_query_allocates_no_per_node_buffers() {
         // Leaves alone give a lower bound on visited pages.
         expect / 100
     };
-
-    // Decoded reference: at least one Vec<Entry> per visited node.
-    hits = 0;
-    let decoded = allocs_during(|| {
-        tree.query_region_visit_decoded(&q, &mut |_, _| hits += 1)
-            .unwrap();
-    });
-    assert_eq!(hits, expect);
-    assert!(
-        decoded >= nodes_visited,
-        "decoded path should allocate per node: {decoded} allocs for ≥{nodes_visited} nodes"
-    );
 
     // Zero-copy path: only the descent stack, regardless of tree size.
     hits = 0;

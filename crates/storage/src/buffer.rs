@@ -41,7 +41,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use obs::flight::EventKind;
 use obs::{LazyCounter, LazyHistogram};
 use parking_lot::{Condvar, Mutex, MutexGuard, RwLock};
 
@@ -51,7 +50,7 @@ use crate::{Disk, PageId, Result, StorageError};
 // every pool in the process when several exist), plus the wait-time
 // distribution of coalesced readers. The per-pool `BufferStats`
 // atomics stay the source of truth for experiments; these exist so
-// `--metrics` output and the flight recorder tell one coherent story.
+// `--metrics` output and the trace events tell one coherent story.
 static OBS_HITS: LazyCounter = LazyCounter::new("buffer.hits");
 static OBS_MISSES: LazyCounter = LazyCounter::new("buffer.misses");
 static OBS_EVICTIONS: LazyCounter = LazyCounter::new("buffer.evictions");
@@ -784,11 +783,13 @@ impl ShardedBufferPool {
             inner.frames[victim].dirty = false;
             shard.stats.writebacks.fetch_add(1, Ordering::Relaxed);
             OBS_WRITEBACKS.inc();
-            obs::flight::record(EventKind::Writeback, old.index(), 0);
+            // a = page index.
+            obs::trace::event("buffer.writeback", old.index(), 0);
         }
         shard.stats.evictions.fetch_add(1, Ordering::Relaxed);
         OBS_EVICTIONS.inc();
-        obs::flight::record(EventKind::Eviction, old.index(), u64::from(was_dirty));
+        // a = page index, b = 1 if it was dirty.
+        obs::trace::event("buffer.eviction", old.index(), u64::from(was_dirty));
         inner.map.remove(&old);
         inner.detach(victim);
         Ok(victim)

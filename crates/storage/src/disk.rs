@@ -11,7 +11,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use obs::flight::EventKind;
 use obs::{LazyCounter, LazyHistogram};
 use parking_lot::Mutex;
 
@@ -20,7 +19,7 @@ use crate::{PageId, Result, StorageError};
 // Instrumentation (see DESIGN.md §Observability). Latency histograms
 // are per `Disk` impl — wrappers like `LatencyDisk` time their whole
 // call including the inner disk, so the names must stay distinct to be
-// interpretable. The totals counters and flight-recorder events are
+// interpretable. The totals counters and the `disk.*` trace spans are
 // recorded only by the terminal impls (`MemDisk`, `FileDisk`) so a
 // stack of wrappers counts each physical access exactly once.
 static DISK_READS: LazyCounter = LazyCounter::new("disk.reads");
@@ -34,24 +33,29 @@ static FILE_WRITE_NS: LazyHistogram = LazyHistogram::new("disk.file.write_ns");
 static LATENCY_READ_NS: LazyHistogram = LazyHistogram::new("disk.latency.read_ns");
 
 /// Shared by the terminal disk impls: totals, byte histogram, and the
-/// flight-recorder event for one successful physical read.
-fn observe_physical_read(id: PageId, bytes: usize) {
+/// `[page, bytes]` args of the `disk.read` span for one successful
+/// physical read.
+fn observe_physical_read(span: &mut Option<obs::trace::Span>, id: PageId, bytes: usize) {
     DISK_READS.inc();
     READ_BYTES.record(bytes as u64);
     // Same event feeds the active span's I/O attribution, so a span's
     // pages_read equals the registry's disk.reads delta by construction.
     obs::trace::io_read(1, bytes as u64);
-    obs::flight::record(EventKind::PageRead, id.index(), bytes as u64);
+    if let Some(span) = span {
+        span.set_args(id.index(), bytes as u64);
+    }
 }
 
-/// Totals, byte histogram, and flight event for `n` physical pages
-/// written starting at `id` (batch writes count per page, matching
-/// `IoStats` accounting).
-fn observe_physical_write(id: PageId, bytes: usize, n: u64) {
+/// Totals, byte histogram, and `disk.write` span args for `n` physical
+/// pages written starting at `id` (batch writes count per page,
+/// matching `IoStats` accounting).
+fn observe_physical_write(span: &mut Option<obs::trace::Span>, id: PageId, bytes: usize, n: u64) {
     DISK_WRITES.add(n);
     WRITE_BYTES.record(bytes as u64);
     obs::trace::io_write(n, bytes as u64);
-    obs::flight::record(EventKind::PageWrite, id.index(), bytes as u64);
+    if let Some(span) = span {
+        span.set_args(id.index(), bytes as u64);
+    }
 }
 
 /// Cumulative I/O counters for a disk. All counters are monotonically
@@ -267,30 +271,30 @@ impl Disk for MemDisk {
 
     fn read_page(&self, id: PageId, buf: &mut [u8]) -> Result<()> {
         let _span = MEM_READ_NS.start();
-        let _tspan = obs::trace::span("disk.read");
+        let mut tspan = obs::trace::span("disk.read");
         check_len(self.page_size, buf.len())?;
         let pages = self.pages.lock();
         check_bounds(id, pages.len() as u64)?;
         buf.copy_from_slice(&pages[id.index() as usize]);
         self.stats.record_read();
-        observe_physical_read(id, buf.len());
+        observe_physical_read(&mut tspan, id, buf.len());
         Ok(())
     }
 
     fn write_page(&self, id: PageId, buf: &[u8]) -> Result<()> {
         let _span = MEM_WRITE_NS.start();
-        let _tspan = obs::trace::span("disk.write");
+        let mut tspan = obs::trace::span("disk.write");
         check_len(self.page_size, buf.len())?;
         let mut pages = self.pages.lock();
         check_bounds(id, pages.len() as u64)?;
         pages[id.index() as usize].copy_from_slice(buf);
         self.stats.record_write();
-        observe_physical_write(id, buf.len(), 1);
+        observe_physical_write(&mut tspan, id, buf.len(), 1);
         Ok(())
     }
 
     fn write_pages_body(&self, first: PageId, buf: &[u8], n: u64) -> Result<()> {
-        let _tspan = obs::trace::span("disk.write");
+        let mut tspan = obs::trace::span("disk.write");
         let mut pages = self.pages.lock();
         // The trait already bounds-checked and the page vector only grows.
         debug_assert!(first.index() + n <= pages.len() as u64);
@@ -299,7 +303,7 @@ impl Disk for MemDisk {
         }
         // One write per page, same as n write_page calls would count.
         self.stats.record_writes(n);
-        observe_physical_write(first, buf.len(), n);
+        observe_physical_write(&mut tspan, first, buf.len(), n);
         Ok(())
     }
 
@@ -406,26 +410,26 @@ impl Disk for FileDisk {
     fn read_page(&self, id: PageId, buf: &mut [u8]) -> Result<()> {
         use std::os::unix::fs::FileExt;
         let _span = FILE_READ_NS.start();
-        let _tspan = obs::trace::span("disk.read");
+        let mut tspan = obs::trace::span("disk.read");
         check_len(self.page_size, buf.len())?;
         check_bounds(id, self.num_pages())?;
         self.file
             .read_exact_at(buf, id.index() * self.page_size as u64)?;
         self.stats.record_read();
-        observe_physical_read(id, buf.len());
+        observe_physical_read(&mut tspan, id, buf.len());
         Ok(())
     }
 
     fn write_page(&self, id: PageId, buf: &[u8]) -> Result<()> {
         use std::os::unix::fs::FileExt;
         let _span = FILE_WRITE_NS.start();
-        let _tspan = obs::trace::span("disk.write");
+        let mut tspan = obs::trace::span("disk.write");
         check_len(self.page_size, buf.len())?;
         check_bounds(id, self.num_pages())?;
         self.file
             .write_all_at(buf, id.index() * self.page_size as u64)?;
         self.stats.record_write();
-        observe_physical_write(id, buf.len(), 1);
+        observe_physical_write(&mut tspan, id, buf.len(), 1);
         Ok(())
     }
 
@@ -434,11 +438,11 @@ impl Disk for FileDisk {
         // One positioned syscall for the whole run — this is the point of
         // batching on a real device.
         let _span = FILE_WRITE_NS.start();
-        let _tspan = obs::trace::span("disk.write");
+        let mut tspan = obs::trace::span("disk.write");
         self.file
             .write_all_at(buf, first.index() * self.page_size as u64)?;
         self.stats.record_writes(n);
-        observe_physical_write(first, buf.len(), n);
+        observe_physical_write(&mut tspan, first, buf.len(), n);
         Ok(())
     }
 

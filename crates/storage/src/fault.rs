@@ -30,7 +30,6 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use obs::flight::EventKind;
 use obs::LazyCounter;
 use parking_lot::Mutex;
 
@@ -74,8 +73,8 @@ pub enum FaultKind {
     Crash,
 }
 
-/// Stable ordinal used as the flight-recorder payload for a fired
-/// fault: 0 error, 1 torn, 2 bit-flip, 3 crash.
+/// Stable ordinal used as the `fault.fired` event payload (`b`) for a
+/// fired fault: 0 error, 1 torn, 2 bit-flip, 3 crash.
 fn fault_kind_ordinal(kind: FaultKind) -> u64 {
     match kind {
         FaultKind::Error => 0,
@@ -379,11 +378,12 @@ impl FaultDisk {
                 self.crashed.store(true, Ordering::SeqCst);
             }
             // This is the single site where any fault fires: leave the
-            // evidence in the flight recorder so a later poisoned tree
-            // can be traced back to the exact injected failure.
+            // evidence in the trace rings so a later poisoned tree can
+            // be traced back to the exact injected failure. a = 0 read
+            // / 1 write.
             FAULTS_FIRED.inc();
-            obs::flight::record(
-                EventKind::FaultFired,
+            obs::trace::event(
+                "fault.fired",
                 if s.spec.op == FaultOp::Read { 0 } else { 1 },
                 fault_kind_ordinal(s.spec.kind),
             );

@@ -8,7 +8,7 @@
 //! spans into real recorded spans. No subscribers and no structured
 //! fields — callers format their payload with the usual `format!`
 //! syntax. The default level is `Warn` so that rare, load-bearing
-//! diagnostics (e.g. a flight-recorder dump when a tree poisons) are
+//! diagnostics (e.g. the trace-ring dump when a tree poisons) are
 //! visible without configuration, while `info!` and below stay silent
 //! unless explicitly enabled.
 
