@@ -244,11 +244,13 @@ pub fn build_lsm(input: &Path, dir: &Path, capacity: usize, threads: usize) -> C
     tree.flush().map_err(|e| e.to_string())?;
     let st = tree.stats();
     Ok(format!(
-        "ingested {n} rectangles into {} ({} items across {} flat level(s), {} compaction(s))",
+        "ingested {n} rectangles into {} ({} items across {} flat level(s), {} compaction(s), \
+         {:.2} items packed per ingested item)",
         dir.display(),
         st.level_items,
         st.levels,
-        st.compactions
+        st.compactions,
+        st.items_packed as f64 / n as f64
     ))
 }
 

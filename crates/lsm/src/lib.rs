@@ -44,6 +44,8 @@ pub enum LsmError {
     Flat(flat::FlatError),
     /// Persistent state that violates the commit protocol's invariants.
     Corrupt(String),
+    /// [`LsmOptions`] a tree cannot run with, rejected at open.
+    InvalidOptions(String),
 }
 
 impl std::fmt::Display for LsmError {
@@ -52,6 +54,7 @@ impl std::fmt::Display for LsmError {
             LsmError::Storage(e) => write!(f, "storage: {e}"),
             LsmError::Flat(e) => write!(f, "flat segment: {e}"),
             LsmError::Corrupt(msg) => write!(f, "lsm state corrupt: {msg}"),
+            LsmError::InvalidOptions(msg) => write!(f, "invalid lsm options: {msg}"),
         }
     }
 }
@@ -61,7 +64,7 @@ impl std::error::Error for LsmError {
         match self {
             LsmError::Storage(e) => Some(e),
             LsmError::Flat(e) => Some(e),
-            LsmError::Corrupt(_) => None,
+            LsmError::Corrupt(_) | LsmError::InvalidOptions(_) => None,
         }
     }
 }

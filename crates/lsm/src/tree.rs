@@ -3,10 +3,10 @@
 //!
 //! # Commit protocol
 //!
-//! A compaction drains the sealed memtable (and, for a major
-//! compaction, every existing level) into one new flat segment — STR
-//! packed in memory straight into the `FLT1` image
-//! ([`str_core::pack_str_to_flat`]) — then commits it in this exact
+//! A compaction drains the sealed memtable plus its victims — a suffix
+//! of the newest levels, chosen by the policy below — into one new flat
+//! segment, STR packed in memory straight into the `FLT1` image
+//! ([`str_core::pack_str_to_flat`]), then commits it in this exact
 //! order:
 //!
 //! 1. segment bytes durable in the [`SegmentStore`] (`put` + `sync`);
@@ -31,6 +31,19 @@
 //! and cleanup (recovery deliberately never frees them — freeing a
 //! page twice corrupts the allocator, leaking a few pages does not).
 //! Bounded by one compaction's victims; never an acknowledged insert.
+//!
+//! # Compaction policy
+//!
+//! The logarithmic method (Bentley–Saxe) under a level cap: the output
+//! starts at the sealed memtable's item count, and the newest level is
+//! folded into it while that level holds no more items than the output
+//! so far, or while keeping it would leave more than
+//! [`LsmOptions::max_levels`] levels. Levels merge like a binary
+//! counter, each item is re-packed about once per doubling, and reads
+//! still touch at most `max_levels` segments. Victims are always the
+//! newest suffix, so levels stay in seal-LSN order, and after every
+//! compaction item counts strictly decrease from the oldest level to
+//! the newest.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -59,10 +72,11 @@ static LSM_STALL_NS: LazyHistogram = LazyHistogram::new("lsm.stall_ns");
 pub struct LsmOptions {
     /// Node fan-out for packed segments (the paper's page capacity).
     pub capacity: NodeCapacity,
-    /// Seal the memtable once it holds this many items.
+    /// Seal the memtable once it holds this many items (at least 1).
     pub memtable_items: u64,
-    /// Maximum flat levels before a compaction goes major (drains every
-    /// level plus the sealed memtable into one segment).
+    /// The most flat levels that can exist (at least 1). A compaction
+    /// folds the newest levels into its output while they are no larger
+    /// than it, and folds more while keeping them would exceed this cap.
     pub max_levels: usize,
     /// Threads ordering each level of a compaction's STR pack
     /// ([`StrPacker::with_threads`](str_core::StrPacker::with_threads)).
@@ -97,6 +111,9 @@ pub struct LsmStats {
     pub levels: usize,
     /// Compactions committed since open.
     pub compactions: u64,
+    /// Items written into new segments by those compactions: the sealed
+    /// memtables plus every victim level they re-packed.
+    pub items_packed: u64,
 }
 
 /// One immutable flat level.
@@ -141,6 +158,7 @@ struct Inner<const D: usize> {
     done_mx: Mutex<()>,
     done_cv: Condvar,
     compactions: AtomicU64,
+    items_packed: AtomicU64,
 }
 
 /// A crash-safe spatial LSM tree: WAL-backed Hilbert memtable over
@@ -164,6 +182,16 @@ impl<const D: usize> LsmTree<D> {
         opts: LsmOptions,
     ) -> Result<Self> {
         let _tspan = obs::trace::span("lsm.open");
+        if opts.memtable_items == 0 {
+            return Err(LsmError::InvalidOptions(
+                "memtable_items must be at least 1".into(),
+            ));
+        }
+        if opts.max_levels == 0 {
+            return Err(LsmError::InvalidOptions(
+                "max_levels must be at least 1".into(),
+            ));
+        }
         let alloc = if disk.num_pages() == 0 {
             PageAllocator::format(disk.clone())?
         } else {
@@ -321,6 +349,7 @@ impl<const D: usize> LsmTree<D> {
             done_mx: Mutex::new(()),
             done_cv: Condvar::new(),
             compactions: AtomicU64::new(0),
+            items_packed: AtomicU64::new(0),
         });
         let worker = if opts.background {
             let w = inner.clone();
@@ -406,6 +435,7 @@ impl<const D: usize> LsmTree<D> {
             level_items: g.levels.iter().map(|s| s.item_count).sum(),
             levels: g.levels.len(),
             compactions: self.inner.compactions.load(Ordering::Relaxed),
+            items_packed: self.inner.items_packed.load(Ordering::Relaxed),
         }
     }
 
@@ -479,9 +509,18 @@ impl<const D: usize> Drop for LsmTree<D> {
 /// Seal the active memtable. Caller holds the state write lock and has
 /// checked `sealed` is vacant; the sealed slot's LSN is read under the
 /// same lock, so it bounds exactly the inserts already in the memtable.
+/// The memtable is never empty (a full one holds `memtable_items >= 1`,
+/// checked at open, and `flush` seals only a non-empty one), so every
+/// compaction has items to pack.
 fn seal_locked<const D: usize>(inner: &Inner<D>, g: &mut State<D>) {
     debug_assert!(g.sealed.is_none());
+    debug_assert!(!g.active.is_empty());
     let seal_lsn = inner.wal.last_lsn();
+    // One WAL segment per memtable: the compaction that drains this one
+    // recycles at `seal_lsn` every segment before the cut, so the log
+    // keeps only what no segment holds yet, however its flip note
+    // interleaves with inserts.
+    inner.wal.start_segment();
     let full = std::mem::replace(&mut g.active, Arc::new(Memtable::new()));
     g.sealed = Some(Sealed {
         mem: full,
@@ -512,6 +551,27 @@ fn worker_loop<const D: usize>(inner: &Arc<Inner<D>>) {
     }
 }
 
+/// How many of the oldest `levels` a compaction of a `sealed`-item
+/// memtable keeps; the rest, always the newest suffix, are its victims.
+/// The newest level is folded while it holds no more items than the
+/// output so far, or while keeping it would leave more than
+/// `max_levels` levels. A kept level is therefore larger than the
+/// output placed after it, which is what keeps item counts strictly
+/// decreasing from the oldest level to the newest.
+fn kept_levels<const D: usize>(
+    levels: &[Arc<Segment<D>>],
+    sealed: u64,
+    max_levels: usize,
+) -> usize {
+    let mut out = sealed;
+    let mut keep = levels.len();
+    while keep > 0 && (levels[keep - 1].item_count <= out || keep + 1 > max_levels) {
+        keep -= 1;
+        out += levels[keep].item_count;
+    }
+    keep
+}
+
 fn read_meta_page(disk: &Arc<dyn Disk>, page: PageId) -> Result<SegmentMeta> {
     let mut buf = vec![0u8; disk.page_size()];
     disk.read_page(page, &mut buf)?;
@@ -519,40 +579,35 @@ fn read_meta_page(disk: &Arc<dyn Disk>, page: PageId) -> Result<SegmentMeta> {
 }
 
 impl<const D: usize> Inner<D> {
-    /// Drain the sealed memtable (plus every level, when at the level
-    /// cap) into one new flat segment and commit it. See the module
-    /// docs for the ordering argument.
+    /// Drain the sealed memtable plus the newest levels the policy
+    /// folds ([`kept_levels`]) into one new flat segment and commit it.
+    /// See the module docs for the policy and the ordering argument.
     fn compact_once(&self) -> Result<bool> {
         let _serial = self.compact_mx.lock();
 
+        // Only compactions change `levels`, and they are serialized, so
+        // the victims are still the newest suffix at the flip.
         let (mem, seal_lsn, victims, new_id) = {
             let g = self.state.read();
             let Some(sealed) = &g.sealed else {
                 return Ok(false);
             };
-            let major = g.levels.len() + 1 > self.opts.max_levels;
-            let victims: Vec<Arc<Segment<D>>> = if major { g.levels.clone() } else { Vec::new() };
+            let keep = kept_levels(&g.levels, sealed.mem.len(), self.opts.max_levels);
+            let victims = g.levels[keep..].to_vec();
             (sealed.mem.clone(), sealed.seal_lsn, victims, g.next_seg_id)
         };
         // Traced only once there is work: a worker woken for a memtable
         // a foreground caller already drained records nothing.
-        let _tspan = obs::trace::span("lsm.compact");
+        let mut tspan = obs::trace::span("lsm.compact");
 
         let mut items = mem.items_ordered();
         for seg in &victims {
             items.extend(seg.tree.items());
         }
         let item_count = items.len() as u64;
-        if item_count == 0 {
-            // Nothing to pack (a defensive case: seals are triggered by
-            // fullness or a non-empty flush). Just clear the slot.
-            let mut g = self.state.write();
-            g.sealed = None;
-            drop(g);
-            self.notify_done();
-            return Ok(true);
+        if let Some(s) = tspan.as_mut() {
+            s.set_args(victims.len() as u64, item_count);
         }
-
         let bytes = {
             let _dspan = obs::trace::span("lsm.drain");
             pack_str_to_flat(items, self.opts.capacity, self.opts.threads)?
@@ -598,9 +653,8 @@ impl<const D: usize> Inner<D> {
         {
             let mut g = self.state.write();
             g.sealed = None;
-            if !victims.is_empty() {
-                g.levels.clear();
-            }
+            let keep = g.levels.len() - victims.len();
+            g.levels.truncate(keep);
             g.levels.push(Arc::new(Segment {
                 id: new_id,
                 meta_page,
@@ -612,6 +666,7 @@ impl<const D: usize> Inner<D> {
         }
         LSM_COMPACTIONS.inc();
         self.compactions.fetch_add(1, Ordering::Relaxed);
+        self.items_packed.fetch_add(item_count, Ordering::Relaxed);
         self.notify_done();
 
         let freed: Vec<PageId> = flip.removed.iter().map(|&(_, p)| p).collect();
@@ -804,6 +859,130 @@ mod tests {
         }
         tree.flush().unwrap();
         assert_eq!(SpatialIndex::len(&tree), 300);
+    }
+
+    /// `(id, seal LSN, item count)` of every level, oldest first.
+    fn level_shape(tree: &LsmTree<2>) -> Vec<(u64, u64, u64)> {
+        let g = tree.inner.state.read();
+        g.levels
+            .iter()
+            .map(|s| (s.id, s.seal_lsn, s.item_count))
+            .collect()
+    }
+
+    /// One compaction of a `sealed`-item memtable turned `before` into
+    /// `after`: the cap of 4 levels holds, seal LSNs rise and item counts
+    /// fall from oldest to newest, and the victims were exactly the
+    /// newest suffix, re-packed with the memtable into the one new
+    /// (newest) level.
+    fn check_flip(before: &[(u64, u64, u64)], after: &[(u64, u64, u64)], sealed: u64) {
+        assert!(after.len() <= 4, "level cap violated: {after:?}");
+        for w in after.windows(2) {
+            assert!(w[0].1 < w[1].1, "seal LSNs out of order: {after:?}");
+            assert!(w[0].2 > w[1].2, "item counts not decreasing: {after:?}");
+        }
+        let keep = after.len() - 1;
+        assert!(keep <= before.len(), "{before:?} -> {after:?}");
+        assert_eq!(
+            &after[..keep],
+            &before[..keep],
+            "kept levels must be the oldest"
+        );
+        let victims: u64 = before[keep..].iter().map(|l| l.2).sum();
+        assert_eq!(after[keep].2, sealed + victims, "{before:?} -> {after:?}");
+        assert!(before.iter().all(|l| l.0 != after[keep].0));
+    }
+
+    /// `perfbench ingest`'s shape scaled down: 61 memtables of 64 items
+    /// under `max_levels` 4. Levels merge like a binary counter until
+    /// the cap forces a fold; the full-merge rule packed 541 memtables'
+    /// worth of items here, the logarithmic one packs 201.
+    #[test]
+    fn compaction_folds_only_the_newest_levels_no_larger_than_the_output() {
+        const M: u64 = 64;
+        let opts = LsmOptions {
+            memtable_items: M,
+            max_levels: 4,
+            ..LsmOptions::default()
+        };
+        let (tree, _, log, _) = open_mem(opts);
+        let mut before = level_shape(&tree);
+        let mut compactions = 0;
+        let mut packed = 0;
+        let mut after_compaction = |tree: &LsmTree<2>| {
+            let st = tree.stats();
+            if st.compactions == compactions {
+                return;
+            }
+            assert_eq!(st.compactions, compactions + 1, "one seal, one compaction");
+            let after = level_shape(tree);
+            check_flip(&before, &after, M);
+            assert_eq!(st.items_packed - packed, after.last().unwrap().2);
+            // The drained memtable's WAL segment went with it.
+            let seal = after.last().unwrap().1;
+            let wal = scan(&*log).unwrap();
+            assert!(
+                wal.txns.iter().all(|t| t.lsn > seal),
+                "WAL kept records at or below {seal}"
+            );
+            (before, compactions, packed) = (after, st.compactions, st.items_packed);
+        };
+        for i in 0..61 * M {
+            tree.insert(rect_for(i), i).unwrap();
+            after_compaction(&tree);
+        }
+        tree.flush().unwrap();
+        after_compaction(&tree);
+
+        let sizes: Vec<u64> = level_shape(&tree).iter().map(|l| l.2 / M).collect();
+        assert_eq!(sizes, [32, 16, 8, 5]);
+        let st = tree.stats();
+        assert_eq!(st.compactions, 61);
+        assert_eq!(st.items_packed, 201 * M);
+        assert_eq!(SpatialIndex::len(&tree), 61 * M);
+    }
+
+    #[test]
+    fn zero_memtable_items_is_rejected_at_open() {
+        // Before the check, the first insert never returned: no item is
+        // ever admitted to a zero-item memtable. The timeout turns such
+        // a hang into a failure.
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let disk: Arc<dyn Disk> = Arc::new(MemDisk::default_size());
+            let opts = LsmOptions {
+                memtable_items: 0,
+                ..LsmOptions::default()
+            };
+            let res = LsmTree::<2>::open(
+                disk,
+                MemLogStore::new(),
+                Arc::new(MemSegmentStore::new()),
+                opts,
+            )
+            .and_then(|tree| tree.insert(rect_for(0), 0));
+            let _ = tx.send(res);
+        });
+        let res = rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("open or the first insert hung");
+        assert!(matches!(res, Err(LsmError::InvalidOptions(_))), "{res:?}");
+    }
+
+    #[test]
+    fn zero_max_levels_is_rejected_at_open() {
+        let disk: Arc<dyn Disk> = Arc::new(MemDisk::default_size());
+        let opts = LsmOptions {
+            max_levels: 0,
+            ..LsmOptions::default()
+        };
+        let res = LsmTree::<2>::open(
+            disk,
+            MemLogStore::new(),
+            Arc::new(MemSegmentStore::new()),
+            opts,
+        );
+        assert!(matches!(res, Err(LsmError::InvalidOptions(_))));
     }
 
     #[test]

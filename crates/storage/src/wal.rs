@@ -49,9 +49,9 @@
 //! disabled every committer syncs for itself (the benchmark baseline).
 //!
 //! Segments rotate once the current one exceeds `segment_bytes` (a
-//! batch never splits across segments) and are recycled — deleted —
-//! once a checkpoint proves every LSN they hold is applied to the main
-//! disk ([`Wal::recycle`]).
+//! batch never splits across segments) or when [`Wal::start_segment`]
+//! asks for it, and are recycled — deleted — once a checkpoint proves
+//! every LSN they hold is applied to the main disk ([`Wal::recycle`]).
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -638,6 +638,8 @@ struct WalInner {
     syncing: bool,
     cur_seg: u64,
     cur_seg_len: u64,
+    /// The next batch opens a new segment ([`Wal::start_segment`]).
+    rotate: bool,
     /// Max LSN each segment holds (for recycling).
     seg_max_lsn: BTreeMap<u64, u64>,
     /// Global offset past all staged bytes.
@@ -677,6 +679,7 @@ impl Wal {
                 syncing: false,
                 cur_seg,
                 cur_seg_len: 0,
+                rotate: false,
                 seg_max_lsn: BTreeMap::new(),
                 total_appended: 0,
                 in_flight: BTreeSet::new(),
@@ -811,10 +814,13 @@ impl Wal {
             g.syncing = true;
             let batch = std::mem::take(&mut g.buf);
             let batch_max = g.staged_lsn;
-            if g.cur_seg_len > 0 && g.cur_seg_len + batch.len() as u64 > self.segment_bytes {
+            if g.cur_seg_len > 0
+                && (g.rotate || g.cur_seg_len + batch.len() as u64 > self.segment_bytes)
+            {
                 g.cur_seg += 1;
                 g.cur_seg_len = 0;
             }
+            g.rotate = false;
             let seg = g.cur_seg;
             drop(g);
             let append_res = if batch.is_empty() {
@@ -878,6 +884,14 @@ impl Wal {
             .map(|&l| l.saturating_sub(1))
             .unwrap_or(u64::MAX);
         g.durable_lsn.min(floor)
+    }
+
+    /// Make the next appended batch open a new segment, unless the
+    /// current one is still empty. Every record staged from now on lands
+    /// past the cut, so [`Wal::recycle`] at today's [`Wal::last_lsn`]
+    /// can delete everything before it whatever commits interleave.
+    pub fn start_segment(&self) {
+        self.inner.lock().rotate = true;
     }
 
     /// Delete every closed segment whose newest LSN is at or below the
@@ -1148,6 +1162,37 @@ mod tests {
         assert!(store.list().unwrap().len() < segs.len());
         // The scan must still parse the surviving suffix.
         assert!(scan(store.as_ref()).unwrap().torn.is_none());
+    }
+
+    #[test]
+    fn start_segment_cuts_the_log_for_recycling() {
+        let store = MemLogStore::new();
+        let wal = Wal::create(store.clone(), 1, WalOptions::default()).unwrap();
+        let mut commit = |i: u8| {
+            let im = img(i, 64);
+            let t = wal.append_tx(&[(PageId(2 + i as u64), &im)], &[]).unwrap();
+            wal.tx_applied(t.lsn);
+            wal.commit(t.lsn).unwrap();
+            t.lsn
+        };
+        commit(0);
+        let cut = commit(1);
+        wal.start_segment();
+        wal.start_segment(); // asking twice still cuts once
+        let after = commit(2);
+        commit(3);
+        assert_eq!(
+            store.list().unwrap().len(),
+            2,
+            "one cut, far below the size cap"
+        );
+        assert_eq!(wal.recycle(cut).unwrap(), 1);
+        let left = scan(store.as_ref()).unwrap();
+        assert!(
+            left.txns.iter().all(|t| t.lsn >= after),
+            "only records past the cut"
+        );
+        assert_eq!(left.txns.len(), 2);
     }
 
     #[test]

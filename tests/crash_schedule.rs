@@ -194,9 +194,11 @@ fn every_sync_point_recovers_to_the_committed_prefix() {
 // recovery rebuilds the drained memtable from insert notes; after it,
 // recovery re-executes the flip against the durable segment bytes.
 // The enumeration below drives a fixed insert workload (the tiny
-// memtable bound forces a compaction every 8 inserts, and max_levels
-// forces periodic major compactions that remove old segments) and
-// crashes after every sync the clean run performs.
+// memtable bound forces a compaction every 8 inserts; the levels go
+// [1], [2], [2,1], [4], [4,1], [4,2], [4,2,1] memtables, so flips
+// remove every level, none, or — at [4,1] -> [4,2] — the newest level
+// while keeping an older one) and crashes after every sync the clean
+// run performs.
 // ---------------------------------------------------------------------
 
 struct LsmRig {
@@ -266,10 +268,25 @@ fn lsm_contents(tree: &LsmTree<2>) -> BTreeSet<u64> {
 fn every_lsm_sync_point_preserves_acknowledged_inserts() {
     const TOTAL: u64 = 64;
 
-    // Clean run bounds the schedule.
+    // Clean run bounds the schedule and shows a partial-victim flip:
+    // one that removed some, but not all, of the levels before it.
     let r = lsm_rig();
-    let (clean, _) = lsm_drive(&r.tree, TOTAL);
-    assert_eq!(clean.len() as u64, TOTAL);
+    let mut partial_flips = 0;
+    for id in 0..TOTAL {
+        let before = r.tree.stats();
+        r.tree.insert(rect_of(id), id).unwrap();
+        let after = r.tree.stats();
+        if after.compactions > before.compactions {
+            let removed = before.levels + 1 - after.levels;
+            if removed > 0 && removed < before.levels {
+                partial_flips += 1;
+            }
+        }
+    }
+    assert!(
+        partial_flips >= 1,
+        "workload must commit a flip that keeps an older level"
+    );
     let compactions = r.tree.stats().compactions;
     assert!(
         compactions >= 6,
@@ -302,6 +319,8 @@ fn every_lsm_sync_point_preserves_acknowledged_inserts() {
 
         let tree = LsmTree::open(r.fault.clone(), r.log.clone(), r.segs.clone(), lsm_opts())
             .unwrap_or_else(|e| panic!("n={n}: recovery failed: {e}"));
+        let levels = tree.stats().levels;
+        assert!(levels <= 3, "n={n}: recovered {levels} levels, cap is 3");
         let got = lsm_contents(&tree);
         assert!(
             got.is_superset(&acked),

@@ -109,8 +109,10 @@ proptest! {
 
     /// LSM == brute force == paged tree at every query point of an
     /// arbitrary insert/compact/query interleaving. The tiny memtable
-    /// bound makes implicit seals and major compactions (level-stack
-    /// collapses) routine within a few dozen inserts.
+    /// bound makes implicit seals and multi-level folds routine within
+    /// a few dozen inserts, and `flush` seals memtables of any size, so
+    /// compactions see ragged outputs; the level cap holds after every
+    /// op.
     #[test]
     fn lsm_equals_paged_equals_brute_force_under_interleaving(
         ops in prop::collection::vec(op(), 1..32),
@@ -135,6 +137,7 @@ proptest! {
                 Op::Compact => lsm.flush().unwrap(),
                 Op::Query(q) => check_query(&lsm, &paged, &truth, q)?,
             }
+            prop_assert!(lsm.stats().levels <= 3, "level cap violated: {:?}", lsm.stats());
         }
         check_query(&lsm, &paged, &truth, &final_q)?;
         check_query(&lsm, &paged, &truth, &Rect2::unit())?;
