@@ -31,11 +31,11 @@ use std::sync::{Arc, Mutex};
 
 use extsort::ExternalSorter;
 use geom::Rect;
-use hilbert::f64_order_key;
 use obs::{LazyCounter, LazyHistogram};
 use rtree::{BulkLoader, Entry, NodeCapacity, RTree};
 use storage::{BufferPool, Disk};
 
+use crate::order::center_key;
 use crate::str_pack::{order_slab, slab_pages};
 use crate::PackingOrder;
 
@@ -201,10 +201,10 @@ where
 }
 
 fn key<const D: usize>(e: &Entry<D>) -> u64 {
-    f64_order_key(e.rect.center_coord(0))
+    center_key(&e.rect, 0)
 }
 
-type Merge<const D: usize> = extsort::MergeIter<Entry<D>, u64, fn(&Entry<D>) -> u64>;
+type Merge<const D: usize> = extsort::MergeIter<Entry<D>, fn(&Entry<D>) -> u64>;
 
 /// The tail of the pipeline: cut the merged stream at fixed ranks into
 /// whole-leaf slabs, tile each slab ([`order_slab`]) and write its leaves

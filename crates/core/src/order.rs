@@ -36,40 +36,39 @@ pub trait PackingOrder<const D: usize> {
     }
 }
 
-/// An `f64` ordered by [`geom::total_cmp_f64`], so it can be a sort key.
-#[derive(Clone, Copy)]
-struct CenterKey(f64);
-
-impl PartialEq for CenterKey {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other).is_eq()
-    }
-}
-impl Eq for CenterKey {}
-impl PartialOrd for CenterKey {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for CenterKey {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        geom::total_cmp_f64(self.0, other.0)
-    }
-}
-
-/// Sort `entries` by center coordinate along `axis`, computing each
-/// center exactly once.
+/// The `u64` sort key of `rect`'s center along `axis`. Adding `0.0`
+/// folds `-0.0` into `+0.0` (the comparator holds them equal), so keys
+/// order every non-NaN center exactly as [`Rect::cmp_center`] does.
 ///
-/// Every packing sort in this crate compares rectangles with
-/// [`Rect::cmp_center`]; a comparison sort evaluates that ~`n log n`
-/// times, recomputing the midpoint each call. `sort_by_cached_key`
-/// extracts the key once per entry, sorts compact `(key, index)` pairs
-/// (16 bytes instead of the 40-byte entries), and applies the final
-/// permutation in place — the same cached-key trick [`crate::hs`] uses
-/// for its 128-bit Hilbert keys. The sort is stable, so the result is
-/// bit-identical to the previous `sort_by(cmp_center)`.
+/// A NaN center — `Rect::try_new` accepts a `−∞` corner, whose midpoint
+/// is `−∞ + ∞` — has no place in that order; its key sorts after every
+/// other, so packing such a rectangle neither panics nor depends on the
+/// sort algorithm.
+#[inline]
+pub(crate) fn center_key<const D: usize>(rect: &Rect<D>, axis: usize) -> u64 {
+    let center = rect.center_coord(axis);
+    if center.is_nan() {
+        return u64::MAX;
+    }
+    hilbert::f64_order_key(center + 0.0)
+}
+
+/// Stable sort of `entries` by center coordinate along `axis` — the
+/// order `sort_by(|a, b| a.rect.cmp_center(&b.rect, axis))` gives.
+///
+/// Every STR and NX sort goes through here: each level of in-memory
+/// packing, each slab of the out-of-core pipeline
+/// ([`crate::str_pack::order_slab`]) and each LSM compaction
+/// ([`crate::pack_str_to_flat`]). Each center is computed once, as a
+/// `u64` order key (NaN centers last), and the entries are ordered by
+/// [`extsort::radix_sort_by_key`]: a stable byte-digit radix sort over
+/// `(key, index)` pairs (32 bytes of scratch per entry) followed by one
+/// in-place permutation of the entries. On a 2-vCPU Xeon VM it sorted a
+/// 14k-entry slab in 0.58 ms against 0.91 ms for the `sort_by_cached_key`
+/// it replaced; at 1M entries, whose pair buffers outgrow the L2 cache,
+/// it took 178 ms against 149 ms.
 pub fn sort_by_center<const D: usize>(entries: &mut [Entry<D>], axis: usize) {
-    entries.sort_by_cached_key(|e| CenterKey(e.rect.center_coord(axis)));
+    extsort::radix_sort_by_key(entries, |e| center_key(&e.rect, axis));
 }
 
 /// A [`PackingOrder`] defined by a closure — for experimenting with new
@@ -197,5 +196,100 @@ mod tests {
         let ids: Vec<u64> = entries.iter().map(|e| e.payload).collect();
         assert_eq!(ids, vec![2, 1, 0]);
         assert_eq!(PackingOrder::<2>::name(&reverse), "REV");
+    }
+
+    /// The radix sort behind [`sort_by_center`] against the comparator
+    /// sort it replaced: the same permutation, entry for entry, so ties
+    /// keep their input order. A `−∞` corner makes a NaN center
+    /// (`−∞ + ∞`), which the comparator cannot order (see
+    /// `nan_centers_sort_last_in_input_order`), so infinite centers come
+    /// from `[x, +∞]` rectangles.
+    #[test]
+    fn sort_by_center_matches_comparator_oracle() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        const SPECIALS: [f64; 13] = [
+            -0.0,
+            0.0,
+            5e-324,
+            -5e-324,
+            f64::MIN_POSITIVE / 3.0,
+            -f64::MIN_POSITIVE / 3.0,
+            f64::MIN_POSITIVE,
+            -1e300,
+            -2.5,
+            -1.0,
+            1.0,
+            f64::MAX,
+            -f64::MAX,
+        ];
+        /// One axis of a rectangle, `(lo, hi)`, drawn from `shape`.
+        fn corner(shape: &str, rng: &mut StdRng) -> (f64, f64) {
+            match shape {
+                "all equal" => (0.25, 0.75),
+                "heavy ties" => {
+                    let v = rng.gen_range(-3i32..4) as f64 / 2.0;
+                    (v, v + 1.0)
+                }
+                "negative" => {
+                    let lo: f64 = rng.gen_range(-1e6..0.0);
+                    (lo, lo + rng.gen_range(0.0..10.0))
+                }
+                _ => match rng.gen_range(0..SPECIALS.len() + 3) {
+                    i if i < SPECIALS.len() => (SPECIALS[i], SPECIALS[i]),
+                    i if i == SPECIALS.len() => (rng.gen_range(-1.0..1.0), f64::INFINITY),
+                    i if i == SPECIALS.len() + 1 => (-0.0, 0.0),
+                    _ => (0.0, -0.0),
+                },
+            }
+        }
+        let mut rng = StdRng::seed_from_u64(19);
+        for n in [0usize, 1, 2, 255, 256, 257, 100_000] {
+            for shape in ["all equal", "heavy ties", "specials", "negative"] {
+                let entries: Vec<Entry<2>> = (0..n as u64)
+                    .map(|id| {
+                        let (x0, x1) = corner(shape, &mut rng);
+                        let (y0, y1) = corner(shape, &mut rng);
+                        Entry::data(Rect::new([x0, y0], [x1, y1]), id)
+                    })
+                    .collect();
+                for axis in 0..2 {
+                    let mut expect = entries.clone();
+                    expect.sort_by(|a, b| a.rect.cmp_center(&b.rect, axis));
+                    let mut got = entries.clone();
+                    sort_by_center(&mut got, axis);
+                    assert!(
+                        got.iter()
+                            .map(|e| e.payload)
+                            .eq(expect.iter().map(|e| e.payload)),
+                        "{shape}: n={n} axis={axis}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Entries whose center is NaN sort after all others, in input order,
+    /// and every other entry keeps its comparator position.
+    #[test]
+    fn nan_centers_sort_last_in_input_order() {
+        let nan = Rect::new([f64::NEG_INFINITY, 0.0], [0.0, 0.0]);
+        let mut entries: Vec<Entry<2>> = (0..600u64)
+            .map(|id| match id % 3 {
+                0 => Entry::data(nan, id),
+                _ => {
+                    let x = (id * 7919 % 600) as f64 - 300.0;
+                    Entry::data(Rect::new([x, 0.0], [x, 0.0]), id)
+                }
+            })
+            .collect();
+        let (mut expect, nans): (Vec<Entry<2>>, Vec<Entry<2>>) =
+            entries.iter().partition(|e| e.payload % 3 != 0);
+        expect.sort_by(|a, b| a.rect.cmp_center(&b.rect, 0));
+        expect.extend(nans);
+        sort_by_center(&mut entries, 0);
+        assert!(entries
+            .iter()
+            .map(|e| e.payload)
+            .eq(expect.iter().map(|e| e.payload)));
     }
 }

@@ -7,7 +7,9 @@
 //!   they land in the leaf-range writes of the slab packers and in the
 //!   stitch of the upper levels. Every injected failure must surface as
 //!   a clean `Err` from the pipeline — no panic, no hang, no
-//!   half-registered tree — at thread count 1 and 4 alike.
+//!   half-registered tree — at thread count 1 and 4 alike. Bit flips in
+//!   scratch reads must fail the spill page's seal, not build a wrong
+//!   tree.
 //! * **Differential property test** — for random (n, capacity, budget,
 //!   threads) configurations, the external build at one thread and at
 //!   several must each write the same disk image, page by page and
@@ -213,6 +215,64 @@ fn fault_sweep_every_phase_fails_clean_or_succeeds_valid() {
         &[FaultOp::Write, FaultOp::Read],
         (0..80).step_by(7),
     );
+}
+
+/// Flip bits in scratch pages as the merge reads them: in record bytes
+/// (every byte of the first record — coordinates, low mantissa bits, the
+/// id — and records further in), in the unused tail and in the seal.
+/// The merge reads every scratch page once — 47 at one thread (23 runs
+/// of two pages and one of one), 94 at four — so a flip on read 0, 5 or
+/// 30 lands in the stream and must fail the build with a clean `Sort`
+/// error, whatever byte it hits. A flip on read 1000 lies past the stream and must leave
+/// the tree equal to the in-memory build, ids included.
+#[test]
+fn bit_flip_sweep_over_scratch_reads_fails_clean_or_succeeds_valid() {
+    let n = 3_000;
+    let reference = StrPacker::new()
+        .pack(pool(), uniform_items(n, 42), NodeCapacity::new(16).unwrap())
+        .unwrap();
+    let expected_entries = reference.all_entries().unwrap();
+    // 40-byte 2-D entries: 102 per 4096-byte page, bytes 4080..4088
+    // unused, 4088..4096 the seal.
+    let offsets = (0..40).chain([31, 1_000, 2_047, 4_079, 4_080, 4_087, 4_088, 4_095]);
+    for threads in [1usize, 4] {
+        for offset in offsets.clone() {
+            for mask in [0x01u8, 0x3f] {
+                for at in [0u64, 5, 30, 1_000] {
+                    let result = build_with_faults(
+                        Device::Scratch,
+                        threads,
+                        n,
+                        &[FaultSpec {
+                            op: FaultOp::Read,
+                            kind: FaultKind::BitFlip { offset, mask },
+                            trigger: Trigger::OnceAt(at),
+                        }],
+                    );
+                    let case = format!("threads={threads} flip {mask:#x}@{offset} read {at}");
+                    match result {
+                        Ok(tree) => {
+                            assert_eq!(at, 1_000, "{case}: a flipped read built a tree");
+                            tree.validate(false).unwrap();
+                            assert_eq!(tree.height(), reference.height(), "{case}");
+                            for level in 0..reference.height() {
+                                assert_eq!(
+                                    tree.level_mbrs(level).unwrap(),
+                                    reference.level_mbrs(level).unwrap(),
+                                    "{case}: level {level}"
+                                );
+                            }
+                            assert_eq!(tree.all_entries().unwrap(), expected_entries, "{case}");
+                        }
+                        Err(e) => {
+                            assert_ne!(at, 1_000, "{case}: a flip past the stream failed");
+                            assert!(matches!(e, ExternalPackError::Sort(_)), "{case}: {e}");
+                        }
+                    }
+                }
+            }
+        }
+    }
 }
 
 /// 3000 entries at capacity 16 write 188 leaves and 13 upper-level

@@ -20,7 +20,19 @@
 //! count.
 //!
 //! Records are fixed-size ([`FixedRecord`]); R-tree [`rtree::Entry`]
-//! values implement it. Sorting is by a caller-supplied key extractor.
+//! values implement it. Sorting is by a caller-supplied `u64` key
+//! extractor, and each batch is sorted with [`radix_sort_by_key`], the
+//! stable radix sort STR's in-memory tiling uses too. Every spill page
+//! is sealed with [`storage::wide_hash`] in its last 8 bytes; the merge
+//! checks each seal and decodes records with validation, so a damaged
+//! scratch page fails the sort with [`SortError::Corrupt`].
+//!
+//! The merge cursors read their runs a chunk of 8 consecutive pages at a
+//! time. With sorter threads, a pool of as many reader threads fetches
+//! each cursor's next chunk into the buffer its previous chunk was
+//! merged from, so the merge allocates nothing per page. Every page is
+//! still one [`Disk::read_page`]; page counts do not depend on the
+//! chunking.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -39,14 +51,16 @@
 
 mod merge;
 mod parallel;
+mod radix;
 mod run;
 
 use std::sync::Arc;
 
 use obs::{LazyCounter, LazyGauge, LazyHistogram};
-use storage::Disk;
+use storage::{Disk, PageId};
 
 pub use merge::MergeIter;
+pub use radix::radix_sort_by_key;
 
 use parallel::RunFormerPool;
 use run::{Prefetcher, Run, RunReader};
@@ -61,14 +75,16 @@ pub(crate) static RUN_SORT_NS: LazyHistogram = LazyHistogram::new("extsort.run_s
 
 /// A record with a fixed on-disk size.
 pub trait FixedRecord: Copy {
-    /// Encoded size in bytes. Must be > 0 and no larger than a page.
+    /// Encoded size in bytes. Must be > 0 and leave 8 bytes of a page
+    /// free for the page's seal.
     const SIZE: usize;
 
     /// Encode into `out` (`out.len() == SIZE`).
     fn encode(&self, out: &mut [u8]);
 
-    /// Decode from `buf` (`buf.len() == SIZE`).
-    fn decode(buf: &[u8]) -> Self;
+    /// Decode from `buf` (`buf.len() == SIZE`); `None` if the bytes are
+    /// not a valid record.
+    fn decode(buf: &[u8]) -> Option<Self>;
 }
 
 impl FixedRecord for u64 {
@@ -78,8 +94,8 @@ impl FixedRecord for u64 {
         out.copy_from_slice(&self.to_le_bytes());
     }
 
-    fn decode(buf: &[u8]) -> Self {
-        u64::from_le_bytes(buf.try_into().expect("8 bytes"))
+    fn decode(buf: &[u8]) -> Option<Self> {
+        Some(u64::from_le_bytes(buf.try_into().ok()?))
     }
 }
 
@@ -99,23 +115,20 @@ impl<const D: usize> FixedRecord for rtree::Entry<D> {
         out[off..off + 8].copy_from_slice(&self.payload.to_le_bytes());
     }
 
-    fn decode(buf: &[u8]) -> Self {
-        let mut off = 0;
+    fn decode(buf: &[u8]) -> Option<Self> {
+        let mut words = buf
+            .chunks_exact(8)
+            .map(|w| u64::from_le_bytes(w.try_into().expect("8 bytes")));
         let mut min = [0.0f64; D];
         let mut max = [0.0f64; D];
-        for m in min.iter_mut() {
-            *m = f64::from_le_bytes(buf[off..off + 8].try_into().expect("8 bytes"));
-            off += 8;
+        for m in min.iter_mut().chain(max.iter_mut()) {
+            *m = f64::from_bits(words.next()?);
         }
-        for m in max.iter_mut() {
-            *m = f64::from_le_bytes(buf[off..off + 8].try_into().expect("8 bytes"));
-            off += 8;
-        }
-        let payload = u64::from_le_bytes(buf[off..off + 8].try_into().expect("8 bytes"));
-        rtree::Entry {
-            rect: geom::Rect::new(min, max),
+        let payload = words.next()?;
+        Some(rtree::Entry {
+            rect: geom::Rect::try_new(min, max).ok()?,
             payload,
-        }
+        })
     }
 }
 
@@ -124,12 +137,22 @@ impl<const D: usize> FixedRecord for rtree::Entry<D> {
 pub enum SortError {
     /// Scratch-disk failure.
     Storage(storage::StorageError),
+    /// A spill page read back differently from how it was written.
+    Corrupt {
+        /// The scratch page that failed its check.
+        page: PageId,
+        /// What was wrong with it.
+        reason: &'static str,
+    },
 }
 
 impl std::fmt::Display for SortError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             SortError::Storage(e) => write!(f, "scratch disk: {e}"),
+            SortError::Corrupt { page, reason } => {
+                write!(f, "corrupt scratch page p{}: {reason}", page.0)
+            }
         }
     }
 }
@@ -145,13 +168,14 @@ impl From<storage::StorageError> for SortError {
 /// Result alias.
 pub type Result<T> = std::result::Result<T, SortError>;
 
-/// External merge sorter: push records, then iterate them in key order.
+/// External merge sorter: push records, then iterate them in order of
+/// the `u64` key `key` gives each.
 ///
 /// `budget` is the total number of records buffered in memory across all
 /// sorter threads — the paper-era analogue of the sort buffer. The merge
-/// phase streams every run through a page-sized buffer each (plus a
-/// bounded read-ahead window in multi-threaded mode).
-pub struct ExternalSorter<T: FixedRecord, K: Ord, F: Fn(&T) -> K> {
+/// phase streams every run through one chunk buffer each (two with the
+/// multi-threaded read-ahead).
+pub struct ExternalSorter<T: FixedRecord, F: Fn(&T) -> u64> {
     scratch: Arc<dyn Disk>,
     key: F,
     threads: usize,
@@ -163,16 +187,17 @@ pub struct ExternalSorter<T: FixedRecord, K: Ord, F: Fn(&T) -> K> {
     pool: Option<RunFormerPool<T>>,
 }
 
-impl<T: FixedRecord, K: Ord, F: Fn(&T) -> K> ExternalSorter<T, K, F> {
+impl<T: FixedRecord, F: Fn(&T) -> u64> ExternalSorter<T, F> {
     /// Create a single-threaded sorter with an in-memory `budget`
     /// (records per run) and a key extractor.
     ///
     /// # Panics
-    /// Panics if `budget == 0` or `T::SIZE` exceeds the page size.
+    /// Panics if `budget == 0` or a record and the page seal do not fit
+    /// a page.
     pub fn new(scratch: Arc<dyn Disk>, budget: usize, key: F) -> Self {
         assert!(budget > 0, "sort budget must be positive");
         assert!(
-            T::SIZE > 0 && T::SIZE <= scratch.page_size(),
+            T::SIZE > 0 && T::SIZE + run::SEAL <= scratch.page_size(),
             "record size must fit a page"
         );
         Self {
@@ -225,7 +250,7 @@ impl<T: FixedRecord, K: Ord, F: Fn(&T) -> K> ExternalSorter<T, K, F> {
         } else {
             let mut batch = batch;
             let _span = RUN_SORT_NS.start();
-            batch.sort_by_key(&self.key);
+            radix_sort_by_key(&mut batch, &self.key);
             drop(_span);
             self.runs
                 .push(run::spill_run(self.scratch.as_ref(), &batch)?);
@@ -236,7 +261,7 @@ impl<T: FixedRecord, K: Ord, F: Fn(&T) -> K> ExternalSorter<T, K, F> {
     /// Finish pushing and return a streaming merge iterator over all
     /// records in key order. Key ties preserve batch arrival order, so
     /// the sort is stable and its output independent of thread count.
-    pub fn finish(mut self) -> Result<MergeIter<T, K, F>> {
+    pub fn finish(mut self) -> Result<MergeIter<T, F>> {
         self.dispatch_current()?;
         let mut runs = std::mem::take(&mut self.runs);
         if let Some(pool) = self.pool.take() {
@@ -262,11 +287,10 @@ impl<T: FixedRecord, K: Ord, F: Fn(&T) -> K> ExternalSorter<T, K, F> {
     }
 }
 
-impl<T, K, F> ExternalSorter<T, K, F>
+impl<T, F> ExternalSorter<T, F>
 where
     T: FixedRecord + Send + 'static,
-    K: Ord,
-    F: Fn(&T) -> K + Clone + Send + 'static,
+    F: Fn(&T) -> u64 + Clone + Send + 'static,
 {
     /// Create a sorter whose run formation runs on `threads` worker
     /// threads sharing the `budget` (each batch is `budget / threads`
@@ -277,7 +301,8 @@ where
     /// merged with ties broken by batch ordinal.
     ///
     /// # Panics
-    /// Panics if `budget == 0` or `T::SIZE` exceeds the page size.
+    /// Panics if `budget == 0` or a record and the page seal do not fit
+    /// a page.
     ///
     /// [`new`]: ExternalSorter::new
     pub fn with_threads(scratch: Arc<dyn Disk>, budget: usize, threads: usize, key: F) -> Self {
@@ -390,14 +415,15 @@ mod tests {
         // once. (The in-memory single-run case short-circuits neither —
         // we still spill, keeping the accounting uniform.)
         let scratch = Arc::new(MemDisk::new(256));
-        let mut sorter = ExternalSorter::new(scratch.clone() as Arc<dyn Disk>, 64, |v: &u64| *v);
-        for i in 0..1024u64 {
+        let mut sorter = ExternalSorter::new(scratch.clone() as Arc<dyn Disk>, 62, |v: &u64| *v);
+        for i in 0..992u64 {
             sorter.push(i ^ 0x2A).unwrap();
         }
         let _ = sorter.finish().unwrap().count();
         let stats = scratch.stats();
         assert_eq!(stats.writes(), stats.reads(), "one read per written page");
-        // 256-byte pages hold 32 u64s; 1024 records = 32 pages.
+        // 256-byte pages hold 31 u64s beside the 8-byte seal; 992
+        // records = 32 pages.
         assert_eq!(stats.writes(), 32);
     }
 
@@ -431,12 +457,12 @@ mod tests {
     /// each page exactly once).
     #[test]
     fn parallel_scratch_io_is_two_passes() {
-        // budget 256 / 4 threads = 64-record batches = exactly 2 pages
+        // budget 248 / 4 threads = 62-record batches = exactly 2 pages
         // per run, so page counts match the sequential test's shape.
         let scratch = Arc::new(MemDisk::new(256));
         let mut sorter =
-            ExternalSorter::with_threads(scratch.clone() as Arc<dyn Disk>, 256, 4, |v: &u64| *v);
-        for i in 0..1024u64 {
+            ExternalSorter::with_threads(scratch.clone() as Arc<dyn Disk>, 248, 4, |v: &u64| *v);
+        for i in 0..992u64 {
             sorter.push(i ^ 0x2A).unwrap();
         }
         let sorted: Vec<u64> = sorter.finish().unwrap().map(|r| r.unwrap()).collect();
@@ -473,6 +499,121 @@ mod tests {
                 .zip(&seq)
                 .all(|(a, b)| a.payload == b.payload && a.rect == b.rect);
             assert!(same, "threads={threads} diverged from sequential");
+        }
+    }
+
+    /// u64 records per 256-byte page: the page less its 8-byte seal.
+    const PER_PAGE_256: u64 = 31;
+
+    /// Sort `runs` runs of `run_pages` pages each through 256-byte pages
+    /// at `threads` threads. Run `r` holds the values `≡ r (mod runs)`,
+    /// so the merge interleaves every run. Returns the merged stream,
+    /// or the one error `finish` gave.
+    fn interleaved_sort(
+        scratch: Arc<dyn Disk>,
+        runs: u64,
+        run_pages: u64,
+        threads: usize,
+    ) -> Vec<Result<u64>> {
+        let batch = run_pages * PER_PAGE_256;
+        let mut sorter = ExternalSorter::with_threads(
+            scratch,
+            (batch as usize) * threads,
+            threads,
+            |v: &u64| *v,
+        );
+        for r in 0..runs {
+            for i in (0..batch).rev() {
+                sorter.push(i * runs + r).unwrap();
+            }
+        }
+        match sorter.finish() {
+            Ok(merge) => merge.collect(),
+            Err(e) => vec![Err(e)],
+        }
+    }
+
+    /// Runs of 1, chunk−1, chunk and chunk+1 pages, with more runs than
+    /// read-ahead threads and inline: the output is sorted and complete,
+    /// and every spilled page is read exactly once.
+    #[test]
+    fn chunked_read_ahead_reads_every_page_once() {
+        let chunk = run::CHUNK_PAGES;
+        for run_pages in [1, chunk - 1, chunk, chunk + 1, 3 * chunk + 2] {
+            for threads in [1usize, 2] {
+                let runs = 5;
+                let scratch = Arc::new(MemDisk::new(256));
+                let got: Vec<u64> = interleaved_sort(scratch.clone(), runs, run_pages, threads)
+                    .into_iter()
+                    .map(|r| r.unwrap())
+                    .collect();
+                let expect: Vec<u64> = (0..runs * run_pages * PER_PAGE_256).collect();
+                assert_eq!(got, expect, "run_pages={run_pages} threads={threads}");
+                let stats = scratch.stats();
+                assert_eq!(stats.writes(), runs * run_pages, "run_pages={run_pages}");
+                assert_eq!(stats.reads(), stats.writes(), "run_pages={run_pages}");
+            }
+        }
+    }
+
+    /// A read error on any page of any chunk — first, middle, last —
+    /// surfaces as `Err`, and nothing from that page or a later one of
+    /// its run comes out before it.
+    #[test]
+    fn read_error_on_any_chunk_page_is_clean() {
+        let (runs, run_pages) = (3u64, 2 * run::CHUNK_PAGES + 1);
+        for threads in [1usize, 2] {
+            for page in 0..runs * run_pages {
+                let mem = Arc::new(MemDisk::new(256));
+                let faulty = Arc::new(storage::FaultDisk::new(mem.clone()));
+                faulty.push(storage::FaultSpec {
+                    op: storage::FaultOp::Read,
+                    kind: storage::FaultKind::Error,
+                    trigger: storage::Trigger::PageRange { lo: page, hi: page },
+                });
+                let out = interleaved_sort(faulty, runs, run_pages, threads);
+                let case = format!("threads={threads} page={page}");
+                let failed_at = out.iter().position(|r| r.is_err()).expect(&case);
+                assert_eq!(failed_at + 1, out.len(), "{case}: records after the error");
+                // The faulted page's first record, read past the fault:
+                // every record merged before the error sorts below it.
+                let mut buf = vec![0u8; 256];
+                mem.read_page(PageId(page), &mut buf).unwrap();
+                let first = u64::decode(&buf[..8]).unwrap();
+                let merged = out[..failed_at].iter().map(|r| *r.as_ref().unwrap());
+                assert!(merged.clone().all(|v| v < first), "{case}");
+                assert!(merged.eq(0..failed_at as u64), "{case}");
+            }
+        }
+    }
+
+    /// A flipped bit anywhere in a spill page — record bytes, unused
+    /// tail, seal — fails the merge with `Corrupt` naming the page.
+    #[test]
+    fn corrupt_spill_page_fails_its_seal() {
+        for offset in [0usize, 7, 100, 247, 248, 255] {
+            let mem = Arc::new(MemDisk::new(256));
+            let faulty = Arc::new(storage::FaultDisk::new(mem.clone()));
+            faulty.push(storage::FaultSpec {
+                op: storage::FaultOp::Read,
+                kind: storage::FaultKind::BitFlip { offset, mask: 0x10 },
+                trigger: storage::Trigger::PageRange { lo: 4, hi: 4 },
+            });
+            let out = interleaved_sort(faulty, 2, 3, 1);
+            let err = out
+                .into_iter()
+                .find_map(|r| r.err())
+                .expect("flip detected");
+            assert!(
+                matches!(
+                    err,
+                    SortError::Corrupt {
+                        page: PageId(4),
+                        ..
+                    }
+                ),
+                "offset={offset}: {err}"
+            );
         }
     }
 }

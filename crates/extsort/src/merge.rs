@@ -85,16 +85,16 @@ fn beats<K: Ord, T>(items: &[Option<(K, T)>], a: usize, b: usize) -> bool {
 }
 
 /// Streaming k-way merge over the sorted runs.
-pub struct MergeIter<T: FixedRecord, K: Ord, F: Fn(&T) -> K> {
+pub struct MergeIter<T: FixedRecord, F: Fn(&T) -> u64> {
     readers: Vec<RunReader<T>>,
-    items: Vec<Option<(K, T)>>,
+    items: Vec<Option<(u64, T)>>,
     tree: LoserTree,
     key: F,
     // Owns the read-ahead pool; dropping the iterator stops its threads.
     _prefetcher: Option<Arc<Prefetcher>>,
 }
 
-impl<T: FixedRecord, K: Ord, F: Fn(&T) -> K> MergeIter<T, K, F> {
+impl<T: FixedRecord, F: Fn(&T) -> u64> MergeIter<T, F> {
     pub(crate) fn new(
         mut readers: Vec<RunReader<T>>,
         key: F,
@@ -115,7 +115,7 @@ impl<T: FixedRecord, K: Ord, F: Fn(&T) -> K> MergeIter<T, K, F> {
     }
 }
 
-impl<T: FixedRecord, K: Ord, F: Fn(&T) -> K> Iterator for MergeIter<T, K, F> {
+impl<T: FixedRecord, F: Fn(&T) -> u64> Iterator for MergeIter<T, F> {
     type Item = Result<T>;
 
     fn next(&mut self) -> Option<Self::Item> {

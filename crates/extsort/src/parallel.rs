@@ -1,6 +1,7 @@
 //! Parallel run formation: a pool of sorter threads that take batches in
-//! arrival order, sort each with the caller's key, and spill them as
-//! independent runs under one shared memory budget.
+//! arrival order, sort each on the caller's `u64` key
+//! ([`crate::radix_sort_by_key`]), and spill them as independent runs
+//! under one shared memory budget.
 //!
 //! The pusher cuts the input into batches of `budget / threads` records
 //! and hands batch *b* to whichever worker is free; the spilled run keeps
@@ -10,7 +11,8 @@
 //!
 //! Memory: the pusher owns one batch being filled and the rendezvous
 //! hand-off means each worker owns at most one batch being sorted, so
-//! peak buffered records ≤ budget + one batch.
+//! peak buffered records ≤ budget + one batch. A batch being sorted
+//! also holds 32 bytes of radix scratch per record.
 
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Mutex};
@@ -35,10 +37,9 @@ pub(crate) struct RunFormerPool<T> {
 }
 
 impl<T: FixedRecord + Send + 'static> RunFormerPool<T> {
-    pub(crate) fn new<K, F>(scratch: Arc<dyn Disk>, threads: usize, key: F) -> Self
+    pub(crate) fn new<F>(scratch: Arc<dyn Disk>, threads: usize, key: F) -> Self
     where
-        K: Ord,
-        F: Fn(&T) -> K + Clone + Send + 'static,
+        F: Fn(&T) -> u64 + Clone + Send + 'static,
     {
         // Rendezvous channel: a send completes only when a worker takes
         // the batch, bounding buffered batches to one per worker.
@@ -121,7 +122,7 @@ impl<T> Drop for RunFormerPool<T> {
 /// A numbered batch travelling from the pusher to a sort worker.
 type Job<T> = (usize, Vec<T>);
 
-fn worker<T, K, F>(
+fn worker<T, F>(
     rx: Arc<Mutex<Receiver<Job<T>>>>,
     scratch: Arc<dyn Disk>,
     shared: Arc<Shared>,
@@ -129,8 +130,7 @@ fn worker<T, K, F>(
     ctx: obs::trace::TraceContext,
 ) where
     T: FixedRecord,
-    K: Ord,
-    F: Fn(&T) -> K,
+    F: Fn(&T) -> u64,
 {
     let _attached = ctx.attach();
     loop {
@@ -149,7 +149,7 @@ fn worker<T, K, F>(
         // then a real "extsort.run" span in the build's trace.
         let _tspan = tracing::debug_span!("extsort.run").entered();
         let _span = crate::RUN_SORT_NS.start();
-        batch.sort_by_key(&key);
+        crate::radix_sort_by_key(&mut batch, &key);
         drop(_span);
         match spill_run(scratch.as_ref(), &batch) {
             Ok(run) => shared.runs.lock().unwrap().push((ordinal, run)),

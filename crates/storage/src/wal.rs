@@ -1168,7 +1168,7 @@ mod tests {
     fn start_segment_cuts_the_log_for_recycling() {
         let store = MemLogStore::new();
         let wal = Wal::create(store.clone(), 1, WalOptions::default()).unwrap();
-        let mut commit = |i: u8| {
+        let commit = |i: u8| {
             let im = img(i, 64);
             let t = wal.append_tx(&[(PageId(2 + i as u64), &im)], &[]).unwrap();
             wal.tx_applied(t.lsn);
