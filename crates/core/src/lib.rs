@@ -156,6 +156,36 @@ mod tests {
     }
 
     #[test]
+    fn every_packer_takes_an_infinite_corner() {
+        // `[−∞, 0] × [0, 1]` passes `Rect::try_new`; its center must
+        // sort like any other, not panic as a NaN coordinate.
+        let mut items = uniform_points(10, 5);
+        items.push((Rect::new([f64::NEG_INFINITY, 0.0], [0.0, 1.0]), 10));
+        let cap = NodeCapacity::new(4).unwrap();
+        let packers: [&dyn PackingOrder<2>; 4] = [
+            &StrPacker::new(),
+            &HilbertPacker::new(),
+            &NearestXPacker::new(),
+            &TgsPacker::new(),
+        ];
+        for packer in packers {
+            let tree = pack(fresh_pool(), items.clone(), cap, packer).unwrap();
+            tree.validate(false).unwrap();
+            assert_eq!(tree.len(), 11, "{}", packer.name());
+        }
+        let external = pack_str_external(
+            fresh_pool(),
+            Arc::new(MemDisk::default_size()),
+            items,
+            cap,
+            1024,
+        )
+        .unwrap();
+        external.validate(false).unwrap();
+        assert_eq!(external.len(), 11);
+    }
+
+    #[test]
     fn cached_key_sorts_leave_table4_metrics_unchanged() {
         // NX and STR now sort on cached center keys (sort_by_center)
         // instead of recomputing the midpoint in every comparison. The

@@ -38,19 +38,11 @@ pub trait PackingOrder<const D: usize> {
 
 /// The `u64` sort key of `rect`'s center along `axis`. Adding `0.0`
 /// folds `-0.0` into `+0.0` (the comparator holds them equal), so keys
-/// order every non-NaN center exactly as [`Rect::cmp_center`] does.
-///
-/// A NaN center — `Rect::try_new` accepts a `−∞` corner, whose midpoint
-/// is `−∞ + ∞` — has no place in that order; its key sorts after every
-/// other, so packing such a rectangle neither panics nor depends on the
-/// sort algorithm.
+/// order every center exactly as [`Rect::cmp_center`] does; a center is
+/// never NaN, infinite corners included.
 #[inline]
 pub(crate) fn center_key<const D: usize>(rect: &Rect<D>, axis: usize) -> u64 {
-    let center = rect.center_coord(axis);
-    if center.is_nan() {
-        return u64::MAX;
-    }
-    hilbert::f64_order_key(center + 0.0)
+    hilbert::f64_order_key(rect.center_coord(axis) + 0.0)
 }
 
 /// Stable sort of `entries` by center coordinate along `axis` — the
@@ -60,7 +52,7 @@ pub(crate) fn center_key<const D: usize>(rect: &Rect<D>, axis: usize) -> u64 {
 /// packing, each slab of the out-of-core pipeline
 /// ([`crate::str_pack::order_slab`]) and each LSM compaction
 /// ([`crate::pack_str_to_flat`]). Each center is computed once, as a
-/// `u64` order key (NaN centers last), and the entries are ordered by
+/// `u64` order key, and the entries are ordered by
 /// [`extsort::radix_sort_by_key`]: a stable byte-digit radix sort over
 /// `(key, index)` pairs (32 bytes of scratch per entry) followed by one
 /// in-place permutation of the entries. On a 2-vCPU Xeon VM it sorted a
@@ -200,10 +192,9 @@ mod tests {
 
     /// The radix sort behind [`sort_by_center`] against the comparator
     /// sort it replaced: the same permutation, entry for entry, so ties
-    /// keep their input order. A `−∞` corner makes a NaN center
-    /// (`−∞ + ∞`), which the comparator cannot order (see
-    /// `nan_centers_sort_last_in_input_order`), so infinite centers come
-    /// from `[x, +∞]` rectangles.
+    /// keep their input order. Infinite centers come from `[x, +∞]`
+    /// rectangles here; `infinite_corners_sort_like_the_comparator`
+    /// covers `−∞` corners.
     #[test]
     fn sort_by_center_matches_comparator_oracle() {
         use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -268,28 +259,37 @@ mod tests {
         }
     }
 
-    /// Entries whose center is NaN sort after all others, in input order,
-    /// and every other entry keeps its comparator position.
+    /// Rectangles with infinite corners, or spans that overflow, have a
+    /// center like any other (`[−∞, 0]` centers at −∞, `[−∞, +∞]` and
+    /// `[−f64::MAX, f64::MAX]` at 0), so they sort in comparator order.
     #[test]
-    fn nan_centers_sort_last_in_input_order() {
-        let nan = Rect::new([f64::NEG_INFINITY, 0.0], [0.0, 0.0]);
+    fn infinite_corners_sort_like_the_comparator() {
+        let (inf, max) = (f64::INFINITY, f64::MAX);
+        let odd = [
+            (-inf, 0.0),
+            (-inf, inf),
+            (-max, max),
+            (0.0, inf),
+            (-inf, -inf),
+        ];
         let mut entries: Vec<Entry<2>> = (0..600u64)
-            .map(|id| match id % 3 {
-                0 => Entry::data(nan, id),
-                _ => {
+            .map(|id| {
+                let (lo, hi) = if id % 3 == 0 {
+                    odd[(id / 3) as usize % odd.len()]
+                } else {
                     let x = (id * 7919 % 600) as f64 - 300.0;
-                    Entry::data(Rect::new([x, 0.0], [x, 0.0]), id)
-                }
+                    (x, x)
+                };
+                Entry::data(Rect::new([lo, 0.0], [hi, 0.0]), id)
             })
             .collect();
-        let (mut expect, nans): (Vec<Entry<2>>, Vec<Entry<2>>) =
-            entries.iter().partition(|e| e.payload % 3 != 0);
+        let mut expect = entries.clone();
         expect.sort_by(|a, b| a.rect.cmp_center(&b.rect, 0));
-        expect.extend(nans);
         sort_by_center(&mut entries, 0);
         assert!(entries
             .iter()
             .map(|e| e.payload)
             .eq(expect.iter().map(|e| e.payload)));
+        assert_eq!(entries[0].rect.lo(0), -inf);
     }
 }

@@ -38,6 +38,16 @@ impl<const D: usize> Rect<D> {
         Self::try_new(min, max).expect("invalid rectangle")
     }
 
+    /// Create a rectangle from corners already known to pass
+    /// [`try_new`](Self::try_new) — read back from a page whose every
+    /// rectangle was validated, say — without checking them again.
+    /// Debug builds still check.
+    #[inline]
+    pub fn from_validated(min: [f64; D], max: [f64; D]) -> Self {
+        debug_assert!(Self::try_new(min, max).is_ok(), "unvalidated rectangle");
+        Self { min, max }
+    }
+
     /// The empty rectangle: identity for [`union`](Self::union), contains
     /// nothing, intersects nothing.
     pub fn empty() -> Self {
@@ -115,17 +125,25 @@ impl<const D: usize> Rect<D> {
 
     /// Center point. The packing algorithms sort by this (§2.2).
     pub fn center(&self) -> Point<D> {
-        let mut c = [0.0; D];
-        for (i, ci) in c.iter_mut().enumerate() {
-            *ci = self.min[i] + (self.max[i] - self.min[i]) / 2.0;
-        }
-        Point::new(c)
+        Point::new(std::array::from_fn(|i| self.center_coord(i)))
     }
 
     /// Center coordinate along one axis, without building the point.
+    ///
+    /// Never NaN for a rectangle [`try_new`](Self::try_new) accepts.
+    /// `min + (max − min) / 2` is used wherever it is finite; it
+    /// overflows to ±∞ for `[−f64::MAX, f64::MAX]` and is NaN with an
+    /// infinite corner, where `min / 2 + max / 2` is used instead (0 for
+    /// `[−∞, +∞]`, whose halves cancel to NaN).
     #[inline]
     pub fn center_coord(&self, axis: usize) -> f64 {
-        self.min[axis] + (self.max[axis] - self.min[axis]) / 2.0
+        let (lo, hi) = (self.min[axis], self.max[axis]);
+        let c = lo + (hi - lo) / 2.0;
+        if c.is_finite() {
+            c
+        } else {
+            unbounded_center(lo, hi)
+        }
     }
 
     /// Area (2-D) / volume (general D): product of extents.
@@ -278,6 +296,20 @@ impl<const D: usize> Rect<D> {
     }
 }
 
+/// [`Rect::center_coord`] where `lo + (hi − lo) / 2` is not finite:
+/// an infinite corner, or a span past `f64::MAX`. Kept out of line so
+/// the sort-key loops inline only the finite case.
+#[cold]
+#[inline(never)]
+fn unbounded_center(lo: f64, hi: f64) -> f64 {
+    let halves = lo / 2.0 + hi / 2.0;
+    if halves.is_nan() {
+        0.0
+    } else {
+        halves
+    }
+}
+
 impl<const D: usize> Default for Rect<D> {
     fn default() -> Self {
         Self::empty()
@@ -375,6 +407,33 @@ mod tests {
         assert_eq!(b.center(), Point::new([2.0, 3.0]));
         assert_eq!(b.center_coord(0), 2.0);
         assert_eq!(b.center_coord(1), 3.0);
+    }
+
+    #[test]
+    fn center_is_never_nan_for_accepted_rects() {
+        let (inf, max) = (f64::INFINITY, f64::MAX);
+        // (lo, hi, center): infinite corners and spans that overflow.
+        let cases = [
+            (-inf, 0.0, -inf),
+            (0.0, inf, inf),
+            (-inf, inf, 0.0),
+            (-inf, -inf, -inf),
+            (inf, inf, inf),
+            (-max, max, 0.0),
+            (max / 2.0, max, 0.75 * max),
+            (-max, -max, -max),
+        ];
+        for (lo, hi, want) in cases {
+            let b = Rect::<1>::try_new([lo], [hi]).unwrap();
+            assert_eq!(b.center_coord(0), want, "[{lo}, {hi}]");
+            assert_eq!(b.center().coord(0), want, "[{lo}, {hi}]");
+        }
+        // Where the plain midpoint is finite it is kept bit for bit.
+        for (lo, hi) in [(0.1, 0.7), (-3.0, 1e300), (-0.0, 0.0), (5.0, 5.0)] {
+            let b = Rect::<1>::new([lo], [hi]);
+            let plain = lo + (hi - lo) / 2.0;
+            assert_eq!(b.center_coord(0).to_bits(), plain.to_bits());
+        }
     }
 
     #[test]

@@ -167,13 +167,10 @@ impl<'a, const D: usize> NodeView<'a, D> {
     /// Whether every entry has `lo <= hi` (so no NaN) on every axis —
     /// exactly when [`Rect::try_new`] accepts every entry.
     fn rects_well_formed(&self) -> bool {
-        let word = |e: &[u8], w: usize| {
-            f64::from_le_bytes(e[w * 8..w * 8 + 8].try_into().expect("8-byte slice"))
-        };
         self.body
             .chunks_exact(entry_size::<D>())
             .fold(true, |ok, e| {
-                (0..D).fold(ok, |ok, a| ok & (word(e, a) <= word(e, D + a)))
+                (0..D).fold(ok, |ok, a| ok & (entry_word(e, a) <= entry_word(e, D + a)))
             })
     }
 
@@ -204,8 +201,7 @@ impl<'a, const D: usize> NodeView<'a, D> {
     /// Raw little-endian f64 at entry `i`, word `w` (of `2 * D`).
     #[inline]
     fn coord(&self, i: usize, w: usize) -> f64 {
-        let off = i * entry_size::<D>() + w * 8;
-        f64::from_le_bytes(self.body[off..off + 8].try_into().unwrap())
+        entry_word(&self.body[i * entry_size::<D>()..], w)
     }
 
     /// Rectangle of entry `i`, validated (used by the parse scan).
@@ -282,15 +278,19 @@ impl<'a, const D: usize> NodeView<'a, D> {
         }
     }
 
-    /// Invoke `visit(i)` for every entry whose rectangle intersects
-    /// `query`, through the batch kernel ([`geom::SoaRects`]) the flat
-    /// tier queries with: entries are gathered a block at a time into
-    /// stack structure-of-arrays buffers, then tested 4 per step,
-    /// branch-free per axis (with the explicit SSE2 path on x86-64 for
-    /// `D = 2`). Semantics match testing `rect(i).intersects(query)`
+    /// Invoke `visit(i, rect(i))` for every entry whose rectangle
+    /// intersects `query`, through the batch kernel ([`geom::SoaRects`])
+    /// the flat tier queries with: entries are gathered a block at a
+    /// time into stack structure-of-arrays buffers, then tested 4 per
+    /// step, branch-free per axis (with the explicit SSE2 path on x86-64
+    /// for `D = 2`). Semantics match testing `rect(i).intersects(query)`
     /// entry by entry, in order — the differential tests assert it.
+    ///
+    /// A hit's rectangle is rebuilt from the gathered block, not decoded
+    /// from the page again: [`parse`](Self::parse) has validated every
+    /// entry. A caller that ignores it pays nothing once inlined.
     #[inline]
-    pub fn for_each_intersecting<F: FnMut(usize)>(&self, query: &Rect<D>, visit: &mut F) {
+    pub fn for_each_intersecting<F: FnMut(usize, Rect<D>)>(&self, query: &Rect<D>, visit: &mut F) {
         /// Entries gathered per kernel invocation. Big enough to
         /// amortize the `SoaRects` setup, small enough that the
         /// `2·D·BLOCK` f64 buffers stay comfortably on the stack.
@@ -298,25 +298,37 @@ impl<'a, const D: usize> NodeView<'a, D> {
         let mut mins = [[0.0f64; BLOCK]; D];
         let mut maxs = [[0.0f64; BLOCK]; D];
         let mut base = 0;
-        while base < self.count {
-            let n = BLOCK.min(self.count - base);
+        for block in self.body.chunks(BLOCK * entry_size::<D>()) {
+            let n = block.len() / entry_size::<D>();
             // The gather is the transpose the page layout (AoS) doesn't
             // give us for free; per-axis runs are what the kernel's
             // unaligned vector loads want.
-            for j in 0..n {
+            for (j, e) in block.chunks_exact(entry_size::<D>()).enumerate() {
                 for a in 0..D {
-                    mins[a][j] = self.coord(base + j, a);
-                    maxs[a][j] = self.coord(base + j, D + a);
+                    mins[a][j] = entry_word(e, a);
+                    maxs[a][j] = entry_word(e, D + a);
                 }
             }
             let soa = geom::SoaRects::new(
                 std::array::from_fn(|a| &mins[a][..n]),
                 std::array::from_fn(|a| &maxs[a][..n]),
             );
-            soa.for_each_intersecting(0, n, query, &mut |j| visit(base + j));
+            soa.for_each_intersecting(0, n, query, &mut |j| {
+                let rect = Rect::from_validated(
+                    std::array::from_fn(|a| mins[a][j]),
+                    std::array::from_fn(|a| maxs[a][j]),
+                );
+                visit(base + j, rect)
+            });
             base += n;
         }
     }
+}
+
+/// Little-endian f64 word `w` of an encoded entry.
+#[inline]
+fn entry_word(entry: &[u8], w: usize) -> f64 {
+    f64::from_le_bytes(entry[w * 8..w * 8 + 8].try_into().expect("8-byte slice"))
 }
 
 fn corrupt(page: PageId, reason: &str) -> RTreeError {
@@ -477,7 +489,8 @@ mod tests {
     }
 
     /// The blocked SoA scan must visit exactly the indices the
-    /// per-entry `intersects` scan does, in the same order — at counts
+    /// per-entry `intersects` scan does, in the same order and with the
+    /// same rectangles `rect(i)` decodes — at counts
     /// exercising full blocks, the scalar tail, and both at once.
     #[test]
     fn batch_scan_matches_scalar_scan() {
@@ -518,15 +531,16 @@ mod tests {
                 }
                 let q = Rect::new(qlo, qhi);
                 let mut got = Vec::new();
-                view.for_each_intersecting(&q, &mut |i| got.push(i));
-                let want: Vec<usize> = (0..count)
+                view.for_each_intersecting(&q, &mut |i, r| got.push((i, r)));
+                let want: Vec<(usize, Rect<D>)> = (0..count)
                     .filter(|&i| view.rect(i).intersects(&q))
+                    .map(|i| (i, view.rect(i)))
                     .collect();
                 assert_eq!(got, want, "D={D} count={count}");
             }
             // Empty query hits nothing.
             let mut none = 0;
-            view.for_each_intersecting(&Rect::empty(), &mut |_| none += 1);
+            view.for_each_intersecting(&Rect::empty(), &mut |_, _| none += 1);
             assert_eq!(none, 0);
         }
         check::<2>(101, 1); // a full 4 KiB 2-D page: 3 blocks + tail

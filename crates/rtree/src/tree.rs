@@ -784,11 +784,11 @@ impl<const D: usize> RTree<D> {
                     leaves += u64::from(node.is_leaf());
                 }
                 if node.is_leaf() {
-                    node.for_each_intersecting(query, &mut |i| {
-                        visit(node.rect(i), node.payload(i));
+                    node.for_each_intersecting(query, &mut |i, rect| {
+                        visit(rect, node.payload(i));
                     });
                 } else {
-                    node.for_each_intersecting(query, &mut |i| {
+                    node.for_each_intersecting(query, &mut |i, _| {
                         stack.push(node.child_page(i));
                     });
                 }

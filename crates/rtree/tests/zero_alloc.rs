@@ -1,36 +1,48 @@
-//! Proof that the zero-copy query path stops allocating once warm.
+//! Proof that the zero-copy query path stops allocating once warm, and
+//! that a cold buffer pool's misses allocate nothing either.
 //!
 //! A counting `#[global_allocator]` wraps the system allocator; the
-//! number of heap allocations during a warm region query bounds what the
-//! traversal itself does. The `NodeView` path must stay at a small
+//! number of heap allocations during a region query bounds what the
+//! traversal and the pool do. The `NodeView` path must stay at a small
 //! constant — the reused descent stack — no matter how many nodes the
-//! query touches.
+//! query touches, and a miss must reuse an evicted frame's buffer.
 //!
 //! This lives in its own integration-test binary because a global
-//! allocator is process-wide state no other test should share.
+//! allocator is process-wide state no other test should share. The
+//! count is per thread, so the tests of this binary may run in
+//! parallel: a query runs its pool misses on the calling thread.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 use std::sync::Arc;
 
 use geom::Rect;
 use rtree::{BulkLoader, Entry, NodeCapacity, RTree};
-use storage::{BufferPool, MemDisk};
+use storage::{BufferPool, Disk, MemDisk};
 
 struct Counting;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Const-initialized with no destructor, so reading it inside the
+    // allocator never allocates.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    // `try_with`: a thread being torn down may still free and allocate.
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -38,17 +50,15 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static COUNTER: Counting = Counting;
 
+/// Heap allocations `f` makes on this thread.
 fn allocs_during(f: impl FnOnce()) -> u64 {
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = ALLOCS.with(Cell::get);
     f();
-    ALLOCS.load(Ordering::Relaxed) - before
+    ALLOCS.with(Cell::get) - before
 }
 
-#[test]
-fn warm_zero_copy_query_allocates_no_per_node_buffers() {
-    // Enough entries for a 3-level tree with hundreds of leaves; pool
-    // large enough to hold every page so the measured queries are warm.
-    let pool = Arc::new(BufferPool::new(Arc::new(MemDisk::default_size()), 2048));
+/// A 3-level tree of 50k points (hundreds of leaves) on `pool`.
+fn load_tree(pool: Arc<BufferPool>) -> RTree<2> {
     let entries: Vec<Entry<2>> = (0..50_000)
         .map(|i| {
             let x = ((i * 193) % 49_999) as f64 / 49_999.0;
@@ -56,11 +66,19 @@ fn warm_zero_copy_query_allocates_no_per_node_buffers() {
             Entry::data(Rect::new([x, y], [x, y]), i as u64)
         })
         .collect();
-    let tree: RTree<2> = BulkLoader::new(NodeCapacity::new(100).unwrap())
+    BulkLoader::new(NodeCapacity::new(100).unwrap())
         .load(pool, entries, &mut |es: &mut Vec<Entry<2>>, _| {
             es.sort_by(|a, b| a.rect.cmp_center(&b.rect, 0))
         })
-        .unwrap();
+        .unwrap()
+}
+
+#[test]
+fn warm_zero_copy_query_allocates_no_per_node_buffers() {
+    // Pool large enough to hold every page so the measured queries are
+    // warm.
+    let pool = Arc::new(BufferPool::new(Arc::new(MemDisk::default_size()), 2048));
+    let tree = load_tree(pool);
 
     let q = Rect::new([0.1, 0.1], [0.6, 0.7]); // ~30% of the space
     let mut hits = 0u64;
@@ -95,5 +113,38 @@ fn warm_zero_copy_query_allocates_no_per_node_buffers() {
     assert!(
         streamed <= nodes_visited / 4,
         "iter_region should reuse its match buffer, got {streamed} allocs"
+    );
+}
+
+#[test]
+fn cold_pool_misses_allocate_no_page_buffers() {
+    // Persist, then reopen through a pool far smaller than the tree:
+    // nearly every node visit is a miss that evicts a frame.
+    let disk: Arc<dyn Disk> = Arc::new(MemDisk::default_size());
+    let mut built = load_tree(Arc::new(BufferPool::new(disk.clone(), 2048)));
+    built.persist().unwrap();
+    drop(built);
+    let pool = Arc::new(BufferPool::new(disk, 16));
+    let tree = RTree::<2>::open(pool.clone()).unwrap();
+
+    let q = Rect::new([0.05, 0.05], [0.95, 0.95]); // ~80% of the space
+    let mut hits = 0u64;
+    // The first pass grows the pool to its 16 frames and leaves the
+    // descent stack's code paths warm.
+    tree.query_region_visit(&q, &mut |_, _| hits += 1).unwrap();
+    let expect = hits;
+
+    hits = 0;
+    let before = pool.stats();
+    let cold = allocs_during(|| {
+        tree.query_region_visit(&q, &mut |_, _| hits += 1).unwrap();
+    });
+    let misses = pool.stats().since(&before).misses;
+    assert_eq!(hits, expect);
+    assert!(misses >= 256, "query should miss often, got {misses}");
+    assert!(
+        cold <= 8,
+        "a miss should reuse an evicted frame's buffer, got {cold} allocs \
+         over {misses} misses"
     );
 }

@@ -17,12 +17,17 @@
 //!   the disk into a scratch buffer with no lock held, then installed under
 //!   the lock. The old monolithic pool held its single mutex across
 //!   `Disk::read_page`, serializing every concurrent query on disk latency.
+//!   The scratch buffer is swapped into the frame and the evicted page's
+//!   buffer kept as the next scratch, so a miss allocates nothing once
+//!   the pool is full.
 //! * **Duplicate in-flight misses coalesce.** While a read for page `p` is
 //!   in flight, other threads missing `p` wait on the shard's condvar
 //!   instead of issuing their own read: one disk read per miss, no matter
 //!   how many threads ask. The waiters then count as *hits* — they were
 //!   served from memory — so misses remain exactly the paper's disk
-//!   accesses even under concurrency.
+//!   accesses even under concurrency. The reader that fetched the page
+//!   broadcasts only when a waiter is parked: a broadcast is a syscall
+//!   even with nobody to wake.
 //! * **Frames are readable under a shared borrow.** Each frame's bytes sit
 //!   behind an `RwLock`; [`with_page`](ShardedBufferPool::with_page) takes
 //!   a *read* guard on the frame, drops the shard lock, and runs the
@@ -37,6 +42,7 @@
 //! [`ShardedBufferPool::for_threads`] to get `next_pow2(threads)` shards.
 
 use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -150,6 +156,39 @@ impl ShardStats {
 
 const NIL: usize = usize::MAX;
 
+/// Page buffers a shard keeps for reuse. A miss reads into a spare and
+/// returns the evicted frame's buffer, so one single-threaded miss
+/// stream cycles through a single spare; the rest absorb leaders of
+/// different pages reading concurrently in one shard.
+const SPARE_BUFFERS: usize = 4;
+
+/// Hasher for the shard tables keyed by [`PageId`]: one multiply by
+/// the 64-bit golden-ratio constant (Fibonacci hashing). The default
+/// SipHash costs more than the rest of a map probe, and a miss hashes
+/// its page id about six times. A bijective multiply keeps distinct
+/// ids distinct in the low bits that pick a bucket, and mixes the
+/// high bits that tag it.
+#[derive(Default)]
+struct PageIdHasher(u64);
+
+impl Hasher for PageIdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0 ^ n).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+}
+
+type PageIdBuild = BuildHasherDefault<PageIdHasher>;
+
 struct Frame {
     page: PageId,
     /// Frame bytes behind a reader-writer lock so resident pages can be
@@ -171,15 +210,20 @@ struct Frame {
 struct ShardInner {
     capacity: usize,
     frames: Vec<Frame>,
-    map: HashMap<PageId, usize>,
+    map: HashMap<PageId, usize, PageIdBuild>,
     head: usize,
     tail: usize,
-    free: Vec<usize>,
     /// Pages whose miss read is currently in flight (lock dropped during
     /// the disk read). Threads needing such a page wait on the shard
     /// condvar instead of issuing a duplicate read; only the registering
     /// thread may install the page.
-    inflight: HashSet<PageId>,
+    inflight: HashSet<PageId, PageIdBuild>,
+    /// Threads parked on the shard condvar behind an in-flight read.
+    /// A leader broadcasts only when this is non-zero.
+    waiters: usize,
+    /// Page-sized buffers from evicted frames and failed reads, at most
+    /// [`SPARE_BUFFERS`]; a miss reads into one instead of allocating.
+    spare: Vec<Box<[u8]>>,
 }
 
 impl ShardInner {
@@ -231,17 +275,32 @@ impl ShardInner {
         None
     }
 
-    /// Whether a frame could be produced right now (free slot, headroom
-    /// to grow, or an unpinned victim).
+    /// Whether a frame could be produced right now (headroom to grow,
+    /// or an unpinned victim).
     fn frame_available(&self) -> bool {
-        !self.free.is_empty() || self.frames.len() < self.capacity || self.victim().is_some()
+        self.frames.len() < self.capacity || self.victim().is_some()
+    }
+
+    /// A page buffer for a miss: a spare if one is left (stale bytes),
+    /// else a fresh zeroed allocation.
+    fn page_buffer(&mut self, page_size: usize) -> Box<[u8]> {
+        self.spare
+            .pop()
+            .unwrap_or_else(|| vec![0u8; page_size].into_boxed_slice())
+    }
+
+    /// Keep `buf` as a spare if there is room. The empty buffer of a
+    /// frame that never held a page is not worth keeping.
+    fn recycle(&mut self, buf: Box<[u8]>) {
+        if !buf.is_empty() && self.spare.len() < SPARE_BUFFERS {
+            self.spare.push(buf);
+        }
     }
 }
 
 struct Shard {
     inner: Mutex<ShardInner>,
-    /// Wakes threads waiting for an in-flight read to land or for a
-    /// pinned frame to be released.
+    /// Wakes threads waiting for an in-flight read to land.
     cv: Condvar,
     stats: ShardStats,
 }
@@ -319,11 +378,12 @@ impl ShardedBufferPool {
                 inner: Mutex::new(ShardInner {
                     capacity: Self::shard_capacity(capacity, n, i),
                     frames: Vec::new(),
-                    map: HashMap::new(),
+                    map: HashMap::default(),
                     head: NIL,
                     tail: NIL,
-                    free: Vec::new(),
-                    inflight: HashSet::new(),
+                    inflight: HashSet::default(),
+                    waiters: 0,
+                    spare: Vec::new(),
                 }),
                 cv: Condvar::new(),
                 stats: ShardStats::default(),
@@ -550,7 +610,6 @@ impl ShardedBufferPool {
             inner.map.clear();
             inner.head = NIL;
             inner.tail = NIL;
-            inner.free.clear();
         }
         Ok(())
     }
@@ -696,7 +755,9 @@ impl ShardedBufferPool {
                         wait_start = Some(Instant::now());
                     }
                 }
+                inner.waiters += 1;
                 shard.cv.wait(&mut inner);
+                inner.waiters -= 1;
                 continue;
             }
             if !inner.frame_available() {
@@ -705,25 +766,40 @@ impl ShardedBufferPool {
             if !fetch {
                 // Whole-page overwrite: no disk read, install zeroed.
                 let idx = self.take_frame(shard, &mut inner)?;
-                *inner.frames[idx].data.write() = vec![0u8; self.page_size].into_boxed_slice();
+                let data = Arc::clone(&inner.frames[idx].data);
+                let mut bytes = data.write();
+                if bytes.is_empty() {
+                    *bytes = inner.page_buffer(self.page_size);
+                }
+                bytes.fill(0);
+                drop(bytes);
                 Self::finish_install(shard, &mut inner, idx, id);
                 return Ok((shard, inner, idx));
             }
             // Leader: read the page with NO lock held, then install.
             inner.inflight.insert(id);
+            let mut scratch = inner.page_buffer(self.page_size);
             drop(inner);
-            let mut scratch = vec![0u8; self.page_size];
             let read_res = self.disk.read_page(id, &mut scratch);
             inner = shard.inner.lock();
             let installed = match read_res {
-                Err(e) => Err(e),
+                Err(e) => {
+                    inner.recycle(scratch);
+                    Err(e)
+                }
                 Ok(()) => self.install_fetched(shard, &mut inner, id, scratch),
             };
             // The in-flight marker must clear on every path, and waiters
             // must wake: on success they find the page resident; on
             // failure one of them becomes the next leader and retries.
+            // Waiters count themselves under this lock before parking,
+            // so none can be missed; with none parked the broadcast is
+            // skipped, as std's futex condvar makes a wake syscall on
+            // every call.
             inner.inflight.remove(&id);
-            shard.cv.notify_all();
+            if inner.waiters > 0 {
+                shard.cv.notify_all();
+            }
             let idx = installed?;
             return Ok((shard, inner, idx));
         }
@@ -731,34 +807,39 @@ impl ShardedBufferPool {
 
     /// Install a page read into `scratch`. Runs with the in-flight
     /// marker for `id` held, so no other thread can install the same
-    /// page.
+    /// page. On failure `scratch` goes back to the spares.
     fn install_fetched(
         &self,
         shard: &Shard,
         inner: &mut MutexGuard<'_, ShardInner>,
         id: PageId,
-        scratch: Vec<u8>,
+        scratch: Box<[u8]>,
     ) -> Result<usize> {
-        let idx = self.take_frame(shard, inner)?;
-        // Adopt the scratch allocation wholesale — no copy. The write
-        // guard waits for any reader still holding the recycled frame's
-        // old contents; such readers block on nothing, so this is
-        // bounded by one closure's runtime.
-        *inner.frames[idx].data.write() = scratch.into_boxed_slice();
+        let idx = match self.take_frame(shard, inner) {
+            Ok(idx) => idx,
+            Err(e) => {
+                inner.recycle(scratch);
+                return Err(e);
+            }
+        };
+        // Swap the scratch buffer in — no copy — and keep the frame's
+        // old buffer as the next miss's scratch. The write guard waits
+        // for any reader still holding the old contents; such readers
+        // block on nothing, so this is bounded by one closure's runtime.
+        let old = std::mem::replace(&mut *inner.frames[idx].data.write(), scratch);
+        inner.recycle(old);
         Self::finish_install(shard, inner, idx, id);
         Ok(idx)
     }
 
-    /// Produce an empty frame: free list, then grow up to capacity, then
-    /// evict the LRU unpinned victim (writing it back first if dirty).
+    /// Produce an empty frame: grow up to capacity, then evict the LRU
+    /// unpinned victim (writing it back first if dirty). A grown frame's
+    /// buffer is empty; the caller installs a page-sized one.
     fn take_frame(&self, shard: &Shard, inner: &mut MutexGuard<'_, ShardInner>) -> Result<usize> {
-        if let Some(idx) = inner.free.pop() {
-            return Ok(idx);
-        }
         if inner.frames.len() < inner.capacity {
             inner.frames.push(Frame {
                 page: PageId::INVALID,
-                data: Arc::new(RwLock::new(vec![0u8; self.page_size].into_boxed_slice())),
+                data: Arc::new(RwLock::new(Box::default())),
                 dirty: false,
                 pins: 0,
                 prev: NIL,

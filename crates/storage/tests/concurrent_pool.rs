@@ -1,17 +1,21 @@
 //! Concurrency contract of the sharded buffer pool.
 //!
-//! Three properties are load-bearing for the parallel query engine and
+//! Four properties are load-bearing for the parallel query engine and
 //! are pinned down here: duplicate in-flight misses coalesce into one
-//! disk read, resident pages are readable by many threads *at the same
-//! time* (not merely in some serialized order), and a multi-shard pool
-//! under mixed read/write pressure never loses a write or corrupts a
-//! counter.
+//! disk read, every parked reader wakes when that read lands or fails,
+//! resident pages are readable by many threads *at the same time* (not
+//! merely in some serialized order), and a multi-shard pool under mixed
+//! read/write pressure never loses a write or corrupts a counter.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
-use storage::{BufferPool, Disk, LatencyDisk, MemDisk, PageId, ShardedBufferPool};
+use storage::{
+    BufferPool, Disk, FaultDisk, FaultKind, FaultOp, FaultSpec, IoStats, LatencyDisk, MemDisk,
+    PageId, ShardedBufferPool, Trigger,
+};
 
 fn mem_disk_with(pages: usize, page_size: usize) -> Arc<MemDisk> {
     let disk = Arc::new(MemDisk::new(page_size));
@@ -51,6 +55,155 @@ fn duplicate_inflight_misses_issue_one_disk_read() {
     assert_eq!(s.misses, 1);
     assert_eq!(s.hits, 3);
     assert_eq!(pool.pinned_count(), 0);
+}
+
+/// Run `f` on its own thread and fail if it has not finished within
+/// `limit`: a reader parked on the pool's condvar with no wake-up
+/// coming fails the test instead of hanging it. A panic inside `f` is
+/// passed on.
+fn within(limit: Duration, f: impl FnOnce() + Send + 'static) {
+    let (done, finished) = mpsc::channel();
+    let worker = std::thread::spawn(move || {
+        f();
+        let _ = done.send(());
+    });
+    match finished.recv_timeout(limit) {
+        Ok(()) => worker.join().unwrap(),
+        Err(RecvTimeoutError::Disconnected) => match worker.join() {
+            Err(panic) => std::panic::resume_unwind(panic),
+            Ok(()) => unreachable!("worker exited without reporting"),
+        },
+        Err(RecvTimeoutError::Timeout) => {
+            panic!("no progress within {limit:?}: a parked reader was never woken")
+        }
+    }
+}
+
+/// A disk whose first read waits until [`open`](Gate::open) is called,
+/// so a test can park other readers behind it; every read then goes to
+/// the wrapped disk.
+struct Gate {
+    inner: Arc<dyn Disk>,
+    entered: AtomicBool,
+    opened: AtomicBool,
+}
+
+impl Gate {
+    fn new(inner: Arc<dyn Disk>) -> Self {
+        Self {
+            inner,
+            entered: AtomicBool::new(false),
+            opened: AtomicBool::new(false),
+        }
+    }
+
+    fn wait_entered(&self) {
+        while !self.entered.load(Ordering::Acquire) {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    fn open(&self) {
+        self.opened.store(true, Ordering::Release);
+    }
+}
+
+impl Disk for Gate {
+    fn page_size(&self) -> usize {
+        self.inner.page_size()
+    }
+    fn num_pages(&self) -> u64 {
+        self.inner.num_pages()
+    }
+    fn allocate(&self) -> storage::Result<PageId> {
+        self.inner.allocate()
+    }
+    fn read_page(&self, id: PageId, buf: &mut [u8]) -> storage::Result<()> {
+        if !self.entered.swap(true, Ordering::AcqRel) {
+            while !self.opened.load(Ordering::Acquire) {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+        self.inner.read_page(id, buf)
+    }
+    fn write_page(&self, id: PageId, buf: &[u8]) -> storage::Result<()> {
+        self.inner.write_page(id, buf)
+    }
+    fn stats(&self) -> &IoStats {
+        self.inner.stats()
+    }
+}
+
+/// The leader's read fails while three readers are parked behind it:
+/// the failure must wake them, one must lead a fresh read that
+/// succeeds, every call must return, and `misses` must still equal the
+/// reads that reached the media.
+#[test]
+fn failed_leader_read_wakes_parked_readers() {
+    within(Duration::from_secs(20), || {
+        let mem = mem_disk_with(4, 64);
+        let faulty = Arc::new(FaultDisk::new(mem.clone()));
+        faulty.push(FaultSpec {
+            op: FaultOp::Read,
+            kind: FaultKind::Error,
+            trigger: Trigger::OnceAt(0),
+        });
+        let gate = Arc::new(Gate::new(faulty));
+        let pool = Arc::new(BufferPool::new(gate.clone() as Arc<dyn Disk>, 4));
+
+        let (leader_res, others) = std::thread::scope(|scope| {
+            let leader = scope.spawn(|| pool.with_page(PageId(2), |_| {}));
+            gate.wait_entered();
+            let others: Vec<_> = (0..3)
+                .map(|_| scope.spawn(|| pool.with_page(PageId(2), |b| b.len())))
+                .collect();
+            // Give the three time to park on the in-flight marker; one
+            // that has not parked yet still coalesces or leads.
+            std::thread::sleep(Duration::from_millis(100));
+            gate.open();
+            let others: Vec<_> = others.into_iter().map(|h| h.join().unwrap()).collect();
+            (leader.join().unwrap(), others)
+        });
+
+        assert!(leader_res.is_err(), "the faulted read must surface");
+        for r in others {
+            assert_eq!(r.unwrap(), 64, "a parked reader failed or was lost");
+        }
+        let s = pool.stats();
+        assert_eq!(mem.stats().reads(), 1, "one successful physical read");
+        assert_eq!(s.misses, mem.stats().reads());
+        assert_eq!(s.hits, 2);
+        assert_eq!(pool.pinned_count(), 0);
+    });
+}
+
+/// Many rounds of four threads racing on one not-yet-resident page over
+/// a slow disk: whether a thread parks, leads or finds the page
+/// resident, it must return, and each round reads the page once.
+#[test]
+fn racing_rounds_on_one_page_never_lose_a_wakeup() {
+    within(Duration::from_secs(60), || {
+        const ROUNDS: u64 = 200;
+        const THREADS: u64 = 4;
+        let mem = mem_disk_with(ROUNDS as usize, 64);
+        let slow = Arc::new(LatencyDisk::new(mem.clone(), Duration::from_micros(200)));
+        let pool = ShardedBufferPool::for_threads(slow as Arc<dyn Disk>, 8, THREADS as usize);
+        let start = Barrier::new(THREADS as usize);
+        std::thread::scope(|scope| {
+            for _ in 0..THREADS {
+                scope.spawn(|| {
+                    for round in 0..ROUNDS {
+                        start.wait();
+                        pool.with_page(PageId(round), |_| {}).unwrap();
+                    }
+                });
+            }
+        });
+        let s = pool.stats();
+        assert_eq!(s.hits + s.misses, ROUNDS * THREADS);
+        assert_eq!(s.misses, ROUNDS, "one read per round");
+        assert_eq!(s.misses, mem.stats().reads());
+    });
 }
 
 /// Readers of one resident page must be able to run *simultaneously*: all
