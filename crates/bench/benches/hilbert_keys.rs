@@ -3,122 +3,8 @@
 //! the "simple to implement" half of the paper's title made measurable.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use hilbert::{axes_to_index, axes_to_index_per_bit, hilbert_index_f64, xy2d_lut};
+use hilbert::{axes_to_index, hilbert_index_f64};
 use str_bench::uniform_items;
-
-/// A/B of the 2-D encoders on the same coordinate stream, at the
-/// 64-bit-per-axis width `hilbert_index_f64` uses: the per-bit
-/// transpose algorithm vs the byte-at-a-time LUT the hot path now
-/// dispatches to. The ordering guard asserts bit-exact agreement on the
-/// stream before timing, so the speedup cannot come from computing a
-/// different curve.
-fn bench_lut_vs_per_bit(c: &mut Criterion) {
-    let mut coords = Vec::with_capacity(4096);
-    let mut v = 0x2545_f491_4f6c_dd1du64;
-    for _ in 0..4096 {
-        v ^= v << 13;
-        v ^= v >> 7;
-        v ^= v << 17;
-        let x = v;
-        v ^= v << 13;
-        v ^= v >> 7;
-        v ^= v << 17;
-        coords.push((x, v));
-    }
-    for &(x, y) in &coords {
-        assert_eq!(
-            xy2d_lut(x, y, 64),
-            axes_to_index(&[x, y], 64),
-            "encoders disagree at ({x:#x},{y:#x})"
-        );
-    }
-
-    let mut g = c.benchmark_group("hilbert_2d_encoder");
-    g.throughput(Throughput::Elements(coords.len() as u64));
-    g.bench_function(BenchmarkId::from_parameter("per_bit"), |b| {
-        b.iter(|| {
-            let mut acc = 0u128;
-            for &(x, y) in &coords {
-                acc ^= axes_to_index(&[x, y], 64);
-            }
-            acc
-        })
-    });
-    g.bench_function(BenchmarkId::from_parameter("lut"), |b| {
-        b.iter(|| {
-            let mut acc = 0u128;
-            for &(x, y) in &coords {
-                acc ^= xy2d_lut(x, y, 64);
-            }
-            acc
-        })
-    });
-    g.finish();
-}
-
-/// A/B of the generic d-dimensional encoder's interleave stage: the
-/// per-bit reference (`axes_to_index_per_bit`) vs the spread-table
-/// path `axes_to_index` now dispatches to for 3 ≤ d ≤ 16. Agreement is
-/// asserted on the streams before timing.
-fn bench_nd_lut_vs_per_bit(c: &mut Criterion) {
-    fn stream<const D: usize>(bits: u32, n: usize) -> Vec<[u64; D]> {
-        let mask = if bits == 64 {
-            u64::MAX
-        } else {
-            (1u64 << bits) - 1
-        };
-        let mut v = 0x2545_f491_4f6c_dd1du64;
-        (0..n)
-            .map(|_| {
-                let mut axes = [0u64; D];
-                for a in axes.iter_mut() {
-                    v ^= v << 13;
-                    v ^= v >> 7;
-                    v ^= v << 17;
-                    *a = v & mask;
-                }
-                axes
-            })
-            .collect()
-    }
-
-    fn run<const D: usize>(c: &mut Criterion, bits: u32) {
-        let coords = stream::<D>(bits, 4096);
-        for axes in &coords {
-            assert_eq!(
-                axes_to_index(axes, bits),
-                axes_to_index_per_bit(axes, bits),
-                "encoders disagree at {axes:?}"
-            );
-        }
-        let mut g = c.benchmark_group(&format!("hilbert_{D}d_encoder"));
-        g.throughput(Throughput::Elements(coords.len() as u64));
-        g.bench_function(BenchmarkId::from_parameter("per_bit"), |b| {
-            b.iter(|| {
-                let mut acc = 0u128;
-                for axes in &coords {
-                    acc ^= axes_to_index_per_bit(axes, bits);
-                }
-                acc
-            })
-        });
-        g.bench_function(BenchmarkId::from_parameter("lut"), |b| {
-            b.iter(|| {
-                let mut acc = 0u128;
-                for axes in &coords {
-                    acc ^= axes_to_index(axes, bits);
-                }
-                acc
-            })
-        });
-        g.finish();
-    }
-
-    // The widths hilbert_index_f64 picks for each dimension.
-    run::<3>(c, 42);
-    run::<4>(c, 32);
-    run::<8>(c, 16);
-}
 
 fn bench_key_computation(c: &mut Criterion) {
     let mut g = c.benchmark_group("hilbert_key");
@@ -182,11 +68,5 @@ fn bench_orderings(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_key_computation,
-    bench_lut_vs_per_bit,
-    bench_nd_lut_vs_per_bit,
-    bench_orderings
-);
+criterion_group!(benches, bench_key_computation, bench_orderings);
 criterion_main!(benches);

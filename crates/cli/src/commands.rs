@@ -410,10 +410,10 @@ pub fn validate(index: &Path, tree_name: &str) -> CliResult<String> {
 /// `check`: fsck-style page walk — verifies that every reachable page
 /// decodes (magic, checksum, truncation), that levels step down by one,
 /// and that child MBRs stay inside what their parents recorded; reports
-/// unreachable pages. On a v2 file it also audits the page allocator:
-/// the free-list chain is walked and cross-checked against reachability,
-/// so leaked pages (allocated but unreachable from any catalogued tree)
-/// and double-frees surface here. Unlike `validate`, it collects every
+/// unreachable pages. It also audits the page allocator: the free-list
+/// chain is walked and cross-checked against reachability, so leaked
+/// pages (allocated but unreachable from any catalogued tree) and
+/// double-frees surface here. Unlike `validate`, it collects every
 /// problem instead of stopping at the first, so a damaged index yields a
 /// full damage report (and a non-zero exit).
 pub fn check(index: &Path, tree_name: &str) -> CliResult<String> {

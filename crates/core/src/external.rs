@@ -121,24 +121,9 @@ pub fn pack_str_external<const D: usize, I>(
 where
     I: IntoIterator<Item = (Rect<D>, u64)>,
 {
-    pack_str_external_named(pool, rtree::DEFAULT_TREE, scratch, items, cap, budget)
-}
-
-/// [`pack_str_external`] into a named catalog entry of a v2 file.
-pub fn pack_str_external_named<const D: usize, I>(
-    pool: Arc<BufferPool>,
-    name: &str,
-    scratch: Arc<dyn Disk>,
-    items: I,
-    cap: NodeCapacity,
-    budget: usize,
-) -> Result<RTree<D>, ExternalPackError>
-where
-    I: IntoIterator<Item = (Rect<D>, u64)>,
-{
     pack_str_external_opts(
         pool,
-        name,
+        rtree::DEFAULT_TREE,
         scratch,
         items,
         cap,
@@ -146,9 +131,9 @@ where
     )
 }
 
-/// [`pack_str_external_named`] with full [`ExternalPackOptions`] —
-/// notably a worker thread count for parallel run formation and
-/// per-slab packing.
+/// [`pack_str_external`] into the catalog entry `name`, with full
+/// [`ExternalPackOptions`] — notably a worker thread count for parallel
+/// run formation and per-slab packing.
 pub fn pack_str_external_opts<const D: usize, I>(
     pool: Arc<BufferPool>,
     name: &str,

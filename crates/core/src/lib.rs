@@ -28,8 +28,7 @@ pub mod str_pack;
 pub mod tgs;
 
 pub use external::{
-    pack_str_external, pack_str_external_named, pack_str_external_opts, ExternalPackError,
-    ExternalPackOptions,
+    pack_str_external, pack_str_external_opts, ExternalPackError, ExternalPackOptions,
 };
 pub use hs::HilbertPacker;
 pub use metrics::TreeMetrics;

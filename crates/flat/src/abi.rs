@@ -16,7 +16,7 @@
 //! | off | size | field                                         |
 //! |-----|------|-----------------------------------------------|
 //! |   0 |    4 | magic `b"FLT1"`                               |
-//! |   4 |    2 | version (`2`; `1` still opens, see below)     |
+//! |   4 |    2 | version (`2`; any other is refused)           |
 //! |   6 |    2 | dims                                          |
 //! |   8 |    4 | node capacity of the source tree              |
 //! |  12 |    4 | num_levels                                    |
@@ -26,10 +26,8 @@
 //! |  40 |   16 | reserved, zero                                |
 //! |  56 |    8 | checksum of bytes `[0..56) ++ [64..total_len)` |
 //!
-//! Version 2 seals the image with the word-parallel
-//! [`storage::wide_hash`], chained over the two ranges. Version 1 images
-//! carry a byte-serial FNV-1a checksum of the same ranges; they still
-//! open, but nothing writes them any more.
+//! The checksum is the word-parallel [`storage::wide_hash`], chained
+//! over the two ranges.
 //!
 //! Levels are stored *items first*: level 0 holds the data items
 //! (slot coords = item MBR, `idx` = item payload), level 1 the source
@@ -40,14 +38,13 @@
 //! last slot of a level, since levels tile the slot space gap-free.
 
 use crate::FlatError;
-use storage::{fnv1a_update, wide_hash, FNV_SEED};
+use storage::wide_hash;
 
 /// Magic bytes at offset 0.
 pub const MAGIC: [u8; 4] = *b"FLT1";
-/// Current wire version: sealed with [`storage::wide_hash`].
+/// The wire version written, and the only one read: sealed with
+/// [`storage::wide_hash`].
 pub const VERSION: u16 = 2;
-/// The read-only older version, sealed with FNV-1a.
-pub const LEGACY_VERSION: u16 = 1;
 /// Fixed header length in bytes.
 pub const HEADER_LEN: usize = 64;
 /// Offset of the checksum field within the header.
@@ -171,15 +168,11 @@ impl Header {
         let u32le = |o: usize| u32::from_le_bytes(bytes[o..o + 4].try_into().unwrap());
         let u64le = |o: usize| u64::from_le_bytes(bytes[o..o + 8].try_into().unwrap());
         let version = u16le(4);
-        let seal: fn(&[u8]) -> u64 = match version {
-            VERSION => checksum,
-            LEGACY_VERSION => legacy_checksum,
-            _ => {
-                return Err(FlatError::Parse(format!(
-                    "unsupported flat version {version} (expected {LEGACY_VERSION} or {VERSION})"
-                )))
-            }
-        };
+        if version != VERSION {
+            return Err(FlatError::Parse(format!(
+                "unsupported flat version {version} (expected {VERSION})"
+            )));
+        }
         let hdr = Header {
             dims: u16le(6),
             node_capacity: u32le(8),
@@ -220,7 +213,7 @@ impl Header {
                 hdr.total_len
             )));
         }
-        let computed = seal(bytes);
+        let computed = checksum(bytes);
         if computed != hdr.checksum {
             return Err(FlatError::ChecksumMismatch {
                 stored: hdr.checksum,
@@ -231,19 +224,10 @@ impl Header {
     }
 }
 
-/// Whole-buffer checksum of a version-2 image: [`storage::wide_hash`]
-/// over everything except the checksum field itself (bytes `[56..64)`).
+/// Whole-buffer checksum: [`storage::wide_hash`] over everything except
+/// the checksum field itself (bytes `[56..64)`).
 pub fn checksum(bytes: &[u8]) -> u64 {
     wide_hash(wide_hash(0, &bytes[..CHECKSUM_OFF]), &bytes[HEADER_LEN..])
-}
-
-/// Whole-buffer checksum of a version-1 image: FNV-1a over the same
-/// ranges as [`checksum`]. Only verified, never written.
-fn legacy_checksum(bytes: &[u8]) -> u64 {
-    fnv1a_update(
-        fnv1a_update(FNV_SEED, &bytes[..CHECKSUM_OFF]),
-        &bytes[HEADER_LEN..],
-    )
 }
 
 #[cfg(test)]

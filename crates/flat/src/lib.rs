@@ -33,7 +33,7 @@ use geom::{Point, Rect, SoaRects};
 use rtree::{IndexStats, RTree, SpatialIndex};
 use storage::Mmap;
 
-pub use abi::{Header, Layout, HEADER_LEN, LEGACY_VERSION, MAGIC, VERSION};
+pub use abi::{Header, Layout, HEADER_LEN, MAGIC, VERSION};
 pub use build::{flatten_to_bytes, pack_to_bytes};
 
 /// File-name stem for LSM flat segments: `seg-<id, 8 hex digits>.flat`.

@@ -175,13 +175,12 @@ fn missing_file_is_io_error() {
 }
 
 /// An image written by an older build — version 1, sealed with
-/// byte-serial FNV-1a over `[0..56) ++ [64..)` — still opens, and
-/// answers exactly like the version-2 image of the same tree.
+/// byte-serial FNV-1a over `[0..56) ++ [64..)` — is refused with a
+/// parse error naming its version, not opened and not a panic.
 #[test]
-fn hand_sealed_version_1_image_still_opens() {
+fn hand_sealed_version_1_image_is_refused() {
     let tree = packed(500, 9);
-    let current = flat::flatten_to_bytes(&tree).unwrap();
-    let mut v1 = current.clone();
+    let mut v1 = flat::flatten_to_bytes(&tree).unwrap();
     v1[4..6].copy_from_slice(&1u16.to_le_bytes());
     let sum = storage::fnv1a_update(
         storage::fnv1a_update(storage::FNV_SEED, &v1[..56]),
@@ -189,20 +188,11 @@ fn hand_sealed_version_1_image_still_opens() {
     );
     v1[56..64].copy_from_slice(&sum.to_le_bytes());
 
-    let old = FlatTree::<2>::from_vec(v1.clone()).unwrap();
-    let new = FlatTree::<2>::from_vec(current).unwrap();
-    assert_eq!(old.len(), 500);
-    for side in [0.1, 0.4, 1.0] {
-        let q = Rect::new([0.2, 0.2], [0.2 + side, 0.2 + side]);
-        assert_eq!(sorted(old.query_region(&q)), sorted(new.query_region(&q)));
+    match FlatTree::<2>::from_vec(v1) {
+        Err(FlatError::Parse(msg)) => {
+            assert!(msg.contains("unsupported flat version 1"), "{msg}")
+        }
+        Err(other) => panic!("wrong error for a version-1 image: {other}"),
+        Ok(_) => panic!("a version-1 image opened"),
     }
-
-    // The FNV seal still guards a version-1 image.
-    let mut bad = v1;
-    let mid = bad.len() / 2;
-    bad[mid] ^= 0x10;
-    assert!(matches!(
-        FlatTree::<2>::from_vec(bad),
-        Err(FlatError::ChecksumMismatch { .. })
-    ));
 }

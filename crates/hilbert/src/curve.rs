@@ -8,7 +8,7 @@
 //! decode share almost all code.
 //!
 //! The 2-D specialization is cross-checked exhaustively against the
-//! classic [`crate::curve2d`] implementation in tests.
+//! classic rotate-and-flip encoder (`curve2d`, a test-only oracle).
 
 /// Convert coordinates (each `< 2^bits`) to a Hilbert index.
 ///
@@ -29,10 +29,10 @@ pub fn axes_to_index<const D: usize>(axes: &[u64; D], bits: u32) -> u128 {
 }
 
 /// [`axes_to_index`] forced down the per-bit interleave, bypassing the
-/// d-dimensional spread tables. Reference implementation for the
-/// bit-exactness tests and the A/B benchmark; `axes_to_index` is the
-/// production entry.
-pub fn axes_to_index_per_bit<const D: usize>(axes: &[u64; D], bits: u32) -> u128 {
+/// d-dimensional spread tables: the test oracle for the spread-table
+/// path.
+#[cfg(test)]
+pub(crate) fn axes_to_index_per_bit<const D: usize>(axes: &[u64; D], bits: u32) -> u128 {
     let x = axes_to_transpose(axes, bits);
     interleave(&x, bits)
 }

@@ -1,15 +1,16 @@
-//! Classic 2-D Hilbert curve (the rotate-and-flip formulation).
+//! Classic 2-D Hilbert curve (the rotate-and-flip formulation), compiled
+//! for tests only.
 //!
-//! Kept alongside the generic d-dimensional implementation as an
-//! independent reference: the two are cross-checked against each other in
-//! tests, which guards both against transcription bugs — the usual failure
-//! mode of Hilbert code.
+//! An independent oracle for the production encoders
+//! ([`crate::lut::xy2d_lut`], [`crate::curve::axes_to_index`]): the
+//! tests cross-check them against it, which guards against transcription
+//! bugs — the usual failure mode of Hilbert code.
 
 /// Map `(x, y)` on a `2^bits × 2^bits` grid to its Hilbert index.
 ///
 /// # Panics
 /// Panics if a coordinate does not fit in `bits` bits or `bits > 32`.
-pub fn xy2d(mut x: u64, mut y: u64, bits: u32) -> u128 {
+pub(crate) fn xy2d(mut x: u64, mut y: u64, bits: u32) -> u128 {
     assert!((1..=32).contains(&bits), "bits must be in 1..=32");
     let side = 1u64 << bits;
     assert!(x < side && y < side, "coordinate out of grid");
@@ -34,7 +35,7 @@ pub fn xy2d(mut x: u64, mut y: u64, bits: u32) -> u128 {
 }
 
 /// Inverse of [`xy2d`]: map a Hilbert index to `(x, y)`.
-pub fn d2xy(d: u128, bits: u32) -> (u64, u64) {
+pub(crate) fn d2xy(d: u128, bits: u32) -> (u64, u64) {
     assert!((1..=32).contains(&bits), "bits must be in 1..=32");
     let side = 1u64 << bits;
     assert!(d < (side as u128) * (side as u128), "index out of curve");

@@ -20,12 +20,12 @@
 //!   the full double-precision plane.
 
 pub mod curve;
-pub mod curve2d;
+#[cfg(test)]
+mod curve2d;
 pub mod float;
 pub mod lut;
 
-pub use curve::{axes_from_index, axes_to_index, axes_to_index_per_bit, hilbert_index_f64};
-pub use curve2d::{d2xy, xy2d};
+pub use curve::{axes_from_index, axes_to_index, hilbert_index_f64};
 pub use float::{f64_from_order_key, f64_order_key};
 pub use lut::xy2d_lut;
 

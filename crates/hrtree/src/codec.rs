@@ -2,8 +2,7 @@
 //!
 //! The page layout (24-byte header: magic `"HRT1"`, level, count, tag,
 //! checksum) is the shared [`rtree::store`] node format — including its
-//! word-parallel checksum ([`rtree::store::page_checksum`]) and the rule
-//! that pages sealed with FNV-1a by older builds still verify; this
+//! word-parallel checksum ([`rtree::store::page_checksum`]); this
 //! module supplies only the Hilbert entry codec — the one thing that
 //! differs: each entry carries a 2-D rect, a payload and its 128-bit
 //! (largest) Hilbert value, 56 bytes total, 72 per 4 KiB page.

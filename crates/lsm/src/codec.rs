@@ -6,12 +6,12 @@
 //! byte; the segment meta page lives on a raw disk page and carries its
 //! own header checksum plus a checksum of the segment bytes it
 //! describes, so recovery can tell a committed segment from a torn one
-//! without trusting the segment store. Version-2 meta pages use
-//! [`storage::wide_hash`] for both; version-1 pages (FNV-1a for both)
-//! still decode and match, but nothing writes them any more.
+//! without trusting the segment store. Both checksums are
+//! [`storage::wide_hash`]; a meta page of any version but
+//! [`SEGMENT_META_VERSION`] is refused.
 
 use geom::Rect;
-use storage::{fnv1a_update, wide_hash, PageId, FNV_SEED};
+use storage::{wide_hash, PageId};
 
 use crate::{LsmError, Result};
 
@@ -24,8 +24,6 @@ pub const NOTE_FLIP: u8 = 2;
 pub const SEGMENT_META_MAGIC: [u8; 4] = *b"SEGM";
 /// Segment meta page format version: checksums are [`wide_hash`].
 pub const SEGMENT_META_VERSION: u16 = 2;
-/// The read-only older version, whose checksums are FNV-1a.
-pub const SEGMENT_META_LEGACY_VERSION: u16 = 1;
 /// Fixed encoded size of a segment meta header (checksum included).
 pub const SEGMENT_META_LEN: usize = 56;
 
@@ -211,8 +209,7 @@ pub struct SegmentMeta {
     pub item_count: u64,
     /// Exact byte length of the flat-tree image.
     pub byte_len: u64,
-    /// Checksum of the flat-tree image: [`wide_hash`], or FNV-1a on a
-    /// version-1 page.
+    /// Checksum of the flat-tree image ([`SegmentMeta::checksum_of`]).
     pub data_checksum: u64,
     /// WAL watermark the segment's contents cover.
     pub seal_lsn: u64,
@@ -235,13 +232,9 @@ impl SegmentMeta {
         }
     }
 
-    /// Whether `bytes` are exactly the image this meta page pins. The
-    /// current checksum is tried first; FNV-1a, what a version-1 page
-    /// pins, only when that misses.
+    /// Whether `bytes` are exactly the image this meta page pins.
     pub fn matches(&self, bytes: &[u8]) -> bool {
-        bytes.len() as u64 == self.byte_len
-            && (Self::checksum_of(bytes) == self.data_checksum
-                || fnv1a_update(FNV_SEED, bytes) == self.data_checksum)
+        bytes.len() as u64 == self.byte_len && Self::checksum_of(bytes) == self.data_checksum
     }
 
     /// Encode into a zero-padded page image of `page_size` bytes.
@@ -270,17 +263,13 @@ impl SegmentMeta {
             return Err(LsmError::Corrupt("segment meta magic mismatch".into()));
         }
         let version = u16::from_le_bytes([page[4], page[5]]);
-        let computed = match version {
-            SEGMENT_META_VERSION => wide_hash(0, &page[..48]),
-            SEGMENT_META_LEGACY_VERSION => fnv1a_update(FNV_SEED, &page[..48]),
-            _ => {
-                return Err(LsmError::Corrupt(format!(
-                    "unsupported segment meta version {version}"
-                )))
-            }
-        };
+        if version != SEGMENT_META_VERSION {
+            return Err(LsmError::Corrupt(format!(
+                "unsupported segment meta version {version}"
+            )));
+        }
         let stored = u64::from_le_bytes(page[48..56].try_into().unwrap());
-        if stored != computed {
+        if stored != wide_hash(0, &page[..48]) {
             return Err(LsmError::Corrupt("segment meta checksum mismatch".into()));
         }
         let u = |a: usize| u64::from_le_bytes(page[a..a + 8].try_into().unwrap());
@@ -297,6 +286,7 @@ impl SegmentMeta {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use storage::{fnv1a_update, FNV_SEED};
 
     /// `meta` as a version-1 page pinning `bytes`, hand-sealed the way
     /// older builds wrote it: FNV-1a over the image and over the header.
@@ -314,30 +304,40 @@ pub(crate) mod tests {
         page
     }
 
+    /// A version-1 page is refused with a typed error naming its
+    /// version, and so is one relabelled to the current version (its
+    /// FNV header seal fails the wide hash) or to an unknown one. A
+    /// current meta page never pins bytes by their FNV-1a checksum.
     #[test]
-    fn version_1_meta_page_still_decodes_and_matches() {
+    fn version_1_meta_page_is_refused() {
         let bytes = b"flat tree image stand-in".to_vec();
         let current = SegmentMeta::describe(11, 1000, 42, &bytes);
         let page = v1_meta_page(&current, &bytes, 4096);
-        let meta = SegmentMeta::decode_page(&page).unwrap();
-        assert_eq!(
-            (meta.seg_id, meta.item_count, meta.byte_len, meta.seal_lsn),
-            (11, 1000, bytes.len() as u64, 42)
-        );
-        assert_eq!(meta.data_checksum, fnv1a_update(FNV_SEED, &bytes));
-        assert!(meta.matches(&bytes));
-        let mut other = bytes.clone();
-        other[3] ^= 1;
-        assert!(!meta.matches(&other));
+        match SegmentMeta::decode_page(&page) {
+            Err(LsmError::Corrupt(msg)) => {
+                assert!(msg.contains("unsupported segment meta version 1"), "{msg}")
+            }
+            other => panic!("wrong result for a version-1 meta page: {other:?}"),
+        }
 
-        // The version selects the header hash: a v1 page relabelled v2
-        // fails its checksum, and an unknown version is refused.
         let mut relabelled = page.clone();
         relabelled[4] = 2;
-        assert!(SegmentMeta::decode_page(&relabelled).is_err());
+        assert!(matches!(
+            SegmentMeta::decode_page(&relabelled),
+            Err(LsmError::Corrupt(_))
+        ));
         let mut future = page.clone();
         future[4] = 3;
-        assert!(SegmentMeta::decode_page(&future).is_err());
+        assert!(matches!(
+            SegmentMeta::decode_page(&future),
+            Err(LsmError::Corrupt(_))
+        ));
+
+        let fnv_pinned = SegmentMeta {
+            data_checksum: fnv1a_update(FNV_SEED, &bytes),
+            ..current
+        };
+        assert!(!fnv_pinned.matches(&bytes));
     }
 
     #[test]

@@ -812,10 +812,10 @@ mod tests {
     }
 
     /// A store written by an older build — version-1 `FLT1` images
-    /// sealed with FNV-1a, pinned by version-1 meta pages — reopens
-    /// with every item queryable and keeps compacting on top.
+    /// sealed with FNV-1a, pinned by version-1 meta pages — is refused:
+    /// `open` fails with a typed error naming the meta page version.
     #[test]
-    fn store_of_version_1_segments_reopens() {
+    fn store_of_version_1_segments_is_refused() {
         let opts = small_opts();
         let disk: Arc<dyn Disk> = Arc::new(MemDisk::default_size());
         let log: Arc<dyn LogStore> = MemLogStore::new();
@@ -834,7 +834,7 @@ mod tests {
             let id = flat::parse_segment_file_name(&entry.name).unwrap();
             let meta = read_meta_page(&disk, entry.meta_page).unwrap();
             let mut bytes = segs.read(id).unwrap().unwrap();
-            bytes[4..6].copy_from_slice(&flat::LEGACY_VERSION.to_le_bytes());
+            bytes[4..6].copy_from_slice(&1u16.to_le_bytes());
             let sum = fnv1a_update(fnv1a_update(FNV_SEED, &bytes[..56]), &bytes[64..]);
             bytes[56..64].copy_from_slice(&sum.to_le_bytes());
             segs.put(id, &bytes).unwrap();
@@ -846,19 +846,13 @@ mod tests {
         disk.sync().unwrap();
         assert!(downgraded >= 1);
 
-        let tree = LsmTree::<2>::open(disk, log, segs, opts).unwrap();
-        assert_eq!(SpatialIndex::len(&tree), 100);
-        let idx: &dyn SpatialIndex<2> = &tree;
-        for i in 0..100u64 {
-            let hits = idx.query(&rect_for(i)).unwrap();
-            assert!(hits.iter().any(|&(_, id)| id == i), "item {i} lost");
+        match LsmTree::<2>::open(disk, log, segs, opts) {
+            Err(LsmError::Corrupt(msg)) => {
+                assert!(msg.contains("unsupported segment meta version 1"), "{msg}")
+            }
+            Err(other) => panic!("wrong error for a version-1 store: {other}"),
+            Ok(_) => panic!("a store of version-1 segments opened"),
         }
-        // Old segments compact together with new ones.
-        for i in 100..300u64 {
-            tree.insert(rect_for(i), i).unwrap();
-        }
-        tree.flush().unwrap();
-        assert_eq!(SpatialIndex::len(&tree), 300);
     }
 
     /// `(id, seal LSN, item count)` of every level, oldest first.

@@ -53,8 +53,7 @@ pub struct CheckReport {
     /// lost space (a crash between a meta commit and its free-chain
     /// writes legitimately leaks), but a repair tool reclaims them.
     pub unreachable: Vec<PageId>,
-    /// Length of the persistent free chain (0 for legacy v1 images,
-    /// which keep no on-disk free list).
+    /// Length of the persistent free chain.
     pub free_pages: u64,
     /// Allocator accounting violations: an unreadable or cyclic free
     /// chain, and double frees — pages simultaneously on a free list and
@@ -232,39 +231,35 @@ impl<const D: usize> RTree<D> {
     fn audit_allocation(&self, seen: &HashSet<PageId>, report: &mut CheckReport) {
         let mut accounted: HashSet<PageId> = seen.clone();
         let mut on_chain: HashSet<PageId> = HashSet::new();
-        accounted.insert(PageId(0)); // v2 superblock / v1 meta page
-        if let Some(alloc) = self.store.allocator() {
-            match alloc.free_list() {
-                Ok(chain) => {
-                    report.free_pages = chain.len() as u64;
-                    for &p in &chain {
-                        if seen.contains(&p) {
-                            report.alloc_issues.push(PageIssue {
-                                page: p,
-                                reason: "on the free chain but reachable from the tree \
-                                         (double free)"
-                                    .into(),
-                            });
-                        }
+        accounted.insert(PageId(0)); // the superblock
+        let alloc = self.store.allocator();
+        match alloc.free_list() {
+            Ok(chain) => {
+                report.free_pages = chain.len() as u64;
+                for &p in &chain {
+                    if seen.contains(&p) {
+                        report.alloc_issues.push(PageIssue {
+                            page: p,
+                            reason: "on the free chain but reachable from the tree \
+                                     (double free)"
+                                .into(),
+                        });
                     }
-                    on_chain.extend(chain.iter().copied());
-                    accounted.extend(chain);
                 }
-                Err(e) => report.alloc_issues.push(PageIssue {
-                    page: PageId(0),
-                    reason: format!("free chain unreadable: {e}"),
-                }),
+                on_chain.extend(chain.iter().copied());
+                accounted.extend(chain);
             }
-            for entry in alloc.trees() {
-                accounted.insert(entry.meta_page);
-                if entry.meta_page != self.store.meta_page() {
-                    self.audit_other_tree(alloc, &entry, seen, &mut accounted, report);
-                }
+            Err(e) => report.alloc_issues.push(PageIssue {
+                page: PageId(0),
+                reason: format!("free chain unreadable: {e}"),
+            }),
+        }
+        for entry in alloc.trees() {
+            accounted.insert(entry.meta_page);
+            if entry.meta_page != self.store.meta_page() {
+                self.audit_other_tree(alloc, &entry, seen, &mut accounted, report);
             }
         }
-        // A legacy v1 image keeps no on-disk free list, so after a
-        // reopen only the session list below accounts for freed pages —
-        // earlier sessions' frees surface as leaked.
         let session_lists = self
             .store
             .session_free()

@@ -123,8 +123,7 @@ pub struct Snapshot<const D: usize> {
 
 impl<const D: usize> SharedRTree<D> {
     /// Wrap `tree` for shared use, attaching `wal` (the tree must not
-    /// already have one). Requires a v2 file, like
-    /// [`RTree::attach_wal`].
+    /// already have one).
     pub fn new(mut tree: RTree<D>, wal: Arc<Wal>) -> Result<Self> {
         if !tree.is_wal_attached() {
             tree.attach_wal(wal.clone())?;

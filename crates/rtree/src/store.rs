@@ -11,16 +11,14 @@
 //!   in [`encode_node`] / [`verify_node`] / [`decode_node`]. The
 //!   checksum is the word-parallel [`storage::wide_hash`]
 //!   ([`page_checksum`]: ≈0.21 µs per full 4 KiB page, against ≈5.7 µs
-//!   for byte-serial FNV-1a); pages sealed with FNV-1a by older builds
-//!   are still accepted, never written.
+//!   for byte-serial FNV-1a).
 //! * [`TreeMeta`] — the per-tree metadata block (kind, dims, root,
-//!   height, len, capacities), with a v2 (`"RTM2"`, checksummed) and a
-//!   legacy v1 (`"RTM1"`, page 0) wire form.
+//!   height, len, capacities) in its one checksummed wire form
+//!   (`"RTM2"`).
 //! * [`NodeStore`] — page acquire/release through the format-v2
 //!   [`PageAllocator`] (persistent free list, named-tree catalog), node
 //!   read/write through the sharded buffer pool, and meta persistence
-//!   with crash-safe write ordering. A v1 compat backing keeps old
-//!   single-tree images readable *and* writable in their own format.
+//!   with crash-safe write ordering.
 //!
 //! The zero-copy query path ([`crate::codec::NodeView`]) deliberately
 //! stays out of this abstraction: it is the measured hot path and reads
@@ -33,7 +31,6 @@ use std::sync::{Arc, Mutex, OnceLock, Weak};
 use bytes::{Buf, BufMut};
 use storage::{
     fnv1a_update, wide_hash, BufferPool, Disk, PageAllocator, PageId, StorageError, Wal, FNV_SEED,
-    FORMAT_V2_MAGIC,
 };
 
 use crate::{RTreeError, Result};
@@ -42,12 +39,9 @@ use crate::{RTreeError, Result};
 /// magic, level, count, tag (4 × u32), checksum (u64).
 pub const HEADER_LEN: usize = 24;
 
-/// The tree name used when a caller doesn't pick one (single-tree files,
-/// v1 compat).
+/// The tree name used when a caller doesn't pick one (single-tree files).
 pub const DEFAULT_TREE: &str = "default";
 
-/// v1 single-tree meta magic (`"RTM1"`, page 0 of legacy images).
-pub const META_MAGIC_V1: u32 = u32::from_le_bytes(*b"RTM1");
 /// v2 per-tree meta magic (`"RTM2"`, on a catalog-assigned meta page).
 pub const META_MAGIC_V2: u32 = u32::from_le_bytes(*b"RTM2");
 
@@ -76,16 +70,6 @@ pub fn kind_name(kind: u32) -> &'static str {
 /// [`encode_node`] writes.
 pub fn page_checksum(page: &[u8], body_end: usize) -> u64 {
     wide_hash(wide_hash(0, &page[..16]), &page[HEADER_LEN..body_end])
-}
-
-/// The node-page checksum written by builds before [`page_checksum`]:
-/// byte-serial FNV-1a over the same two regions. [`verify_node`] still
-/// accepts it so older images open; nothing writes it any more.
-fn legacy_page_checksum(page: &[u8], body_end: usize) -> u64 {
-    fnv1a_update(
-        fnv1a_update(FNV_SEED, &page[..16]),
-        &page[HEADER_LEN..body_end],
-    )
 }
 
 /// How one entry of a tree variant serializes. Everything else about a
@@ -164,9 +148,8 @@ pub fn encode_node<E: EntryCodec>(level: u32, entries: &[E::Entry], page: &mut [
 
 /// Validate a node page without decoding its entries and return
 /// `(level, entry region)`. Checks, in order: the page holds a header,
-/// the magic, the tag, that `count` entries fit, and the checksum —
-/// [`page_checksum`], or for pages written by older builds the legacy
-/// FNV-1a over the same bytes. Both [`decode_node`] and the zero-copy
+/// the magic, the tag, that `count` entries fit, and the
+/// [`page_checksum`]. Both [`decode_node`] and the zero-copy
 /// [`crate::codec::NodeView::parse`] start here, so they accept and
 /// reject the same pages with the same errors.
 ///
@@ -193,7 +176,7 @@ pub fn verify_node<E: EntryCodec>(page: &[u8], page_id: PageId) -> Result<(u32, 
     if need > page.len() {
         return Err(corrupt(page_id, "entry count exceeds page size"));
     }
-    if page_checksum(page, need) != checksum && legacy_page_checksum(page, need) != checksum {
+    if page_checksum(page, need) != checksum {
         return Err(corrupt(page_id, "checksum mismatch (torn write?)"));
     }
     Ok((level, &page[HEADER_LEN..need]))
@@ -223,7 +206,7 @@ fn corrupt(page: PageId, reason: &str) -> RTreeError {
 /// One struct serves all variants; fields a variant doesn't use carry
 /// its conventions (a Hilbert tree stores `dims = 2`, `policy = 0`).
 ///
-/// v2 wire form (`"RTM2"`, little-endian, on the catalog meta page):
+/// Wire form (`"RTM2"`, little-endian, on the catalog meta page):
 ///
 /// ```text
 /// offset  size  field
@@ -239,10 +222,6 @@ fn corrupt(page: PageId, reason: &str) -> RTreeError {
 /// 44      4     reserved (0)
 /// 48      8     checksum (FNV-1a of bytes 0..48)
 /// ```
-///
-/// The v1 form (`"RTM1"` on page 0: magic, dims, root, height, cap_max,
-/// cap_min, policy, len — no kind, no checksum) is still read and
-/// written by the compat backing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TreeMeta {
     /// Variant tag ([`KIND_RTREE`], [`KIND_RPLUS`], [`KIND_HILBERT`]).
@@ -322,56 +301,6 @@ impl TreeMeta {
             policy,
         })
     }
-
-    fn encode_v1(&self, page: &mut [u8]) {
-        page.fill(0);
-        let mut w = &mut page[..];
-        w.put_u32_le(META_MAGIC_V1);
-        w.put_u32_le(self.dims);
-        w.put_u64_le(self.root.index());
-        w.put_u32_le(self.height);
-        w.put_u32_le(self.cap_max);
-        w.put_u32_le(self.cap_min);
-        w.put_u32_le(self.policy);
-        w.put_u64_le(self.len);
-    }
-
-    fn decode_v1(page: &[u8], page_id: PageId) -> Result<Self> {
-        let mut r = page;
-        if r.get_u32_le() != META_MAGIC_V1 {
-            return Err(corrupt(page_id, "bad meta magic"));
-        }
-        let dims = r.get_u32_le();
-        let root = PageId(r.get_u64_le());
-        let height = r.get_u32_le();
-        let cap_max = r.get_u32_le();
-        let cap_min = r.get_u32_le();
-        let policy = r.get_u32_le();
-        let len = r.get_u64_le();
-        Ok(Self {
-            kind: KIND_RTREE,
-            dims,
-            root,
-            height,
-            len,
-            cap_max,
-            cap_min,
-            policy,
-        })
-    }
-}
-
-/// Where a [`NodeStore`]'s pages and metadata live.
-enum Backing {
-    /// Format v2: superblock allocator + catalog meta page.
-    V2 {
-        alloc: Arc<PageAllocator>,
-        meta_page: PageId,
-    },
-    /// Legacy single-tree image: meta on page 0, bump allocation, free
-    /// list in memory only (exactly the v1 behavior, preserved so v1
-    /// images stay valid v1 images across mutate + persist).
-    V1,
 }
 
 /// Page acquire/release, node I/O and meta persistence for one named
@@ -379,10 +308,13 @@ enum Backing {
 /// `hrtree::HilbertRTree` are built on. `E` fixes the node page format.
 pub struct NodeStore<E: EntryCodec> {
     pool: Arc<BufferPool>,
-    backing: Backing,
+    /// The file's shared allocator (see [`shared_allocator`]).
+    alloc: Arc<PageAllocator>,
+    /// The page this tree's [`TreeMeta`] lives on (from the catalog).
+    meta_page: PageId,
     /// Pages freed this session, reused before touching the allocator.
     /// Handed to the persistent free list at [`persist`](Self::persist)
-    /// (v2) — not immediately, so a crash can never leave a page both on
+    /// — not immediately, so a crash can never leave a page both on
     /// the durable free chain and referenced by the last-committed meta.
     free: Vec<PageId>,
     /// Like `free`, but never reused before the next persist. The WAL
@@ -428,86 +360,48 @@ fn shared_allocator(
 }
 
 impl<E: EntryCodec> NodeStore<E> {
-    /// Create the named tree on `pool`'s disk: formats an empty disk as
-    /// v2, joins an existing v2 file's catalog, and refuses a v1 image
-    /// (those are single-tree by construction).
+    /// Create the named tree on `pool`'s disk: formats an empty disk,
+    /// otherwise joins the existing file's catalog (a disk that holds
+    /// no superblock is refused by [`PageAllocator::open`]).
     pub fn create(pool: Arc<BufferPool>, name: &str) -> Result<Self> {
         let disk = pool.disk().clone();
-        let alloc = match PageAllocator::probe_magic(disk.as_ref())? {
-            None => shared_allocator(disk, PageAllocator::format)?,
-            Some(FORMAT_V2_MAGIC) => shared_allocator(disk, PageAllocator::open)?,
-            Some(m) if m == META_MAGIC_V1 => {
-                return Err(corrupt(
-                    PageId(0),
-                    "v1 single-tree image: open it instead (new trees need a v2 file)",
-                ))
-            }
-            Some(_) => return Err(corrupt(PageId(0), "disk is neither empty, v1 nor v2")),
+        let alloc = if disk.num_pages() == 0 {
+            shared_allocator(disk, PageAllocator::format)?
+        } else {
+            shared_allocator(disk, PageAllocator::open)?
         };
         let meta_page = alloc.create_tree(name)?;
-        Ok(Self {
+        Ok(Self::new(pool, alloc, meta_page))
+    }
+
+    /// Open the named tree, returning the store and its decoded
+    /// metadata. The caller validates `meta.kind` and `meta.dims`
+    /// against what it expects.
+    pub fn open(pool: Arc<BufferPool>, name: &str) -> Result<(Self, TreeMeta)> {
+        let disk = pool.disk().clone();
+        if disk.num_pages() == 0 {
+            return Err(corrupt(PageId(0), "empty disk: nothing to open"));
+        }
+        let alloc = shared_allocator(disk.clone(), PageAllocator::open)?;
+        let meta_page = alloc
+            .lookup_tree(name)
+            .ok_or_else(|| RTreeError::Storage(StorageError::UnknownTree(name.to_string())))?;
+        let mut page = vec![0u8; disk.page_size()];
+        disk.read_page(meta_page, &mut page)?;
+        let meta = TreeMeta::decode_v2(&page, meta_page)?;
+        Ok((Self::new(pool, alloc, meta_page), meta))
+    }
+
+    fn new(pool: Arc<BufferPool>, alloc: Arc<PageAllocator>, meta_page: PageId) -> Self {
+        Self {
             pool,
-            backing: Backing::V2 { alloc, meta_page },
+            alloc,
+            meta_page,
             free: Vec::new(),
             deferred: Vec::new(),
             defer_reuse: false,
             wal: None,
             _codec: PhantomData,
-        })
-    }
-
-    /// Open the named tree, returning the store and its decoded
-    /// metadata. A v1 image opens (read- and write-compatible) under the
-    /// name [`DEFAULT_TREE`] only; the caller validates `meta.kind` and
-    /// `meta.dims` against what it expects.
-    pub fn open(pool: Arc<BufferPool>, name: &str) -> Result<(Self, TreeMeta)> {
-        let disk = pool.disk().clone();
-        match PageAllocator::probe_magic(disk.as_ref())? {
-            None => Err(corrupt(PageId(0), "empty disk: nothing to open")),
-            Some(m) if m == META_MAGIC_V1 => {
-                if name != DEFAULT_TREE {
-                    return Err(RTreeError::Storage(StorageError::UnknownTree(
-                        name.to_string(),
-                    )));
-                }
-                let mut page = vec![0u8; disk.page_size()];
-                disk.read_page(PageId(0), &mut page)?;
-                let meta = TreeMeta::decode_v1(&page, PageId(0))?;
-                Ok((
-                    Self {
-                        pool,
-                        backing: Backing::V1,
-                        free: Vec::new(),
-                        deferred: Vec::new(),
-                        defer_reuse: false,
-                        wal: None,
-                        _codec: PhantomData,
-                    },
-                    meta,
-                ))
-            }
-            Some(FORMAT_V2_MAGIC) => {
-                let alloc = shared_allocator(disk.clone(), PageAllocator::open)?;
-                let meta_page = alloc.lookup_tree(name).ok_or_else(|| {
-                    RTreeError::Storage(StorageError::UnknownTree(name.to_string()))
-                })?;
-                let mut page = vec![0u8; disk.page_size()];
-                disk.read_page(meta_page, &mut page)?;
-                let meta = TreeMeta::decode_v2(&page, meta_page)?;
-                Ok((
-                    Self {
-                        pool,
-                        backing: Backing::V2 { alloc, meta_page },
-                        free: Vec::new(),
-                        deferred: Vec::new(),
-                        defer_reuse: false,
-                        wal: None,
-                        _codec: PhantomData,
-                    },
-                    meta,
-                ))
-            }
-            Some(_) => Err(corrupt(PageId(0), "unrecognized on-disk format")),
         }
     }
 
@@ -516,36 +410,22 @@ impl<E: EntryCodec> NodeStore<E> {
         &self.pool
     }
 
-    /// The format-v2 allocator, when this store isn't a v1 compat image.
-    pub fn allocator(&self) -> Option<&Arc<PageAllocator>> {
-        match &self.backing {
-            Backing::V2 { alloc, .. } => Some(alloc),
-            Backing::V1 => None,
-        }
+    /// The file's page allocator.
+    pub fn allocator(&self) -> &Arc<PageAllocator> {
+        &self.alloc
     }
 
-    /// The page this tree's metadata lives on (page 0 for v1 images).
+    /// The page this tree's metadata lives on.
     pub fn meta_page(&self) -> PageId {
-        match &self.backing {
-            Backing::V2 { meta_page, .. } => *meta_page,
-            Backing::V1 => PageId(0),
-        }
+        self.meta_page
     }
 
     /// Put a write-ahead log in front of this store's page writes.
-    /// Switches frees to deferred reuse (see the `deferred` field) and
-    /// requires a v2 backing — the WAL watermark lives in the v2
-    /// superblock.
-    pub fn attach_wal(&mut self, wal: Arc<Wal>) -> Result<()> {
-        if matches!(self.backing, Backing::V1) {
-            return Err(corrupt(
-                PageId(0),
-                "the WAL needs a v2 file (no superblock watermark in v1)",
-            ));
-        }
+    /// Switches frees to deferred reuse (see the `deferred` field); the
+    /// WAL watermark lives in the superblock.
+    pub fn attach_wal(&mut self, wal: Arc<Wal>) {
         self.defer_reuse = true;
         self.wal = Some(wal);
-        Ok(())
     }
 
     /// The attached WAL, if any.
@@ -558,35 +438,18 @@ impl<E: EntryCodec> NodeStore<E> {
     /// the writer's store. It shares no session free list and must
     /// never be used to mutate.
     pub fn reader_clone(&self) -> Self {
-        Self {
-            pool: self.pool.clone(),
-            backing: match &self.backing {
-                Backing::V2 { alloc, meta_page } => Backing::V2 {
-                    alloc: alloc.clone(),
-                    meta_page: *meta_page,
-                },
-                Backing::V1 => Backing::V1,
-            },
-            free: Vec::new(),
-            deferred: Vec::new(),
-            defer_reuse: false,
-            wal: None,
-            _codec: PhantomData,
-        }
+        Self::new(self.pool.clone(), self.alloc.clone(), self.meta_page)
     }
 
     // ---- pages --------------------------------------------------------
 
     /// Get a page for a new node: this session's free list first, then
-    /// the persistent free chain (v2), then fresh disk growth.
+    /// the persistent free chain, then fresh disk growth.
     pub fn alloc_page(&mut self) -> Result<PageId> {
         if let Some(p) = self.free.pop() {
             return Ok(p);
         }
-        match &self.backing {
-            Backing::V2 { alloc, .. } => Ok(alloc.allocate()?),
-            Backing::V1 => Ok(self.pool.disk().allocate()?),
-        }
+        Ok(self.alloc.allocate()?)
     }
 
     /// Release a page to this session's free list. It reaches the
@@ -649,7 +512,7 @@ impl<E: EntryCodec> NodeStore<E> {
 
     /// Make the tree durable: flush dirty node pages, write the meta
     /// block, hand this session's freed pages to the persistent free
-    /// chain (v2), and sync.
+    /// chain, and sync.
     ///
     /// The ordering is the crash-safety argument:
     ///
@@ -673,33 +536,20 @@ impl<E: EntryCodec> NodeStore<E> {
         // the captured watermark and stay replayable.)
         let checkpoint = self.wal.as_ref().map(|w| w.checkpoint_lsn());
         self.pool.flush()?;
-        match &self.backing {
-            Backing::V1 => {
-                // Preserved v1 behavior: meta on page 0, session frees
-                // stay in memory (a v1 image has no on-disk free list —
-                // fsck reports the stranded pages as leaked).
-                meta.encode_v1(&mut page);
-                disk.write_page(PageId(0), &page)?;
-            }
-            Backing::V2 { alloc, meta_page } => {
-                meta.encode_v2(&mut page);
-                disk.write_page(*meta_page, &page)?;
-                if !self.free.is_empty() || !self.deferred.is_empty() {
-                    let mut freed = std::mem::take(&mut self.free);
-                    freed.append(&mut self.deferred);
-                    alloc.free_pages(&freed)?;
-                }
-            }
+        meta.encode_v2(&mut page);
+        disk.write_page(self.meta_page, &page)?;
+        if !self.free.is_empty() || !self.deferred.is_empty() {
+            let mut freed = std::mem::take(&mut self.free);
+            freed.append(&mut self.deferred);
+            self.alloc.free_pages(&freed)?;
         }
         disk.sync()?;
-        if let (Some(wal), Some(cp), Backing::V2 { alloc, .. }) =
-            (&self.wal, checkpoint, &self.backing)
-        {
+        if let (Some(wal), Some(cp)) = (&self.wal, checkpoint) {
             // Everything at or below `cp` is now on media: advance the
             // superblock watermark so recovery skips it, then drop
             // segments whose whole history is below it. A crash between
             // these steps only costs redundant (idempotent) replay.
-            alloc.set_wal_applied_lsn(cp)?;
+            self.alloc.set_wal_applied_lsn(cp)?;
             disk.sync()?;
             wal.recycle(cp)?;
         }
@@ -711,15 +561,10 @@ impl<E: EntryCodec> NodeStore<E> {
     /// and only write it through the buffer pool once the transaction is
     /// durable — the next checkpoint's flush then carries it to the
     /// media together with the nodes it references.
-    pub fn encode_meta(&self, meta: &TreeMeta) -> Result<Vec<u8>> {
-        match &self.backing {
-            Backing::V1 => Err(corrupt(PageId(0), "WAL meta images need a v2 file")),
-            Backing::V2 { .. } => {
-                let mut page = vec![0u8; self.pool.disk().page_size()];
-                meta.encode_v2(&mut page);
-                Ok(page)
-            }
-        }
+    pub fn encode_meta(&self, meta: &TreeMeta) -> Vec<u8> {
+        let mut page = vec![0u8; self.pool.disk().page_size()];
+        meta.encode_v2(&mut page);
+        page
     }
 
     /// Re-read this tree's metadata from disk (fsck compares the live
@@ -727,16 +572,8 @@ impl<E: EntryCodec> NodeStore<E> {
     pub fn read_meta(&self) -> Result<TreeMeta> {
         let disk = self.pool.disk();
         let mut page = vec![0u8; disk.page_size()];
-        match &self.backing {
-            Backing::V1 => {
-                disk.read_page(PageId(0), &mut page)?;
-                TreeMeta::decode_v1(&page, PageId(0))
-            }
-            Backing::V2 { meta_page, .. } => {
-                disk.read_page(*meta_page, &mut page)?;
-                TreeMeta::decode_v2(&page, *meta_page)
-            }
-        }
+        disk.read_page(self.meta_page, &mut page)?;
+        TreeMeta::decode_v2(&page, self.meta_page)
     }
 }
 
@@ -798,14 +635,6 @@ mod tests {
     }
 
     #[test]
-    fn meta_v1_roundtrip() {
-        let m = meta(PageId(1));
-        let mut page = vec![0u8; 4096];
-        m.encode_v1(&mut page);
-        assert_eq!(TreeMeta::decode_v1(&page, PageId(0)).unwrap(), m);
-    }
-
-    #[test]
     fn create_formats_and_catalogs() {
         let pool = pool();
         let mut store = NodeStore::<RectCodec<2>>::create(pool.clone(), "alpha").unwrap();
@@ -838,12 +667,12 @@ mod tests {
         store.write_node(root, 0, &[]).unwrap();
         let extra = store.alloc_page().unwrap();
         store.free_page(extra);
-        let alloc = store.allocator().unwrap().clone();
+        let alloc = store.allocator().clone();
         assert_eq!(alloc.free_count(), 0, "free is session-local until persist");
         store.persist(&meta(root)).unwrap();
         assert_eq!(alloc.free_count(), 1);
         assert!(store.session_free().is_empty());
-        // The reopened store reuses the freed page — the v1 wart, closed.
+        // The reopened store reuses the freed page instead of leaking it.
         let (mut again, _) = NodeStore::<RectCodec<2>>::open(pool, DEFAULT_TREE).unwrap();
         assert_eq!(again.alloc_page().unwrap(), extra);
     }

@@ -27,11 +27,10 @@ static WAL_PAGES_REMAPPED: LazyCounter = LazyCounter::new("rtree.wal.pages_remap
 ///
 /// All node reads and writes go through the LRU buffer pool, so buffer
 /// misses during a query are exactly the paper's "disk accesses". Tree
-/// metadata lives on its meta page (page 0 in a v1 image, a
-/// catalog-assigned page in a v2 file), written *directly* to disk
-/// (bypassing the pool) so it never competes with nodes for buffer
-/// frames — mirroring the paper's setup where the buffer holds R-tree
-/// nodes only. Page acquire/release and meta persistence are delegated
+/// metadata lives on its catalog-assigned meta page, written *directly*
+/// to disk (bypassing the pool) so it never competes with nodes for
+/// buffer frames — mirroring the paper's setup where the buffer holds
+/// R-tree nodes only. Page acquire/release and meta persistence are delegated
 /// to the shared [`NodeStore`] substrate.
 ///
 /// ```
@@ -201,9 +200,8 @@ impl<const D: usize> RTree<D> {
         }
     }
 
-    /// Reopen the [`DEFAULT_TREE`] persisted on `pool`'s disk — a v2
-    /// file's "default" catalog entry, or a legacy v1 single-tree image
-    /// (which stays fully usable, and stays v1 on re-persist).
+    /// Reopen the [`DEFAULT_TREE`] persisted on `pool`'s disk (the
+    /// file's "default" catalog entry).
     pub fn open(pool: Arc<BufferPool>) -> Result<Self> {
         Self::open_named(pool, DEFAULT_TREE)
     }
@@ -254,11 +252,9 @@ impl<const D: usize> RTree<D> {
     /// tree.
     ///
     /// Pages released by deletions this session are handed to the
-    /// format-v2 persistent free chain here (after the meta write, so a
-    /// crash can only leak them, never double-allocate) — a reopened
-    /// tree reuses freed pages instead of stranding them. Legacy v1
-    /// images have no on-disk free list; for them the session free list
-    /// really is discarded, and `check` reports the stranded pages.
+    /// persistent free chain here (after the meta write, so a crash can
+    /// only leak them, never double-allocate) — a reopened tree reuses
+    /// freed pages instead of stranding them.
     pub fn persist(&mut self) -> Result<()> {
         let meta = TreeMeta {
             kind: KIND_RTREE,
@@ -590,14 +586,7 @@ impl<const D: usize> RTree<D> {
             cap_min: self.cap.min() as u32,
             policy: self.policy.tag(),
         };
-        let meta_image = match self.store.encode_meta(&meta) {
-            Ok(img) => img,
-            Err(e) => {
-                abort(self, targets, allocated);
-                return Err(e);
-            }
-        };
-        images.push((self.store.meta_page(), meta_image));
+        images.push((self.store.meta_page(), self.store.encode_meta(&meta)));
 
         // Stage the transaction into the WAL's shared batch.
         let wal = self
@@ -689,11 +678,11 @@ impl<const D: usize> RTree<D> {
     /// (Self::persist) doubles as the checkpoint that advances the
     /// superblock watermark and recycles fully-applied segments.
     ///
-    /// Requires a v2 file. Direct-write paths that bypass staging
+    /// Direct-write paths that bypass staging
     /// ([`insert_rstar`](Self::insert_rstar)) are refused on a
     /// WAL-attached tree.
     pub fn attach_wal(&mut self, wal: Arc<Wal>) -> Result<()> {
-        self.store.attach_wal(wal)?;
+        self.store.attach_wal(wal);
         self.cow = true;
         Ok(())
     }

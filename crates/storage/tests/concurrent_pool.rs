@@ -31,30 +31,32 @@ fn mem_disk_with(pages: usize, page_size: usize) -> Arc<MemDisk> {
 /// the witness.
 #[test]
 fn duplicate_inflight_misses_issue_one_disk_read() {
-    let mem = mem_disk_with(4, 64);
-    let slow = Arc::new(LatencyDisk::new(mem.clone(), Duration::from_millis(50)));
-    let pool = Arc::new(ShardedBufferPool::for_threads(slow as Arc<dyn Disk>, 8, 4));
+    within(Duration::from_secs(20), || {
+        let mem = mem_disk_with(4, 64);
+        let slow = Arc::new(LatencyDisk::new(mem.clone(), Duration::from_millis(50)));
+        let pool = Arc::new(ShardedBufferPool::for_threads(slow as Arc<dyn Disk>, 8, 4));
 
-    let start = Barrier::new(4);
-    std::thread::scope(|scope| {
-        for _ in 0..4 {
-            let pool = &pool;
-            let start = &start;
-            scope.spawn(move || {
-                start.wait();
-                pool.with_page(PageId(2), |bytes| assert_eq!(bytes.len(), 64))
-                    .unwrap();
-            });
-        }
+        let start = Barrier::new(4);
+        std::thread::scope(|scope| {
+            for _ in 0..4 {
+                let pool = &pool;
+                let start = &start;
+                scope.spawn(move || {
+                    start.wait();
+                    pool.with_page(PageId(2), |bytes| assert_eq!(bytes.len(), 64))
+                        .unwrap();
+                });
+            }
+        });
+
+        // One physical read; one miss (the leader); the three coalesced
+        // waiters were served from memory and count as hits.
+        assert_eq!(mem.stats().reads(), 1, "coalescing failed: duplicate read");
+        let s = pool.stats();
+        assert_eq!(s.misses, 1);
+        assert_eq!(s.hits, 3);
+        assert_eq!(pool.pinned_count(), 0);
     });
-
-    // One physical read; one miss (the leader); the three coalesced
-    // waiters were served from memory and count as hits.
-    assert_eq!(mem.stats().reads(), 1, "coalescing failed: duplicate read");
-    let s = pool.stats();
-    assert_eq!(s.misses, 1);
-    assert_eq!(s.hits, 3);
-    assert_eq!(pool.pinned_count(), 0);
 }
 
 /// Run `f` on its own thread and fail if it has not finished within
@@ -213,27 +215,29 @@ fn racing_rounds_on_one_page_never_lose_a_wakeup() {
 /// test deadlocks on that design).
 #[test]
 fn same_page_reads_run_concurrently() {
-    let disk = mem_disk_with(2, 64);
-    let pool = Arc::new(BufferPool::new(disk as Arc<dyn Disk>, 4));
-    // Warm the page so every thread takes the hit path.
-    pool.with_page(PageId(0), |_| {}).unwrap();
+    within(Duration::from_secs(20), || {
+        let disk = mem_disk_with(2, 64);
+        let pool = Arc::new(BufferPool::new(disk as Arc<dyn Disk>, 4));
+        // Warm the page so every thread takes the hit path.
+        pool.with_page(PageId(0), |_| {}).unwrap();
 
-    let inside = Barrier::new(4);
-    std::thread::scope(|scope| {
-        for _ in 0..4 {
-            let pool = &pool;
-            let inside = &inside;
-            scope.spawn(move || {
-                pool.with_page(PageId(0), |_| {
-                    // Blocks until all 4 threads hold the page at once.
-                    inside.wait();
-                })
-                .unwrap();
-            });
-        }
+        let inside = Barrier::new(4);
+        std::thread::scope(|scope| {
+            for _ in 0..4 {
+                let pool = &pool;
+                let inside = &inside;
+                scope.spawn(move || {
+                    pool.with_page(PageId(0), |_| {
+                        // Blocks until all 4 threads hold the page at once.
+                        inside.wait();
+                    })
+                    .unwrap();
+                });
+            }
+        });
+        assert_eq!(pool.stats().hits, 4);
+        assert_eq!(pool.stats().misses, 1);
     });
-    assert_eq!(pool.stats().hits, 4);
-    assert_eq!(pool.stats().misses, 1);
 }
 
 /// A reader in one shard must not be blocked by a long read in another
@@ -242,46 +246,48 @@ fn same_page_reads_run_concurrently() {
 /// a different shard before the slow one releases.
 #[test]
 fn reads_in_distinct_shards_do_not_serialize() {
-    let disk = mem_disk_with(64, 64);
-    let pool = Arc::new(ShardedBufferPool::with_shards(disk as Arc<dyn Disk>, 16, 4));
+    within(Duration::from_secs(20), || {
+        let disk = mem_disk_with(64, 64);
+        let pool = Arc::new(ShardedBufferPool::with_shards(disk as Arc<dyn Disk>, 16, 4));
 
-    // Find two pages living in different shards by observing per-shard
-    // miss counters.
-    let shard_of = |pool: &ShardedBufferPool, id: PageId| -> usize {
-        let before: Vec<u64> = (0..pool.shard_count())
-            .map(|i| pool.shard_stats(i).misses + pool.shard_stats(i).hits)
-            .collect();
-        pool.with_page(id, |_| {}).unwrap();
-        (0..pool.shard_count())
-            .find(|&i| pool.shard_stats(i).misses + pool.shard_stats(i).hits > before[i])
-            .expect("access must land in some shard")
-    };
-    let a = PageId(0);
-    let sa = shard_of(&pool, a);
-    let b = (1..64)
-        .map(PageId)
-        .find(|&id| shard_of(&pool, id) != sa)
-        .expect("64 pages over 4 shards must span two shards");
+        // Find two pages living in different shards by observing per-shard
+        // miss counters.
+        let shard_of = |pool: &ShardedBufferPool, id: PageId| -> usize {
+            let before: Vec<u64> = (0..pool.shard_count())
+                .map(|i| pool.shard_stats(i).misses + pool.shard_stats(i).hits)
+                .collect();
+            pool.with_page(id, |_| {}).unwrap();
+            (0..pool.shard_count())
+                .find(|&i| pool.shard_stats(i).misses + pool.shard_stats(i).hits > before[i])
+                .expect("access must land in some shard")
+        };
+        let a = PageId(0);
+        let sa = shard_of(&pool, a);
+        let b = (1..64)
+            .map(PageId)
+            .find(|&id| shard_of(&pool, id) != sa)
+            .expect("64 pages over 4 shards must span two shards");
 
-    let hold = Barrier::new(2);
-    let release = Barrier::new(2);
-    std::thread::scope(|scope| {
-        let pool_a = &pool;
-        let hold_a = &hold;
-        let release_a = &release;
-        scope.spawn(move || {
-            pool_a
-                .with_page(a, |_| {
-                    hold_a.wait(); // slow reader is now inside shard(a)
-                    release_a.wait(); // parked until the fast reader is done
-                })
-                .unwrap();
+        let hold = Barrier::new(2);
+        let release = Barrier::new(2);
+        std::thread::scope(|scope| {
+            let pool_a = &pool;
+            let hold_a = &hold;
+            let release_a = &release;
+            scope.spawn(move || {
+                pool_a
+                    .with_page(a, |_| {
+                        hold_a.wait(); // slow reader is now inside shard(a)
+                        release_a.wait(); // parked until the fast reader is done
+                    })
+                    .unwrap();
+            });
+            hold.wait();
+            // Slow reader holds page `a`; a read in the other shard must
+            // complete regardless.
+            pool.with_page(b, |_| {}).unwrap();
+            release.wait();
         });
-        hold.wait();
-        // Slow reader holds page `a`; a read in the other shard must
-        // complete regardless.
-        pool.with_page(b, |_| {}).unwrap();
-        release.wait();
     });
 }
 
@@ -291,64 +297,66 @@ fn reads_in_distinct_shards_do_not_serialize() {
 /// and must not lose increments.
 #[test]
 fn multi_shard_stress_preserves_data_and_counters() {
-    const PAGES: u64 = 32;
-    const THREADS: u64 = 8;
-    const OPS: u64 = 400;
+    within(Duration::from_secs(60), || {
+        const PAGES: u64 = 32;
+        const THREADS: u64 = 8;
+        const OPS: u64 = 400;
 
-    let disk = mem_disk_with(PAGES as usize, 64);
-    let pool = Arc::new(ShardedBufferPool::for_threads(
-        disk as Arc<dyn Disk>,
-        8,
-        THREADS as usize,
-    ));
-    let writes_done = AtomicU64::new(0);
+        let disk = mem_disk_with(PAGES as usize, 64);
+        let pool = Arc::new(ShardedBufferPool::for_threads(
+            disk as Arc<dyn Disk>,
+            8,
+            THREADS as usize,
+        ));
+        let writes_done = AtomicU64::new(0);
 
-    std::thread::scope(|scope| {
-        for t in 0..THREADS {
-            let pool = &pool;
-            let writes_done = &writes_done;
-            scope.spawn(move || {
-                // Deterministic per-thread page walk, coprime stride.
-                let mut x = t * 7 + 1;
-                for i in 0..OPS {
-                    x = (x * 29 + 13) % PAGES;
-                    let id = PageId(x);
-                    if i % 4 == t % 4 {
-                        // Each page byte t is owned by thread t: no
-                        // write-write races on a byte, so every written
-                        // value must be observable later.
-                        pool.with_page_mut(id, |bytes| bytes[t as usize] = t as u8 + 1)
+        std::thread::scope(|scope| {
+            for t in 0..THREADS {
+                let pool = &pool;
+                let writes_done = &writes_done;
+                scope.spawn(move || {
+                    // Deterministic per-thread page walk, coprime stride.
+                    let mut x = t * 7 + 1;
+                    for i in 0..OPS {
+                        x = (x * 29 + 13) % PAGES;
+                        let id = PageId(x);
+                        if i % 4 == t % 4 {
+                            // Each page byte t is owned by thread t: no
+                            // write-write races on a byte, so every written
+                            // value must be observable later.
+                            pool.with_page_mut(id, |bytes| bytes[t as usize] = t as u8 + 1)
+                                .unwrap();
+                            writes_done.fetch_add(1, Ordering::Relaxed);
+                        } else {
+                            pool.with_page(id, |bytes| {
+                                let v = bytes[t as usize];
+                                assert!(v == 0 || v == t as u8 + 1, "byte {t} torn: {v}");
+                            })
                             .unwrap();
-                        writes_done.fetch_add(1, Ordering::Relaxed);
-                    } else {
-                        pool.with_page(id, |bytes| {
-                            let v = bytes[t as usize];
-                            assert!(v == 0 || v == t as u8 + 1, "byte {t} torn: {v}");
-                        })
-                        .unwrap();
+                        }
                     }
+                });
+            }
+        });
+
+        let s = pool.stats();
+        assert_eq!(s.hits + s.misses, THREADS * OPS, "request counter lost");
+        assert!(writes_done.load(Ordering::Relaxed) > 0);
+        assert_eq!(pool.pinned_count(), 0);
+
+        // Flush and verify through the raw disk: every thread's byte is its
+        // own value on any page it wrote.
+        pool.flush().unwrap();
+        pool.clear().unwrap();
+        for p in 0..PAGES {
+            pool.with_page(PageId(p), |bytes| {
+                for (t, &b) in bytes.iter().enumerate().take(THREADS as usize) {
+                    assert!(b == 0 || b == t as u8 + 1);
                 }
-            });
+            })
+            .unwrap();
         }
     });
-
-    let s = pool.stats();
-    assert_eq!(s.hits + s.misses, THREADS * OPS, "request counter lost");
-    assert!(writes_done.load(Ordering::Relaxed) > 0);
-    assert_eq!(pool.pinned_count(), 0);
-
-    // Flush and verify through the raw disk: every thread's byte is its
-    // own value on any page it wrote.
-    pool.flush().unwrap();
-    pool.clear().unwrap();
-    for p in 0..PAGES {
-        pool.with_page(PageId(p), |bytes| {
-            for (t, &b) in bytes.iter().enumerate().take(THREADS as usize) {
-                assert!(b == 0 || b == t as u8 + 1);
-            }
-        })
-        .unwrap();
-    }
 }
 
 /// Regression test for reset semantics under concurrency: `reset` via
@@ -361,48 +369,50 @@ fn multi_shard_stress_preserves_data_and_counters() {
 /// [`take_stats`]: ShardedBufferPool::take_stats
 #[test]
 fn take_stats_loses_no_counts_under_traffic() {
-    const THREADS: u64 = 4;
-    const OPS: u64 = 3_000;
-    const PAGES: u64 = 64;
+    within(Duration::from_secs(60), || {
+        const THREADS: u64 = 4;
+        const OPS: u64 = 3_000;
+        const PAGES: u64 = 64;
 
-    let mem = mem_disk_with(PAGES as usize, 64);
-    let pool = Arc::new(ShardedBufferPool::for_threads(
-        mem.clone() as Arc<dyn Disk>,
-        8,
-        THREADS as usize,
-    ));
+        let mem = mem_disk_with(PAGES as usize, 64);
+        let pool = Arc::new(ShardedBufferPool::for_threads(
+            mem.clone() as Arc<dyn Disk>,
+            8,
+            THREADS as usize,
+        ));
 
-    let mut taken_total = storage::BufferStats::default();
-    std::thread::scope(|scope| {
-        for t in 0..THREADS {
-            let pool = &pool;
-            scope.spawn(move || {
-                let mut x = t * 13 + 1;
-                for _ in 0..OPS {
-                    x = (x * 29 + 7) % PAGES;
-                    pool.with_page(PageId(x), |_| {}).unwrap();
-                }
-            });
-        }
-        // Concurrently harvest the counters many times mid-flight.
-        for _ in 0..50 {
-            taken_total.merge(&pool.take_stats());
-        }
+        let mut taken_total = storage::BufferStats::default();
+        std::thread::scope(|scope| {
+            for t in 0..THREADS {
+                let pool = &pool;
+                scope.spawn(move || {
+                    let mut x = t * 13 + 1;
+                    for _ in 0..OPS {
+                        x = (x * 29 + 7) % PAGES;
+                        pool.with_page(PageId(x), |_| {}).unwrap();
+                    }
+                });
+            }
+            // Concurrently harvest the counters many times mid-flight.
+            for _ in 0..50 {
+                taken_total.merge(&pool.take_stats());
+            }
+        });
+        taken_total.merge(&pool.take_stats());
+
+        // No request lost: every access was a hit or a miss, and every miss
+        // is exactly one physical disk read.
+        assert_eq!(
+            taken_total.hits + taken_total.misses,
+            THREADS * OPS,
+            "requests lost across concurrent take_stats"
+        );
+        assert_eq!(
+            taken_total.misses,
+            mem.stats().reads(),
+            "misses drifted from physical reads across resets"
+        );
     });
-    taken_total.merge(&pool.take_stats());
-
-    // No request lost: every access was a hit or a miss, and every miss
-    // is exactly one physical disk read.
-    assert_eq!(
-        taken_total.hits + taken_total.misses,
-        THREADS * OPS,
-        "requests lost across concurrent take_stats"
-    );
-    assert_eq!(
-        taken_total.misses,
-        mem.stats().reads(),
-        "misses drifted from physical reads across resets"
-    );
 }
 
 /// `stats()` / `reset_stats()` run lock-free while other threads hammer
@@ -410,34 +420,36 @@ fn take_stats_loses_no_counts_under_traffic() {
 /// exceeds requests issued so far, and reset leaves no negative deltas).
 #[test]
 fn stats_are_readable_during_traffic() {
-    let disk = mem_disk_with(16, 64);
-    let pool = Arc::new(ShardedBufferPool::for_threads(disk as Arc<dyn Disk>, 4, 4));
-    let stop = AtomicU64::new(0);
+    within(Duration::from_secs(60), || {
+        let disk = mem_disk_with(16, 64);
+        let pool = Arc::new(ShardedBufferPool::for_threads(disk as Arc<dyn Disk>, 4, 4));
+        let stop = AtomicU64::new(0);
 
-    std::thread::scope(|scope| {
-        for t in 0..3u64 {
-            let pool = &pool;
-            let stop = &stop;
-            scope.spawn(move || {
-                let mut x = t;
-                while stop.load(Ordering::Relaxed) == 0 {
-                    x = (x * 31 + 7) % 16;
-                    pool.with_page(PageId(x), |_| {}).unwrap();
-                }
-            });
-        }
-        let mut last_total = 0u64;
-        for _ in 0..200 {
-            let s = pool.stats();
-            let total = s.hits + s.misses;
-            assert!(total >= last_total, "aggregated counters went backwards");
-            last_total = total;
-        }
-        pool.reset_stats();
-        stop.store(1, Ordering::Relaxed);
+        std::thread::scope(|scope| {
+            for t in 0..3u64 {
+                let pool = &pool;
+                let stop = &stop;
+                scope.spawn(move || {
+                    let mut x = t;
+                    while stop.load(Ordering::Relaxed) == 0 {
+                        x = (x * 31 + 7) % 16;
+                        pool.with_page(PageId(x), |_| {}).unwrap();
+                    }
+                });
+            }
+            let mut last_total = 0u64;
+            for _ in 0..200 {
+                let s = pool.stats();
+                let total = s.hits + s.misses;
+                assert!(total >= last_total, "aggregated counters went backwards");
+                last_total = total;
+            }
+            pool.reset_stats();
+            stop.store(1, Ordering::Relaxed);
+        });
+        let s = pool.stats();
+        // Post-reset counters only reflect post-reset traffic; they must be
+        // small and non-contradictory.
+        assert!(s.hit_rate() >= 0.0 && s.hit_rate() <= 1.0);
     });
-    let s = pool.stats();
-    // Post-reset counters only reflect post-reset traffic; they must be
-    // small and non-contradictory.
-    assert!(s.hit_rate() >= 0.0 && s.hit_rate() <= 1.0);
 }

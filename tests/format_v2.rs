@@ -1,6 +1,6 @@
 //! On-disk format v2, end to end: reopen round-trips for every tree
 //! variant, multi-tree files under delete-heavy churn, crash schedules
-//! over the persist path, and legacy v1 image compatibility.
+//! over the persist path, and refusal of a v1 (pre-superblock) image.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -8,10 +8,11 @@ use std::sync::Arc;
 use proptest::prelude::*;
 use str_rtree::prelude::*;
 use str_rtree::rtree::codec::RectCodec;
-use str_rtree::rtree::store::{self, META_MAGIC_V1};
-use str_rtree::rtree::Entry;
+use str_rtree::rtree::store;
+use str_rtree::rtree::{Entry, RTreeError};
 use str_rtree::storage::{
-    Disk, FaultDisk, FaultKind, FaultOp, FaultSpec, PageAllocator, Trigger, DEFAULT_PAGE_SIZE,
+    Disk, FaultDisk, FaultKind, FaultOp, FaultSpec, PageId, StorageError, Trigger,
+    DEFAULT_PAGE_SIZE,
 };
 
 fn everything() -> Rect2 {
@@ -322,10 +323,11 @@ fn crash_during_persist_leaks_at_worst() {
 }
 
 /// A hand-built v1 single-tree image (meta on page 0, nodes from page
-/// 1, no superblock) still opens, queries, mutates and persists — and
-/// stays v1 on disk, so older builds could still read it back.
+/// 1, no superblock) is refused: opening it, under any name, or
+/// cataloging a new tree into it fails with the allocator's typed
+/// superblock error, and nothing is written to the disk.
 #[test]
-fn v1_single_tree_image_still_opens() {
+fn v1_single_tree_image_is_refused() {
     let disk = Arc::new(MemDisk::default_size());
     let meta_page = disk.allocate().unwrap();
     let leaf = disk.allocate().unwrap();
@@ -356,30 +358,25 @@ fn v1_single_tree_image_still_opens() {
     meta[32..40].copy_from_slice(&n.to_le_bytes());
     disk.write_page(meta_page, &meta).unwrap();
 
+    let refused = |res: Result<RTree<2>, RTreeError>| match res {
+        Err(RTreeError::Storage(StorageError::Corrupt { page, reason })) => {
+            assert_eq!(page, PageId(0));
+            assert!(reason.contains("bad superblock magic"), "{reason}");
+        }
+        Err(other) => panic!("wrong error for a v1 image: {other}"),
+        Ok(_) => panic!("a v1 image opened"),
+    };
     let pool = Arc::new(BufferPool::new(disk.clone(), 64));
-    let mut t = RTree::<2>::open(pool).unwrap();
-    assert_eq!(t.len(), n);
-    assert_eq!(t.query_region(&everything()).unwrap().len(), n as usize);
-    t.validate(false).unwrap();
-    let report = t.check();
-    assert!(report.is_clean(), "{report}");
-    assert_eq!(report.free_pages, 0, "v1 images keep no free chain");
+    refused(RTree::<2>::open(pool.clone()));
+    refused(RTree::<2>::open_named(pool.clone(), "other"));
+    refused(RTree::<2>::create_named(
+        pool,
+        "extra",
+        NodeCapacity::new(8).unwrap(),
+    ));
 
-    // Mutating and persisting keeps the image v1: no superblock ever
-    // appears on page 0.
-    t.insert(Rect2::new([0.5, 0.5], [0.5, 0.5]), 999).unwrap();
-    t.persist().unwrap();
-    assert_eq!(
-        PageAllocator::probe_magic(disk.as_ref()).unwrap(),
-        Some(META_MAGIC_V1)
-    );
-
-    let pool = Arc::new(BufferPool::new(disk, 64));
-    let t = RTree::<2>::open(pool.clone()).unwrap();
-    assert_eq!(t.len(), n + 1);
-
-    // v1 files are single-tree by construction: only the default name
-    // resolves, and no new tree can be cataloged into one.
-    assert!(RTree::<2>::open_named(pool.clone(), "other").is_err());
-    assert!(RTree::<2>::create_named(pool, "extra", NodeCapacity::new(8).unwrap()).is_err());
+    let mut after = vec![0u8; DEFAULT_PAGE_SIZE];
+    disk.read_page(meta_page, &mut after).unwrap();
+    assert_eq!(after, meta, "a refused image must not be rewritten");
+    assert_eq!(disk.num_pages(), 2);
 }

@@ -13,7 +13,7 @@ use std::sync::Arc;
 use str_rtree::geom::{Rect, Rect2};
 use str_rtree::prelude::{pack, BufferPool, Disk, MemDisk, NodeCapacity, RTree, StrPacker};
 use str_rtree::rtree::codec::{self, entry_size, max_capacity};
-use str_rtree::rtree::{store, Entry, Node, NodeView};
+use str_rtree::rtree::{store, Entry, Node, NodeView, RTreeError};
 use str_rtree::storage::{fnv1a_update, wide_hash, PageId, DEFAULT_PAGE_SIZE, FNV_SEED};
 
 const PAGE: usize = 4096;
@@ -135,30 +135,24 @@ fn torn_tail_at_every_sector_boundary_is_rejected() {
 }
 
 #[test]
-fn tree_sealed_by_an_older_build_still_opens() {
+fn tree_sealed_by_an_older_build_is_refused() {
     // Re-seal every node page of a packed tree with the legacy FNV-1a,
-    // as builds before the word-parallel checksum wrote them. The tree
-    // must reopen, validate and answer as before, and keep working
-    // under mutation (which seals what it rewrites with the new hash).
+    // as builds before the word-parallel checksum wrote them. The meta
+    // page is untouched, so the tree opens; every read of a node page
+    // then fails with the typed checksum error, never a wrong answer.
     let disk = Arc::new(MemDisk::default_size());
     let square = |i: u64| {
         let (x, y) = ((i % 50) as f64 / 50.0, (i / 50) as f64 / 40.0);
         Rect2::new([x, y], [x + 0.01, y + 0.01])
     };
     let window = Rect2::new([0.2, 0.2], [0.6, 0.6]);
-    let ids = |hits: Vec<(Rect2, u64)>| {
-        let mut ids: Vec<u64> = hits.into_iter().map(|(_, id)| id).collect();
-        ids.sort_unstable();
-        ids
-    };
-    let expect = {
+    {
         let pool = Arc::new(BufferPool::new(disk.clone(), 64));
         let items = (0..2_000).map(|i| (square(i), i)).collect();
         let cap = NodeCapacity::new(20).unwrap();
         let mut tree = pack(pool, items, cap, &StrPacker::new()).unwrap();
         tree.persist().unwrap();
-        ids(tree.query_region(&window).unwrap())
-    };
+    }
 
     let mut page = vec![0u8; DEFAULT_PAGE_SIZE];
     let mut resealed = 0;
@@ -177,12 +171,13 @@ fn tree_sealed_by_an_older_build_still_opens() {
     assert!(resealed > 100, "only {resealed} node pages");
 
     let pool = Arc::new(BufferPool::new(disk, 16));
-    let mut tree = RTree::<2>::open(pool).unwrap();
-    tree.validate(false).unwrap();
-    assert_eq!(ids(tree.query_region(&window).unwrap()), expect);
-    tree.insert(Rect2::new([0.4, 0.4], [0.41, 0.41]), 9_999)
-        .unwrap();
-    assert!(tree.delete(&square(0), 0).unwrap());
-    tree.validate(false).unwrap();
-    assert!(ids(tree.query_region(&window).unwrap()).contains(&9_999));
+    let tree = RTree::<2>::open(pool).unwrap();
+    match tree.query_region(&window) {
+        Err(RTreeError::Corrupt { reason, .. }) => {
+            assert!(reason.contains("checksum mismatch"), "{reason}")
+        }
+        Err(other) => panic!("wrong error for an FNV-sealed page: {other}"),
+        Ok(hits) => panic!("an FNV-sealed tree answered with {} hits", hits.len()),
+    }
+    assert!(tree.validate(false).is_err());
 }
