@@ -254,6 +254,28 @@ pub fn build_lsm(input: &Path, dir: &Path, capacity: usize, threads: usize) -> C
     ))
 }
 
+/// `delete --lsm`: delete the rectangles listed in a CSV (exact rect +
+/// id match, one copy per row) from an LSM directory through the
+/// durable delete path, each one WAL-committed before the next. The
+/// deletes stay tombstones in the memtable until a later compaction
+/// folds them out; reopening replays them from the log.
+pub fn delete_lsm(input: &Path, dir: &Path) -> CliResult<String> {
+    let items = csvio::read_items(input)?;
+    let tree = open_lsm(dir, lsm::LsmOptions::default())?;
+    let mut removed = 0u64;
+    for (rect, id) in &items {
+        if tree.delete(rect, *id).map_err(|e| e.to_string())? {
+            removed += 1;
+        }
+    }
+    Ok(format!(
+        "deleted {removed} of {} listed rectangles from {}; it now holds {}",
+        items.len(),
+        dir.display(),
+        SpatialIndex::len(&tree)
+    ))
+}
+
 /// `trees`: list every named tree in the file's catalog.
 pub fn trees(index: &Path) -> CliResult<String> {
     let disk: Arc<dyn storage::Disk> = Arc::new(
@@ -424,73 +446,6 @@ pub fn check(index: &Path, tree_name: &str) -> CliResult<String> {
     } else {
         Err(format!("{}:\n{report}", index.display()))
     }
-}
-
-/// The sibling WAL directory for an index file: `<index>.wal/`. Every
-/// command that touches the durable write path derives it the same way,
-/// so the pair always travels together.
-pub fn default_wal_dir(index: &Path) -> std::path::PathBuf {
-    let mut os = index.as_os_str().to_os_string();
-    os.push(".wal");
-    std::path::PathBuf::from(os)
-}
-
-/// `wal-stat`: offline summary of the index's write-ahead log — segment
-/// inventory, committed-transaction count, LSN range, the superblock
-/// watermark, and how many transactions a recovery would replay.
-pub fn wal_stat(index: &Path) -> CliResult<String> {
-    let dir = default_wal_dir(index);
-    if !dir.is_dir() {
-        return Ok(format!("{}: no WAL directory", dir.display()));
-    }
-    let store = storage::FileLogStore::open(&dir).map_err(|e| format!("{}: {e}", dir.display()))?;
-    let scan = storage::wal::scan(store.as_ref()).map_err(|e| e.to_string())?;
-    let disk: Arc<dyn storage::Disk> = Arc::new(
-        FileDisk::open(index, DEFAULT_PAGE_SIZE)
-            .map_err(|e| format!("{}: {e}", index.display()))?,
-    );
-    let watermark = storage::PageAllocator::open(disk)
-        .map_err(|e| e.to_string())?
-        .wal_applied_lsn();
-    let pending = scan.txns.iter().filter(|t| t.lsn > watermark).count();
-    let mut out = format!(
-        "{}: {} segment(s), {} record(s), {} valid byte(s)\n",
-        dir.display(),
-        scan.segments,
-        scan.records,
-        scan.valid_bytes
-    );
-    match (scan.txns.first(), scan.txns.last()) {
-        (Some(first), Some(last)) => out.push_str(&format!(
-            "committed txns: {} (lsn {}..={})\n",
-            scan.txns.len(),
-            first.lsn,
-            last.lsn
-        )),
-        _ => out.push_str("committed txns: 0\n"),
-    }
-    out.push_str(&format!(
-        "superblock watermark: lsn {watermark}; {pending} txn(s) pending replay\n"
-    ));
-    if let Some(torn) = &scan.torn {
-        out.push_str(&format!("torn tail: {torn}\n"));
-    }
-    Ok(out)
-}
-
-/// `recover`: replay the sibling WAL into the index (idempotent redo
-/// past the superblock watermark), sweep stranded pages back to the
-/// free chain, and reset the log. Safe to run on a clean index — it
-/// reports a no-op.
-pub fn recover(index: &Path) -> CliResult<String> {
-    let disk: Arc<dyn storage::Disk> = Arc::new(
-        FileDisk::open(index, DEFAULT_PAGE_SIZE)
-            .map_err(|e| format!("{}: {e}", index.display()))?,
-    );
-    let dir = default_wal_dir(index);
-    let store = storage::FileLogStore::open(&dir).map_err(|e| format!("{}: {e}", dir.display()))?;
-    let report = rtree::recover(&disk, store.as_ref()).map_err(|e| e.to_string())?;
-    Ok(format!("{}: {report}", index.display()))
 }
 
 /// `dump-leaves`: leaf MBRs as CSV (plot fodder, as in the paper's

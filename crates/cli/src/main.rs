@@ -19,9 +19,8 @@
 //! rtree-cli dump-leaves --index index.rtree
 //! rtree-cli insert   --index index.rtree --input more.csv
 //! rtree-cli delete   --index index.rtree --input victims.csv
+//! rtree-cli delete   --lsm DIR --input victims.csv
 //! rtree-cli trees    --index index.rtree
-//! rtree-cli wal-stat --index index.rtree
-//! rtree-cli recover  --index index.rtree
 //! ```
 //!
 //! Index files use the v2 on-disk format, which holds several named
@@ -34,10 +33,11 @@
 //! mmap. `query --flat auto` (or `--flat path.flat`) answers from that
 //! file instead of the paged index.
 //!
-//! `--lsm DIR` points `build`/`query`/`point` at an LSM tree directory
-//! (superblock file, WAL, flat segments — see DESIGN.md §15): `build
-//! --lsm` ingests through the durable insert path instead of bulk
-//! packing, and queries answer over the memtable plus every flat level
+//! `--lsm DIR` points `build`/`query`/`point`/`delete` at an LSM tree
+//! directory (superblock file, WAL, flat segments — see DESIGN.md §15):
+//! `build --lsm` ingests through the durable insert path instead of
+//! bulk packing, `delete --lsm` removes through the durable delete
+//! path, and queries answer over the memtable plus every flat level
 //! through the same `SpatialIndex` interface as the other tiers.
 //!
 //! Every command additionally accepts `--metrics text|json`, which
@@ -61,7 +61,7 @@ use rtree_cli::{commands, parse_point, parse_rect, CliResult};
 
 fn usage() -> ! {
     eprintln!(
-        "usage: rtree-cli <gen|build|flatten|query|point|knn|stats|validate|check|dump-leaves|insert|delete|compare|query-bench|trace|trees|wal-stat|recover> \
+        "usage: rtree-cli <gen|build|flatten|query|point|knn|stats|validate|check|dump-leaves|insert|delete|compare|query-bench|trace|trees> \
          [--flag value]... [--tree name] [--metrics text|json] [--trace out.json [--trace-sample N] [--slow-ms MS]]\nsee the crate docs for per-command flags"
     );
     std::process::exit(2);
@@ -244,20 +244,23 @@ fn run() -> CliResult<String> {
         "check" => commands::check(&PathBuf::from(flags.req("index")?), &tree),
         "dump-leaves" => commands::dump_leaves(&PathBuf::from(flags.req("index")?), &tree),
         "trees" => commands::trees(&PathBuf::from(flags.req("index")?)),
-        "wal-stat" => commands::wal_stat(&PathBuf::from(flags.req("index")?)),
-        "recover" => commands::recover(&PathBuf::from(flags.req("index")?)),
         "insert" => commands::insert(
             &PathBuf::from(flags.req("index")?),
             &PathBuf::from(flags.req("input")?),
             flags.parse_num("buffer", 64usize)?,
             &tree,
         ),
-        "delete" => commands::delete(
-            &PathBuf::from(flags.req("index")?),
-            &PathBuf::from(flags.req("input")?),
-            flags.parse_num("buffer", 64usize)?,
-            &tree,
-        ),
+        "delete" => match flags.get("lsm") {
+            Some(dir) => {
+                commands::delete_lsm(&PathBuf::from(flags.req("input")?), &PathBuf::from(dir))
+            }
+            None => commands::delete(
+                &PathBuf::from(flags.req("index")?),
+                &PathBuf::from(flags.req("input")?),
+                flags.parse_num("buffer", 64usize)?,
+                &tree,
+            ),
+        },
         _ => usage(),
     };
     // Any traced run exports its spans on the way out; the note is a

@@ -131,6 +131,104 @@ fn gen_build_query_pipeline() {
     std::fs::remove_file(&index).ok();
 }
 
+/// Run the binary, demand success, return stdout.
+fn run_ok(cmd: &mut Command) -> String {
+    let out = cmd.output().unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    String::from_utf8_lossy(&out.stdout).into_owned()
+}
+
+/// The durable delete beside `build --lsm`: build, delete a listed
+/// subset, reopen and query — the deleted rows are gone, deleting them
+/// again finds nothing, and re-inserting them brings them back.
+#[test]
+fn lsm_build_delete_reopen_query_round_trip() {
+    let data = tmp("lsm-del.csv");
+    let victims = tmp("lsm-victims.csv");
+    let dir = tmp("lsm-del.lsm");
+    let _ = std::fs::remove_dir_all(&dir);
+
+    run_ok(
+        bin()
+            .args([
+                "gen",
+                "--dataset",
+                "tiger",
+                "--n",
+                "2000",
+                "--seed",
+                "4",
+                "--output",
+            ])
+            .arg(&data),
+    );
+    run_ok(
+        bin()
+            .args(["build", "--input"])
+            .arg(&data)
+            .arg("--lsm")
+            .arg(&dir),
+    );
+    // The header plus the first 300 rows.
+    let text = std::fs::read_to_string(&data).unwrap();
+    let rows: Vec<&str> = text.lines().take(301).collect();
+    std::fs::write(&victims, rows.join("\n") + "\n").unwrap();
+    let gone: Vec<u64> = rows[1..]
+        .iter()
+        .map(|r| r.rsplit(',').next().unwrap().parse().unwrap())
+        .collect();
+
+    let out = run_ok(
+        bin()
+            .args(["delete", "--input"])
+            .arg(&victims)
+            .arg("--lsm")
+            .arg(&dir),
+    );
+    assert!(out.contains("deleted 300 of 300"), "{out}");
+
+    let query = |dir: &PathBuf| {
+        run_ok(
+            bin()
+                .args(["query", "--region", "0,0,1,1", "--lsm"])
+                .arg(dir),
+        )
+    };
+    let out = query(&dir);
+    assert!(out.contains("# 1700 hits"), "{out}");
+    let ids: Vec<u64> = out
+        .lines()
+        .filter(|l| !l.starts_with('#'))
+        .map(|l| l.rsplit(',').next().unwrap().parse().unwrap())
+        .collect();
+    assert_eq!(ids.len(), 1700);
+    assert!(
+        ids.iter().all(|id| !gone.contains(id)),
+        "a deleted row answered"
+    );
+
+    let out = run_ok(
+        bin()
+            .args(["delete", "--input"])
+            .arg(&victims)
+            .arg("--lsm")
+            .arg(&dir),
+    );
+    assert!(out.contains("deleted 0 of 300"), "{out}");
+    run_ok(
+        bin()
+            .args(["build", "--input"])
+            .arg(&victims)
+            .arg("--lsm")
+            .arg(&dir),
+    );
+    assert!(query(&dir).contains("# 2000 hits"));
+}
+
 #[test]
 fn query_bench_reports_thread_scaling() {
     let data = tmp("qb.csv");

@@ -19,6 +19,8 @@ use crate::{LsmError, Result};
 pub const NOTE_INSERT: u8 = 1;
 /// Note tag: a compaction's catalog flip (the commit point).
 pub const NOTE_FLIP: u8 = 2;
+/// Note tag: a batch of acknowledged deletes (memtable redo).
+pub const NOTE_DELETE: u8 = 3;
 
 /// Magic prefix of a segment meta page.
 pub const SEGMENT_META_MAGIC: [u8; 4] = *b"SEGM";
@@ -35,13 +37,23 @@ pub struct InsertNote<const D: usize> {
     pub items: Vec<(Rect<D>, u64)>,
 }
 
+/// A batch of deletes, logged before the memtable records them. Each
+/// `(rect, id)` pair was live when it was logged and takes out one copy.
+#[derive(Debug, Clone, PartialEq)]
+pub struct DeleteNote<const D: usize> {
+    /// The deleted rectangles and their ids, in acknowledgement order.
+    pub items: Vec<(Rect<D>, u64)>,
+}
+
 /// A compaction commit record: once this note's WAL commit frame is
 /// durable, the flip MUST happen; before it, the flip MUST NOT.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FlipNote {
     /// Id of the newly packed segment.
     pub new_id: u64,
-    /// Meta page describing the new segment.
+    /// Meta page describing the new segment; [`PageId::INVALID`] when
+    /// the compaction's tombstones deleted every item it folded, so the
+    /// flip only removes levels and writes no segment.
     pub meta_page: PageId,
     /// WAL watermark: inserts with LSN <= this are covered by the flip.
     pub seal_lsn: u64,
@@ -54,26 +66,41 @@ pub struct FlipNote {
 pub enum Note<const D: usize> {
     /// Acknowledged inserts to replay into the memtable.
     Insert(InsertNote<D>),
+    /// Acknowledged deletes to replay into the memtable.
+    Delete(DeleteNote<D>),
     /// A committed compaction to re-execute if the superblock missed it.
     Flip(FlipNote),
+}
+
+/// Serialize an item batch: tag, item count, then `2*D` coordinates +
+/// id per item.
+fn encode_items<const D: usize>(tag: u8, items: &[(Rect<D>, u64)]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(5 + items.len() * (16 * D + 8));
+    out.push(tag);
+    out.extend_from_slice(&(items.len() as u32).to_le_bytes());
+    for (rect, id) in items {
+        for a in 0..D {
+            out.extend_from_slice(&rect.lo(a).to_le_bytes());
+        }
+        for a in 0..D {
+            out.extend_from_slice(&rect.hi(a).to_le_bytes());
+        }
+        out.extend_from_slice(&id.to_le_bytes());
+    }
+    out
 }
 
 impl<const D: usize> InsertNote<D> {
     /// Serialize: tag, item count, then `2*D` coordinates + id per item.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(5 + self.items.len() * (16 * D + 8));
-        out.push(NOTE_INSERT);
-        out.extend_from_slice(&(self.items.len() as u32).to_le_bytes());
-        for (rect, id) in &self.items {
-            for a in 0..D {
-                out.extend_from_slice(&rect.lo(a).to_le_bytes());
-            }
-            for a in 0..D {
-                out.extend_from_slice(&rect.hi(a).to_le_bytes());
-            }
-            out.extend_from_slice(&id.to_le_bytes());
-        }
-        out
+        encode_items(NOTE_INSERT, &self.items)
+    }
+}
+
+impl<const D: usize> DeleteNote<D> {
+    /// Serialize in the insert note's layout under the delete tag.
+    pub fn encode(&self) -> Vec<u8> {
+        encode_items(NOTE_DELETE, &self.items)
     }
 }
 
@@ -136,6 +163,30 @@ impl<'a> Reader<'a> {
             Err(LsmError::Corrupt("trailing bytes after note".into()))
         }
     }
+
+    /// An item batch: count, then `2*D` coordinates + id per item.
+    fn items<const D: usize>(&mut self, kind: &str) -> Result<Vec<(Rect<D>, u64)>> {
+        let count = self.u32()? as usize;
+        // Pre-size only for the items the payload can hold, so an
+        // inflated count cannot force a large allocation.
+        let mut items = Vec::with_capacity(count.min(self.remaining() / (16 * D + 8)));
+        for _ in 0..count {
+            let mut lo = [0.0f64; D];
+            let mut hi = [0.0f64; D];
+            for l in lo.iter_mut() {
+                *l = self.f64()?;
+            }
+            for h in hi.iter_mut() {
+                *h = self.f64()?;
+            }
+            let id = self.u64()?;
+            let rect = Rect::try_new(lo, hi)
+                .map_err(|e| LsmError::Corrupt(format!("invalid rect in {kind} note: {e}")))?;
+            items.push((rect, id));
+        }
+        self.done()?;
+        Ok(items)
+    }
 }
 
 impl<const D: usize> Note<D> {
@@ -146,29 +197,12 @@ impl<const D: usize> Note<D> {
             .ok_or_else(|| LsmError::Corrupt("empty note payload".into()))?;
         let mut r = Reader { buf, at: 1 };
         match tag {
-            NOTE_INSERT => {
-                let count = r.u32()? as usize;
-                // Pre-size only for the items the payload can hold, so an
-                // inflated count cannot force a large allocation.
-                let mut items = Vec::with_capacity(count.min(r.remaining() / (16 * D + 8)));
-                for _ in 0..count {
-                    let mut lo = [0.0f64; D];
-                    let mut hi = [0.0f64; D];
-                    for l in lo.iter_mut() {
-                        *l = r.f64()?;
-                    }
-                    for h in hi.iter_mut() {
-                        *h = r.f64()?;
-                    }
-                    let id = r.u64()?;
-                    let rect = Rect::try_new(lo, hi).map_err(|e| {
-                        LsmError::Corrupt(format!("invalid rect in insert note: {e}"))
-                    })?;
-                    items.push((rect, id));
-                }
-                r.done()?;
-                Ok(Note::Insert(InsertNote { items }))
-            }
+            NOTE_INSERT => Ok(Note::Insert(InsertNote {
+                items: r.items("insert")?,
+            })),
+            NOTE_DELETE => Ok(Note::Delete(DeleteNote {
+                items: r.items("delete")?,
+            })),
             NOTE_FLIP => {
                 let new_id = r.u64()?;
                 let meta_page = PageId(r.u64()?);
@@ -369,6 +403,29 @@ pub(crate) mod tests {
         let mut long = bytes.clone();
         long.push(0);
         assert!(Note::<2>::decode(&long).is_err());
+    }
+
+    #[test]
+    fn delete_note_round_trips_under_its_own_tag() {
+        let items = vec![(Rect::new([0.0, 1.0], [2.0, 3.0]), 7)];
+        let note = DeleteNote::<2> {
+            items: items.clone(),
+        };
+        let bytes = note.encode();
+        assert_eq!(bytes[0], NOTE_DELETE);
+        // Same layout as an insert note, told apart only by the tag.
+        assert_eq!(bytes[1..], InsertNote::<2> { items }.encode()[1..]);
+        match Note::<2>::decode(&bytes).unwrap() {
+            Note::Delete(back) => assert_eq!(back, note),
+            other => panic!("wrong variant: {other:?}"),
+        }
+        // An inverted rect is refused by name.
+        let mut inverted = bytes.clone();
+        inverted[5..13].copy_from_slice(&9.0f64.to_le_bytes());
+        match Note::<2>::decode(&inverted) {
+            Err(LsmError::Corrupt(msg)) => assert!(msg.contains("delete note"), "{msg}"),
+            other => panic!("inverted rect decoded: {other:?}"),
+        }
     }
 
     #[test]

@@ -30,7 +30,7 @@ mod memtable;
 mod segstore;
 mod tree;
 
-pub use codec::{FlipNote, InsertNote, Note, SegmentMeta};
+pub use codec::{DeleteNote, FlipNote, InsertNote, Note, SegmentMeta};
 pub use memtable::Memtable;
 pub use segstore::{FileSegmentStore, MemSegmentStore, SegmentStore};
 pub use tree::{LsmOptions, LsmStats, LsmTree};

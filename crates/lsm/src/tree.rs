@@ -24,13 +24,14 @@
 //! the superblock watermark was committed but may have missed step 4,
 //! so it is re-executed (steps 1–2 guarantee its inputs are durable); a
 //! flip that never reached the log never happened, and its segment
-//! bytes are garbage-collected as orphans. Insert notes above the final
-//! watermark rebuild the memtable. The only thing a crash can leak is
-//! meta pages: the new segment's page if the flip never committed, or
-//! the victims' pages if the crash landed between the superblock flip
-//! and cleanup (recovery deliberately never frees them — freeing a
-//! page twice corrupts the allocator, leaking a few pages does not).
-//! Bounded by one compaction's victims; never an acknowledged insert.
+//! bytes are garbage-collected as orphans. Insert and delete notes
+//! above the final watermark rebuild the memtable, in log order. The
+//! only thing a crash can leak is meta pages: the new segment's page if
+//! the flip never committed, or the victims' pages if the crash landed
+//! between the superblock flip and cleanup (recovery deliberately never
+//! frees them — freeing a page twice corrupts the allocator, leaking a
+//! few pages does not). Bounded by one compaction's victims; never an
+//! acknowledged insert or delete.
 //!
 //! # Compaction policy
 //!
@@ -44,6 +45,17 @@
 //! newest suffix, so levels stay in seal-LSN order, and after every
 //! compaction item counts strictly decrease from the oldest level to
 //! the newest.
+//!
+//! # Deletes
+//!
+//! A delete of a copy held by the active memtable removes it there; any
+//! other live copy gets a tombstone in the active memtable, which
+//! shadows one older copy (sealed memtable or flat level) at read time.
+//! A compaction whose sealed memtable holds tombstones folds every
+//! level, whatever the policy says, and drops each tombstone together
+//! with the copy it shadows, so no segment ever holds a tombstone. That
+//! full fold is the price of a delete: each memtable that holds a
+//! tombstone costs a rewrite of the whole tree.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -58,8 +70,8 @@ use storage::{
 };
 use str_core::pack_str_to_flat;
 
-use crate::codec::{FlipNote, InsertNote, Note, SegmentMeta};
-use crate::memtable::Memtable;
+use crate::codec::{DeleteNote, FlipNote, InsertNote, Note, SegmentMeta};
+use crate::memtable::{Memtable, Shadow};
 use crate::segstore::SegmentStore;
 use crate::{LsmError, Result};
 
@@ -103,6 +115,9 @@ impl Default for LsmOptions {
 pub struct LsmStats {
     /// Items in the active memtable.
     pub memtable_items: u64,
+    /// Tombstones in the active and sealed memtables, each shadowing
+    /// one older item until a compaction drops both.
+    pub tombstones: u64,
     /// Items in the sealed (compacting) memtable, if any.
     pub sealed_items: u64,
     /// Items across all flat levels.
@@ -135,6 +150,18 @@ struct State<const D: usize> {
     sealed: Option<Sealed<D>>,
     levels: Vec<Arc<Segment<D>>>,
     next_seg_id: u64,
+}
+
+impl<const D: usize> State<D> {
+    /// Live items: every held copy less the copies tombstones shadow.
+    fn len(&self) -> u64 {
+        let (mut held, mut shadowing) = (self.active.len(), self.active.tombstones());
+        if let Some(s) = &self.sealed {
+            held += s.mem.len();
+            shadowing += s.mem.tombstones();
+        }
+        (held + self.levels.iter().map(|s| s.item_count).sum::<u64>()).saturating_sub(shadowing)
+    }
 }
 
 struct Signal {
@@ -201,15 +228,12 @@ impl<const D: usize> LsmTree<D> {
         let scanned = scan(&*log)?;
         truncate_torn_tail(&*log, &scanned)?;
 
-        // LSM transactions are note-only; page-image transactions in a
-        // shared log belong to `storage::replay` and are skipped here.
-        let mut inserts: Vec<(u64, InsertNote<D>)> = Vec::new();
+        let mut redo: Vec<(u64, Note<D>)> = Vec::new();
         let mut flips: Vec<(u64, FlipNote)> = Vec::new();
         let mut max_seen_id = 0u64;
         for tx in &scanned.txns {
             for note in &tx.notes {
                 match Note::<D>::decode(note)? {
-                    Note::Insert(n) => inserts.push((tx.lsn, n)),
                     Note::Flip(f) => {
                         max_seen_id = max_seen_id.max(f.new_id);
                         for &(id, _) in &f.removed {
@@ -217,6 +241,7 @@ impl<const D: usize> LsmTree<D> {
                         }
                         flips.push((tx.lsn, f));
                     }
+                    other => redo.push((tx.lsn, other)),
                 }
             }
         }
@@ -227,6 +252,18 @@ impl<const D: usize> LsmTree<D> {
         // can qualify.
         for (_, flip) in &flips {
             if flip.seal_lsn <= alloc.wal_applied_lsn() {
+                continue;
+            }
+            let removes: Vec<String> = flip
+                .removed
+                .iter()
+                .map(|&(id, _)| flat::segment_file_name(id))
+                .collect();
+            let remove_refs: Vec<&str> = removes.iter().map(String::as_str).collect();
+            if flip.meta_page == PageId::INVALID {
+                // Its tombstones deleted everything it folded.
+                alloc.flip_catalog(&remove_refs, &[], Some(flip.seal_lsn))?;
+                disk.sync()?;
                 continue;
             }
             let meta = read_meta_page(&disk, flip.meta_page)?;
@@ -248,12 +285,6 @@ impl<const D: usize> LsmTree<D> {
                     flip.new_id
                 )));
             }
-            let removes: Vec<String> = flip
-                .removed
-                .iter()
-                .map(|&(id, _)| flat::segment_file_name(id))
-                .collect();
-            let remove_refs: Vec<&str> = removes.iter().map(String::as_str).collect();
             let name = flat::segment_file_name(flip.new_id);
             alloc.flip_catalog(
                 &remove_refs,
@@ -307,14 +338,23 @@ impl<const D: usize> LsmTree<D> {
             segs.sync()?;
         }
 
-        // Rebuild the memtable from acknowledged inserts the flipped
-        // segments don't already cover.
+        // Rebuild the memtable from acknowledged inserts and deletes the
+        // flipped segments don't already cover, in log order — the order
+        // they were applied in.
         let active = Arc::new(Memtable::<D>::new());
-        for (lsn, note) in &inserts {
-            if *lsn > watermark {
-                for &(rect, id) in &note.items {
-                    active.insert(rect, id);
+        for (_, note) in redo.iter().filter(|(lsn, _)| *lsn > watermark) {
+            match note {
+                Note::Insert(n) => {
+                    for &(rect, id) in &n.items {
+                        active.insert(rect, id);
+                    }
                 }
+                Note::Delete(n) => {
+                    for (rect, id) in &n.items {
+                        active.delete(rect, *id);
+                    }
+                }
+                Note::Flip(_) => unreachable!("flip notes are collected apart"),
             }
         }
         LSM_MEMTABLE_BYTES.set(active.approx_bytes() as i64);
@@ -380,7 +420,7 @@ impl<const D: usize> LsmTree<D> {
                 // lock) observes either none or both, so its seal LSN
                 // always covers exactly the items in the sealed memtable.
                 let g = self.inner.state.read();
-                if g.active.len() < self.inner.opts.memtable_items {
+                if g.active.entries() < self.inner.opts.memtable_items {
                     let payload = InsertNote {
                         items: items.to_vec(),
                     }
@@ -394,6 +434,42 @@ impl<const D: usize> LsmTree<D> {
                     LSM_MEMTABLE_BYTES.set(bytes as i64);
                     self.inner.wal.commit(ticket.lsn)?;
                     return Ok(());
+                }
+            }
+            self.make_room()?;
+        }
+    }
+
+    /// Delete one copy of `(rect, id)`. Returns `Ok(false)`, logging
+    /// nothing, if no copy is live; `Ok(true)` once the delete is
+    /// durable (WAL-committed).
+    ///
+    /// The liveness check, the note append and the memtable change all
+    /// run under the state write lock. No insert is then between its
+    /// note and its memtable insert, so every operation the check sees
+    /// has a lower LSN and every one it misses a higher LSN: recovery,
+    /// which replays notes in LSN order, meets the state the delete met.
+    /// The commit waits outside the lock, as an insert's does.
+    pub fn delete(&self, rect: &Rect<D>, id: u64) -> Result<bool> {
+        self.check_failed()?;
+        loop {
+            {
+                let g = self.inner.state.write();
+                if !is_live(&g, rect, id) {
+                    return Ok(false);
+                }
+                if g.active.entries() < self.inner.opts.memtable_items {
+                    let payload = DeleteNote {
+                        items: vec![(*rect, id)],
+                    }
+                    .encode();
+                    let ticket = self.inner.wal.append_note(&payload)?;
+                    g.active.delete(rect, id);
+                    let bytes = g.active.approx_bytes();
+                    drop(g);
+                    LSM_MEMTABLE_BYTES.set(bytes as i64);
+                    self.inner.wal.commit(ticket.lsn)?;
+                    return Ok(true);
                 }
             }
             self.make_room()?;
@@ -431,12 +507,19 @@ impl<const D: usize> LsmTree<D> {
         let g = self.inner.state.read();
         LsmStats {
             memtable_items: g.active.len(),
+            tombstones: g.active.tombstones() + g.sealed.as_ref().map_or(0, |s| s.mem.tombstones()),
             sealed_items: g.sealed.as_ref().map_or(0, |s| s.mem.len()),
             level_items: g.levels.iter().map(|s| s.item_count).sum(),
             levels: g.levels.len(),
             compactions: self.inner.compactions.load(Ordering::Relaxed),
             items_packed: self.inner.items_packed.load(Ordering::Relaxed),
         }
+    }
+
+    /// The tree's write-ahead log, for commit and fsync counts and the
+    /// group-commit switch ([`Wal::stat`], [`Wal::set_group_commit`]).
+    pub fn wal(&self) -> &Arc<Wal> {
+        &self.inner.wal
     }
 
     fn check_failed(&self) -> Result<()> {
@@ -453,7 +536,7 @@ impl<const D: usize> LsmTree<D> {
     fn make_room(&self) -> Result<()> {
         {
             let mut g = self.inner.state.write();
-            if g.active.len() < self.inner.opts.memtable_items {
+            if g.active.entries() < self.inner.opts.memtable_items {
                 return Ok(()); // someone else already sealed
             }
             if g.sealed.is_none() {
@@ -572,6 +655,29 @@ fn kept_levels<const D: usize>(
     keep
 }
 
+/// Whether a copy of `(rect, id)` is live: the active memtable holds
+/// one, or the older components hold more copies than the active
+/// memtable's tombstones take out.
+fn is_live<const D: usize>(g: &State<D>, rect: &Rect<D>, id: u64) -> bool {
+    let (held, shadowing) = g.active.copies(rect, id);
+    if held > 0 {
+        return true;
+    }
+    // The sealed memtable's tombstones shadow level copies.
+    let (mut older, sealed_shadowing) = match &g.sealed {
+        Some(sealed) => sealed.mem.copies(rect, id),
+        None => (0, 0),
+    };
+    for seg in &g.levels {
+        seg.tree.for_each_in_region(rect, |r, i| {
+            if i == id && r == *rect {
+                older += 1;
+            }
+        });
+    }
+    older.saturating_sub(sealed_shadowing) > shadowing
+}
+
 fn read_meta_page(disk: &Arc<dyn Disk>, page: PageId) -> Result<SegmentMeta> {
     let mut buf = vec![0u8; disk.page_size()];
     disk.read_page(page, &mut buf)?;
@@ -592,7 +698,13 @@ impl<const D: usize> Inner<D> {
             let Some(sealed) = &g.sealed else {
                 return Ok(false);
             };
-            let keep = kept_levels(&g.levels, sealed.mem.len(), self.opts.max_levels);
+            // Tombstones fold through the oldest level, where the last
+            // copy they may shadow lives.
+            let keep = if sealed.mem.tombstones() > 0 {
+                0
+            } else {
+                kept_levels(&g.levels, sealed.mem.len(), self.opts.max_levels)
+            };
             let victims = g.levels[keep..].to_vec();
             (sealed.mem.clone(), sealed.seal_lsn, victims, g.next_seg_id)
         };
@@ -604,25 +716,53 @@ impl<const D: usize> Inner<D> {
         for seg in &victims {
             items.extend(seg.tree.items());
         }
+        let tombstones = mem.tombstone_items();
+        if !tombstones.is_empty() {
+            let mut shadow = Shadow::default();
+            for (rect, id) in tombstones {
+                shadow.add(rect, id);
+            }
+            items.retain(|(rect, id)| !shadow.take(rect, *id));
+            let unspent = shadow.unspent();
+            if unspent > 0 {
+                return Err(LsmError::Corrupt(format!(
+                    "{unspent} tombstone(s) shadow no item"
+                )));
+            }
+        }
         let item_count = items.len() as u64;
         if let Some(s) = tspan.as_mut() {
             s.set_args(victims.len() as u64, item_count);
         }
-        let bytes = {
+        let bytes = if items.is_empty() {
+            None
+        } else {
             let _dspan = obs::trace::span("lsm.drain");
-            pack_str_to_flat(items, self.opts.capacity, self.opts.threads)?
+            Some(pack_str_to_flat(
+                items,
+                self.opts.capacity,
+                self.opts.threads,
+            )?)
         };
 
-        // (1) Segment bytes durable before anything references them.
-        self.segs.put(new_id, &bytes)?;
-        self.segs.sync()?;
+        let meta_page = match &bytes {
+            // Nothing left to pack: the flip only removes the victims.
+            None => PageId::INVALID,
+            Some(bytes) => {
+                // (1) Segment bytes durable before anything references
+                // them.
+                self.segs.put(new_id, bytes)?;
+                self.segs.sync()?;
 
-        // (2) Meta page durable before the flip note names it.
-        let meta_page = self.alloc.allocate()?;
-        let meta = SegmentMeta::describe(new_id, item_count, seal_lsn, &bytes);
-        self.disk
-            .write_page(meta_page, &meta.encode_page(self.disk.page_size()))?;
-        self.disk.sync()?;
+                // (2) Meta page durable before the flip note names it.
+                let meta_page = self.alloc.allocate()?;
+                let meta = SegmentMeta::describe(new_id, item_count, seal_lsn, bytes);
+                self.disk
+                    .write_page(meta_page, &meta.encode_page(self.disk.page_size()))?;
+                self.disk.sync()?;
+                meta_page
+            }
+        };
 
         let flip = FlipNote {
             new_id,
@@ -643,25 +783,31 @@ impl<const D: usize> Inner<D> {
                 .map(|s| flat::segment_file_name(s.id))
                 .collect();
             let remove_refs: Vec<&str> = removes.iter().map(String::as_str).collect();
+            let adds: &[(&str, PageId)] = match bytes {
+                Some(_) => &[(&name, meta_page)],
+                None => &[],
+            };
             self.alloc
-                .flip_catalog(&remove_refs, &[(&name, meta_page)], Some(seal_lsn))?;
+                .flip_catalog(&remove_refs, adds, Some(seal_lsn))?;
             self.disk.sync()?;
         }
 
         // (5) In-memory flip, then cleanup.
-        let tree = flat::FlatTree::<D>::from_vec(bytes)?;
+        let tree = bytes.map(flat::FlatTree::<D>::from_vec).transpose()?;
         {
             let mut g = self.state.write();
             g.sealed = None;
             let keep = g.levels.len() - victims.len();
             g.levels.truncate(keep);
-            g.levels.push(Arc::new(Segment {
-                id: new_id,
-                meta_page,
-                seal_lsn,
-                item_count,
-                tree,
-            }));
+            if let Some(tree) = tree {
+                g.levels.push(Arc::new(Segment {
+                    id: new_id,
+                    meta_page,
+                    seal_lsn,
+                    item_count,
+                    tree,
+                }));
+            }
             g.next_seg_id = new_id + 1;
         }
         LSM_COMPACTIONS.inc();
@@ -695,7 +841,9 @@ impl<const D: usize> SpatialIndex<D> for LsmTree<D> {
     ) -> rtree::Result<()> {
         // Snapshot the component set under the lock, query outside it:
         // a concurrent flip atomically moves items between components,
-        // so one consistent snapshot sees every item exactly once.
+        // so one consistent snapshot sees every item exactly once. Only
+        // the active memtable changes afterwards, and it is scanned
+        // under its own lock in one pass, tombstones included.
         let (active, sealed, levels) = {
             let g = self.inner.state.read();
             (
@@ -704,30 +852,43 @@ impl<const D: usize> SpatialIndex<D> for LsmTree<D> {
                 g.levels.clone(),
             )
         };
-        active.for_each_intersecting(query, visit)?;
-        if let Some(mem) = sealed {
-            mem.for_each_intersecting(query, visit)?;
+        let mut shadow = Shadow::default();
+        if let Some(mem) = &sealed {
+            mem.shadow(query, &mut shadow);
         }
-        for seg in levels {
-            seg.tree.for_each_in_region(query, &mut *visit);
+        active.scan(query, visit, &mut shadow);
+        if shadow.is_empty() {
+            if let Some(mem) = sealed {
+                mem.for_each_intersecting(query, visit)?;
+            }
+            for seg in levels {
+                seg.tree.for_each_in_region(query, &mut *visit);
+            }
+        } else {
+            let mut unshadowed = |rect: Rect<D>, id: u64| {
+                if !shadow.take(&rect, id) {
+                    visit(rect, id);
+                }
+            };
+            if let Some(mem) = sealed {
+                mem.for_each_intersecting(query, &mut unshadowed)?;
+            }
+            for seg in levels {
+                seg.tree.for_each_in_region(query, &mut unshadowed);
+            }
         }
         Ok(())
     }
 
     fn len(&self) -> u64 {
-        let g = self.inner.state.read();
-        g.active.len()
-            + g.sealed.as_ref().map_or(0, |s| s.mem.len())
-            + g.levels.iter().map(|s| s.item_count).sum::<u64>()
+        self.inner.state.read().len()
     }
 
     fn stats(&self) -> IndexStats {
         let g = self.inner.state.read();
         IndexStats {
             backend: "lsm",
-            len: g.active.len()
-                + g.sealed.as_ref().map_or(0, |s| s.mem.len())
-                + g.levels.iter().map(|s| s.item_count).sum::<u64>(),
+            len: g.len(),
             levels: (1 + g.levels.len()) as u32,
         }
     }
@@ -934,6 +1095,126 @@ mod tests {
         assert_eq!(st.compactions, 61);
         assert_eq!(st.items_packed, 201 * M);
         assert_eq!(SpatialIndex::len(&tree), 61 * M);
+    }
+
+    fn ids(tree: &LsmTree<2>) -> Vec<u64> {
+        let mut ids: Vec<u64> = tree
+            .query(&Rect::new([-1.0, -1.0], [200.0, 200.0]))
+            .unwrap()
+            .iter()
+            .map(|&(_, id)| id)
+            .collect();
+        ids.sort_unstable();
+        ids
+    }
+
+    #[test]
+    fn deletes_shadow_every_tier_and_survive_reopen() {
+        let opts = small_opts();
+        let (tree, disk, log, segs) = open_mem(opts);
+        for i in 0..40u64 {
+            tree.insert(rect_for(i), i).unwrap();
+        }
+        tree.flush().unwrap();
+        for i in 40..50u64 {
+            tree.insert(rect_for(i), i).unwrap();
+        }
+        // An absent pair, or a live id under another rect, logs nothing.
+        let logged = log.list().unwrap().len();
+        let before = scan(&*log).unwrap().txns.len();
+        assert!(!tree.delete(&rect_for(99), 99).unwrap());
+        assert!(!tree.delete(&rect_for(1), 2).unwrap());
+        assert_eq!(scan(&*log).unwrap().txns.len(), before);
+        assert_eq!(log.list().unwrap().len(), logged);
+
+        // Level copy: a tombstone. Memtable copy: removed in place.
+        assert!(tree.delete(&rect_for(3), 3).unwrap());
+        assert!(tree.delete(&rect_for(45), 45).unwrap());
+        assert!(!tree.delete(&rect_for(3), 3).unwrap(), "already gone");
+        let st = tree.stats();
+        assert_eq!((st.tombstones, st.memtable_items), (1, 9));
+        // Re-insert after delete: one copy again.
+        tree.insert(rect_for(3), 3).unwrap();
+        let want: Vec<u64> = (0..50).filter(|&i| i != 45).collect();
+        assert_eq!(ids(&tree), want);
+        assert_eq!(SpatialIndex::len(&tree), 49);
+
+        drop(tree);
+        let tree = LsmTree::<2>::open(disk, log, segs, opts).unwrap();
+        assert_eq!(ids(&tree), want);
+        assert_eq!(SpatialIndex::len(&tree), 49);
+        // The drain folds every level and drops the tombstone.
+        tree.flush().unwrap();
+        let st = tree.stats();
+        assert_eq!((st.tombstones, st.levels, st.level_items), (0, 1, 49));
+        assert_eq!(ids(&tree), want);
+    }
+
+    #[test]
+    fn a_delete_of_a_sealed_item_is_a_tombstone_until_the_fold() {
+        let (tree, _, _, _) = open_mem(small_opts());
+        for i in 0..32u64 {
+            tree.insert(rect_for(i), i).unwrap();
+        }
+        // Seal by hand and leave the drain pending.
+        {
+            let mut g = tree.inner.state.write();
+            seal_locked(&tree.inner, &mut g);
+        }
+        assert_eq!(tree.stats().sealed_items, 32);
+        assert!(tree.delete(&rect_for(7), 7).unwrap());
+        assert!(!tree.delete(&rect_for(7), 7).unwrap());
+        assert_eq!(tree.stats().tombstones, 1);
+        assert_eq!(SpatialIndex::len(&tree), 31);
+        assert!(!ids(&tree).contains(&7));
+        tree.flush().unwrap();
+        assert_eq!(tree.stats().tombstones, 0);
+        assert_eq!(ids(&tree), (0..32).filter(|&i| i != 7).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_sealed_tombstone_keeps_its_level_copy_dead() {
+        let (tree, _, _, _) = open_mem(small_opts());
+        for i in 0..40u64 {
+            tree.insert(rect_for(i), i).unwrap();
+        }
+        tree.flush().unwrap();
+        assert!(tree.delete(&rect_for(5), 5).unwrap());
+        // The tombstone moves to the sealed memtable; the level copy it
+        // shadows must stay dead for a second delete.
+        {
+            let mut g = tree.inner.state.write();
+            seal_locked(&tree.inner, &mut g);
+        }
+        assert!(!tree.delete(&rect_for(5), 5).unwrap());
+        tree.insert(rect_for(5), 5).unwrap();
+        assert!(tree.delete(&rect_for(5), 5).unwrap());
+        assert!(!tree.delete(&rect_for(5), 5).unwrap());
+        tree.flush().unwrap();
+        assert_eq!(ids(&tree), (0..40).filter(|&i| i != 5).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn deleting_everything_flips_to_no_levels() {
+        let opts = small_opts();
+        let (tree, disk, log, segs) = open_mem(opts);
+        for i in 0..40u64 {
+            tree.insert(rect_for(i), i).unwrap();
+        }
+        tree.flush().unwrap();
+        for i in 0..40u64 {
+            assert!(tree.delete(&rect_for(i), i).unwrap());
+        }
+        tree.flush().unwrap();
+        let st = tree.stats();
+        assert_eq!((st.levels, st.level_items, st.tombstones), (0, 0, 0));
+        assert!(segs.list().unwrap().is_empty());
+        assert_eq!(SpatialIndex::len(&tree), 0);
+        drop(tree);
+        let tree = LsmTree::<2>::open(disk, log, segs, opts).unwrap();
+        assert_eq!(tree.stats().levels, 0);
+        tree.insert(rect_for(5), 5).unwrap();
+        assert_eq!(ids(&tree), vec![5]);
     }
 
     #[test]

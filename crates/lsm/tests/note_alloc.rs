@@ -64,6 +64,18 @@ fn notes_with_inflated_counts_stay_within_budget() {
     assert_eq!(insert.len(), 5);
     assert_corrupt_within_budget("insert note", &insert);
 
+    // Tag 3 (delete): the insert note's layout, same inflated count,
+    // and a one-item delete note whose count claims one more item.
+    let mut delete = vec![3u8];
+    delete.extend_from_slice(&u32::MAX.to_le_bytes());
+    assert_corrupt_within_budget("delete note", &delete);
+    let mut one_short = lsm::DeleteNote::<2> {
+        items: vec![(geom::Rect::new([0.0, 0.0], [1.0, 1.0]), 9)],
+    }
+    .encode();
+    one_short[1..5].copy_from_slice(&2u32.to_le_bytes());
+    assert_corrupt_within_budget("delete note one item short", &one_short);
+
     // Tag 2 (flip): new segment id, meta page, seal LSN, then a removed
     // count of u32::MAX and no removed pairs.
     let mut flip = vec![2u8];

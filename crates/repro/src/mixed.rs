@@ -1,23 +1,25 @@
 //! `repro mixed-bench` — measure the durable write path under mixed
 //! read/write load and emit `BENCH_mixed_workload.json`.
 //!
-//! Three phases, each on a fresh 10k-item tree behind a WAL whose log
-//! simulates a 100µs fsync (an NVMe-class flush; in-memory appends
-//! would otherwise make batching unmeasurable):
+//! Three phases, each on a fresh LSM tree whose 10k seed items sit in a
+//! flat level, behind a WAL whose log simulates a 100µs fsync (an
+//! NVMe-class flush; in-memory appends would otherwise make batching
+//! unmeasurable). Compaction runs on the background thread.
 //!
 //! 1. **commit burst** — 8 writer threads insert concurrently with
 //!    group commit on and off; the artifact records commit-latency
 //!    percentiles and the commits-per-fsync amortization ratio.
-//! 2. **read only** — 1/4/8 reader threads, each read = pin a snapshot
-//!    and run one region query. The 8-thread p99 is the baseline the
-//!    mixed gate compares against.
+//! 2. **read only** — 1/4/8 reader threads, each read one region
+//!    query. The 8-thread p99 is the baseline the mixed gate compares
+//!    against.
 //! 3. **mixed** — 95/5 and 50/50 read/write mixes at 1/4/8 threads,
-//!    read and commit latencies reported separately.
+//!    read and commit latencies reported separately. The 95/5 writes
+//!    are inserts; the 50/50 writes alternate inserts with deletes of
+//!    seed items, so its tombstones force full-fold compactions.
 //!
 //! The emitted document conforms to `str_bench::schema` (checked at
-//! emit time) and carries two load-bearing properties from the issue's
-//! acceptance criteria, re-checkable offline with
-//! `repro mixed-bench --verify`:
+//! emit time) and carries two load-bearing properties, re-checkable
+//! offline with `repro mixed-bench --verify`:
 //!
 //! * 8-writer commits/fsync with group commit > 2× without it;
 //! * mixed-95/5 read p99 at 8 threads within 10% of read-only.
@@ -26,11 +28,13 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use geom::Rect2;
-use rtree::{NodeCapacity, RTree, SharedRTree};
-use storage::{BufferPool, MemDisk, MemLogStore, Wal, WalOptions};
+use lsm::{LsmOptions, LsmTree, MemSegmentStore};
+use rtree::{NodeCapacity, SpatialIndex};
+use storage::{MemDisk, MemLogStore};
 use str_bench::schema::{self, Value};
 
 const SEED_ITEMS: u64 = 10_000;
+const CAPACITY: usize = 16;
 const GRID: u64 = 100;
 const SYNC_DELAY_US: u64 = 100;
 const BURST_WRITERS: usize = 8;
@@ -60,26 +64,28 @@ fn query_window(thread: u64, k: u64) -> Rect2 {
     Rect2::new([x, y], [x + 0.1, y + 0.1])
 }
 
-/// A fresh 10k-item WAL-attached tree over a simulated-fsync log.
-fn rig(group_commit: bool) -> SharedRTree<2> {
-    let pool = Arc::new(BufferPool::new(Arc::new(MemDisk::default_size()), 8192));
-    let mut tree = RTree::<2>::create(pool, NodeCapacity::new(16).unwrap()).unwrap();
-    for i in 0..SEED_ITEMS {
-        tree.insert(item_rect(i), i).unwrap();
-    }
-    tree.persist().unwrap();
+/// A fresh LSM tree with the seed flushed to one flat level, then
+/// switched to the simulated-fsync log.
+fn rig(group_commit: bool) -> LsmTree<2> {
     let log = MemLogStore::new();
-    log.set_sync_delay(Duration::from_micros(SYNC_DELAY_US));
-    let wal = Wal::create(
-        log,
-        1,
-        WalOptions {
-            group_commit,
-            ..WalOptions::default()
-        },
+    let opts = LsmOptions {
+        capacity: NodeCapacity::new(CAPACITY).unwrap(),
+        background: true,
+        ..LsmOptions::default()
+    };
+    let tree = LsmTree::open(
+        Arc::new(MemDisk::default_size()),
+        log.clone(),
+        Arc::new(MemSegmentStore::new()),
+        opts,
     )
     .unwrap();
-    SharedRTree::new(tree, wal).unwrap()
+    let seed: Vec<(Rect2, u64)> = (0..SEED_ITEMS).map(|i| (item_rect(i), i)).collect();
+    tree.insert_batch(&seed).unwrap();
+    tree.flush().unwrap();
+    log.set_sync_delay(Duration::from_micros(SYNC_DELAY_US));
+    tree.wal().set_group_commit(group_commit);
+    tree
 }
 
 /// One emitted benchmark sample: merged latencies plus free-form extra
@@ -157,8 +163,8 @@ where
 
 /// Phase 1: 8 concurrent writers, group commit on vs off.
 fn commit_burst(group_commit: bool) -> Sample {
-    let shared = rig(group_commit);
-    let before = shared.wal().stat().unwrap();
+    let tree = rig(group_commit);
+    let before = tree.wal().stat();
     let mut sample = run_threads(
         format!(
             "commit_burst/gc_{}/{}w",
@@ -171,13 +177,13 @@ fn commit_burst(group_commit: bool) -> Sample {
             (0..BURST_OPS)
                 .map(|k| {
                     let t0 = Instant::now();
-                    shared.insert(item_rect(base + k), base + k).unwrap();
+                    tree.insert(item_rect(base + k), base + k).unwrap();
                     t0.elapsed().as_nanos() as u64
                 })
                 .collect()
         },
     );
-    let after = shared.wal().stat().unwrap();
+    let after = tree.wal().stat();
     let commits = (after.commits - before.commits) as f64;
     let fsyncs = (after.fsyncs - before.fsyncs).max(1) as f64;
     sample.extra.push(("commits", commits));
@@ -186,49 +192,56 @@ fn commit_burst(group_commit: bool) -> Sample {
     sample
 }
 
-/// One read against a pinned snapshot, timed end to end.
-fn timed_read(shared: &SharedRTree<2>, thread: u64, k: u64) -> u64 {
+/// One region query, timed end to end.
+fn timed_read(tree: &LsmTree<2>, thread: u64, k: u64) -> u64 {
     let t0 = Instant::now();
-    let snap = shared.snapshot();
-    let hits = snap.query_region(&query_window(thread, k)).unwrap();
+    let hits = tree.query(&query_window(thread, k)).unwrap();
     std::hint::black_box(hits.len());
     t0.elapsed().as_nanos() as u64
 }
 
 /// Phase 2: read-only baseline at each thread count.
 fn read_only(threads: usize) -> Sample {
-    let shared = rig(true);
+    let tree = rig(true);
     run_threads(format!("read_only/read/{threads}t"), threads, |t| {
         (0..READS_PER_THREAD)
-            .map(|k| timed_read(&shared, t, k))
+            .map(|k| timed_read(&tree, t, k))
             .collect()
     })
 }
 
 /// Phase 3: `write_pct`% writes at each thread count; returns the read
-/// sample and the commit sample.
-fn mixed(name: &str, write_pct: u64, threads: usize) -> (Sample, Sample) {
-    let shared = rig(true);
+/// sample and the commit sample. With `deletes`, every other write
+/// deletes the next seed item of the thread's share (ids `t`,
+/// `t + threads`, …), which sits in the flat level.
+fn mixed(name: &str, write_pct: u64, deletes: bool, threads: usize) -> (Sample, Sample) {
+    let tree = rig(true);
     let start = Instant::now();
     let per_thread: Vec<(Vec<u64>, Vec<u64>)> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..threads as u64)
             .map(|t| {
-                let shared = &shared;
+                let tree = &tree;
                 s.spawn(move || {
                     let base = 1_000_000 * (t + 1);
                     let mut reads = Vec::new();
                     let mut commits = Vec::new();
-                    let mut next = 0u64;
+                    let (mut inserted, mut deleted) = (0u64, 0u64);
                     for k in 0..MIXED_OPS_PER_THREAD {
                         // Spread writes evenly through the stream.
                         if (k * write_pct) % 100 < write_pct {
-                            let id = base + next;
-                            next += 1;
                             let t0 = Instant::now();
-                            shared.insert(item_rect(id), id).unwrap();
+                            if deletes && deleted < inserted {
+                                let id = t + deleted * threads as u64;
+                                deleted += 1;
+                                assert!(tree.delete(&item_rect(id), id).unwrap());
+                            } else {
+                                let id = base + inserted;
+                                inserted += 1;
+                                tree.insert(item_rect(id), id).unwrap();
+                            }
                             commits.push(t0.elapsed().as_nanos() as u64);
                         } else {
-                            reads.push(timed_read(shared, t, k));
+                            reads.push(timed_read(tree, t, k));
                         }
                     }
                     (reads, commits)
@@ -262,10 +275,10 @@ pub fn run() -> Result<(), String> {
     for t in THREADS {
         samples.push(read_only(t));
     }
-    for (name, write_pct) in [("mixed_95_5", 5u64), ("mixed_50_50", 50u64)] {
+    for (name, write_pct, deletes) in [("mixed_95_5", 5u64, false), ("mixed_50_50", 50, true)] {
         eprintln!("# mixed-bench: {name}");
         for t in THREADS {
-            let (r, c) = mixed(name, write_pct, t);
+            let (r, c) = mixed(name, write_pct, deletes, t);
             samples.push(r);
             samples.push(c);
         }
@@ -277,7 +290,13 @@ pub fn run() -> Result<(), String> {
         rendered.join(",\n    ")
     );
     let config = [
+        ("index", "\"lsm\"".to_string()),
         ("seed_items", SEED_ITEMS.to_string()),
+        ("capacity", CAPACITY.to_string()),
+        (
+            "memtable_items",
+            LsmOptions::default().memtable_items.to_string(),
+        ),
         ("sync_delay_us", SYNC_DELAY_US.to_string()),
         ("burst_writers", BURST_WRITERS.to_string()),
         ("burst_ops_per_writer", BURST_OPS.to_string()),
@@ -346,7 +365,7 @@ pub fn verify() -> Result<(), String> {
     let base_p99 = sample_field(&doc, "read_only/read/8t", "p99_ns")?;
     if mixed_p99 > 1.10 * base_p99 {
         return Err(format!(
-            "snapshot reads degrade under writers: mixed 95/5 read p99 {mixed_p99:.0} ns \
+            "reads degrade under writers: mixed 95/5 read p99 {mixed_p99:.0} ns \
              vs read-only {base_p99:.0} ns (limit +10%)"
         ));
     }

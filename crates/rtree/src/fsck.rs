@@ -260,13 +260,7 @@ impl<const D: usize> RTree<D> {
                 self.audit_other_tree(alloc, &entry, seen, &mut accounted, report);
             }
         }
-        let session_lists = self
-            .store
-            .session_free()
-            .iter()
-            .chain(self.store.session_deferred())
-            .chain(&self.pending_frees);
-        for &p in session_lists {
+        for &p in self.store.session_free() {
             if seen.contains(&p) {
                 report.alloc_issues.push(PageIssue {
                     page: p,
@@ -408,9 +402,8 @@ impl<const D: usize> RTree<D> {
 }
 
 /// `(entry stride, child-page offset within an entry)` for a tree kind,
-/// or `None` for a kind this build does not know. Shared with the
-/// recovery sweep, which walks every cataloged tree the same way.
-pub(crate) fn entry_layout(kind: u32, dims: u32) -> Option<(usize, usize)> {
+/// or `None` for a kind this build does not know.
+fn entry_layout(kind: u32, dims: u32) -> Option<(usize, usize)> {
     let dims = dims as usize;
     match kind {
         KIND_RTREE | KIND_RPLUS => Some((dims * 16 + 8, dims * 16)),

@@ -33,10 +33,8 @@ pub mod insert;
 pub mod iter;
 pub mod lower;
 pub mod node;
-pub mod recovery;
 pub mod rplus;
 pub mod rstar;
-pub mod snapshot;
 pub mod split;
 pub mod stats;
 pub mod store;
@@ -51,9 +49,7 @@ pub use index::{IndexStats, SpatialIndex};
 pub use iter::RegionIter;
 pub use lower::LevelNodes;
 pub use node::{Entry, Node};
-pub use recovery::{recover, RecoveryReport};
 pub use rplus::RPlusTree;
-pub use snapshot::{SharedRTree, Snapshot};
 pub use split::SplitPolicy;
 pub use stats::{LevelSummary, TreeSummary};
 pub use store::{
@@ -89,7 +85,7 @@ pub enum RTreeError {
     EmptyLoad,
     /// A mutation failed while committing its staged writes, so the
     /// on-disk tree may mix old and new pages. Further mutations are
-    /// refused; read the data back with `check`/recovery tooling.
+    /// refused; `check` reports what the pages hold.
     Poisoned,
 }
 

@@ -31,16 +31,6 @@ impl<const D: usize> RTree<D> {
     /// [`split_policy`](Self::split_policy) is not consulted; R* always
     /// uses its own split.
     pub fn insert_rstar(&mut self, rect: Rect<D>, data: u64) -> Result<()> {
-        // R* writes nodes directly as it restructures, bypassing the
-        // staged-commit path the WAL logs — refuse rather than corrupt
-        // the crash contract.
-        if self.cow {
-            return Err(crate::RTreeError::Invalid(
-                "insert_rstar bypasses staged commits and is not supported \
-                 on a WAL-attached tree; use insert"
-                    .into(),
-            ));
-        }
         // One "first overflow" budget per level for the whole insertion,
         // shared by the reinsertions it spawns (the R* rule).
         let mut reinserted_levels: Vec<bool> = vec![false; self.height as usize + 1];

@@ -30,7 +30,7 @@ use std::sync::{Arc, Mutex, OnceLock, Weak};
 
 use bytes::{Buf, BufMut};
 use storage::{
-    fnv1a_update, wide_hash, BufferPool, Disk, PageAllocator, PageId, StorageError, Wal, FNV_SEED,
+    fnv1a_update, wide_hash, BufferPool, Disk, PageAllocator, PageId, StorageError, FNV_SEED,
 };
 
 use crate::{RTreeError, Result};
@@ -317,16 +317,6 @@ pub struct NodeStore<E: EntryCodec> {
     /// — not immediately, so a crash can never leave a page both on
     /// the durable free chain and referenced by the last-committed meta.
     free: Vec<PageId>,
-    /// Like `free`, but never reused before the next persist. The WAL
-    /// mode parks committed-then-replaced pages here: the durable meta
-    /// (or a WAL replay) may still reference them, and dirty-frame
-    /// eviction writes through to disk mid-session, so reusing one
-    /// before a checkpoint could corrupt the recoverable state.
-    deferred: Vec<PageId>,
-    /// Route `free_page`/`extend_free` into `deferred` (WAL mode).
-    defer_reuse: bool,
-    /// Write-ahead log this store's commits must precede, if attached.
-    wal: Option<Arc<Wal>>,
     _codec: PhantomData<fn() -> E>,
 }
 
@@ -398,9 +388,6 @@ impl<E: EntryCodec> NodeStore<E> {
             alloc,
             meta_page,
             free: Vec::new(),
-            deferred: Vec::new(),
-            defer_reuse: false,
-            wal: None,
             _codec: PhantomData,
         }
     }
@@ -420,27 +407,6 @@ impl<E: EntryCodec> NodeStore<E> {
         self.meta_page
     }
 
-    /// Put a write-ahead log in front of this store's page writes.
-    /// Switches frees to deferred reuse (see the `deferred` field); the
-    /// WAL watermark lives in the superblock.
-    pub fn attach_wal(&mut self, wal: Arc<Wal>) {
-        self.defer_reuse = true;
-        self.wal = Some(wal);
-    }
-
-    /// The attached WAL, if any.
-    pub fn wal(&self) -> Option<&Arc<Wal>> {
-        self.wal.as_ref()
-    }
-
-    /// A read-only twin over the same pool, allocator and meta page —
-    /// snapshot readers traverse through one of these without borrowing
-    /// the writer's store. It shares no session free list and must
-    /// never be used to mutate.
-    pub fn reader_clone(&self) -> Self {
-        Self::new(self.pool.clone(), self.alloc.clone(), self.meta_page)
-    }
-
     // ---- pages --------------------------------------------------------
 
     /// Get a page for a new node: this session's free list first, then
@@ -453,30 +419,13 @@ impl<E: EntryCodec> NodeStore<E> {
     }
 
     /// Release a page to this session's free list. It reaches the
-    /// persistent free chain at the next [`persist`](Self::persist);
-    /// in WAL mode it is also not *reused* before then.
+    /// persistent free chain at the next [`persist`](Self::persist).
     pub fn free_page(&mut self, page: PageId) {
-        if self.defer_reuse {
-            self.deferred.push(page);
-        } else {
-            self.free.push(page);
-        }
+        self.free.push(page);
     }
 
     /// Release several pages at once (staging commit/abandon paths).
     pub fn extend_free(&mut self, pages: impl IntoIterator<Item = PageId>) {
-        if self.defer_reuse {
-            self.deferred.extend(pages);
-        } else {
-            self.free.extend(pages);
-        }
-    }
-
-    /// Release pages that were never durably referenced (an abandoned
-    /// staging's fresh allocations): immediately reusable even in WAL
-    /// mode, since neither the durable meta nor any WAL record names
-    /// them as live.
-    pub fn extend_reusable(&mut self, pages: impl IntoIterator<Item = PageId>) {
         self.free.extend(pages);
     }
 
@@ -484,12 +433,6 @@ impl<E: EntryCodec> NodeStore<E> {
     /// and not yet persisted to the free chain.
     pub fn session_free(&self) -> &[PageId] {
         &self.free
-    }
-
-    /// Pages freed this session whose reuse is deferred to the next
-    /// checkpoint (WAL mode).
-    pub fn session_deferred(&self) -> &[PageId] {
-        &self.deferred
     }
 
     // ---- nodes --------------------------------------------------------
@@ -529,42 +472,15 @@ impl<E: EntryCodec> NodeStore<E> {
     pub fn persist(&mut self, meta: &TreeMeta) -> Result<()> {
         let disk = self.pool.disk().clone();
         let mut page = vec![0u8; disk.page_size()];
-        // With a WAL attached, this is also the checkpoint: capture the
-        // watermark *before* the flush — a transaction counted here has
-        // finished its pool writes, so the flush puts it fully on media.
-        // (Transactions that race in during the flush keep an LSN above
-        // the captured watermark and stay replayable.)
-        let checkpoint = self.wal.as_ref().map(|w| w.checkpoint_lsn());
         self.pool.flush()?;
         meta.encode_v2(&mut page);
         disk.write_page(self.meta_page, &page)?;
-        if !self.free.is_empty() || !self.deferred.is_empty() {
-            let mut freed = std::mem::take(&mut self.free);
-            freed.append(&mut self.deferred);
+        if !self.free.is_empty() {
+            let freed = std::mem::take(&mut self.free);
             self.alloc.free_pages(&freed)?;
         }
         disk.sync()?;
-        if let (Some(wal), Some(cp)) = (&self.wal, checkpoint) {
-            // Everything at or below `cp` is now on media: advance the
-            // superblock watermark so recovery skips it, then drop
-            // segments whose whole history is below it. A crash between
-            // these steps only costs redundant (idempotent) replay.
-            self.alloc.set_wal_applied_lsn(cp)?;
-            disk.sync()?;
-            wal.recycle(cp)?;
-        }
         Ok(())
-    }
-
-    /// Encode the meta block as a full page image without writing it
-    /// anywhere. WAL-mode commits log this image inside the transaction
-    /// and only write it through the buffer pool once the transaction is
-    /// durable — the next checkpoint's flush then carries it to the
-    /// media together with the nodes it references.
-    pub fn encode_meta(&self, meta: &TreeMeta) -> Vec<u8> {
-        let mut page = vec![0u8; self.pool.disk().page_size()];
-        meta.encode_v2(&mut page);
-        page
     }
 
     /// Re-read this tree's metadata from disk (fsck compares the live

@@ -1,11 +1,11 @@
 //! The tree object: metadata, node I/O, queries, traversal, validation.
 
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 use geom::{Point, Rect};
 use obs::{LazyCounter, LazyHistogram};
-use storage::{BufferPool, PageId, Wal};
+use storage::{BufferPool, PageId};
 
 use crate::codec::RectCodec;
 use crate::store::{NodeStore, TreeMeta, DEFAULT_TREE, KIND_RTREE};
@@ -18,10 +18,6 @@ static QUERIES: LazyCounter = LazyCounter::new("rtree.queries");
 static NODES_VISITED: LazyHistogram = LazyHistogram::new("rtree.query.nodes_visited");
 static LEAF_TOUCHES: LazyCounter = LazyCounter::new("rtree.query.leaf_touches");
 static INTERNAL_TOUCHES: LazyCounter = LazyCounter::new("rtree.query.internal_touches");
-
-// WAL-mode commit instrumentation (shared with the snapshot layer).
-pub(crate) static WAL_TREE_COMMITS: LazyCounter = LazyCounter::new("rtree.wal.commits");
-static WAL_PAGES_REMAPPED: LazyCounter = LazyCounter::new("rtree.wal.pages_remapped");
 
 /// A paged R-tree of dimension `D`.
 ///
@@ -62,20 +58,6 @@ pub struct RTree<const D: usize> {
     /// the on-disk pages may mix old and new state. Mutations are
     /// refused from then on ([`RTreeError::Poisoned`]).
     pub(crate) poisoned: bool,
-    /// Commit copy-on-write behind a WAL (set by [`RTree::attach_wal`]):
-    /// staged commits never overwrite a committed page in place — every
-    /// modified committed page is rewritten at a fresh location and the
-    /// whole transaction (images, allocations, meta) is logged before
-    /// the meta page moves.
-    pub(crate) cow: bool,
-    /// When set (snapshot publishing), pages a COW commit supersedes are
-    /// parked in `pending_frees` instead of being handed back to the
-    /// store, so their reuse can additionally wait for readers pinning
-    /// older epochs to drain.
-    pub(crate) collect_frees: bool,
-    /// Superseded committed pages awaiting epoch release (see
-    /// `collect_frees`).
-    pub(crate) pending_frees: Vec<PageId>,
 }
 
 /// A pending multi-page mutation, buffered so it can be applied
@@ -103,22 +85,8 @@ pub(crate) struct Staging<const D: usize> {
     pub(crate) root: PageId,
     /// Staged height.
     pub(crate) height: u32,
-    /// Staged object count — adjusted by the operation *before* commit
-    /// so a WAL transaction's meta image carries the post-commit length.
+    /// Staged object count, adjusted by the operation before commit.
     pub(crate) len: u64,
-}
-
-/// A COW transaction that has been staged into the WAL but not yet made
-/// durable: the output of [`RTree::stage_commit_cow`], consumed by
-/// [`RTree::finish_commit_cow`]. The meta image rides along because it
-/// must not reach the buffer pool before the commit fsync.
-pub(crate) struct StagedTx {
-    /// The transaction's commit LSN.
-    pub(crate) lsn: u64,
-    /// Where the meta image goes once the transaction is durable.
-    pub(crate) meta_page: PageId,
-    /// The encoded meta page carrying the new root.
-    pub(crate) meta_image: Vec<u8>,
 }
 
 impl<const D: usize> Staging<D> {
@@ -168,9 +136,6 @@ impl<const D: usize> RTree<D> {
             height: 1,
             len: 0,
             poisoned: false,
-            cow: false,
-            collect_frees: false,
-            pending_frees: Vec::new(),
         };
         tree.write_node(root, &Node::new(0))?;
         tree.persist()?;
@@ -194,9 +159,6 @@ impl<const D: usize> RTree<D> {
             height,
             len,
             poisoned: false,
-            cow: false,
-            collect_frees: false,
-            pending_frees: Vec::new(),
         }
     }
 
@@ -240,9 +202,6 @@ impl<const D: usize> RTree<D> {
             height: meta.height,
             len: meta.len,
             poisoned: false,
-            cow: false,
-            collect_frees: false,
-            pending_frees: Vec::new(),
         })
     }
 
@@ -445,9 +404,6 @@ impl<const D: usize> RTree<D> {
     /// the pool, the tree now mixes old and new pages and is marked
     /// poisoned: further mutations return [`RTreeError::Poisoned`].
     pub(crate) fn commit_staging(&mut self, st: Staging<D>) -> Result<()> {
-        if self.cow {
-            return self.commit_staging_cow(st);
-        }
         for (applied, (page, node)) in st.writes.iter().enumerate() {
             if let Err(e) = self.write_node(*page, node) {
                 if applied == 0 {
@@ -468,267 +424,6 @@ impl<const D: usize> RTree<D> {
         self.len = st.len;
         self.store.extend_free(st.freed);
         Ok(())
-    }
-
-    /// Commit a staging overlay as one WAL transaction, copy-on-write.
-    ///
-    /// No committed page is ever overwritten in place: every staged
-    /// write to a committed page is redirected to a freshly allocated
-    /// *shadow* page and the child pointers referencing it are rewritten
-    /// through the same remap — sound because every mutation stages its
-    /// full root-to-leaf path, so a remapped page's parent is always in
-    /// the write set too. Readers holding the old root therefore keep a
-    /// perfectly consistent tree, and a crash can never tear a committed
-    /// page.
-    ///
-    /// Ordering (the durability argument):
-    ///
-    /// 1. Shadow pages are allocated and all node images are written
-    ///    through the buffer pool. These pages are unreachable from the
-    ///    durable meta, so even an eager eviction writing them to the
-    ///    media early is harmless — and a failure here aborts with the
-    ///    committed tree untouched.
-    /// 2. The transaction (node images + the new meta image + the pages
-    ///    it allocated) is staged into the WAL and committed — one fsync
-    ///    (possibly shared with other writers) makes it durable.
-    /// 3. Only now is the meta page written through the pool and the new
-    ///    root adopted in memory: the meta can only reach the media
-    ///    *after* the log records that justify it.
-    ///
-    /// A failure after step 2 began leaves durability ambiguous (the
-    /// records may surface in a later batch's fsync), so the tree is
-    /// poisoned rather than guessing.
-    fn commit_staging_cow(&mut self, st: Staging<D>) -> Result<()> {
-        let tx = self.stage_commit_cow(st)?;
-        self.finish_commit_cow(tx)
-    }
-
-    /// Steps 1–2a of the COW commit: shadow allocation, pool writes,
-    /// WAL staging, in-memory adoption. Returns the pending transaction
-    /// for [`finish_commit_cow`](Self::finish_commit_cow); the snapshot
-    /// layer runs the finish *outside* its writer lock so concurrent
-    /// writers share one group-commit fsync (WAL ordering makes the
-    /// early adoption sound: `lsn` durable implies every earlier lsn
-    /// durable, so a crash always loses a suffix, never a middle).
-    pub(crate) fn stage_commit_cow(&mut self, st: Staging<D>) -> Result<StagedTx> {
-        let Staging {
-            writes,
-            allocated,
-            freed,
-            root,
-            height,
-            len,
-        } = st;
-        // Final image per page: the last staged write wins; writes to
-        // pages the same operation also freed never materialize.
-        let freed_set: HashSet<u64> = freed.iter().map(|p| p.index()).collect();
-        let mut order: Vec<PageId> = Vec::new();
-        let mut latest: HashMap<u64, Node<D>> = HashMap::new();
-        for (page, node) in writes {
-            if latest.insert(page.index(), node).is_none() && !freed_set.contains(&page.index()) {
-                order.push(page);
-            }
-        }
-        let fresh: HashSet<u64> = allocated.iter().map(|p| p.index()).collect();
-
-        // Shadow allocation for every committed page in the write set.
-        let mut remap: HashMap<u64, PageId> = HashMap::new();
-        let mut targets: Vec<PageId> = Vec::new();
-        for p in order.iter().filter(|p| !fresh.contains(&p.index())) {
-            match self.store.alloc_page() {
-                Ok(t) => {
-                    remap.insert(p.index(), t);
-                    targets.push(t);
-                }
-                Err(e) => {
-                    self.store.extend_reusable(targets);
-                    self.store.extend_reusable(allocated);
-                    return Err(e);
-                }
-            }
-        }
-
-        // Encode the final images (child pointers rewritten through the
-        // remap) and push them into the pool at their final locations.
-        let page_size = self.store.pool().disk().page_size();
-        let mut images: Vec<(PageId, Vec<u8>)> = Vec::with_capacity(order.len() + 1);
-        let abort = |tree: &mut Self, targets: Vec<PageId>, allocated: Vec<PageId>| {
-            tree.store.extend_reusable(targets);
-            tree.store.extend_reusable(allocated);
-        };
-        for p in &order {
-            let mut node = latest.remove(&p.index()).expect("staged write vanished");
-            if node.level > 0 {
-                for e in &mut node.entries {
-                    if let Some(t) = remap.get(&e.payload) {
-                        e.payload = t.index();
-                    }
-                }
-            }
-            let target = remap.get(&p.index()).copied().unwrap_or(*p);
-            let mut buf = vec![0u8; page_size];
-            crate::store::encode_node::<RectCodec<D>>(node.level, &node.entries, &mut buf);
-            if let Err(e) = self.store.pool().write_page(target, &buf) {
-                abort(self, targets, allocated);
-                return Err(e.into());
-            }
-            images.push((target, buf));
-        }
-
-        let new_root = remap.get(&root.index()).copied().unwrap_or(root);
-        let meta = TreeMeta {
-            kind: KIND_RTREE,
-            dims: D as u32,
-            root: new_root,
-            height,
-            len,
-            cap_max: self.cap.max() as u32,
-            cap_min: self.cap.min() as u32,
-            policy: self.policy.tag(),
-        };
-        images.push((self.store.meta_page(), self.store.encode_meta(&meta)));
-
-        // Stage the transaction into the WAL's shared batch.
-        let wal = self
-            .store
-            .wal()
-            .cloned()
-            .expect("cow set without an attached wal");
-        let image_refs: Vec<(PageId, &[u8])> =
-            images.iter().map(|(p, b)| (*p, b.as_slice())).collect();
-        let allocs: Vec<PageId> = allocated
-            .iter()
-            .copied()
-            .filter(|p| !freed_set.contains(&p.index()))
-            .chain(targets.iter().copied())
-            .collect();
-        let ticket = match wal.append_tx(&image_refs, &allocs) {
-            Ok(t) => t,
-            Err(e) => {
-                abort(self, targets, allocated);
-                return Err(e.into());
-            }
-        };
-        WAL_PAGES_REMAPPED.add(remap.len() as u64);
-        let (meta_page, meta_image) = images.pop().expect("meta image present");
-
-        self.root = new_root;
-        self.height = height;
-        self.len = len;
-
-        // Page bookkeeping: fresh pages the operation also freed were
-        // never durably referenced (reusable at once); superseded
-        // committed pages (explicit frees + shadow sources) must outlive
-        // any pinned snapshot and the next checkpoint.
-        let (fresh_frees, committed_frees): (Vec<_>, Vec<_>) =
-            freed.into_iter().partition(|p| fresh.contains(&p.index()));
-        self.store.extend_reusable(fresh_frees);
-        let supersede = committed_frees
-            .into_iter()
-            .chain(remap.keys().map(|&p| PageId(p)));
-        if self.collect_frees {
-            self.pending_frees.extend(supersede);
-        } else {
-            self.store.extend_free(supersede);
-        }
-        // Fresh pages that ended up unused (allocated, then neither
-        // written nor freed) go straight back too.
-        let used: HashSet<u64> = order.iter().map(|p| p.index()).collect();
-        let unused: Vec<PageId> = allocated
-            .into_iter()
-            .filter(|p| !used.contains(&p.index()) && !freed_set.contains(&p.index()))
-            .collect();
-        self.store.extend_reusable(unused);
-        Ok(StagedTx {
-            lsn: ticket.lsn,
-            meta_page,
-            meta_image,
-        })
-    }
-
-    /// Steps 2b–3 of the COW commit: make the staged transaction durable
-    /// (the fsync, possibly shared with a whole batch of writers) and
-    /// only then let the meta page travel through the pool. A failure
-    /// here leaves durability ambiguous — the records may still surface
-    /// in a later batch's fsync — so the tree is poisoned rather than
-    /// guessing.
-    pub(crate) fn finish_commit_cow(&mut self, tx: StagedTx) -> Result<()> {
-        let wal = self
-            .store
-            .wal()
-            .cloned()
-            .expect("cow set without an attached wal");
-        let commit_res = wal
-            .commit(tx.lsn)
-            .and_then(|()| self.store.pool().write_page(tx.meta_page, &tx.meta_image));
-        if let Err(e) = commit_res {
-            self.poisoned = true;
-            obs::trace::event("rtree.poisoned", self.root.index(), 0);
-            obs::trace::dump_to_stderr("tree poisoned mid-WAL-commit");
-            return Err(e.into());
-        }
-        wal.tx_applied(tx.lsn);
-        WAL_TREE_COMMITS.inc();
-        Ok(())
-    }
-
-    /// Put a write-ahead log in front of this tree's writes. Staged
-    /// commits become copy-on-write WAL transactions (see
-    /// [`commit_staging_cow`](Self::commit_staging_cow)); [`persist`]
-    /// (Self::persist) doubles as the checkpoint that advances the
-    /// superblock watermark and recycles fully-applied segments.
-    ///
-    /// Direct-write paths that bypass staging
-    /// ([`insert_rstar`](Self::insert_rstar)) are refused on a
-    /// WAL-attached tree.
-    pub fn attach_wal(&mut self, wal: Arc<Wal>) -> Result<()> {
-        self.store.attach_wal(wal);
-        self.cow = true;
-        Ok(())
-    }
-
-    /// Whether a WAL is attached (commits are copy-on-write).
-    pub fn is_wal_attached(&self) -> bool {
-        self.cow
-    }
-
-    /// Route superseded committed pages into
-    /// [`take_pending_frees`](Self::take_pending_frees) instead of the
-    /// store (snapshot publishing defers their reuse past reader
-    /// epochs).
-    pub(crate) fn set_collect_frees(&mut self, on: bool) {
-        self.collect_frees = on;
-    }
-
-    /// Drain the pages parked by `collect_frees`.
-    pub(crate) fn take_pending_frees(&mut self) -> Vec<PageId> {
-        std::mem::take(&mut self.pending_frees)
-    }
-
-    /// Hand epoch garbage back to the store once no snapshot can still
-    /// reach it (reuse still waits for the next checkpoint in WAL mode).
-    pub(crate) fn release_pages(&mut self, pages: Vec<PageId>) {
-        self.store.extend_free(pages);
-    }
-
-    /// A read-only view of this tree pinned at the given published
-    /// state, backed by a reader clone of the store: same pool and
-    /// allocator, no session free lists, no WAL. Queries work; any
-    /// mutation through it would corrupt the real tree, which is why
-    /// this stays crate-internal (the snapshot layer wraps it safely).
-    pub(crate) fn reader_at(&self, root: PageId, height: u32, len: u64) -> RTree<D> {
-        RTree {
-            store: self.store.reader_clone(),
-            cap: self.cap,
-            policy: self.policy,
-            root,
-            height,
-            len,
-            poisoned: false,
-            cow: false,
-            collect_frees: false,
-            pending_frees: Vec::new(),
-        }
     }
 
     // ---- queries ------------------------------------------------------

@@ -6,16 +6,18 @@
 //! concurrent misses and installs, evictions of pages other threads are
 //! reading, and in-flight read coalescing. Correctness is judged against a
 //! single-threaded oracle; the same workload then runs over a `FaultDisk`
-//! schedule so the error paths hardened in the fault-injection PR are hit
-//! *concurrently* too.
+//! schedule so the error paths of the fault-injection suite are hit
+//! *concurrently* too. Each test runs under the `within` watchdog, so a
+//! deadlock fails it instead of hanging the suite.
 
 use std::sync::Arc;
+use std::time::Duration;
 
 use geom::{Point, Rect};
 use rand::{Rng, SeedableRng};
 use rtree::{BatchQuery, BulkLoader, Entry, NodeCapacity, QueryExecutor, RTree};
 use storage::{
-    Disk, FaultDisk, FaultKind, FaultOp, FaultSpec, MemDisk, ShardedBufferPool, Trigger,
+    within, Disk, FaultDisk, FaultKind, FaultOp, FaultSpec, MemDisk, ShardedBufferPool, Trigger,
 };
 
 const ENTRIES: usize = 100_000;
@@ -86,92 +88,96 @@ fn mixed_queries(n: usize, seed: u64) -> Vec<BatchQuery<2>> {
 
 #[test]
 fn eight_threads_on_sixteen_pages_match_oracle() {
-    let tree = packed_tree(
-        Arc::new(MemDisk::default_size()),
-        uniform_entries(ENTRIES, 7),
-    );
-    let queries = mixed_queries(256, 8);
-    let exec = QueryExecutor::new(&tree);
+    within(Duration::from_secs(120), || {
+        let tree = packed_tree(
+            Arc::new(MemDisk::default_size()),
+            uniform_entries(ENTRIES, 7),
+        );
+        let queries = mixed_queries(256, 8);
+        let exec = QueryExecutor::new(&tree);
 
-    let oracle = exec.run_batch(&queries, 1).unwrap();
-    assert!(oracle.total_matches() > 0, "degenerate workload");
+        let oracle = exec.run_batch(&queries, 1).unwrap();
+        assert!(oracle.total_matches() > 0, "degenerate workload");
 
-    let par = exec.run_batch(&queries, THREADS).unwrap();
-    assert_eq!(par.threads, THREADS);
-    assert_eq!(
-        par.results, oracle.results,
-        "parallel results diverged from the single-threaded oracle"
-    );
-    // The pool is 16 pages against a >1000-page tree: the batch cannot
-    // avoid misses, and the miss count stays exact under concurrency.
-    assert!(par.stats.misses > 0);
-    assert_eq!(tree.pool().pinned_count(), 0, "a query leaked a pin");
+        let par = exec.run_batch(&queries, THREADS).unwrap();
+        assert_eq!(par.threads, THREADS);
+        assert_eq!(
+            par.results, oracle.results,
+            "parallel results diverged from the single-threaded oracle"
+        );
+        // The pool is 16 pages against a >1000-page tree: the batch cannot
+        // avoid misses, and the miss count stays exact under concurrency.
+        assert!(par.stats.misses > 0);
+        assert_eq!(tree.pool().pinned_count(), 0, "a query leaked a pin");
+    });
 }
 
 #[test]
 fn stress_under_fault_schedule_stays_consistent() {
-    let mem: Arc<dyn Disk> = Arc::new(MemDisk::default_size());
-    let faulted = Arc::new(FaultDisk::new(mem));
-    // Build cleanly, then arm: every 97th read errors — with a 16-page
-    // pool over 100k entries that's a steady drizzle of failures in the
-    // middle of concurrent traversals.
-    faulted.set_armed(false);
-    let tree = packed_tree(
-        faulted.clone() as Arc<dyn Disk>,
-        uniform_entries(ENTRIES, 9),
-    );
-    faulted.push(FaultSpec {
-        op: FaultOp::Read,
-        kind: FaultKind::Error,
-        trigger: Trigger::EveryNth(97),
-    });
-    faulted.set_armed(true);
+    within(Duration::from_secs(120), || {
+        let mem: Arc<dyn Disk> = Arc::new(MemDisk::default_size());
+        let faulted = Arc::new(FaultDisk::new(mem));
+        // Build cleanly, then arm: every 97th read errors — with a 16-page
+        // pool over 100k entries that's a steady drizzle of failures in the
+        // middle of concurrent traversals.
+        faulted.set_armed(false);
+        let tree = packed_tree(
+            faulted.clone() as Arc<dyn Disk>,
+            uniform_entries(ENTRIES, 9),
+        );
+        faulted.push(FaultSpec {
+            op: FaultOp::Read,
+            kind: FaultKind::Error,
+            trigger: Trigger::EveryNth(97),
+        });
+        faulted.set_armed(true);
 
-    let queries = mixed_queries(192, 10);
-    // Workers run independent slices so one injected error does not
-    // abort the whole batch; successes must still agree with the oracle.
-    let outcomes: Vec<Vec<Option<usize>>> = std::thread::scope(|scope| {
-        queries
-            .chunks(queries.len() / THREADS)
-            .map(|chunk| {
-                let tree = &tree;
-                scope.spawn(move || {
-                    chunk
-                        .iter()
-                        .map(|q| {
-                            let res = match q {
-                                BatchQuery::Region(r) => tree.query_region(r),
-                                BatchQuery::Point(p) => tree.query_point(p),
-                            };
-                            res.ok().map(|hits| hits.len())
-                        })
-                        .collect::<Vec<_>>()
+        let queries = mixed_queries(192, 10);
+        // Workers run independent slices so one injected error does not
+        // abort the whole batch; successes must still agree with the oracle.
+        let outcomes: Vec<Vec<Option<usize>>> = std::thread::scope(|scope| {
+            queries
+                .chunks(queries.len() / THREADS)
+                .map(|chunk| {
+                    let tree = &tree;
+                    scope.spawn(move || {
+                        chunk
+                            .iter()
+                            .map(|q| {
+                                let res = match q {
+                                    BatchQuery::Region(r) => tree.query_region(r),
+                                    BatchQuery::Point(p) => tree.query_point(p),
+                                };
+                                res.ok().map(|hits| hits.len())
+                            })
+                            .collect::<Vec<_>>()
+                    })
                 })
-            })
-            .collect::<Vec<_>>()
-            .into_iter()
-            .map(|h| h.join().unwrap())
-            .collect()
-    });
-    let flat: Vec<Option<usize>> = outcomes.into_iter().flatten().collect();
-    assert_eq!(flat.len(), queries.len());
-    assert!(flat.iter().any(Option::is_some), "every query failed");
-    assert!(
-        faulted.total_fired() > 0,
-        "fault schedule never fired; the test proves nothing"
-    );
-    assert_eq!(tree.pool().pinned_count(), 0, "error path leaked a pin");
+                .collect::<Vec<_>>()
+                .into_iter()
+                .map(|h| h.join().unwrap())
+                .collect()
+        });
+        let flat: Vec<Option<usize>> = outcomes.into_iter().flatten().collect();
+        assert_eq!(flat.len(), queries.len());
+        assert!(flat.iter().any(Option::is_some), "every query failed");
+        assert!(
+            faulted.total_fired() > 0,
+            "fault schedule never fired; the test proves nothing"
+        );
+        assert_eq!(tree.pool().pinned_count(), 0, "error path leaked a pin");
 
-    // Disarm and re-run everything single-threaded: the pool must have
-    // cached no partial or poisoned state, so every query now succeeds
-    // and matches a fresh oracle.
-    faulted.set_armed(false);
-    let exec = QueryExecutor::new(&tree);
-    let healed = exec.run_batch(&queries, 1).unwrap();
-    for (i, (prev, now)) in flat.iter().zip(healed.results.iter()).enumerate() {
-        if let Some(len) = prev {
-            assert_eq!(*len, now.len(), "query {i} changed answer after faults");
+        // Disarm and re-run everything single-threaded: the pool must have
+        // cached no partial or poisoned state, so every query now succeeds
+        // and matches a fresh oracle.
+        faulted.set_armed(false);
+        let exec = QueryExecutor::new(&tree);
+        let healed = exec.run_batch(&queries, 1).unwrap();
+        for (i, (prev, now)) in flat.iter().zip(healed.results.iter()).enumerate() {
+            if let Some(len) = prev {
+                assert_eq!(*len, now.len(), "query {i} changed answer after faults");
+            }
         }
-    }
-    assert_eq!(tree.pool().pinned_count(), 0);
+        assert_eq!(tree.pool().pinned_count(), 0);
+    });
 }

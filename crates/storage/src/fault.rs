@@ -26,9 +26,14 @@
 //! Injection can be paused with [`FaultDisk::set_armed`] so a test can
 //! run recovery checks (validation, reopening) against the intact
 //! substrate between injected failures.
+//!
+//! [`within`] is the concurrency suites' watchdog: it turns a hang into
+//! a test failure.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
+use std::time::Duration;
 
 use obs::LazyCounter;
 use parking_lot::Mutex;
@@ -209,6 +214,28 @@ impl SyncClock {
     pub fn revive(&self) {
         self.crash_at.store(u64::MAX, Ordering::SeqCst);
         self.crashed.store(false, Ordering::SeqCst);
+    }
+}
+
+/// Run `f` on its own thread and fail if it has not finished within
+/// `limit`: a concurrency test whose threads deadlock, or park with no
+/// wake-up coming, fails instead of hanging the suite. A panic inside
+/// `f` is passed on.
+pub fn within(limit: Duration, f: impl FnOnce() + Send + 'static) {
+    let (done, finished) = mpsc::channel();
+    let worker = std::thread::spawn(move || {
+        f();
+        let _ = done.send(());
+    });
+    match finished.recv_timeout(limit) {
+        Ok(()) => worker.join().unwrap(),
+        Err(RecvTimeoutError::Disconnected) => match worker.join() {
+            Err(panic) => std::panic::resume_unwind(panic),
+            Ok(()) => unreachable!("worker exited without reporting"),
+        },
+        Err(RecvTimeoutError::Timeout) => {
+            panic!("no progress within {limit:?}: a thread is blocked with no wake-up coming")
+        }
     }
 }
 

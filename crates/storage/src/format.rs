@@ -156,17 +156,10 @@ impl PageAllocator {
     }
 
     /// Newest WAL transaction the media fully reflects. Recovery skips
-    /// transactions at or below this LSN — the idempotence watermark.
+    /// transactions at or below this LSN — the idempotence watermark,
+    /// advanced by [`flip_catalog`](Self::flip_catalog).
     pub fn wal_applied_lsn(&self) -> u64 {
         self.state.lock().wal_lsn
-    }
-
-    /// Advance the WAL watermark (one superblock commit). The caller
-    /// must have flushed every page write at or below `lsn` first.
-    pub fn set_wal_applied_lsn(&self, lsn: u64) -> Result<()> {
-        let mut st = self.state.lock();
-        st.wal_lsn = lsn;
-        self.write_superblock(&st)
     }
 
     /// Allocate one page: pop the free chain if non-empty (committing
@@ -638,7 +631,7 @@ mod tests {
         let a = PageAllocator::format(disk.clone()).unwrap();
         assert_eq!(a.wal_applied_lsn(), 0);
         a.create_tree("t").unwrap();
-        a.set_wal_applied_lsn(41).unwrap();
+        a.flip_catalog(&[], &[], Some(41)).unwrap();
         let b = PageAllocator::open(disk).unwrap();
         assert_eq!(b.wal_applied_lsn(), 41);
         assert_eq!(b.lookup_tree("t"), Some(PageId(1)));

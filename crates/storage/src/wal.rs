@@ -1,14 +1,14 @@
-//! Write-ahead log: checksummed redo records, group commit, recovery.
+//! Write-ahead log: checksummed note records, group commit, scan.
 //!
-//! The WAL sits *ahead* of the node store's page writes: a mutation
-//! encodes the full after-images of every page it touches (plus the
-//! pages it allocated) into one transaction, appends the records to the
-//! current log segment, and only acknowledges the caller once an fsync
-//! has made the commit record durable. Page writes to the main disk may
-//! then happen lazily through the buffer pool — after a crash,
-//! [`replay`] re-applies every committed transaction whose LSN is newer
-//! than the superblock's `wal_applied_lsn` watermark, which makes redo
-//! idempotent (exactly-once applied, not leak-at-worst).
+//! The log carries *notes*: opaque application payloads (the LSM tier's
+//! inserts, deletes and catalog flips) that ride its durability and
+//! ordering guarantees. Each note is its own transaction — a note
+//! record and a commit record under one fresh LSN — appended to the
+//! current log segment; the caller is acknowledged once an fsync has
+//! made the commit record durable. The log's owner applies the notes:
+//! after a crash it [`scan`]s the committed prefix and redoes every note
+//! past its own watermark (the LSM keeps it in the superblock's
+//! `wal_applied_lsn`).
 //!
 //! # Record format
 //!
@@ -17,23 +17,25 @@
 //! ```text
 //! offset  size  field
 //! 0       4     len       payload length in bytes
-//! 4       4     kind      1 = page image, 2 = alloc list, 3 = commit
+//! 4       4     kind      3 = commit, 4 = note
 //! 8       8     lsn       transaction sequence number (shared by all
 //!                         records of one transaction)
 //! 16      len   payload
 //! 16+len  8     checksum  FNV-1a over bytes 0..16+len
 //! ```
 //!
-//! * `page image`: `u64 page_id ++ page bytes` — the full after-image.
-//! * `alloc list`: `u64 count ++ count × u64 page_id` — pages the
-//!   transaction allocated (replay grows the disk to cover them).
-//! * `commit`: `u64 image_count` — closes the transaction; a
-//!   transaction without a commit record is discarded by recovery.
+//! * `note`: the application payload, opaque to the log.
+//! * `commit`: `u64 0` — closes the transaction; a transaction without
+//!   a commit record is discarded by recovery.
+//!
+//! Kinds 1 and 2 (page after-images and allocation lists) belonged to a
+//! retired copy-on-write paged path; a scan now stops at them like at
+//! any other implausible record.
 //!
 //! Recovery scans segments in id order and stops at the first invalid
 //! record (bad length, unknown kind, checksum mismatch, LSN going
 //! backwards): everything before the stop point and closed by a commit
-//! record is replayed, everything after is discarded. A torn tail or a
+//! record is returned, everything after is discarded. A torn tail or a
 //! bit flip therefore truncates the history to a committed prefix —
 //! never to a mix.
 //!
@@ -50,10 +52,10 @@
 //!
 //! Segments rotate once the current one exceeds `segment_bytes` (a
 //! batch never splits across segments) or when [`Wal::start_segment`]
-//! asks for it, and are recycled — deleted — once a checkpoint proves
-//! every LSN they hold is applied to the main disk ([`Wal::recycle`]).
+//! asks for it, and are recycled — deleted — once the owner reports
+//! every LSN they hold applied ([`Wal::recycle`]).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -63,27 +65,22 @@ use obs::{LazyCounter, LazyHistogram};
 use parking_lot::{Condvar, Mutex};
 
 use crate::fault::SyncClock;
-use crate::format::PageAllocator;
-use crate::{fnv1a_update, Disk, PageId, Result, StorageError, FNV_SEED};
+use crate::{fnv1a_update, PageId, Result, StorageError, FNV_SEED};
 
 static WAL_COMMITS: LazyCounter = LazyCounter::new("wal.commits");
 static WAL_FSYNCS: LazyCounter = LazyCounter::new("wal.fsyncs");
 static WAL_TXNS: LazyCounter = LazyCounter::new("wal.txns_appended");
 static WAL_BYTES: LazyCounter = LazyCounter::new("wal.bytes_appended");
 static WAL_RECYCLED: LazyCounter = LazyCounter::new("wal.segments_recycled");
-static WAL_REPLAY_APPLIED: LazyCounter = LazyCounter::new("wal.recovery.txns_applied");
-static WAL_REPLAY_DISCARDED: LazyCounter = LazyCounter::new("wal.recovery.txns_discarded");
 static WAL_COMMIT_NS: LazyHistogram = LazyHistogram::new("wal.commit_ns");
 static WAL_FSYNC_NS: LazyHistogram = LazyHistogram::new("wal.fsync_ns");
 
-/// Record kinds (the `kind` header field).
-const REC_PAGE: u32 = 1;
-const REC_ALLOC: u32 = 2;
+/// Record kinds (the `kind` header field): a transaction's closing
+/// record, and an application note — an opaque payload carried through
+/// the log's durability and ordering guarantees and applied by the
+/// *owner* of the log. The LSM tier logs memtable inserts, deletes and
+/// catalog flips this way.
 const REC_COMMIT: u32 = 3;
-/// Application note: an opaque payload carried through the log's
-/// durability and ordering guarantees but applied by the *owner* of the
-/// log, not by [`replay`] (which treats it as a no-op for page state).
-/// The LSM tier logs memtable inserts and catalog flips this way.
 const REC_NOTE: u32 = 4;
 
 /// Fixed header bytes before the payload and trailer bytes after it.
@@ -94,18 +91,11 @@ const REC_TRAILER: usize = 8;
 /// so a corrupt length prefix cannot ask for gigabytes.
 const MAX_PAYLOAD: u32 = 1 << 22;
 
-fn corrupt_log(reason: impl Into<String>) -> StorageError {
-    StorageError::Corrupt {
-        page: PageId::INVALID,
-        reason: format!("wal: {}", reason.into()),
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Log storage
 // ---------------------------------------------------------------------------
 
-/// Byte-stream segment storage under the WAL. Unlike [`Disk`] this is
+/// Byte-stream segment storage under the WAL. Unlike [`Disk`](crate::Disk) this is
 /// append-oriented and allows arbitrary-offset truncation — which is
 /// exactly what crash and corruption tests need to model torn tails.
 pub trait LogStore: Send + Sync {
@@ -385,18 +375,13 @@ fn put_record(buf: &mut Vec<u8>, kind: u32, lsn: u64, payload: &[u8]) {
     buf.extend_from_slice(&crc.to_le_bytes());
 }
 
-/// In-flight transaction state while scanning:
-/// (lsn, images, allocs, notes).
-type OpenTx = (u64, Vec<(PageId, Vec<u8>)>, Vec<PageId>, Vec<Vec<u8>>);
+/// In-flight transaction state while scanning: (lsn, notes).
+type OpenTx = (u64, Vec<Vec<u8>>);
 
 /// One committed transaction reconstructed by [`scan`].
 pub struct ScannedTx {
     /// The transaction's LSN.
     pub lsn: u64,
-    /// Full page after-images, in write order.
-    pub images: Vec<(PageId, Vec<u8>)>,
-    /// Pages the transaction allocated.
-    pub allocs: Vec<PageId>,
     /// Application note payloads ([`Wal::append_note`]), in write order.
     pub notes: Vec<Vec<u8>>,
     /// Global byte offset just past this transaction's commit record.
@@ -407,12 +392,8 @@ pub struct ScannedTx {
 pub struct ScanResult {
     /// Fully committed transactions, in LSN order.
     pub txns: Vec<ScannedTx>,
-    /// Records seen before the stop point (committed or not).
-    pub records: u64,
     /// Why the scan stopped early, if it did.
     pub torn: Option<String>,
-    /// Segments visited.
-    pub segments: u64,
     /// Global bytes of valid records (up to the stop point).
     pub valid_bytes: u64,
     /// Highest LSN seen in any *valid* record, committed or not. A new
@@ -449,7 +430,6 @@ pub fn truncate_torn_tail(store: &dyn LogStore, scanned: &ScanResult) -> Result<
 /// likewise discarded — both are the torn-tail contract.
 pub fn scan(store: &dyn LogStore) -> Result<ScanResult> {
     let mut txns = Vec::new();
-    let mut records = 0u64;
     let mut torn = None;
     let mut torn_seg = None;
     let mut global = 0u64;
@@ -457,7 +437,6 @@ pub fn scan(store: &dyn LogStore) -> Result<ScanResult> {
     let mut last_lsn = 0u64;
     let mut open: Option<OpenTx> = None;
     let segs = store.list()?;
-    let nsegs = segs.len() as u64;
     'outer: for seg in segs {
         let data = store.read(seg)?;
         let mut off = 0usize;
@@ -472,7 +451,7 @@ pub fn scan(store: &dyn LogStore) -> Result<ScanResult> {
             let len = r.get_u32_le();
             let kind = r.get_u32_le();
             let lsn = r.get_u64_le();
-            if len > MAX_PAYLOAD || !(REC_PAGE..=REC_NOTE).contains(&kind) {
+            if len > MAX_PAYLOAD || !(kind == REC_COMMIT || kind == REC_NOTE) {
                 torn = Some(format!(
                     "segment {seg}: implausible record (len={len}, kind={kind}) at offset {off}"
                 ));
@@ -501,62 +480,23 @@ pub fn scan(store: &dyn LogStore) -> Result<ScanResult> {
             }
             last_lsn = lsn;
             let payload = &rest[REC_HEADER..REC_HEADER + len as usize];
-            let tx = match &mut open {
-                Some((open_lsn, ..)) if *open_lsn == lsn => open.as_mut().unwrap(),
-                Some(_) => {
-                    // A new LSN arrived while a transaction was open:
-                    // the open one never committed — discard it.
-                    open = Some((lsn, Vec::new(), Vec::new(), Vec::new()));
-                    open.as_mut().unwrap()
-                }
-                None => {
-                    open = Some((lsn, Vec::new(), Vec::new(), Vec::new()));
-                    open.as_mut().unwrap()
-                }
-            };
-            match kind {
-                REC_PAGE => {
-                    if payload.len() < 8 {
-                        torn = Some(format!("segment {seg}: short page image at offset {off}"));
-                        torn_seg = Some((seg, off as u64));
-                        break 'outer;
-                    }
-                    let page = PageId((&payload[..8]).get_u64_le());
-                    tx.1.push((page, payload[8..].to_vec()));
-                }
-                REC_ALLOC => {
-                    let mut r = payload;
-                    if r.len() < 8 {
-                        torn = Some(format!("segment {seg}: short alloc list at offset {off}"));
-                        torn_seg = Some((seg, off as u64));
-                        break 'outer;
-                    }
-                    let count = r.get_u64_le() as usize;
-                    if r.len() != count * 8 {
-                        torn = Some(format!("segment {seg}: bad alloc list at offset {off}"));
-                        torn_seg = Some((seg, off as u64));
-                        break 'outer;
-                    }
-                    for _ in 0..count {
-                        tx.2.push(PageId(r.get_u64_le()));
-                    }
-                }
-                REC_NOTE => {
-                    tx.3.push(payload.to_vec());
-                }
-                _ => {
-                    // Commit: the open transaction becomes real.
-                    let (lsn, images, allocs, notes) = open.take().unwrap();
-                    txns.push(ScannedTx {
-                        lsn,
-                        images,
-                        allocs,
-                        notes,
-                        end_offset: global + (off + total) as u64,
-                    });
-                }
+            if open.as_ref().map(|tx| tx.0) != Some(lsn) {
+                // A new LSN arrived while a transaction was open: the
+                // open one never committed — discard it.
+                open = Some((lsn, Vec::new()));
             }
-            records += 1;
+            let tx = open.as_mut().unwrap();
+            if kind == REC_NOTE {
+                tx.1.push(payload.to_vec());
+            } else {
+                // Commit: the open transaction becomes real.
+                let (lsn, notes) = open.take().unwrap();
+                txns.push(ScannedTx {
+                    lsn,
+                    notes,
+                    end_offset: global + (off + total) as u64,
+                });
+            }
             off += total;
             valid_bytes = global + off as u64;
         }
@@ -564,9 +504,7 @@ pub fn scan(store: &dyn LogStore) -> Result<ScanResult> {
     }
     Ok(ScanResult {
         txns,
-        records,
         torn,
-        segments: nsegs,
         valid_bytes,
         max_lsn: last_lsn,
         torn_seg,
@@ -606,22 +544,12 @@ pub struct WalTicket {
     pub end_offset: u64,
 }
 
-/// Point-in-time snapshot of a live WAL, for `wal-stat`.
+/// Commit and fsync counts of a live WAL, for benchmarks.
 pub struct WalStat {
-    /// (segment id, byte length) pairs, ascending.
-    pub segments: Vec<(u64, u64)>,
-    /// Next LSN to be assigned.
-    pub next_lsn: u64,
-    /// Highest LSN known durable.
-    pub durable_lsn: u64,
     /// Commits acknowledged so far.
     pub commits: u64,
     /// fsyncs issued so far.
     pub fsyncs: u64,
-    /// Transactions appended so far.
-    pub txns: u64,
-    /// Bytes appended so far.
-    pub bytes: u64,
 }
 
 struct WalInner {
@@ -644,9 +572,6 @@ struct WalInner {
     seg_max_lsn: BTreeMap<u64, u64>,
     /// Global offset past all staged bytes.
     total_appended: u64,
-    /// LSNs appended whose page writes have not yet reached the buffer
-    /// pool — a checkpoint must not advance past these.
-    in_flight: BTreeSet<u64>,
 }
 
 /// The write-ahead log: transaction staging, group commit, recycling.
@@ -658,8 +583,6 @@ pub struct Wal {
     segment_bytes: u64,
     commits: AtomicU64,
     fsyncs: AtomicU64,
-    txns: AtomicU64,
-    bytes: AtomicU64,
 }
 
 impl Wal {
@@ -682,15 +605,12 @@ impl Wal {
                 rotate: false,
                 seg_max_lsn: BTreeMap::new(),
                 total_appended: 0,
-                in_flight: BTreeSet::new(),
             }),
             cv: Condvar::new(),
             group_commit: AtomicBool::new(opts.group_commit),
             segment_bytes: opts.segment_bytes.max(1),
             commits: AtomicU64::new(0),
             fsyncs: AtomicU64::new(0),
-            txns: AtomicU64::new(0),
-            bytes: AtomicU64::new(0),
         }))
     }
 
@@ -699,58 +619,11 @@ impl Wal {
         self.group_commit.store(on, Ordering::Relaxed);
     }
 
-    /// Stage one transaction — page after-images plus the pages it
-    /// allocated — into the shared batch. Nothing is durable until
-    /// [`Wal::commit`] returns for the ticket's LSN.
-    pub fn append_tx(&self, images: &[(PageId, &[u8])], allocs: &[PageId]) -> Result<WalTicket> {
-        let _tspan = obs::trace::span("wal.append");
-        let mut g = self.inner.lock();
-        let lsn = g.next_lsn;
-        g.next_lsn += 1;
-        let before = g.buf.len();
-        let mut buf = std::mem::take(&mut g.buf);
-        let mut payload = Vec::new();
-        for (page, bytes) in images {
-            payload.clear();
-            payload.extend_from_slice(&page.0.to_le_bytes());
-            payload.extend_from_slice(bytes);
-            put_record(&mut buf, REC_PAGE, lsn, &payload);
-        }
-        if !allocs.is_empty() {
-            payload.clear();
-            payload.extend_from_slice(&(allocs.len() as u64).to_le_bytes());
-            for p in allocs {
-                payload.extend_from_slice(&p.0.to_le_bytes());
-            }
-            put_record(&mut buf, REC_ALLOC, lsn, &payload);
-        }
-        put_record(
-            &mut buf,
-            REC_COMMIT,
-            lsn,
-            &(images.len() as u64).to_le_bytes(),
-        );
-        g.buf = buf;
-        let added = (g.buf.len() - before) as u64;
-        g.total_appended += added;
-        g.staged_lsn = lsn;
-        g.in_flight.insert(lsn);
-        self.txns.fetch_add(1, Ordering::Relaxed);
-        self.bytes.fetch_add(added, Ordering::Relaxed);
-        WAL_TXNS.inc();
-        WAL_BYTES.add(added);
-        Ok(WalTicket {
-            lsn,
-            end_offset: g.total_appended,
-        })
-    }
-
     /// Stage one *note* transaction: an opaque application payload that
-    /// rides the log's durability and ordering but is never applied by
-    /// [`replay`]. The note is its own committed transaction (note
-    /// record + commit record under one fresh LSN) and carries no page
-    /// writes, so it does not hold back [`Wal::checkpoint_lsn`].
-    /// Durable once [`Wal::commit`] returns for the ticket's LSN.
+    /// rides the log's durability and ordering. The note is its own
+    /// committed transaction (note record + commit record under one
+    /// fresh LSN). Durable once [`Wal::commit`] returns for the ticket's
+    /// LSN.
     pub fn append_note(&self, payload: &[u8]) -> Result<WalTicket> {
         let _tspan = obs::trace::span("wal.append");
         let mut g = self.inner.lock();
@@ -764,8 +637,6 @@ impl Wal {
         let added = (g.buf.len() - before) as u64;
         g.total_appended += added;
         g.staged_lsn = lsn;
-        self.txns.fetch_add(1, Ordering::Relaxed);
-        self.bytes.fetch_add(added, Ordering::Relaxed);
         WAL_TXNS.inc();
         WAL_BYTES.add(added);
         Ok(WalTicket {
@@ -779,13 +650,6 @@ impl Wal {
     /// covers bounds exactly the transactions staged before it.
     pub fn last_lsn(&self) -> u64 {
         self.inner.lock().next_lsn - 1
-    }
-
-    /// Declare that the transaction's page writes have reached the
-    /// buffer pool, so a checkpoint flushing the pool covers it. Call
-    /// after applying the writes, before (or instead of) `commit`.
-    pub fn tx_applied(&self, lsn: u64) {
-        self.inner.lock().in_flight.remove(&lsn);
     }
 
     /// Block until the transaction at `lsn` is durable. Group commit:
@@ -867,25 +731,6 @@ impl Wal {
         }
     }
 
-    /// Highest LSN known durable.
-    pub fn durable_lsn(&self) -> u64 {
-        self.inner.lock().durable_lsn
-    }
-
-    /// Highest LSN a checkpoint may record as applied: every
-    /// transaction at or below it is durable *and* has finished its
-    /// buffer-pool writes, so a pool flush puts it fully on media.
-    pub fn checkpoint_lsn(&self) -> u64 {
-        let g = self.inner.lock();
-        let floor = g
-            .in_flight
-            .iter()
-            .next()
-            .map(|&l| l.saturating_sub(1))
-            .unwrap_or(u64::MAX);
-        g.durable_lsn.min(floor)
-    }
-
     /// Make the next appended batch open a new segment, unless the
     /// current one is still empty. Every record staged from now on lands
     /// past the cut, so [`Wal::recycle`] at today's [`Wal::last_lsn`]
@@ -894,8 +739,8 @@ impl Wal {
         self.inner.lock().rotate = true;
     }
 
-    /// Delete every closed segment whose newest LSN is at or below the
-    /// checkpoint — its history is fully applied to the main disk.
+    /// Delete every closed segment whose newest LSN is at or below
+    /// `applied_lsn` — its owner has applied its whole history.
     pub fn recycle(&self, applied_lsn: u64) -> Result<u64> {
         let victims: Vec<u64> = {
             let g = self.inner.lock();
@@ -913,187 +758,56 @@ impl Wal {
         Ok(victims.len() as u64)
     }
 
-    /// Point-in-time statistics for `wal-stat` and benchmarks.
-    pub fn stat(&self) -> Result<WalStat> {
-        let (next_lsn, durable_lsn) = {
-            let g = self.inner.lock();
-            (g.next_lsn, g.durable_lsn)
-        };
-        let mut segments = Vec::new();
-        for seg in self.store.list()? {
-            segments.push((seg, self.store.read(seg)?.len() as u64));
-        }
-        Ok(WalStat {
-            segments,
-            next_lsn,
-            durable_lsn,
+    /// Commits and fsyncs so far, for benchmarks.
+    pub fn stat(&self) -> WalStat {
+        WalStat {
             commits: self.commits.load(Ordering::Relaxed),
             fsyncs: self.fsyncs.load(Ordering::Relaxed),
-            txns: self.txns.load(Ordering::Relaxed),
-            bytes: self.bytes.load(Ordering::Relaxed),
-        })
-    }
-
-    /// The underlying segment store.
-    pub fn store(&self) -> &Arc<dyn LogStore> {
-        &self.store
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Recovery
-// ---------------------------------------------------------------------------
-
-/// What [`replay`] did.
-#[derive(Debug)]
-pub struct ReplayReport {
-    /// `wal_applied_lsn` read from the superblock before replay.
-    pub start_lsn: u64,
-    /// `wal_applied_lsn` written back after replay.
-    pub applied_lsn: u64,
-    /// Committed transactions found in the log.
-    pub txns_scanned: u64,
-    /// Transactions actually re-applied (LSN past the watermark).
-    pub txns_applied: u64,
-    /// Records lost to a torn tail / corruption, if any.
-    pub torn: Option<String>,
-    /// Page images written to the main disk.
-    pub pages_written: u64,
-}
-
-/// Replay every committed transaction newer than the superblock's
-/// `wal_applied_lsn` into the main disk, then advance the watermark.
-/// Idempotent: running it twice is a no-op the second time. The caller
-/// should delete the log segments afterwards (their history is now in
-/// the watermark) — [`reset_log`] does exactly that.
-pub fn replay(disk: &Arc<dyn Disk>, store: &dyn LogStore) -> Result<ReplayReport> {
-    let alloc = PageAllocator::open(disk.clone())?;
-    let start_lsn = alloc.wal_applied_lsn();
-    // Pages on the durable free chain stay untouched: a checkpoint may
-    // have chained a page *after* the logged transaction wrote it, so
-    // the logged image is stale and would clobber a chain link. The
-    // chain is always newer than any replayable image — chain pops are
-    // superblock-committed before a transaction can log (let alone
-    // commit) a use of the page, so a committed alloc never names a
-    // page still on the chain.
-    let chained: std::collections::HashSet<PageId> = alloc.free_list()?.into_iter().collect();
-    let scanned = scan(store)?;
-    let mut report = ReplayReport {
-        start_lsn,
-        applied_lsn: start_lsn,
-        txns_scanned: scanned.txns.len() as u64,
-        txns_applied: 0,
-        torn: scanned.torn,
-        pages_written: 0,
-    };
-    let page_size = disk.page_size();
-    for tx in &scanned.txns {
-        if tx.lsn <= start_lsn {
-            continue;
         }
-        for &p in &tx.allocs {
-            if !p.is_valid() {
-                return Err(corrupt_log(format!("tx {} allocates invalid page", tx.lsn)));
-            }
-            while p.index() >= disk.num_pages() {
-                disk.allocate()?;
-            }
-        }
-        for (page, image) in &tx.images {
-            if *page == PageId(0) || !page.is_valid() {
-                return Err(corrupt_log(format!(
-                    "tx {} carries an image for reserved page {page}",
-                    tx.lsn
-                )));
-            }
-            if image.len() != page_size {
-                return Err(corrupt_log(format!(
-                    "tx {} image for {page} is {} bytes, page size is {page_size}",
-                    tx.lsn,
-                    image.len()
-                )));
-            }
-            while page.index() >= disk.num_pages() {
-                disk.allocate()?;
-            }
-            if chained.contains(page) {
-                continue;
-            }
-            disk.write_page(*page, image)?;
-            report.pages_written += 1;
-        }
-        report.applied_lsn = tx.lsn;
-        report.txns_applied += 1;
-        WAL_REPLAY_APPLIED.inc();
     }
-    WAL_REPLAY_DISCARDED.add(
-        report.txns_scanned - report.txns_applied - {
-            // txns at or below the watermark were applied long ago, not
-            // discarded; only count those skipped for neither reason.
-            scanned.txns.iter().filter(|t| t.lsn <= start_lsn).count() as u64
-        },
-    );
-    disk.sync()?;
-    if report.applied_lsn != start_lsn {
-        alloc.set_wal_applied_lsn(report.applied_lsn)?;
-        disk.sync()?;
-    }
-    Ok(report)
-}
-
-/// Delete every segment: call once [`replay`] has folded the log's
-/// history into the superblock watermark.
-pub fn reset_log(store: &dyn LogStore) -> Result<()> {
-    for seg in store.list()? {
-        store.delete(seg)?;
-    }
-    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn img(byte: u8, ps: usize) -> Vec<u8> {
-        vec![byte; ps]
+    /// Append and commit one note; returns its ticket.
+    fn note(wal: &Wal, payload: &[u8]) -> WalTicket {
+        let t = wal.append_note(payload).unwrap();
+        wal.commit(t.lsn).unwrap();
+        t
     }
 
     #[test]
     fn append_commit_scan_roundtrip() {
         let store = MemLogStore::new();
         let wal = Wal::create(store.clone(), 1, WalOptions::default()).unwrap();
-        let a = img(0xAA, 64);
-        let b = img(0xBB, 64);
-        let t1 = wal.append_tx(&[(PageId(3), &a)], &[PageId(3)]).unwrap();
-        wal.tx_applied(t1.lsn);
-        wal.commit(t1.lsn).unwrap();
-        let t2 = wal.append_tx(&[(PageId(4), &b)], &[]).unwrap();
-        wal.tx_applied(t2.lsn);
-        wal.commit(t2.lsn).unwrap();
+        note(&wal, b"insert 42");
+        // Two notes staged before one commit: one fsync makes both
+        // durable, each still its own transaction.
+        let n2 = wal.append_note(b"delete 42").unwrap();
+        let n3 = wal.append_note(b"flip seg-1").unwrap();
+        assert_eq!(wal.last_lsn(), n3.lsn);
+        wal.commit(n3.lsn).unwrap();
 
         let res = scan(store.as_ref()).unwrap();
         assert!(res.torn.is_none());
-        assert_eq!(res.txns.len(), 2);
+        assert_eq!(res.txns.len(), 3);
         assert_eq!(res.txns[0].lsn, 1);
-        assert_eq!(res.txns[0].images[0].0, PageId(3));
-        assert_eq!(res.txns[0].images[0].1, a);
-        assert_eq!(res.txns[0].allocs, vec![PageId(3)]);
-        assert_eq!(res.txns[1].lsn, 2);
+        assert_eq!(res.txns[0].notes, vec![b"insert 42".to_vec()]);
+        assert_eq!(res.txns[1].lsn, n2.lsn);
+        assert_eq!(res.txns[1].notes, vec![b"delete 42".to_vec()]);
+        assert_eq!(res.txns[2].notes, vec![b"flip seg-1".to_vec()]);
+        assert_eq!(res.max_lsn, n3.lsn);
         assert_eq!(res.valid_bytes, store.total_len());
-        assert_eq!(res.txns[1].end_offset, t2.end_offset);
+        assert_eq!(res.txns[2].end_offset, n3.end_offset);
     }
 
     #[test]
     fn torn_tail_and_bit_flip_stop_the_scan() {
         let store = MemLogStore::new();
         let wal = Wal::create(store.clone(), 1, WalOptions::default()).unwrap();
-        let mut ends = Vec::new();
-        for i in 0..4u8 {
-            let im = img(i, 64);
-            let t = wal.append_tx(&[(PageId(2 + i as u64), &im)], &[]).unwrap();
-            wal.commit(t.lsn).unwrap();
-            ends.push(t.end_offset);
-        }
+        let ends: Vec<u64> = (0..4u8).map(|i| note(&wal, &[i; 64]).end_offset).collect();
         // Truncate mid-way through the third transaction.
         store.truncate_global(ends[2] - 5);
         let res = scan(store.as_ref()).unwrap();
@@ -1103,13 +817,7 @@ mod tests {
         // Fresh log; flip a byte inside the second transaction.
         let store = MemLogStore::new();
         let wal = Wal::create(store.clone(), 1, WalOptions::default()).unwrap();
-        let mut ends = Vec::new();
-        for i in 0..3u8 {
-            let im = img(i, 64);
-            let t = wal.append_tx(&[(PageId(2 + i as u64), &im)], &[]).unwrap();
-            wal.commit(t.lsn).unwrap();
-            ends.push(t.end_offset);
-        }
+        let ends: Vec<u64> = (0..3u8).map(|i| note(&wal, &[i; 64]).end_offset).collect();
         store.flip_byte_global(ends[0] + 20);
         let res = scan(store.as_ref()).unwrap();
         assert!(res.torn.unwrap().contains("checksum"));
@@ -1117,18 +825,35 @@ mod tests {
     }
 
     #[test]
+    fn retired_record_kinds_stop_the_scan() {
+        // A well-formed, checksummed page-image record (kind 1) or
+        // allocation list (kind 2) is no longer a record this log reads.
+        for kind in [1u32, 2] {
+            let store = MemLogStore::new();
+            let wal = Wal::create(store.clone(), 1, WalOptions::default()).unwrap();
+            note(&wal, b"kept");
+            let mut rec = Vec::new();
+            put_record(&mut rec, kind, 2, &[0u8; 16]);
+            put_record(&mut rec, REC_COMMIT, 2, &0u64.to_le_bytes());
+            store.append(0, &rec).unwrap();
+            let res = scan(store.as_ref()).unwrap();
+            assert!(
+                res.torn.unwrap().contains("implausible record"),
+                "kind {kind}"
+            );
+            assert_eq!(res.txns.len(), 1);
+        }
+    }
+
+    #[test]
     fn uncommitted_tail_is_discarded() {
         let store = MemLogStore::new();
         let wal = Wal::create(store.clone(), 1, WalOptions::default()).unwrap();
-        let a = img(1, 64);
-        let t = wal.append_tx(&[(PageId(2), &a)], &[]).unwrap();
-        wal.commit(t.lsn).unwrap();
+        let t = note(&wal, &[1; 64]);
         // Stage a second transaction but cut the log before its commit
-        // record (keep only the first page-image record's bytes).
-        let b = img(2, 64);
-        let t2 = wal.append_tx(&[(PageId(3), &b)], &[]).unwrap();
-        wal.commit(t2.lsn).unwrap();
-        let one_rec = REC_HEADER as u64 + 8 + 64 + REC_TRAILER as u64;
+        // record (keep only the note record's bytes).
+        note(&wal, &[2; 64]);
+        let one_rec = REC_HEADER as u64 + 64 + REC_TRAILER as u64;
         store.truncate_global(t.end_offset + one_rec);
         let res = scan(store.as_ref()).unwrap();
         assert!(res.torn.is_none(), "clean cut at a record boundary");
@@ -1149,11 +874,7 @@ mod tests {
         .unwrap();
         let mut last = 0;
         for i in 0..8u8 {
-            let im = img(i, 128);
-            let t = wal.append_tx(&[(PageId(2 + i as u64), &im)], &[]).unwrap();
-            wal.tx_applied(t.lsn);
-            wal.commit(t.lsn).unwrap();
-            last = t.lsn;
+            last = note(&wal, &[i; 128]).lsn;
         }
         let segs = store.list().unwrap();
         assert!(segs.len() > 1, "small cap must rotate, got {segs:?}");
@@ -1168,19 +889,12 @@ mod tests {
     fn start_segment_cuts_the_log_for_recycling() {
         let store = MemLogStore::new();
         let wal = Wal::create(store.clone(), 1, WalOptions::default()).unwrap();
-        let commit = |i: u8| {
-            let im = img(i, 64);
-            let t = wal.append_tx(&[(PageId(2 + i as u64), &im)], &[]).unwrap();
-            wal.tx_applied(t.lsn);
-            wal.commit(t.lsn).unwrap();
-            t.lsn
-        };
-        commit(0);
-        let cut = commit(1);
+        note(&wal, &[0; 64]);
+        let cut = note(&wal, &[1; 64]).lsn;
         wal.start_segment();
         wal.start_segment(); // asking twice still cuts once
-        let after = commit(2);
-        commit(3);
+        let after = note(&wal, &[2; 64]).lsn;
+        note(&wal, &[3; 64]);
         assert_eq!(
             store.list().unwrap().len(),
             2,
@@ -1207,17 +921,12 @@ mod tests {
                 let wal = &wal;
                 s.spawn(move || {
                     for i in 0..per {
-                        let im = img((t * per + i) as u8, 64);
-                        let tk = wal
-                            .append_tx(&[(PageId(2 + (t * per + i) as u64), &im)], &[])
-                            .unwrap();
-                        wal.tx_applied(tk.lsn);
-                        wal.commit(tk.lsn).unwrap();
+                        note(wal, &[(t * per + i) as u8; 64]);
                     }
                 });
             }
         });
-        let st = wal.stat().unwrap();
+        let st = wal.stat();
         assert_eq!(st.commits, (threads * per) as u64);
         assert!(
             st.fsyncs < st.commits,
@@ -1230,40 +939,10 @@ mod tests {
     }
 
     #[test]
-    fn notes_ride_the_log_and_survive_scan() {
-        let store = MemLogStore::new();
-        let wal = Wal::create(store.clone(), 1, WalOptions::default()).unwrap();
-        let a = img(1, 64);
-        let t1 = wal.append_tx(&[(PageId(2), &a)], &[]).unwrap();
-        wal.tx_applied(t1.lsn);
-        wal.commit(t1.lsn).unwrap();
-        let n1 = wal.append_note(b"insert 42").unwrap();
-        let n2 = wal.append_note(b"flip seg-1").unwrap();
-        assert_eq!(wal.last_lsn(), n2.lsn);
-        wal.commit(n2.lsn).unwrap();
-        // Notes carry no page writes, so they never hold checkpoints back.
-        assert_eq!(wal.checkpoint_lsn(), n2.lsn);
-
-        let res = scan(store.as_ref()).unwrap();
-        assert!(res.torn.is_none());
-        assert_eq!(res.txns.len(), 3);
-        assert_eq!(res.max_lsn, n2.lsn);
-        assert_eq!(res.txns[1].lsn, n1.lsn);
-        assert_eq!(res.txns[1].notes, vec![b"insert 42".to_vec()]);
-        assert!(res.txns[1].images.is_empty());
-        assert_eq!(res.txns[2].notes, vec![b"flip seg-1".to_vec()]);
-    }
-
-    #[test]
     fn torn_tail_truncation_makes_the_log_clean_again() {
         let store = MemLogStore::new();
         let wal = Wal::create(store.clone(), 1, WalOptions::default()).unwrap();
-        let mut ends = Vec::new();
-        for i in 0..4u8 {
-            let t = wal.append_note(&[i; 16]).unwrap();
-            wal.commit(t.lsn).unwrap();
-            ends.push(t.end_offset);
-        }
+        let ends: Vec<u64> = (0..4u8).map(|i| note(&wal, &[i; 16]).end_offset).collect();
         store.truncate_global(ends[2] - 3);
         let first = scan(store.as_ref()).unwrap();
         assert!(first.torn.is_some());
@@ -1276,21 +955,5 @@ mod tests {
         assert_eq!(second.valid_bytes, store.total_len());
         // A new WAL starting past max_lsn cannot collide with the tail.
         assert!(second.max_lsn <= first.max_lsn);
-    }
-
-    #[test]
-    fn checkpoint_lsn_respects_in_flight() {
-        let store = MemLogStore::new();
-        let wal = Wal::create(store.clone(), 1, WalOptions::default()).unwrap();
-        let a = img(1, 64);
-        let t1 = wal.append_tx(&[(PageId(2), &a)], &[]).unwrap();
-        let t2 = wal.append_tx(&[(PageId(3), &a)], &[]).unwrap();
-        wal.tx_applied(t1.lsn);
-        wal.commit(t2.lsn).unwrap();
-        // t2 is durable but its pool writes are still in flight.
-        assert_eq!(wal.durable_lsn(), t2.lsn);
-        assert_eq!(wal.checkpoint_lsn(), t2.lsn - 1);
-        wal.tx_applied(t2.lsn);
-        assert_eq!(wal.checkpoint_lsn(), t2.lsn);
     }
 }

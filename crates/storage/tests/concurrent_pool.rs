@@ -8,13 +8,12 @@
 //! read/write pressure never loses a write or corrupts a counter.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 use storage::{
-    BufferPool, Disk, FaultDisk, FaultKind, FaultOp, FaultSpec, IoStats, LatencyDisk, MemDisk,
-    PageId, ShardedBufferPool, Trigger,
+    within, BufferPool, Disk, FaultDisk, FaultKind, FaultOp, FaultSpec, IoStats, LatencyDisk,
+    MemDisk, PageId, ShardedBufferPool, Trigger,
 };
 
 fn mem_disk_with(pages: usize, page_size: usize) -> Arc<MemDisk> {
@@ -57,28 +56,6 @@ fn duplicate_inflight_misses_issue_one_disk_read() {
         assert_eq!(s.hits, 3);
         assert_eq!(pool.pinned_count(), 0);
     });
-}
-
-/// Run `f` on its own thread and fail if it has not finished within
-/// `limit`: a reader parked on the pool's condvar with no wake-up
-/// coming fails the test instead of hanging it. A panic inside `f` is
-/// passed on.
-fn within(limit: Duration, f: impl FnOnce() + Send + 'static) {
-    let (done, finished) = mpsc::channel();
-    let worker = std::thread::spawn(move || {
-        f();
-        let _ = done.send(());
-    });
-    match finished.recv_timeout(limit) {
-        Ok(()) => worker.join().unwrap(),
-        Err(RecvTimeoutError::Disconnected) => match worker.join() {
-            Err(panic) => std::panic::resume_unwind(panic),
-            Ok(()) => unreachable!("worker exited without reporting"),
-        },
-        Err(RecvTimeoutError::Timeout) => {
-            panic!("no progress within {limit:?}: a parked reader was never woken")
-        }
-    }
 }
 
 /// A disk whose first read waits until [`open`](Gate::open) is called,

@@ -8,8 +8,12 @@
 //! both accept — and acceptance is only legal when the decoded node is
 //! bit-identical to the original (flips past the entry region land in
 //! stale bytes the count field makes unreachable).
+//!
+//! The LSM's WAL delete note gets the same matrix: its decoder reads
+//! untrusted log bytes, so it must be total.
 
 use str_rtree::geom::Rect;
+use str_rtree::lsm::{DeleteNote, LsmError, Note};
 use str_rtree::rtree::codec::{self, entry_size};
 use str_rtree::rtree::{Entry, Node, NodeView};
 use str_rtree::storage::PageId;
@@ -161,4 +165,60 @@ fn zeroed_and_random_pages_are_rejected() {
         })
         .collect();
     assert!(decode_both(&garbage).is_none());
+}
+
+fn encode_note(note: &Note<2>) -> Vec<u8> {
+    match note {
+        Note::Insert(n) => n.encode(),
+        Note::Delete(n) => n.encode(),
+        Note::Flip(f) => f.encode(),
+    }
+}
+
+/// Every truncation and every length-inflated count of a delete note is
+/// a typed `Corrupt`; every single-bit flip is either a typed `Corrupt`
+/// or decodes to a note that re-encodes to exactly the flipped bytes.
+/// Never a panic, never a misread.
+#[test]
+fn delete_note_corruption_is_typed_or_exact() {
+    let note = DeleteNote::<2> {
+        items: vec![
+            (Rect::new([0.25, 0.5], [0.75, 1.0]), 42),
+            (Rect::new([-3.0, 2.0], [-1.5, 2.0]), u64::MAX),
+        ],
+    };
+    let bytes = note.encode();
+    let corrupt = |b: &[u8], what: &str| match Note::<2>::decode(b) {
+        Err(LsmError::Corrupt(_)) => {}
+        other => panic!("{what}: expected Corrupt, got {other:?}"),
+    };
+    for len in 0..bytes.len() {
+        corrupt(&bytes[..len], &format!("truncated to {len}"));
+    }
+    for count in [3u32, 4, 1 << 20, u32::MAX] {
+        let mut inflated = bytes.clone();
+        inflated[1..5].copy_from_slice(&count.to_le_bytes());
+        corrupt(&inflated, &format!("count inflated to {count}"));
+    }
+    let mut long = bytes.clone();
+    long.extend_from_slice(&[0; 8]);
+    corrupt(&long, "trailing bytes");
+
+    let (mut rejected, mut exact) = (0u32, 0u32);
+    for bit in 0..bytes.len() * 8 {
+        let mut flipped = bytes.clone();
+        flipped[bit / 8] ^= 1 << (bit % 8);
+        match Note::<2>::decode(&flipped) {
+            Err(LsmError::Corrupt(_)) => rejected += 1,
+            Ok(back) => {
+                assert_eq!(encode_note(&back), flipped, "bit {bit}: decoded a misread");
+                exact += 1;
+            }
+            Err(other) => panic!("bit {bit}: untyped error {other}"),
+        }
+    }
+    assert!(
+        rejected > 0 && exact > 0,
+        "{rejected} rejected, {exact} exact"
+    );
 }

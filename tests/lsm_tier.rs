@@ -5,10 +5,13 @@
 //! immutable flat segments — behind the one [`SpatialIndex`] contract.
 //! Its correctness obligation is therefore *set equality under
 //! interleaving*: at any point in an arbitrary schedule of inserts,
-//! compactions, and queries, a query must return exactly what a brute
-//! force scan and a dynamically maintained paged R-tree return for the
-//! same accumulated items, no matter how the items are currently split
-//! across tiers. A second suite pins durability without crashes:
+//! deletes, compactions, and queries, a query must return exactly what
+//! a brute force scan and a dynamically maintained paged R-tree return
+//! for the same accumulated items, no matter how the items are currently
+//! split across tiers or which tier a delete's tombstone shadows. Items
+//! are a multiset of `(rect, id)` pairs: a duplicate insert adds a
+//! copy, a delete takes out one copy. A second suite pins durability
+//! without crashes:
 //! dropping the tree at an arbitrary point and reopening from the same
 //! devices must reproduce every acknowledged insert (crash schedules
 //! are exhaustively enumerated in `crash_schedule.rs`).
@@ -20,12 +23,12 @@ use str_rtree::lsm::MemSegmentStore;
 use str_rtree::prelude::*;
 use str_rtree::storage::MemLogStore;
 
-fn opts(memtable_items: u64) -> LsmOptions {
+fn opts(memtable_items: u64, background: bool) -> LsmOptions {
     LsmOptions {
         capacity: NodeCapacity::new(8).unwrap(),
         memtable_items,
         max_levels: 3,
-        background: false,
+        background,
         ..LsmOptions::default()
     }
 }
@@ -47,13 +50,11 @@ impl Devices {
     }
 
     fn open(&self, memtable_items: u64) -> LsmTree<2> {
-        LsmTree::open(
-            self.disk.clone(),
-            self.log.clone(),
-            self.segs.clone(),
-            opts(memtable_items),
-        )
-        .unwrap()
+        self.open_with(opts(memtable_items, false))
+    }
+
+    fn open_with(&self, opts: LsmOptions) -> LsmTree<2> {
+        LsmTree::open(self.disk.clone(), self.log.clone(), self.segs.clone(), opts).unwrap()
     }
 }
 
@@ -71,6 +72,17 @@ fn unit_rect() -> impl Strategy<Value = Rect2> {
 #[derive(Clone, Debug)]
 enum Op {
     Insert(Vec<Rect2>),
+    /// Delete the live pair `truth[pick % len]`.
+    Delete(u16),
+    /// Delete a pair that is not live: a fresh id, or a live id under
+    /// another rectangle.
+    DeleteAbsent(Rect2, u16),
+    /// Insert the most recently deleted pair again.
+    Reinsert,
+    /// Delete the most recently deleted pair again: not live any more.
+    DeleteAgain,
+    /// Insert another copy of the live pair `truth[pick % len]`.
+    Duplicate(u16),
     Compact,
     Query(Rect2),
 }
@@ -78,6 +90,11 @@ enum Op {
 fn op() -> impl Strategy<Value = Op> {
     prop_oneof![
         3 => prop::collection::vec(unit_rect(), 1..24).prop_map(Op::Insert),
+        3 => any::<u16>().prop_map(Op::Delete),
+        1 => (unit_rect(), any::<u16>()).prop_map(|(r, pick)| Op::DeleteAbsent(r, pick)),
+        1 => Just(Op::Reinsert),
+        1 => Just(Op::DeleteAgain),
+        1 => any::<u16>().prop_map(Op::Duplicate),
         1 => Just(Op::Compact),
         2 => unit_rect().prop_map(Op::Query),
     ]
@@ -94,11 +111,11 @@ fn check_query(
     truth: &[(Rect2, u64)],
     q: &Rect2,
 ) -> Result<(), TestCaseError> {
-    let brute: Vec<u64> = truth
+    let brute = ids(truth
         .iter()
         .filter(|(r, _)| r.intersects(q))
-        .map(|(_, id)| *id)
-        .collect();
+        .copied()
+        .collect());
     prop_assert_eq!(&ids(paged.query(q).unwrap()), &brute, "paged vs brute");
     prop_assert_eq!(&ids(lsm.query(q).unwrap()), &brute, "lsm vs brute");
     Ok(())
@@ -108,42 +125,96 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// LSM == brute force == paged tree at every query point of an
-    /// arbitrary insert/compact/query interleaving. The tiny memtable
-    /// bound makes implicit seals and multi-level folds routine within
-    /// a few dozen inserts, and `flush` seals memtables of any size, so
-    /// compactions see ragged outputs; the level cap holds after every
-    /// op.
+    /// arbitrary insert/delete/compact/query interleaving. The tiny
+    /// memtable bound makes implicit seals and multi-level folds routine
+    /// within a few dozen inserts, and `flush` seals memtables of any
+    /// size, so compactions see ragged outputs; deletes hit the active
+    /// memtable, the sealed one (with background compaction, while it
+    /// drains) and the flat levels; the level cap holds and `len()` is
+    /// exact after every op.
     #[test]
     fn lsm_equals_paged_equals_brute_force_under_interleaving(
-        ops in prop::collection::vec(op(), 1..32),
+        ops in prop::collection::vec(op(), 1..40),
         final_q in unit_rect(),
+        background in any::<bool>(),
     ) {
         let dev = Devices::new();
-        let lsm = dev.open(16);
+        let lsm = dev.open_with(opts(16, background));
         let pool = Arc::new(BufferPool::new(Arc::new(MemDisk::default_size()), 256));
         let mut paged = RTree::<2>::create(pool, NodeCapacity::new(8).unwrap()).unwrap();
         let mut truth: Vec<(Rect2, u64)> = Vec::new();
+        let mut next_id = 0u64;
+        let mut last_deleted: Option<(Rect2, u64)> = None;
+        let insert = |lsm: &LsmTree<2>, paged: &mut RTree<2>, truth: &mut Vec<_>, r: Rect2, id| {
+            lsm.insert(r, id).unwrap();
+            paged.insert(r, id).unwrap();
+            truth.push((r, id));
+        };
 
         for op in &ops {
             match op {
                 Op::Insert(rects) => {
                     for r in rects {
-                        let id = truth.len() as u64;
-                        lsm.insert(*r, id).unwrap();
-                        paged.insert(*r, id).unwrap();
-                        truth.push((*r, id));
+                        insert(&lsm, &mut paged, &mut truth, *r, next_id);
+                        next_id += 1;
+                    }
+                }
+                Op::Delete(pick) => {
+                    if truth.is_empty() {
+                        continue;
+                    }
+                    let (r, id) = truth.remove(*pick as usize % truth.len());
+                    prop_assert!(lsm.delete(&r, id).unwrap(), "live pair not deleted");
+                    prop_assert!(paged.delete(&r, id).unwrap());
+                    last_deleted = Some((r, id));
+                }
+                Op::DeleteAbsent(r, pick) => {
+                    let id = match truth.get(*pick as usize % truth.len().max(1)) {
+                        Some(&(live, id)) if live != *r => id,
+                        _ => u64::MAX - u64::from(*pick),
+                    };
+                    prop_assert!(!truth.contains(&(*r, id)));
+                    prop_assert!(!lsm.delete(r, id).unwrap(), "absent pair deleted");
+                    prop_assert!(!paged.delete(r, id).unwrap());
+                }
+                Op::DeleteAgain => {
+                    if let Some((r, id)) = last_deleted {
+                        let live = truth.contains(&(r, id));
+                        prop_assert_eq!(lsm.delete(&r, id).unwrap(), live);
+                        prop_assert_eq!(paged.delete(&r, id).unwrap(), live);
+                        if live {
+                            let at = truth.iter().position(|&p| p == (r, id)).unwrap();
+                            truth.remove(at);
+                        }
+                    }
+                }
+                Op::Reinsert => {
+                    if let Some((r, id)) = last_deleted.take() {
+                        insert(&lsm, &mut paged, &mut truth, r, id);
+                    }
+                }
+                Op::Duplicate(pick) => {
+                    if let Some(&(r, id)) = truth.get(*pick as usize % truth.len().max(1)) {
+                        insert(&lsm, &mut paged, &mut truth, r, id);
                     }
                 }
                 Op::Compact => lsm.flush().unwrap(),
                 Op::Query(q) => check_query(&lsm, &paged, &truth, q)?,
             }
-            prop_assert!(lsm.stats().levels <= 3, "level cap violated: {:?}", lsm.stats());
+            let st = lsm.stats();
+            prop_assert!(st.levels <= 3, "level cap violated: {:?}", st);
+            prop_assert_eq!(SpatialIndex::len(&lsm), truth.len() as u64);
+            prop_assert_eq!(
+                st.memtable_items + st.sealed_items + st.level_items - st.tombstones,
+                truth.len() as u64,
+                "items must never leak between tiers: {:?}", st
+            );
         }
         check_query(&lsm, &paged, &truth, &final_q)?;
         check_query(&lsm, &paged, &truth, &Rect2::unit())?;
-        prop_assert_eq!(SpatialIndex::len(&lsm), truth.len() as u64);
-        prop_assert_eq!(lsm.stats().memtable_items + lsm.stats().sealed_items
-            + lsm.stats().level_items, truth.len() as u64, "items must never leak between tiers");
+        lsm.flush().unwrap();
+        prop_assert_eq!(lsm.stats().tombstones, 0, "a drain leaves no tombstone");
+        check_query(&lsm, &paged, &truth, &Rect2::unit())?;
     }
 
     /// Durability without a crash: drop the tree at an arbitrary cut

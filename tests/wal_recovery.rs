@@ -1,19 +1,17 @@
-//! Property-based WAL recovery: random workloads over several named
-//! trees in one file, then a crash that damages the log itself — a torn
-//! tail (truncation at an arbitrary byte offset) or a bit-flipped
-//! checksum — followed by recovery.
+//! Property-based log-damage recovery for the LSM tier: a random
+//! insert/delete workload whose tiny memtable seals and compacts every
+//! few ops, then a crash that damages the log itself — a torn tail
+//! (truncation at an arbitrary byte offset) or a flipped byte — followed
+//! by [`LsmTree::open`].
 //!
-//! The property: the WAL is the *only* source of truth for unflushed
-//! state, so whatever prefix of transactions survives the damage is
-//! exactly what recovery reproduces. Because a single-writer log
-//! commits in op order, the surviving transactions are always a prefix
-//! of the op stream; replaying that prefix through an in-memory model
-//! gives the oracle for every tree. After [`rtree::recover`], every
-//! named tree must match its oracle exactly and the allocator audit
-//! must be clean with zero leaked pages (the sweep reclaims strands).
-//!
-//! The log uses deliberately small segments so rotation happens every
-//! few transactions and the damage offset can land in any segment.
+//! The property: whatever prefix of notes survives the damage is exactly
+//! what recovery reproduces. A single writer logs its ops in op order,
+//! and every compaction recycles the log segments its flat level
+//! covers, so the ops whose notes end before the damage point (or were
+//! recycled into a level) are a prefix of the op stream; replaying that
+//! prefix through an in-memory model gives the oracle. Recovery must
+//! match it exactly, count included, and a second open must change
+//! nothing (idempotence).
 //!
 //! The `FAULT_SEED` environment variable replays one specific
 //! randomized case: `FAULT_SEED=12345 cargo test --test wal_recovery`.
@@ -22,9 +20,9 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use proptest::prelude::*;
+use str_rtree::lsm::MemSegmentStore;
 use str_rtree::prelude::*;
-use str_rtree::rtree::{recover, NodeCapacity, RTree};
-use str_rtree::storage::{MemLogStore, Wal, WalOptions};
+use str_rtree::storage::{LogStore, MemLogStore};
 
 fn rect_of(i: u64) -> Rect2 {
     let (x, y) = ((i % 31) as f64 / 31.0, (i / 31 % 31) as f64 / 31.0);
@@ -35,12 +33,22 @@ fn everything() -> Rect2 {
     Rect2::new([-1.0, -1.0], [2.0, 2.0])
 }
 
-/// One abstract workload step, concretized against the live model: on a
-/// delete action with a non-empty live set the victim is
-/// `live[pick % live.len()]`, otherwise it degrades to an insert.
+fn opts() -> LsmOptions {
+    LsmOptions {
+        capacity: NodeCapacity::new(8).unwrap(),
+        memtable_items: 6,
+        max_levels: 3,
+        background: false,
+        ..LsmOptions::default()
+    }
+}
+
+/// One abstract workload step (a third of them deletes), concretized
+/// against the live model: on a delete action with a non-empty live set
+/// the victim is `live[pick % live.len()]`, otherwise it degrades to an
+/// insert.
 #[derive(Clone, Copy, Debug)]
 struct Step {
-    tree: u8,
     delete: bool,
     pick: u16,
 }
@@ -53,132 +61,114 @@ enum Damage {
     BitFlip,
 }
 
-/// Apply `steps[..k]` to fresh per-tree models, returning each tree's
-/// expected surviving ids.
-fn oracle(tree_count: usize, steps: &[Step], k: usize) -> Vec<BTreeSet<u64>> {
+/// Apply `steps[..k]` to a fresh model, returning the surviving ids.
+fn oracle(steps: &[Step], k: usize) -> BTreeSet<u64> {
     let mut next_id = 0u64;
-    let mut models: Vec<BTreeSet<u64>> = vec![BTreeSet::new(); tree_count];
+    let mut model = BTreeSet::new();
     for step in &steps[..k] {
-        let t = step.tree as usize % tree_count;
-        let live: Vec<u64> = models[t].iter().copied().collect();
+        let live: Vec<u64> = model.iter().copied().collect();
         if step.delete && !live.is_empty() {
-            models[t].remove(&live[step.pick as usize % live.len()]);
+            model.remove(&live[step.pick as usize % live.len()]);
         } else {
-            models[t].insert(next_id);
+            model.insert(next_id);
             next_id += 1;
         }
     }
-    models
+    model
 }
 
-fn tree_name(t: usize) -> String {
-    format!("tree-{t}")
+/// Where the log ends now: `(newest segment, its length)`.
+fn log_end(log: &MemLogStore) -> (u64, u64) {
+    let seg = *log.list().unwrap().last().unwrap();
+    (seg, log.read(seg).unwrap().len() as u64)
+}
+
+/// The `(segment, offset)` of global offset `x` in the log as it is now.
+fn locate(log: &MemLogStore, x: u64) -> (u64, u64) {
+    let mut base = 0u64;
+    for seg in log.list().unwrap() {
+        let len = log.read(seg).unwrap().len() as u64;
+        if x < base + len {
+            return (seg, x - base);
+        }
+        base += len;
+    }
+    (u64::MAX, 0)
+}
+
+fn contents(tree: &LsmTree<2>) -> BTreeSet<u64> {
+    let hits = tree.query(&everything()).unwrap();
+    let ids: BTreeSet<u64> = hits.iter().map(|&(_, id)| id).collect();
+    assert_eq!(ids.len(), hits.len(), "recovery duplicated an item");
+    ids
 }
 
 /// Run one full case: drive the workload, damage the log at
-/// `frac * total_len`, recover, and compare every tree to its oracle.
-fn run_case(tree_count: usize, steps: &[Step], frac: f64, damage: Damage) {
-    let disk: Arc<dyn Disk> = Arc::new(MemDisk::default_size());
+/// `frac * total_len`, reopen, and compare against the oracle.
+fn run_case(steps: &[Step], frac: f64, damage: Damage) {
+    let disk = Arc::new(MemDisk::default_size());
     let log = MemLogStore::new();
-    // A pool big enough to never evict: the crash loses *all* unflushed
-    // state and the log alone must reconstruct the surviving prefix
-    // (the hardest recovery case).
-    let pool = Arc::new(BufferPool::new(disk.clone(), 4096));
-    let wal = Wal::create(
-        log.clone(),
-        1,
-        WalOptions {
-            // ~4 page images per segment: rotation every few txns.
-            segment_bytes: 16 << 10,
-            group_commit: true,
-        },
-    )
-    .unwrap();
+    let segs = Arc::new(MemSegmentStore::new());
+    let tree = LsmTree::open(disk.clone(), log.clone(), segs.clone(), opts()).unwrap();
 
-    let cap = NodeCapacity::new(8).unwrap();
-    let mut trees: Vec<RTree<2>> = (0..tree_count)
-        .map(|t| {
-            let mut tree = RTree::<2>::create_named(pool.clone(), &tree_name(t), cap).unwrap();
-            tree.attach_wal(wal.clone()).unwrap();
-            tree
-        })
-        .collect();
-
-    // Drive the workload, recording the log length after each committed
-    // op — op i owns the byte range (ends[i-1], ends[i]].
+    // Drive the workload, recording where the log ended after each op:
+    // op i's notes end at `ends[i]`.
     let mut next_id = 0u64;
-    let mut models: Vec<BTreeSet<u64>> = vec![BTreeSet::new(); tree_count];
-    let mut ends: Vec<u64> = Vec::with_capacity(steps.len());
+    let mut model: BTreeSet<u64> = BTreeSet::new();
+    let mut ends: Vec<(u64, u64)> = Vec::with_capacity(steps.len());
     for step in steps {
-        let t = step.tree as usize % tree_count;
-        let live: Vec<u64> = models[t].iter().copied().collect();
+        let live: Vec<u64> = model.iter().copied().collect();
         if step.delete && !live.is_empty() {
             let victim = live[step.pick as usize % live.len()];
-            assert!(trees[t].delete(&rect_of(victim), victim).unwrap());
-            models[t].remove(&victim);
+            assert!(tree.delete(&rect_of(victim), victim).unwrap());
+            model.remove(&victim);
         } else {
-            trees[t].insert(rect_of(next_id), next_id).unwrap();
-            models[t].insert(next_id);
+            tree.insert(rect_of(next_id), next_id).unwrap();
+            model.insert(next_id);
             next_id += 1;
         }
-        ends.push(log.total_len());
+        ends.push(log_end(&log));
     }
-    drop(trees);
+    assert!(
+        tree.stats().compactions > 0,
+        "the workload must cross compactions"
+    );
+    drop(tree);
 
     // Crash: damage the log at the chosen offset. Survivors are the ops
-    // fully before the damage.
+    // whose notes end at or before the damaged byte — those recycled
+    // into a level end in a segment older than any left.
     let total = log.total_len();
-    assert!(total > 0);
     let x = ((total as f64) * frac) as u64;
-    let survivors = match damage {
+    let x = match damage {
         Damage::Torn => {
+            let at = locate(&log, x);
             log.truncate_global(x);
-            ends.iter().filter(|&&e| e <= x).count()
+            at
         }
         Damage::BitFlip => {
             let x = x.min(total - 1);
+            let at = locate(&log, x);
             log.flip_byte_global(x);
-            // The eviction-free pool means nothing else reached the
-            // media: scan stops at the damaged record, so the victim op
-            // (whose range contains x) and everything after it are
-            // lost.
-            ends.iter().filter(|&&e| e <= x).count()
+            at
         }
     };
-    let expect = oracle(tree_count, steps, survivors);
+    let survivors = ends.iter().filter(|&&end| end <= x).count();
+    let want = oracle(steps, survivors);
 
-    // Recover and compare every tree against its oracle.
-    let report = recover(&disk, log.as_ref()).unwrap();
-    assert_eq!(report.trees, tree_count as u64);
+    let tree = LsmTree::open(disk.clone(), log.clone(), segs.clone(), opts())
+        .unwrap_or_else(|e| panic!("recovery after {damage:?} at {x:?} failed: {e}"));
+    assert_eq!(
+        contents(&tree),
+        want,
+        "{damage:?} at {x:?} ({survivors} survivors): contents diverge"
+    );
+    assert_eq!(SpatialIndex::len(&tree), want.len() as u64);
+    drop(tree);
 
-    let pool = Arc::new(BufferPool::new(disk.clone(), 4096));
-    for (t, want) in expect.iter().enumerate() {
-        let tree = RTree::<2>::open_named(pool.clone(), &tree_name(t)).unwrap();
-        assert_eq!(
-            tree.len(),
-            want.len() as u64,
-            "tree {t} diverges after {damage:?} at offset {x} ({survivors} survivors): {report}"
-        );
-        let got: BTreeSet<u64> = tree
-            .query_region(&everything())
-            .unwrap()
-            .iter()
-            .map(|&(_, id)| id)
-            .collect();
-        assert_eq!(&got, want, "tree {t} contents diverge");
-        let check = tree.check();
-        assert!(check.is_clean(), "tree {t}: {check}");
-        assert!(
-            check.unreachable.is_empty(),
-            "tree {t} leaked pages: {:?}",
-            check.unreachable
-        );
-    }
-
-    // A second recovery must be a no-op (idempotence).
-    let second = recover(&disk, log.as_ref()).unwrap();
-    assert_eq!(second.replay.txns_applied, 0);
-    assert_eq!(second.pages_reclaimed, 0);
+    // A second open must be a no-op (idempotence).
+    let tree = LsmTree::open(disk, log, segs, opts()).unwrap();
+    assert_eq!(contents(&tree), want, "second open diverges");
 }
 
 proptest! {
@@ -186,16 +176,15 @@ proptest! {
 
     #[test]
     fn damaged_log_recovers_to_the_committed_prefix(
-        tree_count in 2usize..=4,
         steps in prop::collection::vec(
-            (any::<u8>(), any::<bool>(), any::<u16>())
-                .prop_map(|(tree, delete, pick)| Step { tree, delete, pick }),
+            (any::<u8>(), any::<u16>())
+                .prop_map(|(kind, pick)| Step { delete: kind.is_multiple_of(3), pick }),
             40..120,
         ),
         frac in 0.0f64..1.0,
         damage in prop_oneof![Just(Damage::Torn), Just(Damage::BitFlip)],
     ) {
-        run_case(tree_count, &steps, frac, damage);
+        run_case(&steps, frac, damage);
     }
 }
 
@@ -222,14 +211,12 @@ fn randomized_seed_pass() {
     };
     eprintln!("wal_recovery randomized pass: FAULT_SEED={seed}");
     let mut s = seed;
-    let tree_count = 2 + (splitmix64(&mut s) % 3) as usize;
     let n_steps = 40 + (splitmix64(&mut s) % 80) as usize;
     let steps: Vec<Step> = (0..n_steps)
         .map(|_| {
             let r = splitmix64(&mut s);
             Step {
-                tree: (r & 0xFF) as u8,
-                delete: (r >> 8) & 1 == 1,
+                delete: r.is_multiple_of(3),
                 pick: ((r >> 16) & 0xFFFF) as u16,
             }
         })
@@ -240,9 +227,6 @@ fn randomized_seed_pass() {
     } else {
         Damage::BitFlip
     };
-    eprintln!(
-        "wal_recovery randomized pass: {tree_count} trees, {n_steps} steps, \
-         {damage:?} at {frac:.4} of the log"
-    );
-    run_case(tree_count, &steps, frac, damage);
+    eprintln!("wal_recovery randomized pass: {n_steps} steps, {damage:?} at {frac:.4} of the log");
+    run_case(&steps, frac, damage);
 }
