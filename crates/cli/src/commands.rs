@@ -187,10 +187,20 @@ type LsmParts = (
 );
 
 /// The three files/directories of an on-disk LSM tree under `dir`:
-/// superblock+meta disk, WAL directory, segment directory.
-fn open_lsm_parts(dir: &Path) -> CliResult<LsmParts> {
-    std::fs::create_dir_all(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
+/// superblock+meta disk, WAL directory, segment directory. Only
+/// `create` makes `dir` and its superblock file; otherwise a directory
+/// without one is an error, so a mistyped path never becomes an empty
+/// tree.
+fn open_lsm_parts(dir: &Path, create: bool) -> CliResult<LsmParts> {
     let index = dir.join("index.v2");
+    if create {
+        std::fs::create_dir_all(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
+    } else if !index.exists() {
+        return Err(format!(
+            "{}: no LSM tree here (build --lsm creates one)",
+            dir.display()
+        ));
+    }
     let disk: Arc<dyn storage::Disk> = Arc::new(
         if index.exists() {
             FileDisk::open(&index, DEFAULT_PAGE_SIZE)
@@ -208,15 +218,16 @@ fn open_lsm_parts(dir: &Path) -> CliResult<LsmParts> {
     Ok((disk, log, segs))
 }
 
-/// Open (or create) the LSM tree stored under `dir`, running recovery.
-pub fn open_lsm(dir: &Path, opts: lsm::LsmOptions) -> CliResult<lsm::LsmTree<2>> {
-    let (disk, log, segs) = open_lsm_parts(dir)?;
+/// Open the LSM tree stored under `dir`, running recovery; with
+/// `create`, make an empty one there if there is none.
+pub fn open_lsm(dir: &Path, opts: lsm::LsmOptions, create: bool) -> CliResult<lsm::LsmTree<2>> {
+    let (disk, log, segs) = open_lsm_parts(dir, create)?;
     lsm::LsmTree::open(disk, log, segs, opts).map_err(|e| format!("{}: {e}", dir.display()))
 }
 
 /// `query --lsm` / `point --lsm`: answer from an LSM directory.
 pub fn query_region_lsm(dir: &Path, region: geom::Rect2) -> CliResult<String> {
-    let tree = open_lsm(dir, lsm::LsmOptions::default())?;
+    let tree = open_lsm(dir, lsm::LsmOptions::default(), false)?;
     run_region_query(&tree, &region)
 }
 
@@ -236,7 +247,7 @@ pub fn build_lsm(input: &Path, dir: &Path, capacity: usize, threads: usize) -> C
         threads: threads.max(1),
         ..lsm::LsmOptions::default()
     };
-    let tree = open_lsm(dir, opts)?;
+    let tree = open_lsm(dir, opts, true)?;
     let n = items.len();
     for batch in items.chunks(1024) {
         tree.insert_batch(batch).map_err(|e| e.to_string())?;
@@ -261,7 +272,7 @@ pub fn build_lsm(input: &Path, dir: &Path, capacity: usize, threads: usize) -> C
 /// folds them out; reopening replays them from the log.
 pub fn delete_lsm(input: &Path, dir: &Path) -> CliResult<String> {
     let items = csvio::read_items(input)?;
-    let tree = open_lsm(dir, lsm::LsmOptions::default())?;
+    let tree = open_lsm(dir, lsm::LsmOptions::default(), false)?;
     let mut removed = 0u64;
     for (rect, id) in &items {
         if tree.delete(rect, *id).map_err(|e| e.to_string())? {

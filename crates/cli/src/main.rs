@@ -38,7 +38,9 @@
 //! `build --lsm` ingests through the durable insert path instead of
 //! bulk packing, `delete --lsm` removes through the durable delete
 //! path, and queries answer over the memtable plus every flat level
-//! through the same `SpatialIndex` interface as the other tiers.
+//! through the same `SpatialIndex` interface as the other tiers. Only
+//! `build --lsm` creates the directory; the others fail on a path that
+//! holds no LSM tree.
 //!
 //! Every command additionally accepts `--metrics text|json`, which
 //! turns the observability layer on for the run and appends a snapshot

@@ -229,6 +229,28 @@ fn lsm_build_delete_reopen_query_round_trip() {
     assert!(query(&dir).contains("# 2000 hits"));
 }
 
+/// Only `build --lsm` creates an LSM directory: a read or a delete
+/// aimed at a missing one fails and leaves nothing behind.
+#[test]
+fn lsm_reads_of_a_missing_directory_fail_without_creating_it() {
+    let dir = tmp("missing.lsm");
+    let victims = tmp("missing-victims.csv");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::write(&victims, "min_x,min_y,max_x,max_y,id\n0,0,1,1,7\n").unwrap();
+    let runs: [&[&str]; 3] = [
+        &["query", "--region", "0,0,1,1"],
+        &["point", "--at", "0.5,0.5"],
+        &["delete", "--input", victims.to_str().unwrap()],
+    ];
+    for args in runs {
+        let out = bin().args(args).arg("--lsm").arg(&dir).output().unwrap();
+        assert!(!out.status.success(), "{args:?} succeeded");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("no LSM tree here"), "{args:?}: {err}");
+        assert!(!dir.exists(), "{args:?} created {}", dir.display());
+    }
+}
+
 #[test]
 fn query_bench_reports_thread_scaling() {
     let data = tmp("qb.csv");

@@ -11,10 +11,14 @@
 //! autovectorizes on every target — plus an explicit SSE2 path for the
 //! 2-D case evaluated in the paper.
 //!
-//! Semantics match [`Rect::intersects`] exactly, including the empty
-//! sentinel: an empty slot (`min = +inf, max = -inf`) can never satisfy
-//! `min[i] <= q.hi`, and an empty query never satisfies
-//! `q.lo <= max[i]`, so no emptiness pre-check is needed in the loop.
+//! Semantics match [`Rect::intersects`] exactly on the precondition
+//! that **no slot is empty** (every slot passes [`Rect::try_new`]). An
+//! empty query is refused up front. An empty slot (`min = +inf,
+//! max = -inf`) fails `min[i] <= q.hi` or `q.lo <= max[i]` whenever the
+//! query is finite on one side of some axis, but a query spanning
+//! −∞..+∞ on every axis passes both compares and counts it as a hit,
+//! where [`Rect::intersects`] says false. The loop carries no emptiness
+//! check; callers keep empty rectangles out of the columns instead.
 
 use crate::Rect;
 
@@ -276,6 +280,29 @@ mod tests {
         let (mins, maxs) = to_soa(&rects);
         let soa = SoaRects::<2>::new([&mins[0], &mins[1]], [&maxs[0], &maxs[1]]);
         assert_eq!(soa.count_intersecting(0, 64, &Rect::empty()), 0);
+    }
+
+    /// The kernel's precondition, pinned: with empty slots, a query
+    /// infinite on both sides of every axis counts each one as a hit
+    /// (which [`Rect::intersects`] does not), while queries infinite on
+    /// one side only count none.
+    #[test]
+    fn empty_slots_hit_only_an_everywhere_infinite_query() {
+        let (inf, ninf) = (f64::INFINITY, f64::NEG_INFINITY);
+        let rects = vec![Rect::<2>::empty(); 5];
+        let (mins, maxs) = to_soa(&rects);
+        let soa = SoaRects::<2>::new([&mins[0], &mins[1]], [&maxs[0], &maxs[1]]);
+        let everywhere = Rect::new([ninf; 2], [inf; 2]);
+        assert_eq!(soa.count_intersecting(0, 5, &everywhere), 5);
+        assert!(!rects[0].intersects(&everywhere));
+        for q in [
+            Rect::new([ninf; 2], [0.0; 2]),
+            Rect::new([0.0; 2], [inf; 2]),
+            Rect::new([ninf, 0.0], [inf, inf]),
+            Rect::new([ninf, ninf], [inf, 0.0]),
+        ] {
+            assert_eq!(soa.count_intersecting(0, 5, &q), 0, "{q:?}");
+        }
     }
 
     #[test]

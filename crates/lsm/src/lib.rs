@@ -4,10 +4,12 @@
 //! sustained inserts. This crate closes that gap the LSM way, with the
 //! paper's own machinery at every layer:
 //!
-//! * writes land in a small in-memory **memtable** ordered by the
+//! * writes land in a small in-memory **memtable** keyed by the
 //!   Hilbert index of each rectangle's center (the "Simpler is Faster"
 //!   observation: sorting along a space-filling curve is itself a
-//!   competitive index), logged as WAL notes before acknowledgement;
+//!   competitive index) and stored column-wise, so reads scan it with
+//!   the same SoA kernel the flat levels use ([`geom::SoaRects`]);
+//!   writes are logged as WAL notes before acknowledgement;
 //! * a full memtable is **sealed** and drained by background compaction,
 //!   which STR-packs it straight into a new immutable flat segment
 //!   ([`str_core::pack_str_to_flat`], [`flat::FlatTree`]) — ingest
@@ -46,6 +48,9 @@ pub enum LsmError {
     Corrupt(String),
     /// [`LsmOptions`] a tree cannot run with, rejected at open.
     InvalidOptions(String),
+    /// A rectangle [`geom::Rect::try_new`] refuses (empty, inverted or
+    /// NaN), rejected before anything is logged.
+    InvalidRect(geom::GeomError),
 }
 
 impl std::fmt::Display for LsmError {
@@ -55,6 +60,7 @@ impl std::fmt::Display for LsmError {
             LsmError::Flat(e) => write!(f, "flat segment: {e}"),
             LsmError::Corrupt(msg) => write!(f, "lsm state corrupt: {msg}"),
             LsmError::InvalidOptions(msg) => write!(f, "invalid lsm options: {msg}"),
+            LsmError::InvalidRect(e) => write!(f, "invalid rectangle: {e}"),
         }
     }
 }
@@ -64,6 +70,7 @@ impl std::error::Error for LsmError {
         match self {
             LsmError::Storage(e) => Some(e),
             LsmError::Flat(e) => Some(e),
+            LsmError::InvalidRect(e) => Some(e),
             LsmError::Corrupt(_) | LsmError::InvalidOptions(_) => None,
         }
     }

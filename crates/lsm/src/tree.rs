@@ -408,9 +408,16 @@ impl<const D: usize> LsmTree<D> {
     /// Insert a batch under one WAL note. Durable on return; the whole
     /// batch lands in one memtable generation, so a crash keeps either
     /// all of it or — if the commit never returned — possibly none.
+    ///
+    /// A batch holding a rectangle [`Rect::try_new`] refuses (empty,
+    /// inverted or NaN) fails whole with [`LsmError::InvalidRect`] and
+    /// logs nothing: recovery would refuse its note as corrupt.
     pub fn insert_batch(&self, items: &[(Rect<D>, u64)]) -> Result<()> {
         if items.is_empty() {
             return Ok(());
+        }
+        for (rect, _) in items {
+            Rect::try_new(*rect.min(), *rect.max()).map_err(LsmError::InvalidRect)?;
         }
         self.check_failed()?;
         loop {
@@ -970,6 +977,45 @@ mod tests {
             let hits = idx.query(&rect_for(i)).unwrap();
             assert!(hits.iter().any(|&(_, id)| id == i), "item {i} lost");
         }
+    }
+
+    /// A rectangle `Rect::try_new` refuses is an input error, not an
+    /// acknowledged write: the batch fails whole, nothing reaches the
+    /// log, and the tree reopens with the items it had.
+    #[test]
+    fn invalid_rect_is_refused_before_the_log() {
+        let opts = small_opts();
+        let (tree, disk, log, segs) = open_mem(opts);
+        for i in 0..10u64 {
+            tree.insert(rect_for(i), i).unwrap();
+        }
+        let log_bytes = |log: &Arc<dyn LogStore>| -> Vec<(u64, Vec<u8>)> {
+            let segs = log.list().unwrap();
+            segs.into_iter()
+                .map(|s| (s, log.read(s).unwrap()))
+                .collect()
+        };
+        let before = log_bytes(&log);
+        let commits = tree.wal().stat().commits;
+        let res = tree.insert(Rect::empty(), 99);
+        assert!(
+            matches!(
+                res,
+                Err(LsmError::InvalidRect(geom::GeomError::InvertedAxis {
+                    axis: 0
+                }))
+            ),
+            "{res:?}"
+        );
+        let res = tree.insert_batch(&[(rect_for(10), 10), (Rect::empty(), 99)]);
+        assert!(matches!(res, Err(LsmError::InvalidRect(_))), "{res:?}");
+        assert_eq!(SpatialIndex::len(&tree), 10);
+        assert_eq!(tree.wal().stat().commits, commits);
+        assert_eq!(log_bytes(&log), before);
+        drop(tree);
+
+        let tree = LsmTree::<2>::open(disk, log, segs, opts).unwrap();
+        assert_eq!(SpatialIndex::len(&tree), 10);
     }
 
     /// A store written by an older build — version-1 `FLT1` images
