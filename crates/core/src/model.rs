@@ -32,7 +32,7 @@ pub fn expected_accesses<const D: usize>(tree: &RTree<D>, q: f64) -> Result<f64>
 /// As [`expected_accesses`] with per-axis query extents.
 pub fn expected_accesses_rect<const D: usize>(tree: &RTree<D>, q: &[f64; D]) -> Result<f64> {
     let mut total = 0.0;
-    tree.visit_nodes(&mut |_, node| {
+    tree.visit_views(&mut |_, node| {
         total += hit_probability(&node.mbr(), q);
     })?;
     Ok(total)
@@ -42,7 +42,7 @@ pub fn expected_accesses_rect<const D: usize>(tree: &RTree<D>, q: &[f64; D]) -> 
 /// levels are buffered, as the paper argues they will be.
 pub fn expected_leaf_accesses<const D: usize>(tree: &RTree<D>, q: f64) -> Result<f64> {
     let mut total = 0.0;
-    tree.visit_nodes(&mut |_, node| {
+    tree.visit_views(&mut |_, node| {
         if node.is_leaf() {
             total += hit_probability(&node.mbr(), &[q; D]);
         }

@@ -5,8 +5,9 @@
 //! Two angles of attack:
 //!
 //! 1. Per node: parse every page of a packed tree with both `decode`
-//!    (via `visit_nodes`) and `NodeView` (via `visit_views`) and compare
-//!    level, entry count, and every entry byte for byte.
+//!    (a decoded walk over `NodeStore::read_node`, kept here in test
+//!    code) and `NodeView` (via `visit_views`) and compare level, entry
+//!    count, and every entry byte for byte.
 //! 2. Per query: run the same region queries through the zero-copy
 //!    visitor (`query_region_visit`) and a decode-based reference
 //!    traversal kept here in test code ([`decoded_query`]) and require
@@ -75,10 +76,14 @@ fn view_matches_decode_on_every_node_of_all_packers() {
 
         // Decoded pass first: snapshot every node.
         let mut decoded: HashMap<PageId, (u32, Vec<Entry<2>>)> = HashMap::new();
-        tree.visit_nodes(&mut |page, node| {
-            decoded.insert(page, (node.level, node.entries.clone()));
-        })
-        .unwrap();
+        let mut stack = vec![tree.root_page()];
+        while let Some(page) = stack.pop() {
+            let (level, entries) = tree.store().read_node(page).unwrap();
+            if level > 0 {
+                stack.extend(entries.iter().map(|e| e.child_page()));
+            }
+            decoded.insert(page, (level, entries));
+        }
 
         // Zero-copy pass: every node must reproduce the snapshot.
         let mut seen = 0usize;

@@ -16,10 +16,9 @@
 //!   sustains near bulk-load throughput while queries keep STR-packed
 //!   locality;
 //! * the drain **commits with an atomic catalog flip**: segment bytes
-//!   durable, segment meta page durable, one WAL flip note (the commit
-//!   point), then one format-v2 superblock write that adds the new
-//!   catalog entry, drops any replaced ones, and advances the WAL
-//!   watermark indivisibly. Recovery re-executes committed flips the
+//!   durable, one WAL flip note (the commit point), then one format-v2
+//!   superblock write that adds the new segment's name, drops any
+//!   replaced ones, and advances the WAL watermark indivisibly. Recovery re-executes committed flips the
 //!   superblock missed and discards uncommitted ones, so a crash at any
 //!   sync point loses **zero acknowledged inserts** (see DESIGN.md §15
 //!   for the atomicity argument);
@@ -32,7 +31,7 @@ mod memtable;
 mod segstore;
 mod tree;
 
-pub use codec::{DeleteNote, FlipNote, InsertNote, Note, SegmentMeta};
+pub use codec::{DeleteNote, FlipNote, InsertNote, Note};
 pub use memtable::Memtable;
 pub use segstore::{FileSegmentStore, MemSegmentStore, SegmentStore};
 pub use tree::{LsmOptions, LsmStats, LsmTree};

@@ -10,28 +10,24 @@
 //! order:
 //!
 //! 1. segment bytes durable in the [`SegmentStore`] (`put` + `sync`);
-//! 2. segment meta page written to the main disk and synced;
-//! 3. flip note appended to the WAL and committed — **the commit
+//! 2. flip note appended to the WAL and committed — **the commit
 //!    point**;
-//! 4. one superblock write ([`PageAllocator::flip_catalog`]) that adds
-//!    the new catalog entry, drops the replaced ones, and advances the
+//! 3. one superblock write ([`PageAllocator::flip_catalog`]) that adds
+//!    the new segment's name, drops the replaced ones, and advances the
 //!    WAL watermark to the drained memtable's seal LSN, followed by a
 //!    disk sync;
-//! 5. in-memory flip, then cleanup (free replaced meta pages, delete
-//!    replaced segment bytes, recycle fully-applied WAL segments).
+//! 4. in-memory flip, then cleanup (delete replaced segment bytes,
+//!    recycle fully-applied WAL segments).
 //!
 //! Recovery inverts the order: a flip note whose `seal_lsn` is above
-//! the superblock watermark was committed but may have missed step 4,
-//! so it is re-executed (steps 1–2 guarantee its inputs are durable); a
-//! flip that never reached the log never happened, and its segment
-//! bytes are garbage-collected as orphans. Insert and delete notes
-//! above the final watermark rebuild the memtable, in log order. The
-//! only thing a crash can leak is meta pages: the new segment's page if
-//! the flip never committed, or the victims' pages if the crash landed
-//! between the superblock flip and cleanup (recovery deliberately never
-//! frees them — freeing a page twice corrupts the allocator, leaking a
-//! few pages does not). Bounded by one compaction's victims; never an
-//! acknowledged insert or delete.
+//! the superblock watermark was committed but may have missed step 3,
+//! so its catalog flip is re-executed (step 1 made its segment durable
+//! first); a flip that never reached the log never happened, and its
+//! segment bytes are garbage-collected as orphans, like the victims a
+//! crash left before cleanup. Insert and delete notes above the final
+//! watermark rebuild the memtable, in log order. The main disk holds
+//! only the superblock, so a crash leaks nothing there; segments own
+//! nothing but their bytes, each `FLT1` image checksummed end to end.
 //!
 //! # Compaction policy
 //!
@@ -65,12 +61,10 @@ use geom::Rect;
 use obs::{LazyCounter, LazyGauge, LazyHistogram};
 use parking_lot::{Condvar, Mutex, RwLock};
 use rtree::{IndexStats, NodeCapacity, SpatialIndex};
-use storage::{
-    truncate_torn_tail, wal::scan, Disk, LogStore, PageAllocator, PageId, Wal, WalOptions,
-};
+use storage::{truncate_torn_tail, wal::scan, Disk, LogStore, PageAllocator, PageId, Wal};
 use str_core::pack_str_to_flat;
 
-use crate::codec::{DeleteNote, FlipNote, InsertNote, Note, SegmentMeta};
+use crate::codec::{DeleteNote, FlipNote, InsertNote, Note};
 use crate::memtable::{Memtable, Shadow};
 use crate::segstore::SegmentStore;
 use crate::{LsmError, Result};
@@ -131,13 +125,17 @@ pub struct LsmStats {
     pub items_packed: u64,
 }
 
-/// One immutable flat level.
+/// One immutable flat level. Levels are ordered by id: ids only grow,
+/// so a newer level always has the larger one.
 struct Segment<const D: usize> {
     id: u64,
-    meta_page: PageId,
-    seal_lsn: u64,
-    item_count: u64,
     tree: flat::FlatTree<'static, D>,
+}
+
+impl<const D: usize> Segment<D> {
+    fn item_count(&self) -> u64 {
+        self.tree.len()
+    }
 }
 
 struct Sealed<const D: usize> {
@@ -160,7 +158,7 @@ impl<const D: usize> State<D> {
             held += s.mem.len();
             shadowing += s.mem.tombstones();
         }
-        (held + self.levels.iter().map(|s| s.item_count).sum::<u64>()).saturating_sub(shadowing)
+        (held + self.levels.iter().map(|s| s.item_count()).sum::<u64>()).saturating_sub(shadowing)
     }
 }
 
@@ -229,107 +227,56 @@ impl<const D: usize> LsmTree<D> {
         truncate_torn_tail(&*log, &scanned)?;
 
         let mut redo: Vec<(u64, Note<D>)> = Vec::new();
-        let mut flips: Vec<(u64, FlipNote)> = Vec::new();
         let mut max_seen_id = 0u64;
-        for tx in &scanned.txns {
-            for note in &tx.notes {
-                match Note::<D>::decode(note)? {
-                    Note::Flip(f) => {
-                        max_seen_id = max_seen_id.max(f.new_id);
-                        for &(id, _) in &f.removed {
-                            max_seen_id = max_seen_id.max(id);
-                        }
-                        flips.push((tx.lsn, f));
+        for (lsn, payload) in &scanned.notes {
+            match Note::<D>::decode(payload)? {
+                Note::Flip(flip) => {
+                    // Victims are older than the output: their ids are
+                    // smaller.
+                    max_seen_id = max_seen_id.max(flip.new_id);
+                    // Re-execute a committed flip the superblock missed.
+                    // Seal LSNs strictly increase across compactions and
+                    // the watermark advances with each applied flip, so
+                    // at most the newest flip can qualify. Its segment
+                    // is loaded, and so validated, with the others below.
+                    if flip.seal_lsn > alloc.wal_applied_lsn() {
+                        apply_flip(&alloc, &*disk, &flip)?;
                     }
-                    other => redo.push((tx.lsn, other)),
                 }
+                other => redo.push((*lsn, other)),
             }
-        }
-
-        // Re-execute the committed flip the superblock missed. Seal
-        // LSNs strictly increase across compactions and the watermark
-        // advances with each applied flip, so at most the newest flip
-        // can qualify.
-        for (_, flip) in &flips {
-            if flip.seal_lsn <= alloc.wal_applied_lsn() {
-                continue;
-            }
-            let removes: Vec<String> = flip
-                .removed
-                .iter()
-                .map(|&(id, _)| flat::segment_file_name(id))
-                .collect();
-            let remove_refs: Vec<&str> = removes.iter().map(String::as_str).collect();
-            if flip.meta_page == PageId::INVALID {
-                // Its tombstones deleted everything it folded.
-                alloc.flip_catalog(&remove_refs, &[], Some(flip.seal_lsn))?;
-                disk.sync()?;
-                continue;
-            }
-            let meta = read_meta_page(&disk, flip.meta_page)?;
-            if meta.seg_id != flip.new_id {
-                return Err(LsmError::Corrupt(format!(
-                    "flip note names segment {} but meta page {} describes {}",
-                    flip.new_id, flip.meta_page, meta.seg_id
-                )));
-            }
-            let bytes = segs.read(flip.new_id)?.ok_or_else(|| {
-                LsmError::Corrupt(format!(
-                    "committed flip references missing segment {}",
-                    flip.new_id
-                ))
-            })?;
-            if !meta.matches(&bytes) {
-                return Err(LsmError::Corrupt(format!(
-                    "segment {} bytes disagree with committed meta page",
-                    flip.new_id
-                )));
-            }
-            let name = flat::segment_file_name(flip.new_id);
-            alloc.flip_catalog(
-                &remove_refs,
-                &[(&name, flip.meta_page)],
-                Some(flip.seal_lsn),
-            )?;
-            disk.sync()?;
         }
         let watermark = alloc.wal_applied_lsn();
 
-        // Load the levels the catalog now describes.
+        // Load the levels the catalog now describes, oldest first.
         let mut levels: Vec<Arc<Segment<D>>> = Vec::new();
-        let mut live_ids: Vec<u64> = Vec::new();
         for entry in alloc.trees() {
             let Some(id) = flat::parse_segment_file_name(&entry.name) else {
                 continue; // a paged tree sharing the disk, not ours
             };
-            let meta = read_meta_page(&disk, entry.meta_page)?;
+            if entry.meta_page != PageId::INVALID {
+                return Err(LsmError::Corrupt(format!(
+                    "catalog entry {} names page {}: a segment owns no page \
+                     (a store written by an older build)",
+                    entry.name, entry.meta_page
+                )));
+            }
             let bytes = segs.read(id)?.ok_or_else(|| {
                 LsmError::Corrupt(format!("catalog references missing segment {id}"))
             })?;
-            if meta.seg_id != id || !meta.matches(&bytes) {
-                return Err(LsmError::Corrupt(format!(
-                    "segment {id} bytes disagree with its meta page"
-                )));
-            }
             let tree = flat::FlatTree::<D>::from_vec(bytes)?;
-            live_ids.push(id);
             max_seen_id = max_seen_id.max(id);
-            levels.push(Arc::new(Segment {
-                id,
-                meta_page: entry.meta_page,
-                seal_lsn: meta.seal_lsn,
-                item_count: meta.item_count,
-                tree,
-            }));
+            levels.push(Arc::new(Segment { id, tree }));
         }
-        levels.sort_by_key(|s| s.seal_lsn);
+        levels.sort_by_key(|s| s.id);
 
-        // Garbage-collect segments no committed flip owns (a crashed
-        // compaction's half-finished output).
+        // Garbage-collect segments the catalog does not name: a crashed
+        // compaction's uncommitted output, or the victims of a flip that
+        // committed but missed its cleanup.
         let mut deleted_orphan = false;
         for id in segs.list()? {
             max_seen_id = max_seen_id.max(id);
-            if !live_ids.contains(&id) {
+            if !levels.iter().any(|s| s.id == id) {
                 segs.delete(id)?;
                 deleted_orphan = true;
             }
@@ -359,13 +306,9 @@ impl<const D: usize> LsmTree<D> {
         }
         LSM_MEMTABLE_BYTES.set(active.approx_bytes() as i64);
 
-        // A new log must start past every valid LSN on media, committed
-        // or not, so old and new records can never stitch together.
-        let wal = Wal::create(
-            log,
-            scanned.max_lsn.max(watermark) + 1,
-            WalOptions::default(),
-        )?;
+        // A new log must start past every LSN on media, so old and new
+        // records never share one.
+        let wal = Wal::create(log, scanned.max_lsn.max(watermark) + 1)?;
 
         let inner = Arc::new(Inner {
             state: RwLock::new(State {
@@ -432,14 +375,14 @@ impl<const D: usize> LsmTree<D> {
                         items: items.to_vec(),
                     }
                     .encode();
-                    let ticket = self.inner.wal.append_note(&payload)?;
+                    let lsn = self.inner.wal.append_note(&payload)?;
                     for &(rect, id) in items {
                         g.active.insert(rect, id);
                     }
                     let bytes = g.active.approx_bytes();
                     drop(g);
                     LSM_MEMTABLE_BYTES.set(bytes as i64);
-                    self.inner.wal.commit(ticket.lsn)?;
+                    self.inner.wal.commit(lsn)?;
                     return Ok(());
                 }
             }
@@ -470,12 +413,12 @@ impl<const D: usize> LsmTree<D> {
                         items: vec![(*rect, id)],
                     }
                     .encode();
-                    let ticket = self.inner.wal.append_note(&payload)?;
+                    let lsn = self.inner.wal.append_note(&payload)?;
                     g.active.delete(rect, id);
                     let bytes = g.active.approx_bytes();
                     drop(g);
                     LSM_MEMTABLE_BYTES.set(bytes as i64);
-                    self.inner.wal.commit(ticket.lsn)?;
+                    self.inner.wal.commit(lsn)?;
                     return Ok(true);
                 }
             }
@@ -516,7 +459,7 @@ impl<const D: usize> LsmTree<D> {
             memtable_items: g.active.len(),
             tombstones: g.active.tombstones() + g.sealed.as_ref().map_or(0, |s| s.mem.tombstones()),
             sealed_items: g.sealed.as_ref().map_or(0, |s| s.mem.len()),
-            level_items: g.levels.iter().map(|s| s.item_count).sum(),
+            level_items: g.levels.iter().map(|s| s.item_count()).sum(),
             levels: g.levels.len(),
             compactions: self.inner.compactions.load(Ordering::Relaxed),
             items_packed: self.inner.items_packed.load(Ordering::Relaxed),
@@ -655,9 +598,9 @@ fn kept_levels<const D: usize>(
 ) -> usize {
     let mut out = sealed;
     let mut keep = levels.len();
-    while keep > 0 && (levels[keep - 1].item_count <= out || keep + 1 > max_levels) {
+    while keep > 0 && (levels[keep - 1].item_count() <= out || keep + 1 > max_levels) {
         keep -= 1;
-        out += levels[keep].item_count;
+        out += levels[keep].item_count();
     }
     keep
 }
@@ -685,10 +628,22 @@ fn is_live<const D: usize>(g: &State<D>, rect: &Rect<D>, id: u64) -> bool {
     older.saturating_sub(sealed_shadowing) > shadowing
 }
 
-fn read_meta_page(disk: &Arc<dyn Disk>, page: PageId) -> Result<SegmentMeta> {
-    let mut buf = vec![0u8; disk.page_size()];
-    disk.read_page(page, &mut buf)?;
-    SegmentMeta::decode_page(&buf)
+/// Apply `flip` to the catalog in one superblock write — add the new
+/// segment's name, drop the victims', advance the WAL watermark to the
+/// seal LSN — and sync. Step 3 of the commit protocol, and all that
+/// recovery re-executes of a committed flip.
+fn apply_flip(alloc: &PageAllocator, disk: &dyn Disk, flip: &FlipNote) -> Result<()> {
+    let removes: Vec<String> = flip
+        .removed
+        .iter()
+        .map(|&id| flat::segment_file_name(id))
+        .collect();
+    let removes: Vec<&str> = removes.iter().map(String::as_str).collect();
+    let name = flat::segment_file_name(flip.new_id);
+    let adds: &[&str] = if flip.wrote_segment { &[&name] } else { &[] };
+    alloc.flip_catalog(&removes, adds, Some(flip.seal_lsn))?;
+    disk.sync()?;
+    Ok(())
 }
 
 impl<const D: usize> Inner<D> {
@@ -752,54 +707,29 @@ impl<const D: usize> Inner<D> {
             )?)
         };
 
-        let meta_page = match &bytes {
-            // Nothing left to pack: the flip only removes the victims.
-            None => PageId::INVALID,
-            Some(bytes) => {
-                // (1) Segment bytes durable before anything references
-                // them.
-                self.segs.put(new_id, bytes)?;
-                self.segs.sync()?;
-
-                // (2) Meta page durable before the flip note names it.
-                let meta_page = self.alloc.allocate()?;
-                let meta = SegmentMeta::describe(new_id, item_count, seal_lsn, bytes);
-                self.disk
-                    .write_page(meta_page, &meta.encode_page(self.disk.page_size()))?;
-                self.disk.sync()?;
-                meta_page
-            }
-        };
+        // (1) Segment bytes durable before anything references them.
+        if let Some(bytes) = &bytes {
+            self.segs.put(new_id, bytes)?;
+            self.segs.sync()?;
+        }
 
         let flip = FlipNote {
             new_id,
-            meta_page,
             seal_lsn,
-            removed: victims.iter().map(|s| (s.id, s.meta_page)).collect(),
+            wrote_segment: bytes.is_some(),
+            removed: victims.iter().map(|s| s.id).collect(),
         };
         {
             let _fspan = obs::trace::span("lsm.flip");
-            // (3) The commit point: once this note is durable the flip
+            // (2) The commit point: once this note is durable the flip
             // happens — now, or during recovery.
-            let ticket = self.wal.append_note(&flip.encode())?;
-            self.wal.commit(ticket.lsn)?;
-            // (4) One superblock write makes it visible to opens.
-            let name = flat::segment_file_name(new_id);
-            let removes: Vec<String> = victims
-                .iter()
-                .map(|s| flat::segment_file_name(s.id))
-                .collect();
-            let remove_refs: Vec<&str> = removes.iter().map(String::as_str).collect();
-            let adds: &[(&str, PageId)] = match bytes {
-                Some(_) => &[(&name, meta_page)],
-                None => &[],
-            };
-            self.alloc
-                .flip_catalog(&remove_refs, adds, Some(seal_lsn))?;
-            self.disk.sync()?;
+            let lsn = self.wal.append_note(&flip.encode())?;
+            self.wal.commit(lsn)?;
+            // (3) One superblock write makes it visible to opens.
+            apply_flip(&self.alloc, &*self.disk, &flip)?;
         }
 
-        // (5) In-memory flip, then cleanup.
+        // (4) In-memory flip, then cleanup.
         let tree = bytes.map(flat::FlatTree::<D>::from_vec).transpose()?;
         {
             let mut g = self.state.write();
@@ -807,13 +737,7 @@ impl<const D: usize> Inner<D> {
             let keep = g.levels.len() - victims.len();
             g.levels.truncate(keep);
             if let Some(tree) = tree {
-                g.levels.push(Arc::new(Segment {
-                    id: new_id,
-                    meta_page,
-                    seal_lsn,
-                    item_count,
-                    tree,
-                }));
+                g.levels.push(Arc::new(Segment { id: new_id, tree }));
             }
             g.next_seg_id = new_id + 1;
         }
@@ -822,10 +746,8 @@ impl<const D: usize> Inner<D> {
         self.items_packed.fetch_add(item_count, Ordering::Relaxed);
         self.notify_done();
 
-        let freed: Vec<PageId> = flip.removed.iter().map(|&(_, p)| p).collect();
-        if !freed.is_empty() {
-            self.alloc.free_pages(&freed)?;
-            for &(id, _) in &flip.removed {
+        if !flip.removed.is_empty() {
+            for &id in &flip.removed {
                 self.segs.delete(id)?;
             }
             self.segs.sync()?;
@@ -905,7 +827,7 @@ impl<const D: usize> SpatialIndex<D> for LsmTree<D> {
 mod tests {
     use super::*;
     use crate::segstore::MemSegmentStore;
-    use storage::{fnv1a_update, MemDisk, MemLogStore, FNV_SEED};
+    use storage::{fnv1a_update, FaultDisk, MemDisk, MemLogStore, SyncClock, FNV_SEED};
 
     fn small_opts() -> LsmOptions {
         LsmOptions {
@@ -989,12 +911,6 @@ mod tests {
         for i in 0..10u64 {
             tree.insert(rect_for(i), i).unwrap();
         }
-        let log_bytes = |log: &Arc<dyn LogStore>| -> Vec<(u64, Vec<u8>)> {
-            let segs = log.list().unwrap();
-            segs.into_iter()
-                .map(|s| (s, log.read(s).unwrap()))
-                .collect()
-        };
         let before = log_bytes(&log);
         let commits = tree.wal().stat().commits;
         let res = tree.insert(Rect::empty(), 99);
@@ -1018,69 +934,130 @@ mod tests {
         assert_eq!(SpatialIndex::len(&tree), 10);
     }
 
-    /// A store written by an older build — version-1 `FLT1` images
-    /// sealed with FNV-1a, pinned by version-1 meta pages — is refused:
-    /// `open` fails with a typed error naming the meta page version.
+    /// A store of version-1 `FLT1` images, sealed with FNV-1a as older
+    /// builds wrote them, is refused: `open` fails with the flat tier's
+    /// typed error naming the version.
     #[test]
     fn store_of_version_1_segments_is_refused() {
         let opts = small_opts();
-        let disk: Arc<dyn Disk> = Arc::new(MemDisk::default_size());
-        let log: Arc<dyn LogStore> = MemLogStore::new();
-        let segs: Arc<dyn SegmentStore> = Arc::new(MemSegmentStore::new());
-        {
-            let tree = LsmTree::<2>::open(disk.clone(), log.clone(), segs.clone(), opts).unwrap();
-            for i in 0..100u64 {
-                tree.insert(rect_for(i), i).unwrap();
-            }
-            tree.flush().unwrap();
-            assert!(tree.stats().levels >= 1);
+        let (tree, disk, log, segs) = open_mem(opts);
+        for i in 0..100u64 {
+            tree.insert(rect_for(i), i).unwrap();
         }
-        // Downgrade every segment and its meta page to version 1.
-        let mut downgraded = 0;
-        for entry in PageAllocator::open(disk.clone()).unwrap().trees() {
-            let id = flat::parse_segment_file_name(&entry.name).unwrap();
-            let meta = read_meta_page(&disk, entry.meta_page).unwrap();
+        tree.flush().unwrap();
+        assert!(tree.stats().levels >= 1);
+        drop(tree);
+        // Downgrade every segment to version 1.
+        let ids = segs.list().unwrap();
+        for &id in &ids {
             let mut bytes = segs.read(id).unwrap().unwrap();
             bytes[4..6].copy_from_slice(&1u16.to_le_bytes());
             let sum = fnv1a_update(fnv1a_update(FNV_SEED, &bytes[..56]), &bytes[64..]);
             bytes[56..64].copy_from_slice(&sum.to_le_bytes());
             segs.put(id, &bytes).unwrap();
-            let page = crate::codec::tests::v1_meta_page(&meta, &bytes, disk.page_size());
-            disk.write_page(entry.meta_page, &page).unwrap();
-            downgraded += 1;
         }
         segs.sync().unwrap();
-        disk.sync().unwrap();
-        assert!(downgraded >= 1);
+        assert!(!ids.is_empty());
 
         match LsmTree::<2>::open(disk, log, segs, opts) {
-            Err(LsmError::Corrupt(msg)) => {
-                assert!(msg.contains("unsupported segment meta version 1"), "{msg}")
+            Err(LsmError::Flat(flat::FlatError::Parse(msg))) => {
+                assert!(msg.contains("unsupported flat version 1"), "{msg}")
             }
             Err(other) => panic!("wrong error for a version-1 store: {other}"),
             Ok(_) => panic!("a store of version-1 segments opened"),
         }
     }
 
-    /// `(id, seal LSN, item count)` of every level, oldest first.
-    fn level_shape(tree: &LsmTree<2>) -> Vec<(u64, u64, u64)> {
+    /// A checksummed WAL record, framed by hand as `storage::wal` frames
+    /// one: `[len u32][kind u32][lsn u64][payload][fnv1a u64]`.
+    fn raw_record(kind: u32, lsn: u64, payload: &[u8]) -> Vec<u8> {
+        let mut rec = Vec::new();
+        rec.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        rec.extend_from_slice(&kind.to_le_bytes());
+        rec.extend_from_slice(&lsn.to_le_bytes());
+        rec.extend_from_slice(payload);
+        let sum = fnv1a_update(FNV_SEED, &rec);
+        rec.extend_from_slice(&sum.to_le_bytes());
+        rec
+    }
+
+    /// All bytes of every log segment, by segment id.
+    fn log_bytes(log: &Arc<dyn LogStore>) -> Vec<(u64, Vec<u8>)> {
+        let ids = log.list().unwrap();
+        ids.into_iter().map(|s| (s, log.read(s).unwrap())).collect()
+    }
+
+    /// A log written by the previous build — each note followed by a
+    /// kind-3 commit record — is refused, and is not cut as a torn tail:
+    /// that would drop acknowledged inserts without a word.
+    #[test]
+    fn log_of_an_older_build_is_refused_uncut() {
+        let opts = small_opts();
+        let (tree, disk, log, segs) = open_mem(opts);
+        drop(tree);
+        let mut old = Vec::new();
+        for lsn in 1..=3u64 {
+            let note = InsertNote {
+                items: vec![(rect_for(lsn), lsn)],
+            };
+            old.extend(raw_record(4, lsn, &note.encode()));
+            old.extend(raw_record(3, lsn, &0u64.to_le_bytes()));
+        }
+        log.append(0, &old).unwrap();
+        log.sync().unwrap();
+        let before = log_bytes(&log);
+        match LsmTree::<2>::open(disk, log.clone(), segs, opts) {
+            Err(LsmError::Storage(storage::StorageError::Corrupt { reason, .. })) => {
+                assert!(reason.contains("retired record kind 3"), "{reason}")
+            }
+            Err(other) => panic!("wrong error for an old log: {other}"),
+            Ok(_) => panic!("a log with commit records opened"),
+        }
+        assert_eq!(log_bytes(&log), before, "the old log was cut");
+    }
+
+    /// A segment's catalog entry owns no page. One that names a page —
+    /// as the meta-page design of older builds wrote them — is refused.
+    #[test]
+    fn segment_entry_naming_a_page_is_refused() {
+        let opts = small_opts();
+        let (tree, disk, log, segs) = open_mem(opts);
+        for i in 0..40u64 {
+            tree.insert(rect_for(i), i).unwrap();
+        }
+        tree.flush().unwrap();
+        drop(tree);
+        let alloc = PageAllocator::open(disk.clone()).unwrap();
+        assert!(alloc.trees().iter().all(|e| e.meta_page == PageId::INVALID));
+        // Re-register the newest segment under a real page.
+        let name = alloc.trees().last().unwrap().name.clone();
+        alloc.flip_catalog(&[&name], &[], None).unwrap();
+        alloc.create_tree(&name).unwrap();
+        disk.sync().unwrap();
+        drop(alloc);
+        match LsmTree::<2>::open(disk, log, segs, opts) {
+            Err(LsmError::Corrupt(msg)) => assert!(msg.contains("names page"), "{msg}"),
+            Err(other) => panic!("wrong error for a paged segment entry: {other}"),
+            Ok(_) => panic!("a segment entry naming a page opened"),
+        }
+    }
+
+    /// `(id, item count)` of every level, oldest first.
+    fn level_shape(tree: &LsmTree<2>) -> Vec<(u64, u64)> {
         let g = tree.inner.state.read();
-        g.levels
-            .iter()
-            .map(|s| (s.id, s.seal_lsn, s.item_count))
-            .collect()
+        g.levels.iter().map(|s| (s.id, s.item_count())).collect()
     }
 
     /// One compaction of a `sealed`-item memtable turned `before` into
-    /// `after`: the cap of 4 levels holds, seal LSNs rise and item counts
-    /// fall from oldest to newest, and the victims were exactly the
-    /// newest suffix, re-packed with the memtable into the one new
-    /// (newest) level.
-    fn check_flip(before: &[(u64, u64, u64)], after: &[(u64, u64, u64)], sealed: u64) {
+    /// `after`: the cap of 4 levels holds, ids rise and item counts fall
+    /// from oldest to newest, and the victims were exactly the newest
+    /// suffix, re-packed with the memtable into the one new (newest)
+    /// level.
+    fn check_flip(before: &[(u64, u64)], after: &[(u64, u64)], sealed: u64) {
         assert!(after.len() <= 4, "level cap violated: {after:?}");
         for w in after.windows(2) {
-            assert!(w[0].1 < w[1].1, "seal LSNs out of order: {after:?}");
-            assert!(w[0].2 > w[1].2, "item counts not decreasing: {after:?}");
+            assert!(w[0].0 < w[1].0, "ids out of order: {after:?}");
+            assert!(w[0].1 > w[1].1, "item counts not decreasing: {after:?}");
         }
         let keep = after.len() - 1;
         assert!(keep <= before.len(), "{before:?} -> {after:?}");
@@ -1089,8 +1066,8 @@ mod tests {
             &before[..keep],
             "kept levels must be the oldest"
         );
-        let victims: u64 = before[keep..].iter().map(|l| l.2).sum();
-        assert_eq!(after[keep].2, sealed + victims, "{before:?} -> {after:?}");
+        let victims: u64 = before[keep..].iter().map(|l| l.1).sum();
+        assert_eq!(after[keep].1, sealed + victims, "{before:?} -> {after:?}");
         assert!(before.iter().all(|l| l.0 != after[keep].0));
     }
 
@@ -1118,12 +1095,21 @@ mod tests {
             assert_eq!(st.compactions, compactions + 1, "one seal, one compaction");
             let after = level_shape(tree);
             check_flip(&before, &after, M);
-            assert_eq!(st.items_packed - packed, after.last().unwrap().2);
-            // The drained memtable's WAL segment went with it.
-            let seal = after.last().unwrap().1;
+            assert_eq!(st.items_packed - packed, after.last().unwrap().1);
+            // The drained memtable's WAL segment went with it: the log
+            // keeps the flip note and nothing at or below its seal LSN.
             let wal = scan(&*log).unwrap();
+            let seal = wal
+                .notes
+                .iter()
+                .rev()
+                .find_map(|(_, n)| match Note::<2>::decode(n).unwrap() {
+                    Note::Flip(f) => Some(f.seal_lsn),
+                    _ => None,
+                })
+                .expect("the flip note is in the log");
             assert!(
-                wal.txns.iter().all(|t| t.lsn > seal),
+                wal.notes.iter().all(|&(lsn, _)| lsn > seal),
                 "WAL kept records at or below {seal}"
             );
             (before, compactions, packed) = (after, st.compactions, st.items_packed);
@@ -1135,7 +1121,7 @@ mod tests {
         tree.flush().unwrap();
         after_compaction(&tree);
 
-        let sizes: Vec<u64> = level_shape(&tree).iter().map(|l| l.2 / M).collect();
+        let sizes: Vec<u64> = level_shape(&tree).iter().map(|l| l.1 / M).collect();
         assert_eq!(sizes, [32, 16, 8, 5]);
         let st = tree.stats();
         assert_eq!(st.compactions, 61);
@@ -1167,10 +1153,10 @@ mod tests {
         }
         // An absent pair, or a live id under another rect, logs nothing.
         let logged = log.list().unwrap().len();
-        let before = scan(&*log).unwrap().txns.len();
+        let before = scan(&*log).unwrap().notes.len();
         assert!(!tree.delete(&rect_for(99), 99).unwrap());
         assert!(!tree.delete(&rect_for(1), 2).unwrap());
-        assert_eq!(scan(&*log).unwrap().txns.len(), before);
+        assert_eq!(scan(&*log).unwrap().notes.len(), before);
         assert_eq!(log.list().unwrap().len(), logged);
 
         // Level copy: a tombstone. Memtable copy: removed in place.
@@ -1194,6 +1180,38 @@ mod tests {
         let st = tree.stats();
         assert_eq!((st.tombstones, st.levels, st.level_items), (0, 1, 49));
         assert_eq!(ids(&tree), want);
+    }
+
+    /// A crash right after the flip note's commit, before the superblock
+    /// write: recovery flips the catalog from the note, so the drained
+    /// items come back as the new level, not as a replayed memtable.
+    #[test]
+    fn committed_flip_is_re_executed_by_open() {
+        let opts = small_opts();
+        let clock = SyncClock::new();
+        let disk = Arc::new(FaultDisk::new(Arc::new(MemDisk::default_size())));
+        disk.set_sync_clock(clock.clone());
+        let log = MemLogStore::with_clock(clock.clone());
+        let segs = Arc::new(MemSegmentStore::with_clock(clock.clone()));
+        let tree = LsmTree::<2>::open(disk.clone(), log.clone(), segs.clone(), opts).unwrap();
+        for i in 0..20u64 {
+            tree.insert(rect_for(i), i).unwrap();
+        }
+        // The drain's syncs: segment bytes, then the flip note.
+        clock.crash_after_nth_sync(clock.syncs_seen() + 1);
+        assert!(tree.flush().is_err());
+        drop(tree);
+        log.lose_unsynced();
+        segs.lose_unsynced();
+        clock.revive();
+        disk.revive();
+        disk.set_armed(false);
+
+        let tree = LsmTree::<2>::open(disk.clone(), log, segs, opts).unwrap();
+        let st = tree.stats();
+        assert_eq!((st.levels, st.level_items, st.memtable_items), (1, 20, 0));
+        assert_eq!(ids(&tree), (0..20).collect::<Vec<_>>());
+        assert_eq!(disk.num_pages(), 1, "only the superblock");
     }
 
     #[test]

@@ -76,13 +76,14 @@ fn notes_with_inflated_counts_stay_within_budget() {
     one_short[1..5].copy_from_slice(&2u32.to_le_bytes());
     assert_corrupt_within_budget("delete note one item short", &one_short);
 
-    // Tag 2 (flip): new segment id, meta page, seal LSN, then a removed
-    // count of u32::MAX and no removed pairs.
-    let mut flip = vec![2u8];
-    for word in [7u64, 3, 11] {
+    // Tag 4 (flip): new segment id, seal LSN, written flag, then a
+    // removed count of u32::MAX and no removed ids.
+    let mut flip = vec![4u8];
+    for word in [7u64, 11] {
         flip.extend_from_slice(&word.to_le_bytes());
     }
+    flip.push(1);
     flip.extend_from_slice(&u32::MAX.to_le_bytes());
-    assert_eq!(flip.len(), 29);
+    assert_eq!(flip.len(), 22);
     assert_corrupt_within_budget("flip note", &flip);
 }

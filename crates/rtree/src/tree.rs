@@ -618,24 +618,6 @@ impl<const D: usize> RTree<D> {
 
     // ---- traversal ----------------------------------------------------
 
-    /// Visit every node, parents before children. The callback receives
-    /// `(page, node)` with the node fully decoded — the convenient owned
-    /// API; statistics walks that only need a read-only look use
-    /// [`visit_views`](Self::visit_views).
-    pub fn visit_nodes(&self, visit: &mut impl FnMut(PageId, &Node<D>)) -> Result<()> {
-        let mut stack = vec![self.root];
-        while let Some(page) = stack.pop() {
-            let node = self.read_node(page)?;
-            if !node.is_leaf() {
-                for e in &node.entries {
-                    stack.push(e.child_page());
-                }
-            }
-            visit(page, &node);
-        }
-        Ok(())
-    }
-
     /// Visit every node, parents before children, through zero-copy
     /// views — no `Vec<Entry>` is materialized per node. A shared frame
     /// lock is held during each callback, so `visit` must not touch the
@@ -710,18 +692,22 @@ impl<const D: usize> RTree<D> {
     fn pin_levels_inner(&self, levels: u32, pinned: &mut Vec<PageId>) -> Result<()> {
         let cutoff = self.height.saturating_sub(levels);
         let mut stack = vec![self.root];
+        let mut children = Vec::new();
         while let Some(page) = stack.pop() {
-            let node = self.read_node(page)?;
-            if node.level < cutoff {
-                continue;
+            // The view closure only collects child ids: pinning re-enters
+            // the pool, so it waits until the frame lock is released.
+            let level = self.with_view(page, |node| {
+                if node.level() > cutoff {
+                    children.extend((0..node.len()).map(|i| node.child_page(i)));
+                }
+                node.level()
+            })?;
+            if level < cutoff {
+                continue; // only a root below the cut: nothing collected
             }
             self.store.pool().pin(page)?;
             pinned.push(page);
-            if !node.is_leaf() && node.level > cutoff {
-                for e in &node.entries {
-                    stack.push(e.child_page());
-                }
-            }
+            stack.append(&mut children);
         }
         Ok(())
     }

@@ -563,17 +563,6 @@ impl ShardedBufferPool {
         Ok(out)
     }
 
-    /// Copy page `id` into `out`.
-    pub fn read_into(&self, id: PageId, out: &mut [u8]) -> Result<()> {
-        if out.len() != self.page_size {
-            return Err(StorageError::PageSizeMismatch {
-                expected: self.page_size,
-                got: out.len(),
-            });
-        }
-        self.with_page(id, |data| out.copy_from_slice(data))
-    }
-
     /// Write every dirty frame back to disk (frames stay resident).
     pub fn flush(&self) -> Result<()> {
         for shard in self.shards.iter() {
@@ -682,18 +671,6 @@ impl ShardedBufferPool {
                     .count()
             })
             .sum()
-    }
-
-    /// Fetch `id` and return an RAII guard that holds one pin until it
-    /// is dropped — [`pin`](Self::pin)/[`unpin`](Self::unpin) with the
-    /// release guaranteed on every exit path, including `?` returns and
-    /// panics.
-    pub fn pin_guard(&self, id: PageId) -> Result<PinGuard<'_>> {
-        self.pin(id)?;
-        Ok(PinGuard {
-            pool: self,
-            page: id,
-        })
     }
 
     // ---- residency machinery ------------------------------------------
@@ -893,29 +870,6 @@ impl ShardedBufferPool {
         inner.frames[idx].pins = 0;
         inner.map.insert(id, idx);
         inner.push_front(idx);
-    }
-}
-
-/// RAII pin on a buffer-pool page: releases one pin when dropped.
-///
-/// Obtained from [`ShardedBufferPool::pin_guard`]. Holding the guard
-/// keeps the page ineligible for eviction; dropping it is equivalent to
-/// one [`ShardedBufferPool::unpin`] call and is safe on every exit path.
-pub struct PinGuard<'a> {
-    pool: &'a ShardedBufferPool,
-    page: PageId,
-}
-
-impl PinGuard<'_> {
-    /// The pinned page.
-    pub fn page(&self) -> PageId {
-        self.page
-    }
-}
-
-impl Drop for PinGuard<'_> {
-    fn drop(&mut self) {
-        self.pool.unpin(self.page);
     }
 }
 
@@ -1250,35 +1204,10 @@ mod tests {
     }
 
     #[test]
-    fn pin_guard_releases_on_drop_and_early_return() {
-        let (_d, pool) = faulted_setup(2, 2);
-        {
-            let g = pool.pin_guard(PageId(0)).unwrap();
-            assert_eq!(g.page(), PageId(0));
-            assert_eq!(pool.pinned_count(), 1);
-        }
-        assert_eq!(pool.pinned_count(), 0);
-
-        // Early `?` return mid-way through pinning a set of pages.
-        let attempt = |pool: &BufferPool| -> Result<()> {
-            let _a = pool.pin_guard(PageId(0))?;
-            let _b = pool.pin_guard(PageId(2))?; // out of bounds → Err
-            Ok(())
-        };
-        assert!(attempt(&pool).is_err());
-        assert_eq!(pool.pinned_count(), 0, "pin leaked across early return");
-    }
-
-    #[test]
     fn page_size_mismatch_rejected() {
         let (_d, pool) = setup(1, 1);
         assert!(matches!(
             pool.write_page(PageId(0), &[0u8; 63]),
-            Err(StorageError::PageSizeMismatch { .. })
-        ));
-        let mut small = [0u8; 10];
-        assert!(matches!(
-            pool.read_into(PageId(0), &mut small),
             Err(StorageError::PageSizeMismatch { .. })
         ));
     }

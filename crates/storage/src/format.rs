@@ -25,7 +25,9 @@
 //! Each catalog entry is `u8 name_len ++ 39 bytes name ++ u64 meta_page`.
 //! A tree's meta page holds whatever the tree layer wants (root, height,
 //! capacities — see `rtree`'s `TreeMeta`); the allocator only hands the
-//! page out and remembers it by name.
+//! page out and remembers it by name. An entry added by
+//! [`PageAllocator::flip_catalog`] (an LSM segment, whose bytes live in
+//! their own file) names no page: its `meta_page` is `u64::MAX`.
 //!
 //! Freed pages form a **chain threaded through the free pages
 //! themselves**: a free page starts with `"FREE"` ++ reserved u32 ++
@@ -82,7 +84,8 @@ fn corrupt(page: PageId, reason: impl Into<String>) -> StorageError {
 pub struct CatalogEntry {
     /// The tree's name (≤ 39 bytes of UTF-8).
     pub name: String,
-    /// The page holding the tree's meta block.
+    /// The page holding the tree's meta block; [`PageId::INVALID`] for
+    /// an entry whose data lives off this disk (an LSM segment).
     pub meta_page: PageId,
 }
 
@@ -246,25 +249,26 @@ impl PageAllocator {
     }
 
     /// Atomically flip the catalog: remove the entries named in
-    /// `remove`, add `add` (meta pages already allocated and written by
-    /// the caller), and optionally advance the WAL watermark — all in
-    /// **one** superblock write, so a crash leaves either the old
-    /// catalog+watermark or the new one, never a mix. This is the LSM
-    /// compaction commit point: the new segment's entry appears, the
-    /// drained memtable's history drops below the watermark, and the
-    /// replaced segments' entries vanish, indivisibly.
+    /// `remove`, add the names in `add`, and optionally advance the WAL
+    /// watermark — all in **one** superblock write, so a crash leaves
+    /// either the old catalog+watermark or the new one, never a mix.
+    /// This is how the LSM tier makes a compaction visible: the new
+    /// segment's entry appears, the drained memtable's history drops
+    /// below the watermark, and the replaced segments' entries vanish,
+    /// indivisibly. An added entry names data kept outside this disk (a
+    /// segment file), so it holds [`PageId::INVALID`], not a meta page.
     ///
     /// Names in `remove` that are absent are ignored (the flip may be a
     /// recovery re-execution that already removed them). A name in `add`
     /// that still exists after the removals is an error, as is
-    /// overflowing the catalog or an invalid name/meta page.
+    /// overflowing the catalog or an invalid name.
     pub fn flip_catalog(
         &self,
         remove: &[&str],
-        add: &[(&str, PageId)],
+        add: &[&str],
         applied_lsn: Option<u64>,
     ) -> Result<()> {
-        for &(name, meta) in add {
+        for name in add {
             if name.is_empty() || name.len() > MAX_NAME_LEN {
                 return Err(corrupt(
                     SUPERBLOCK_PAGE,
@@ -274,20 +278,17 @@ impl PageAllocator {
                     ),
                 ));
             }
-            if !meta.is_valid() || meta == SUPERBLOCK_PAGE {
-                return Err(corrupt(meta, "catalog entry needs a valid data page"));
-            }
         }
         let mut st = self.state.lock();
         let mut catalog = st.catalog.clone();
         catalog.retain(|e| !remove.contains(&e.name.as_str()));
-        for &(name, meta_page) in add {
+        for &name in add {
             if catalog.iter().any(|e| e.name == name) {
                 return Err(StorageError::TreeExists(name.to_string()));
             }
             catalog.push(CatalogEntry {
                 name: name.to_string(),
-                meta_page,
+                meta_page: PageId::INVALID,
             });
         }
         if catalog.len() > self.max_trees() {
@@ -641,24 +642,24 @@ mod tests {
     fn flip_catalog_is_one_commit() {
         let disk = mem();
         let a = PageAllocator::format(disk.clone()).unwrap();
-        a.create_tree("seg-old").unwrap();
+        a.flip_catalog(&[], &["seg-old"], None).unwrap();
         a.create_tree("keep").unwrap();
-        let new_meta = a.allocate().unwrap();
-        a.flip_catalog(&["seg-old"], &[("seg-new", new_meta)], Some(17))
+        a.flip_catalog(&["seg-old"], &["seg-new"], Some(17))
             .unwrap();
         // Reopen from media: the flip must be fully there or fully not.
-        let b = PageAllocator::open(disk).unwrap();
+        let b = PageAllocator::open(disk.clone()).unwrap();
         assert_eq!(b.lookup_tree("seg-old"), None);
-        assert_eq!(b.lookup_tree("seg-new"), Some(new_meta));
+        assert_eq!(b.lookup_tree("seg-new"), Some(PageId::INVALID));
         assert!(b.lookup_tree("keep").is_some());
         assert_eq!(b.wal_applied_lsn(), 17);
+        // Flipped entries own no page: only the superblock and the
+        // paged tree's meta page exist.
+        assert_eq!(disk.num_pages(), 2);
         // Removing a name that is already gone is fine (recovery
-        // re-executes flips); adding a duplicate is not.
+        // re-executes flips); adding a duplicate or an empty name is not.
         b.flip_catalog(&["seg-old"], &[], None).unwrap();
-        assert!(b.flip_catalog(&[], &[("keep", new_meta)], None).is_err());
-        assert!(b
-            .flip_catalog(&[], &[("x", super::SUPERBLOCK_PAGE)], None)
-            .is_err());
+        assert!(b.flip_catalog(&[], &["keep"], None).is_err());
+        assert!(b.flip_catalog(&[], &[""], None).is_err());
     }
 
     /// A hand-built version-2 superblock (checksum at 32, catalog at

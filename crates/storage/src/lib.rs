@@ -26,7 +26,7 @@ pub mod page;
 pub mod seq;
 pub mod wal;
 
-pub use buffer::{BufferPool, BufferStats, PinGuard, ShardedBufferPool};
+pub use buffer::{BufferPool, BufferStats, ShardedBufferPool};
 pub use disk::{Disk, FileDisk, IoStats, LatencyDisk, MemDisk};
 pub use fault::{within, FaultDisk, FaultId, FaultKind, FaultOp, FaultSpec, SyncClock, Trigger};
 pub use format::{CatalogEntry, PageAllocator, FORMAT_V2_MAGIC, FREE_PAGE_MAGIC};
@@ -34,10 +34,7 @@ pub use hash::{fnv1a_update, wide_hash, FNV_SEED};
 pub use mmap::Mmap;
 pub use page::{PageId, DEFAULT_PAGE_SIZE};
 pub use seq::SequentialPageWriter;
-pub use wal::{
-    truncate_torn_tail, FileLogStore, LogStore, MemLogStore, ScanResult, ScannedTx, Wal,
-    WalOptions, WalStat, WalTicket,
-};
+pub use wal::{truncate_torn_tail, FileLogStore, LogStore, MemLogStore, ScanResult, Wal, WalStat};
 
 /// Errors surfaced by the storage layer.
 #[derive(Debug)]

@@ -1,14 +1,13 @@
-//! Write-ahead log: checksummed note records, group commit, scan.
+//! Write-ahead log: self-committing note records, group commit, scan.
 //!
 //! The log carries *notes*: opaque application payloads (the LSM tier's
 //! inserts, deletes and catalog flips) that ride its durability and
-//! ordering guarantees. Each note is its own transaction — a note
-//! record and a commit record under one fresh LSN — appended to the
-//! current log segment; the caller is acknowledged once an fsync has
-//! made the commit record durable. The log's owner applies the notes:
-//! after a crash it [`scan`]s the committed prefix and redoes every note
-//! past its own watermark (the LSM keeps it in the superblock's
-//! `wal_applied_lsn`).
+//! ordering guarantees. Each note is one checksummed record under a
+//! fresh LSN, appended to the current log segment, and that record is
+//! its own commit: the caller is acknowledged once an fsync has made it
+//! durable. The log's owner applies the notes: after a crash it
+//! [`scan`]s the valid prefix and redoes every note past its own
+//! watermark (the LSM keeps it in the superblock's `wal_applied_lsn`).
 //!
 //! # Record format
 //!
@@ -17,43 +16,42 @@
 //! ```text
 //! offset  size  field
 //! 0       4     len       payload length in bytes
-//! 4       4     kind      3 = commit, 4 = note
-//! 8       8     lsn       transaction sequence number (shared by all
-//!                         records of one transaction)
-//! 16      len   payload
+//! 4       4     kind      4 = note
+//! 8       8     lsn       the note's sequence number (strictly rising)
+//! 16      len   payload   the application payload, opaque to the log
 //! 16+len  8     checksum  FNV-1a over bytes 0..16+len
 //! ```
 //!
-//! * `note`: the application payload, opaque to the log.
-//! * `commit`: `u64 0` — closes the transaction; a transaction without
-//!   a commit record is discarded by recovery.
-//!
-//! Kinds 1 and 2 (page after-images and allocation lists) belonged to a
-//! retired copy-on-write paged path; a scan now stops at them like at
-//! any other implausible record.
+//! Kinds 1 and 2 (page after-images and allocation lists of a retired
+//! copy-on-write paged path) and 3 (the commit record that older builds
+//! wrote after every note) are retired. A checksum-valid record of any
+//! kind but 4 fails the scan with [`StorageError::Corrupt`] naming the
+//! kind: truncating it as a torn tail would silently drop every note
+//! after it, acknowledged ones included.
 //!
 //! Recovery scans segments in id order and stops at the first invalid
-//! record (bad length, unknown kind, checksum mismatch, LSN going
-//! backwards): everything before the stop point and closed by a commit
-//! record is returned, everything after is discarded. A torn tail or a
-//! bit flip therefore truncates the history to a committed prefix —
-//! never to a mix.
+//! record (bad length, checksum mismatch, LSN not rising): every note
+//! before the stop point is returned, everything after is discarded. A
+//! torn tail or a bit flip therefore truncates the history to a prefix
+//! of its notes — never to a mix.
 //!
 //! # Group commit
 //!
-//! Writers append their transaction to a shared in-memory batch under
-//! the log mutex and then call [`Wal::commit`]. The first committer to
-//! find no fsync in flight becomes the *leader*: it takes the whole
-//! batch, appends it to the current segment, fsyncs, advances
-//! `durable_lsn`, and wakes every waiter through a condvar. Followers
-//! whose LSN the leader covered return without touching the disk — one
-//! fsync absorbs every commit that queued behind it. With group commit
-//! disabled every committer syncs for itself (the benchmark baseline).
+//! Writers append their note to a shared in-memory batch under the log
+//! mutex and then call [`Wal::commit`]. The first committer to find no
+//! fsync in flight becomes the *leader*: it takes the whole batch,
+//! appends it to the current segment, fsyncs, advances `durable_lsn`,
+//! and wakes every waiter through a condvar. Followers whose LSN the
+//! leader covered return without touching the disk — one fsync absorbs
+//! every commit that queued behind it. With group commit switched off
+//! ([`Wal::set_group_commit`]) every committer syncs for itself (the
+//! benchmark baseline).
 //!
-//! Segments rotate once the current one exceeds `segment_bytes` (a
-//! batch never splits across segments) or when [`Wal::start_segment`]
-//! asks for it, and are recycled — deleted — once the owner reports
-//! every LSN they hold applied ([`Wal::recycle`]).
+//! Segments rotate once the current one would exceed 1 MiB
+//! (`SEGMENT_BYTES`; a batch never splits across segments) or when
+//! [`Wal::start_segment`] asks for it, and are recycled — deleted —
+//! once the owner reports every LSN they hold applied
+//! ([`Wal::recycle`]).
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -75,13 +73,15 @@ static WAL_RECYCLED: LazyCounter = LazyCounter::new("wal.segments_recycled");
 static WAL_COMMIT_NS: LazyHistogram = LazyHistogram::new("wal.commit_ns");
 static WAL_FSYNC_NS: LazyHistogram = LazyHistogram::new("wal.fsync_ns");
 
-/// Record kinds (the `kind` header field): a transaction's closing
-/// record, and an application note — an opaque payload carried through
-/// the log's durability and ordering guarantees and applied by the
-/// *owner* of the log. The LSM tier logs memtable inserts, deletes and
-/// catalog flips this way.
-const REC_COMMIT: u32 = 3;
+/// The one record kind this log writes and reads: an application note,
+/// applied by the *owner* of the log. The LSM tier logs memtable
+/// inserts, deletes and catalog flips this way. Kinds 1–3 are retired
+/// (see the module docs).
 const REC_NOTE: u32 = 4;
+
+/// Soft cap on a segment's size: the log rotates to a new segment once
+/// the next batch would take the current one past it.
+const SEGMENT_BYTES: u64 = 1 << 20;
 
 /// Fixed header bytes before the payload and trailer bytes after it.
 const REC_HEADER: usize = 16;
@@ -375,31 +375,14 @@ fn put_record(buf: &mut Vec<u8>, kind: u32, lsn: u64, payload: &[u8]) {
     buf.extend_from_slice(&crc.to_le_bytes());
 }
 
-/// In-flight transaction state while scanning: (lsn, notes).
-type OpenTx = (u64, Vec<Vec<u8>>);
-
-/// One committed transaction reconstructed by [`scan`].
-pub struct ScannedTx {
-    /// The transaction's LSN.
-    pub lsn: u64,
-    /// Application note payloads ([`Wal::append_note`]), in write order.
-    pub notes: Vec<Vec<u8>>,
-    /// Global byte offset just past this transaction's commit record.
-    pub end_offset: u64,
-}
-
 /// Outcome of walking every segment of a log store.
 pub struct ScanResult {
-    /// Fully committed transactions, in LSN order.
-    pub txns: Vec<ScannedTx>,
+    /// Every valid note as `(lsn, payload)`, in LSN order.
+    pub notes: Vec<(u64, Vec<u8>)>,
     /// Why the scan stopped early, if it did.
     pub torn: Option<String>,
-    /// Global bytes of valid records (up to the stop point).
-    pub valid_bytes: u64,
-    /// Highest LSN seen in any *valid* record, committed or not. A new
-    /// [`Wal`] must start past this: reusing the LSN of a valid
-    /// uncommitted tail record would let a later scan stitch old and new
-    /// records into one transaction.
+    /// LSN of the last valid note (0 when none). A new [`Wal`] must
+    /// start past it, so old and new records never share an LSN.
     pub max_lsn: u64,
     /// Where the scan stopped, when it stopped early: the torn segment's
     /// id and the byte length of its valid prefix. Every later segment
@@ -424,89 +407,78 @@ pub fn truncate_torn_tail(store: &dyn LogStore, scanned: &ScanResult) -> Result<
     store.sync()
 }
 
+/// One record at the front of `rest`: its kind, LSN, payload and total
+/// length — or why the bytes there are not a whole, intact record.
+fn parse_record(rest: &[u8]) -> std::result::Result<(u32, u64, &[u8], usize), String> {
+    if rest.len() < REC_HEADER + REC_TRAILER {
+        return Err("truncated header".into());
+    }
+    let mut r = &rest[..REC_HEADER];
+    let len = r.get_u32_le();
+    let kind = r.get_u32_le();
+    let lsn = r.get_u64_le();
+    if len > MAX_PAYLOAD {
+        return Err(format!("implausible record length {len}"));
+    }
+    let end = REC_HEADER + len as usize;
+    if rest.len() < end + REC_TRAILER {
+        return Err("torn record".into());
+    }
+    let stored = (&rest[end..end + REC_TRAILER]).get_u64_le();
+    if fnv1a_update(FNV_SEED, &rest[..end]) != stored {
+        return Err("checksum mismatch".into());
+    }
+    Ok((kind, lsn, &rest[REC_HEADER..end], end + REC_TRAILER))
+}
+
 /// Walk every segment in id order, validating each record, and return
-/// the committed transactions. Stops (without error) at the first
-/// invalid record; an open transaction with no commit record is
-/// likewise discarded — both are the torn-tail contract.
+/// the notes. Stops (without error) at the first invalid record — the
+/// torn-tail contract. A checksum-valid record that is not a note (a
+/// retired kind, see the module docs) is [`StorageError::Corrupt`].
 pub fn scan(store: &dyn LogStore) -> Result<ScanResult> {
-    let mut txns = Vec::new();
+    let mut notes = Vec::new();
     let mut torn = None;
     let mut torn_seg = None;
-    let mut global = 0u64;
-    let mut valid_bytes = 0u64;
-    let mut last_lsn = 0u64;
-    let mut open: Option<OpenTx> = None;
-    let segs = store.list()?;
-    'outer: for seg in segs {
+    let mut max_lsn = 0u64;
+    'outer: for seg in store.list()? {
         let data = store.read(seg)?;
         let mut off = 0usize;
         while off < data.len() {
-            let rest = &data[off..];
-            if rest.len() < REC_HEADER + REC_TRAILER {
-                torn = Some(format!("segment {seg}: truncated header at offset {off}"));
-                torn_seg = Some((seg, off as u64));
-                break 'outer;
-            }
-            let mut r = &rest[..REC_HEADER];
-            let len = r.get_u32_le();
-            let kind = r.get_u32_le();
-            let lsn = r.get_u64_le();
-            if len > MAX_PAYLOAD || !(kind == REC_COMMIT || kind == REC_NOTE) {
-                torn = Some(format!(
-                    "segment {seg}: implausible record (len={len}, kind={kind}) at offset {off}"
-                ));
-                torn_seg = Some((seg, off as u64));
-                break 'outer;
-            }
-            let total = REC_HEADER + len as usize + REC_TRAILER;
-            if rest.len() < total {
-                torn = Some(format!("segment {seg}: torn record at offset {off}"));
-                torn_seg = Some((seg, off as u64));
-                break 'outer;
-            }
-            let crc = fnv1a_update(FNV_SEED, &rest[..REC_HEADER + len as usize]);
-            let stored = (&rest[REC_HEADER + len as usize..total]).get_u64_le();
-            if crc != stored {
-                torn = Some(format!("segment {seg}: checksum mismatch at offset {off}"));
-                torn_seg = Some((seg, off as u64));
-                break 'outer;
-            }
-            if lsn < last_lsn {
-                torn = Some(format!(
-                    "segment {seg}: LSN went backwards ({lsn} after {last_lsn}) at offset {off}"
-                ));
-                torn_seg = Some((seg, off as u64));
-                break 'outer;
-            }
-            last_lsn = lsn;
-            let payload = &rest[REC_HEADER..REC_HEADER + len as usize];
-            if open.as_ref().map(|tx| tx.0) != Some(lsn) {
-                // A new LSN arrived while a transaction was open: the
-                // open one never committed — discard it.
-                open = Some((lsn, Vec::new()));
-            }
-            let tx = open.as_mut().unwrap();
-            if kind == REC_NOTE {
-                tx.1.push(payload.to_vec());
-            } else {
-                // Commit: the open transaction becomes real.
-                let (lsn, notes) = open.take().unwrap();
-                txns.push(ScannedTx {
-                    lsn,
-                    notes,
-                    end_offset: global + (off + total) as u64,
-                });
-            }
-            off += total;
-            valid_bytes = global + off as u64;
+            let why = match parse_record(&data[off..]) {
+                Ok((kind, lsn, payload, total)) if kind == REC_NOTE => {
+                    if lsn > max_lsn {
+                        notes.push((lsn, payload.to_vec()));
+                        max_lsn = lsn;
+                        off += total;
+                        continue;
+                    }
+                    format!("LSN did not rise ({lsn} after {max_lsn})")
+                }
+                Ok((kind, ..)) => {
+                    let what = if (1..REC_NOTE).contains(&kind) {
+                        "retired"
+                    } else {
+                        "unknown"
+                    };
+                    return Err(StorageError::Corrupt {
+                        page: PageId::INVALID,
+                        reason: format!(
+                            "WAL segment {seg} holds a {what} record kind {kind} at offset \
+                             {off}; this build reads only kind {REC_NOTE} notes"
+                        ),
+                    });
+                }
+                Err(why) => why,
+            };
+            torn = Some(format!("segment {seg}: {why} at offset {off}"));
+            torn_seg = Some((seg, off as u64));
+            break 'outer;
         }
-        global += data.len() as u64;
     }
     Ok(ScanResult {
-        txns,
+        notes,
         torn,
-        valid_bytes,
-        max_lsn: last_lsn,
+        max_lsn,
         torn_seg,
     })
 }
@@ -514,35 +486,6 @@ pub fn scan(store: &dyn LogStore) -> Result<ScanResult> {
 // ---------------------------------------------------------------------------
 // The WAL proper
 // ---------------------------------------------------------------------------
-
-/// Tuning knobs for [`Wal::create`].
-#[derive(Clone, Copy)]
-pub struct WalOptions {
-    /// Soft cap on a segment's size; the log rotates to a new segment
-    /// once the current one exceeds it (a batch never splits).
-    pub segment_bytes: u64,
-    /// Whether commits batch behind a leader's fsync (true) or each
-    /// commit fsyncs for itself (the no-batching baseline).
-    pub group_commit: bool,
-}
-
-impl Default for WalOptions {
-    fn default() -> Self {
-        Self {
-            segment_bytes: 1 << 20,
-            group_commit: true,
-        }
-    }
-}
-
-/// Receipt for an appended transaction.
-#[derive(Clone, Copy, Debug)]
-pub struct WalTicket {
-    /// The transaction's LSN; pass to [`Wal::commit`].
-    pub lsn: u64,
-    /// Global log offset just past this transaction's records.
-    pub end_offset: u64,
-}
 
 /// Commit and fsync counts of a live WAL, for benchmarks.
 pub struct WalStat {
@@ -570,26 +513,24 @@ struct WalInner {
     rotate: bool,
     /// Max LSN each segment holds (for recycling).
     seg_max_lsn: BTreeMap<u64, u64>,
-    /// Global offset past all staged bytes.
-    total_appended: u64,
 }
 
-/// The write-ahead log: transaction staging, group commit, recycling.
+/// The write-ahead log: note staging, group commit, recycling.
 pub struct Wal {
     store: Arc<dyn LogStore>,
     inner: Mutex<WalInner>,
     cv: Condvar,
     group_commit: AtomicBool,
-    segment_bytes: u64,
     commits: AtomicU64,
     fsyncs: AtomicU64,
 }
 
 impl Wal {
-    /// Start a log whose first transaction gets `start_lsn` (use the
-    /// superblock's `wal_applied_lsn + 1`; LSN 0 means "none"). New
-    /// segments are numbered past any segment already in the store.
-    pub fn create(store: Arc<dyn LogStore>, start_lsn: u64, opts: WalOptions) -> Result<Arc<Self>> {
+    /// Start a log whose first note gets `start_lsn` (use the
+    /// superblock's `wal_applied_lsn + 1`; LSN 0 means "none"), with
+    /// group commit on. New segments are numbered past any segment
+    /// already in the store.
+    pub fn create(store: Arc<dyn LogStore>, start_lsn: u64) -> Result<Arc<Self>> {
         let cur_seg = store.list()?.last().map(|s| s + 1).unwrap_or(0);
         Ok(Arc::new(Self {
             store,
@@ -604,11 +545,9 @@ impl Wal {
                 cur_seg_len: 0,
                 rotate: false,
                 seg_max_lsn: BTreeMap::new(),
-                total_appended: 0,
             }),
             cv: Condvar::new(),
-            group_commit: AtomicBool::new(opts.group_commit),
-            segment_bytes: opts.segment_bytes.max(1),
+            group_commit: AtomicBool::new(true),
             commits: AtomicU64::new(0),
             fsyncs: AtomicU64::new(0),
         }))
@@ -619,40 +558,32 @@ impl Wal {
         self.group_commit.store(on, Ordering::Relaxed);
     }
 
-    /// Stage one *note* transaction: an opaque application payload that
-    /// rides the log's durability and ordering. The note is its own
-    /// committed transaction (note record + commit record under one
-    /// fresh LSN). Durable once [`Wal::commit`] returns for the ticket's
-    /// LSN.
-    pub fn append_note(&self, payload: &[u8]) -> Result<WalTicket> {
+    /// Stage one note: an opaque application payload that rides the
+    /// log's durability and ordering, as one self-committing record
+    /// under a fresh LSN, which is returned. Durable once
+    /// [`Wal::commit`] returns for that LSN.
+    pub fn append_note(&self, payload: &[u8]) -> Result<u64> {
         let _tspan = obs::trace::span("wal.append");
         let mut g = self.inner.lock();
         let lsn = g.next_lsn;
         g.next_lsn += 1;
         let before = g.buf.len();
-        let mut buf = std::mem::take(&mut g.buf);
-        put_record(&mut buf, REC_NOTE, lsn, payload);
-        put_record(&mut buf, REC_COMMIT, lsn, &0u64.to_le_bytes());
-        g.buf = buf;
+        put_record(&mut g.buf, REC_NOTE, lsn, payload);
         let added = (g.buf.len() - before) as u64;
-        g.total_appended += added;
         g.staged_lsn = lsn;
         WAL_TXNS.inc();
         WAL_BYTES.add(added);
-        Ok(WalTicket {
-            lsn,
-            end_offset: g.total_appended,
-        })
+        Ok(lsn)
     }
 
     /// Highest LSN assigned so far (0 when none). A seal point recorded
     /// as `last_lsn()` under the same lock discipline as the appends it
-    /// covers bounds exactly the transactions staged before it.
+    /// covers bounds exactly the notes staged before it.
     pub fn last_lsn(&self) -> u64 {
         self.inner.lock().next_lsn - 1
     }
 
-    /// Block until the transaction at `lsn` is durable. Group commit:
+    /// Block until the note at `lsn` is durable. Group commit:
     /// one waiter becomes the leader, appends the whole shared batch to
     /// the current segment and fsyncs once for everyone.
     pub fn commit(&self, lsn: u64) -> Result<()> {
@@ -678,8 +609,7 @@ impl Wal {
             g.syncing = true;
             let batch = std::mem::take(&mut g.buf);
             let batch_max = g.staged_lsn;
-            if g.cur_seg_len > 0
-                && (g.rotate || g.cur_seg_len + batch.len() as u64 > self.segment_bytes)
+            if g.cur_seg_len > 0 && (g.rotate || g.cur_seg_len + batch.len() as u64 > SEGMENT_BYTES)
             {
                 g.cur_seg += 1;
                 g.cur_seg_len = 0;
@@ -771,113 +701,112 @@ impl Wal {
 mod tests {
     use super::*;
 
-    /// Append and commit one note; returns its ticket.
-    fn note(wal: &Wal, payload: &[u8]) -> WalTicket {
-        let t = wal.append_note(payload).unwrap();
-        wal.commit(t.lsn).unwrap();
-        t
+    /// Append and commit one note; returns its LSN and the global log
+    /// offset just past its record.
+    fn note(wal: &Wal, store: &MemLogStore, payload: &[u8]) -> (u64, u64) {
+        let lsn = wal.append_note(payload).unwrap();
+        wal.commit(lsn).unwrap();
+        (lsn, store.total_len())
     }
 
     #[test]
     fn append_commit_scan_roundtrip() {
         let store = MemLogStore::new();
-        let wal = Wal::create(store.clone(), 1, WalOptions::default()).unwrap();
-        note(&wal, b"insert 42");
+        let wal = Wal::create(store.clone(), 1).unwrap();
+        note(&wal, &store, b"insert 42");
         // Two notes staged before one commit: one fsync makes both
-        // durable, each still its own transaction.
+        // durable, each still its own record.
         let n2 = wal.append_note(b"delete 42").unwrap();
         let n3 = wal.append_note(b"flip seg-1").unwrap();
-        assert_eq!(wal.last_lsn(), n3.lsn);
-        wal.commit(n3.lsn).unwrap();
+        assert_eq!(wal.last_lsn(), n3);
+        wal.commit(n3).unwrap();
+        assert_eq!(wal.stat().fsyncs, 2);
 
         let res = scan(store.as_ref()).unwrap();
         assert!(res.torn.is_none());
-        assert_eq!(res.txns.len(), 3);
-        assert_eq!(res.txns[0].lsn, 1);
-        assert_eq!(res.txns[0].notes, vec![b"insert 42".to_vec()]);
-        assert_eq!(res.txns[1].lsn, n2.lsn);
-        assert_eq!(res.txns[1].notes, vec![b"delete 42".to_vec()]);
-        assert_eq!(res.txns[2].notes, vec![b"flip seg-1".to_vec()]);
-        assert_eq!(res.max_lsn, n3.lsn);
-        assert_eq!(res.valid_bytes, store.total_len());
-        assert_eq!(res.txns[2].end_offset, n3.end_offset);
+        assert_eq!(
+            res.notes,
+            vec![
+                (1, b"insert 42".to_vec()),
+                (n2, b"delete 42".to_vec()),
+                (n3, b"flip seg-1".to_vec()),
+            ]
+        );
+        assert_eq!(res.max_lsn, n3);
+        // One record per note: header, payload, checksum — nothing else.
+        let framing = (REC_HEADER + REC_TRAILER) as u64;
+        assert_eq!(store.total_len(), 3 * framing + 9 + 9 + 10);
     }
 
     #[test]
     fn torn_tail_and_bit_flip_stop_the_scan() {
         let store = MemLogStore::new();
-        let wal = Wal::create(store.clone(), 1, WalOptions::default()).unwrap();
-        let ends: Vec<u64> = (0..4u8).map(|i| note(&wal, &[i; 64]).end_offset).collect();
-        // Truncate mid-way through the third transaction.
+        let wal = Wal::create(store.clone(), 1).unwrap();
+        let ends: Vec<u64> = (0..4u8).map(|i| note(&wal, &store, &[i; 64]).1).collect();
+        // Truncate mid-way through the third note.
         store.truncate_global(ends[2] - 5);
         let res = scan(store.as_ref()).unwrap();
         assert!(res.torn.is_some());
-        assert_eq!(res.txns.len(), 2);
+        assert_eq!(res.notes.len(), 2);
 
-        // Fresh log; flip a byte inside the second transaction.
+        // A cut at a record boundary is a clean, shorter log.
+        store.truncate_global(ends[1]);
+        let res = scan(store.as_ref()).unwrap();
+        assert!(res.torn.is_none());
+        assert_eq!(res.notes.len(), 2);
+
+        // Fresh log; flip a byte inside the second note.
         let store = MemLogStore::new();
-        let wal = Wal::create(store.clone(), 1, WalOptions::default()).unwrap();
-        let ends: Vec<u64> = (0..3u8).map(|i| note(&wal, &[i; 64]).end_offset).collect();
+        let wal = Wal::create(store.clone(), 1).unwrap();
+        let ends: Vec<u64> = (0..3u8).map(|i| note(&wal, &store, &[i; 64]).1).collect();
         store.flip_byte_global(ends[0] + 20);
         let res = scan(store.as_ref()).unwrap();
         assert!(res.torn.unwrap().contains("checksum"));
-        assert_eq!(res.txns.len(), 1);
+        assert_eq!(res.notes.len(), 1);
     }
 
+    /// A well-formed, checksummed record of a retired kind — a page
+    /// image (1) or allocation list (2) of the retired paged path, or
+    /// the commit record (3) older builds wrote after each note, as in
+    /// a log of the previous build — fails the scan with a typed error
+    /// naming the kind. It is not a torn tail: truncating there would
+    /// drop every note after it.
     #[test]
-    fn retired_record_kinds_stop_the_scan() {
-        // A well-formed, checksummed page-image record (kind 1) or
-        // allocation list (kind 2) is no longer a record this log reads.
-        for kind in [1u32, 2] {
+    fn retired_record_kinds_fail_the_scan() {
+        for kind in [1u32, 2, 3] {
             let store = MemLogStore::new();
-            let wal = Wal::create(store.clone(), 1, WalOptions::default()).unwrap();
-            note(&wal, b"kept");
+            let wal = Wal::create(store.clone(), 1).unwrap();
+            note(&wal, &store, b"kept");
             let mut rec = Vec::new();
-            put_record(&mut rec, kind, 2, &[0u8; 16]);
-            put_record(&mut rec, REC_COMMIT, 2, &0u64.to_le_bytes());
+            put_record(&mut rec, kind, 2, &0u64.to_le_bytes());
+            put_record(&mut rec, REC_NOTE, 3, b"after");
             store.append(0, &rec).unwrap();
-            let res = scan(store.as_ref()).unwrap();
-            assert!(
-                res.torn.unwrap().contains("implausible record"),
-                "kind {kind}"
-            );
-            assert_eq!(res.txns.len(), 1);
+            match scan(store.as_ref()) {
+                Err(StorageError::Corrupt { reason, .. }) => {
+                    assert!(
+                        reason.contains(&format!("retired record kind {kind}")),
+                        "{reason}"
+                    )
+                }
+                Err(e) => panic!("kind {kind}: wrong error {e}"),
+                Ok(res) => panic!("kind {kind}: scan read {} notes", res.notes.len()),
+            }
         }
-    }
-
-    #[test]
-    fn uncommitted_tail_is_discarded() {
-        let store = MemLogStore::new();
-        let wal = Wal::create(store.clone(), 1, WalOptions::default()).unwrap();
-        let t = note(&wal, &[1; 64]);
-        // Stage a second transaction but cut the log before its commit
-        // record (keep only the note record's bytes).
-        note(&wal, &[2; 64]);
-        let one_rec = REC_HEADER as u64 + 64 + REC_TRAILER as u64;
-        store.truncate_global(t.end_offset + one_rec);
-        let res = scan(store.as_ref()).unwrap();
-        assert!(res.torn.is_none(), "clean cut at a record boundary");
-        assert_eq!(res.txns.len(), 1, "open transaction discarded");
     }
 
     #[test]
     fn segments_rotate_and_recycle() {
         let store = MemLogStore::new();
-        let wal = Wal::create(
-            store.clone(),
-            1,
-            WalOptions {
-                segment_bytes: 256,
-                group_commit: true,
-            },
-        )
-        .unwrap();
+        let wal = Wal::create(store.clone(), 1).unwrap();
+        // Eight notes of a quarter segment each: the size cap rotates
+        // the log at least once.
+        let payload = vec![7u8; (SEGMENT_BYTES / 4) as usize];
         let mut last = 0;
-        for i in 0..8u8 {
-            last = note(&wal, &[i; 128]).lsn;
+        for _ in 0..8 {
+            last = note(&wal, &store, &payload).0;
         }
         let segs = store.list().unwrap();
-        assert!(segs.len() > 1, "small cap must rotate, got {segs:?}");
+        assert!(segs.len() > 1, "the size cap must rotate, got {segs:?}");
         let recycled = wal.recycle(last).unwrap();
         assert!(recycled > 0);
         assert!(store.list().unwrap().len() < segs.len());
@@ -888,13 +817,13 @@ mod tests {
     #[test]
     fn start_segment_cuts_the_log_for_recycling() {
         let store = MemLogStore::new();
-        let wal = Wal::create(store.clone(), 1, WalOptions::default()).unwrap();
-        note(&wal, &[0; 64]);
-        let cut = note(&wal, &[1; 64]).lsn;
+        let wal = Wal::create(store.clone(), 1).unwrap();
+        note(&wal, &store, &[0; 64]);
+        let cut = note(&wal, &store, &[1; 64]).0;
         wal.start_segment();
         wal.start_segment(); // asking twice still cuts once
-        let after = note(&wal, &[2; 64]).lsn;
-        note(&wal, &[3; 64]);
+        let after = note(&wal, &store, &[2; 64]).0;
+        note(&wal, &store, &[3; 64]);
         assert_eq!(
             store.list().unwrap().len(),
             2,
@@ -903,25 +832,25 @@ mod tests {
         assert_eq!(wal.recycle(cut).unwrap(), 1);
         let left = scan(store.as_ref()).unwrap();
         assert!(
-            left.txns.iter().all(|t| t.lsn >= after),
+            left.notes.iter().all(|&(lsn, _)| lsn >= after),
             "only records past the cut"
         );
-        assert_eq!(left.txns.len(), 2);
+        assert_eq!(left.notes.len(), 2);
     }
 
     #[test]
     fn group_commit_amortizes_fsyncs() {
         let store = MemLogStore::new();
         store.set_sync_delay(Duration::from_millis(2));
-        let wal = Wal::create(store.clone(), 1, WalOptions::default()).unwrap();
+        let wal = Wal::create(store.clone(), 1).unwrap();
         let threads = 8;
         let per = 4;
         std::thread::scope(|s| {
             for t in 0..threads {
-                let wal = &wal;
+                let (wal, store) = (&wal, &store);
                 s.spawn(move || {
                     for i in 0..per {
-                        note(wal, &[(t * per + i) as u8; 64]);
+                        note(wal, store, &[(t * per + i) as u8; 64]);
                     }
                 });
             }
@@ -935,24 +864,24 @@ mod tests {
             st.commits
         );
         let res = scan(store.as_ref()).unwrap();
-        assert_eq!(res.txns.len(), threads * per);
+        assert_eq!(res.notes.len(), threads * per);
     }
 
     #[test]
     fn torn_tail_truncation_makes_the_log_clean_again() {
         let store = MemLogStore::new();
-        let wal = Wal::create(store.clone(), 1, WalOptions::default()).unwrap();
-        let ends: Vec<u64> = (0..4u8).map(|i| note(&wal, &[i; 16]).end_offset).collect();
+        let wal = Wal::create(store.clone(), 1).unwrap();
+        let ends: Vec<u64> = (0..4u8).map(|i| note(&wal, &store, &[i; 16]).1).collect();
         store.truncate_global(ends[2] - 3);
         let first = scan(store.as_ref()).unwrap();
         assert!(first.torn.is_some());
-        assert_eq!(first.txns.len(), 2);
+        assert_eq!(first.notes.len(), 2);
         assert!(first.torn_seg.is_some());
         truncate_torn_tail(store.as_ref(), &first).unwrap();
         let second = scan(store.as_ref()).unwrap();
         assert!(second.torn.is_none(), "{:?}", second.torn);
-        assert_eq!(second.txns.len(), 2);
-        assert_eq!(second.valid_bytes, store.total_len());
+        assert_eq!(second.notes.len(), 2);
+        assert_eq!(store.total_len(), ends[1]);
         // A new WAL starting past max_lsn cannot collide with the tail.
         assert!(second.max_lsn <= first.max_lsn);
     }

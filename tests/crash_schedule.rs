@@ -20,17 +20,21 @@
 //!
 //! The committed prefix is observable from the workload driver itself:
 //! `insert`/`delete` return only after their commit fsync, so `Ok`
-//! means durable. A compaction's commit protocol adds five sync points
-//! per drain — segment bytes, meta page, the WAL flip note (the commit
-//! point), the superblock flip, and cleanup — so crash points land
-//! inside ordinary commits and every step of every flip alike.
+//! means durable. A compaction's commit protocol adds four sync points
+//! per drain — segment bytes, the WAL flip note (the commit point), the
+//! superblock flip, and cleanup — so crash points land inside ordinary
+//! commits and every step of every flip alike.
+//!
+//! After every recovery the main disk must hold the superblock and
+//! nothing else, with an empty free chain: segments own no page, so no
+//! crash point may leak one.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use str_rtree::lsm::{LsmStats, MemSegmentStore};
 use str_rtree::prelude::*;
-use str_rtree::storage::{FaultDisk, MemLogStore, SyncClock};
+use str_rtree::storage::{Disk, FaultDisk, MemLogStore, PageAllocator, SyncClock};
 
 /// Distinct grid rectangle for item `i`.
 fn rect_of(i: u64) -> Rect2 {
@@ -117,8 +121,16 @@ impl Rig {
         self.clock.revive();
         self.fault.revive();
         self.fault.set_armed(false);
-        LsmTree::open(self.fault, self.log, self.segs, self.opts)
-            .unwrap_or_else(|e| panic!("n={n}: recovery failed: {e}"))
+        let tree = LsmTree::open(self.fault.clone(), self.log, self.segs, self.opts)
+            .unwrap_or_else(|e| panic!("n={n}: recovery failed: {e}"));
+        assert_eq!(
+            self.fault.num_pages(),
+            1,
+            "n={n}: the main disk holds more than the superblock"
+        );
+        let alloc = PageAllocator::open(self.fault).unwrap();
+        assert_eq!(alloc.free_count(), 0, "n={n}: pages on the free chain");
+        tree
     }
 }
 
