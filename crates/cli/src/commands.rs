@@ -300,6 +300,10 @@ pub fn trees(index: &Path) -> CliResult<String> {
         "tree", "kind", "dims", "capacity", "entries", "height"
     );
     for entry in alloc.trees() {
+        if flat::parse_segment_file_name(&entry.name).is_some() {
+            out.push_str(&segment_row(index, &entry.name));
+            continue;
+        }
         let meta = rtree::read_tree_meta(disk.as_ref(), &alloc, &entry.name)
             .map_err(|e| format!("{}: tree '{}': {e}", index.display(), entry.name))?;
         out.push_str(&format!(
@@ -318,6 +322,27 @@ pub fn trees(index: &Path) -> CliResult<String> {
         alloc.free_count()
     ));
     Ok(out)
+}
+
+/// A `trees` row for an LSM segment: its catalog entry owns no page, so
+/// the figures come from the header of its `FLT1` image in the
+/// `segments` directory beside the index file (`-` if it cannot be read).
+fn segment_row(index: &Path, name: &str) -> String {
+    let path = index.with_file_name("segments").join(name);
+    let header = std::fs::read(path)
+        .ok()
+        .and_then(|bytes| flat::Header::parse(&bytes).ok());
+    let field =
+        |f: fn(&flat::Header) -> u64| header.as_ref().map_or("-".into(), |h| f(h).to_string());
+    format!(
+        "{:<24} {:<8} {:>4} {:>8} {:>10} {:>7}\n",
+        name,
+        "segment",
+        field(|h| h.dims.into()),
+        field(|h| h.node_capacity.into()),
+        field(|h| h.num_items),
+        field(|h| u64::from(h.num_levels) - 1),
+    )
 }
 
 /// `gen`: generate a named data set as CSV.

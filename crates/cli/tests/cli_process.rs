@@ -229,6 +229,43 @@ fn lsm_build_delete_reopen_query_round_trip() {
     assert!(query(&dir).contains("# 2000 hits"));
 }
 
+/// `trees` on an LSM directory's index file lists each segment as a
+/// row of its own, read from the segment's image: its catalog entry
+/// owns no meta page to read.
+#[test]
+fn trees_lists_the_segments_of_an_lsm_directory() {
+    let data = tmp("lsm-trees.csv");
+    let dir = tmp("lsm-trees.lsm");
+    let _ = std::fs::remove_dir_all(&dir);
+    run_ok(
+        bin()
+            .args(["gen", "--dataset", "tiger", "--n", "3000", "--output"])
+            .arg(&data),
+    );
+    run_ok(
+        bin()
+            .args(["build", "--input"])
+            .arg(&data)
+            .args(["--capacity", "16", "--lsm"])
+            .arg(&dir),
+    );
+    let out = run_ok(bin().args(["trees", "--index"]).arg(dir.join("index.v2")));
+    let rows: Vec<Vec<&str>> = out
+        .lines()
+        .filter(|l| l.starts_with("seg-"))
+        .map(|l| l.split_whitespace().collect())
+        .collect();
+    assert!(!rows.is_empty(), "{out}");
+    for row in &rows {
+        assert_eq!(&row[1..4], ["segment", "2", "16"], "{out}");
+    }
+    let items: u64 = rows.iter().map(|r| r[4].parse::<u64>().unwrap()).sum();
+    assert_eq!(items, 3000, "{out}");
+    assert!(out.contains(&format!("{} tree(s)", rows.len())), "{out}");
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_file(&data).ok();
+}
+
 /// Only `build --lsm` creates an LSM directory: a read or a delete
 /// aimed at a missing one fails and leaves nothing behind.
 #[test]

@@ -19,8 +19,9 @@
 //!   intersection kernel from [`geom::SoaRects`] (4 MBRs per compare).
 //!
 //! Every buffer is validated on load — magic, version, section layout,
-//! level bounds, child-index monotonicity, whole-file checksum — so the
-//! query path contains no trust decisions, only bounds-checked reads.
+//! level bounds, child-index monotonicity, whole-file checksum, and every
+//! slot's MBR (no NaN, no inverted axis) — so the query path contains no
+//! trust decisions, only bounds-checked reads.
 
 pub mod abi;
 mod build;
@@ -256,6 +257,7 @@ impl<'a, const D: usize> FlatTree<'a, D> {
             bounds,
         };
         tree.validate_indices()?;
+        tree.validate_slots()?;
         Ok(tree)
     }
 
@@ -341,6 +343,32 @@ impl<'a, const D: usize> FlatTree<'a, D> {
         Ok(())
     }
 
+    /// Validate every slot's MBR as [`Rect::try_new`] would — no NaN
+    /// coordinate, no axis with `min > max` — so reads rebuild hits and
+    /// items unchecked. The one exception is the lone root slot of an
+    /// empty tree, which [`flatten_to_bytes`] writes as [`Rect::empty`].
+    fn validate_slots(&self) -> Result<()> {
+        let (mins, maxs) = self.columns();
+        let invalid = |(lo, hi): (&f64, &f64)| lo.is_nan() || hi.is_nan() || lo > hi;
+        let Some(slot) = (0..D)
+            .filter_map(|a| mins[a].iter().zip(maxs[a]).position(invalid))
+            .min()
+        else {
+            return Ok(());
+        };
+        let empty_root = self.is_empty()
+            && mins[0].len() == 1
+            && (0..D).all(|a| mins[a][0] == f64::INFINITY && maxs[a][0] == f64::NEG_INFINITY);
+        if empty_root {
+            return Ok(());
+        }
+        Err(FlatError::Parse(format!(
+            "slot {slot} has an invalid MBR (NaN or min > max): min {:?}, max {:?}",
+            mins.map(|m| m[slot]),
+            maxs.map(|m| m[slot])
+        )))
+    }
+
     // ---- accessors ---------------------------------------------------
 
     /// The raw validated buffer (e.g. for writing to a file).
@@ -380,22 +408,28 @@ impl<'a, const D: usize> FlatTree<'a, D> {
 
     /// MBR of the whole index (empty rect when no items).
     pub fn root_mbr(&self) -> Rect<D> {
+        if self.is_empty() {
+            return Rect::empty();
+        }
         let root = self.bounds.last().unwrap().0;
         self.soa().get(root)
     }
 
     /// SoA view over every slot's MBR (all levels; slot index = global).
     pub(crate) fn soa(&self) -> SoaRects<'_, D> {
+        let (mins, maxs) = self.columns();
+        SoaRects::new(mins, maxs)
+    }
+
+    /// Per-axis minimum and maximum coordinate columns over every slot.
+    fn columns(&self) -> ([&[f64]; D], [&[f64]; D]) {
         let bytes = self.backing.bytes();
         let layout = self.header.layout();
         let n = layout.num_nodes * 8;
-        SoaRects::new(
-            std::array::from_fn(|a| {
-                cast_section::<f64>(bytes, layout.axis_min_off(a), n).expect("validated at load")
-            }),
-            std::array::from_fn(|a| {
-                cast_section::<f64>(bytes, layout.axis_max_off(a), n).expect("validated at load")
-            }),
+        let col = |off| cast_section::<f64>(bytes, off, n).expect("validated at load");
+        (
+            std::array::from_fn(|a| col(layout.axis_min_off(a))),
+            std::array::from_fn(|a| col(layout.axis_max_off(a))),
         )
     }
 

@@ -196,3 +196,61 @@ fn hand_sealed_version_1_image_is_refused() {
         Ok(_) => panic!("a version-1 image opened"),
     }
 }
+
+/// `bytes` with coordinate `min` or `max` of `slot` on axis `axis` set
+/// to `v`, resealed so the checksum passes.
+fn with_coord(bytes: &[u8], slot: usize, axis: usize, max: bool, v: f64) -> Vec<u8> {
+    let layout = flat::Header::parse(bytes).unwrap().layout();
+    let col = if max {
+        layout.axis_max_off(axis)
+    } else {
+        layout.axis_min_off(axis)
+    };
+    let mut out = bytes.to_vec();
+    out[col + 8 * slot..col + 8 * slot + 8].copy_from_slice(&v.to_le_bytes());
+    let sum = flat::abi::checksum(&out);
+    out[flat::abi::CHECKSUM_OFF..flat::HEADER_LEN].copy_from_slice(&sum.to_le_bytes());
+    out
+}
+
+fn assert_invalid_mbr(bytes: Vec<u8>, slot: usize, what: &str) {
+    match FlatTree::<2>::from_vec(bytes) {
+        Err(FlatError::Parse(msg)) => {
+            assert!(
+                msg.contains(&format!("slot {slot} has an invalid MBR")),
+                "{what}: {msg}"
+            )
+        }
+        Err(other) => panic!("{what}: wrong error {other}"),
+        Ok(_) => panic!("{what}: the image loaded"),
+    }
+}
+
+/// A checksum-valid image with a NaN or inverted slot — item or node —
+/// is refused at load: reads rebuild slots unchecked, so a NaN item
+/// would panic `items()` and an inverted hit would read back wrong.
+#[test]
+fn nan_and_inverted_slots_are_refused_at_load() {
+    let tree = packed(300, 12);
+    let bytes = flat::flatten_to_bytes(&tree).unwrap();
+    let flat = FlatTree::<2>::from_vec(bytes.clone()).unwrap();
+    let leaf = flat.level_bounds()[1].0;
+    let root = flat.level_bounds().last().unwrap().0;
+    assert_eq!(flat.items().count(), 300);
+
+    assert_invalid_mbr(with_coord(&bytes, 5, 0, false, f64::NAN), 5, "NaN item min");
+    assert_invalid_mbr(with_coord(&bytes, 9, 1, true, f64::NAN), 9, "NaN item max");
+    assert_invalid_mbr(with_coord(&bytes, 7, 0, false, 2.0), 7, "inverted item");
+    assert_invalid_mbr(
+        with_coord(&bytes, leaf, 1, true, -1.0),
+        leaf,
+        "inverted leaf",
+    );
+    // The empty rectangle is allowed only as the root of an empty tree.
+    let empty_root = with_coord(&bytes, root, 0, false, f64::INFINITY);
+    assert_invalid_mbr(
+        with_coord(&empty_root, root, 0, true, f64::NEG_INFINITY),
+        root,
+        "empty root of a full tree",
+    );
+}

@@ -2,9 +2,15 @@
 //!
 //! Everything here is little-endian and self-validating. Notes travel
 //! inside the WAL's checksummed records, so they carry only a tag byte.
+//! Each note encodes itself onto the end of a caller's buffer
+//! (`encode_into`): the write path hands it the WAL's staging buffer, so
+//! logging a note copies its items once, straight into the batch. Item
+//! notes borrow the items they log and own the ones they decode.
 //! Segments need no format of their own here: each is a `FLT1` image
 //! sealed end to end by its own checksum ([`flat::FlatTree::from_vec`]
 //! validates it), named in the superblock catalog by its id.
+
+use std::borrow::Cow;
 
 use geom::Rect;
 
@@ -24,17 +30,17 @@ const NOTE_FLIP_V1: u8 = 2;
 /// A batch of inserts, logged before the memtable mutation so recovery
 /// can replay exactly the acknowledged set.
 #[derive(Debug, Clone, PartialEq)]
-pub struct InsertNote<const D: usize> {
+pub struct InsertNote<'a, const D: usize> {
     /// The rectangles and their opaque ids, in acknowledgement order.
-    pub items: Vec<(Rect<D>, u64)>,
+    pub items: Cow<'a, [(Rect<D>, u64)]>,
 }
 
 /// A batch of deletes, logged before the memtable records them. Each
 /// `(rect, id)` pair was live when it was logged and takes out one copy.
 #[derive(Debug, Clone, PartialEq)]
-pub struct DeleteNote<const D: usize> {
+pub struct DeleteNote<'a, const D: usize> {
     /// The deleted rectangles and their ids, in acknowledgement order.
-    pub items: Vec<(Rect<D>, u64)>,
+    pub items: Cow<'a, [(Rect<D>, u64)]>,
 }
 
 /// A compaction's commit point: once this note's WAL record is durable,
@@ -58,17 +64,17 @@ pub struct FlipNote {
 #[derive(Debug, Clone, PartialEq)]
 pub enum Note<const D: usize> {
     /// Acknowledged inserts to replay into the memtable.
-    Insert(InsertNote<D>),
+    Insert(InsertNote<'static, D>),
     /// Acknowledged deletes to replay into the memtable.
-    Delete(DeleteNote<D>),
+    Delete(DeleteNote<'static, D>),
     /// A committed compaction to re-execute if the superblock missed it.
     Flip(FlipNote),
 }
 
-/// Serialize an item batch: tag, item count, then `2*D` coordinates +
-/// id per item.
-fn encode_items<const D: usize>(tag: u8, items: &[(Rect<D>, u64)]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(5 + items.len() * (16 * D + 8));
+/// Append an item batch to `out`: tag, item count, then `2*D`
+/// coordinates + id per item.
+fn encode_items<const D: usize>(tag: u8, items: &[(Rect<D>, u64)], out: &mut Vec<u8>) {
+    out.reserve(5 + items.len() * (16 * D + 8));
     out.push(tag);
     out.extend_from_slice(&(items.len() as u32).to_le_bytes());
     for (rect, id) in items {
@@ -80,28 +86,29 @@ fn encode_items<const D: usize>(tag: u8, items: &[(Rect<D>, u64)]) -> Vec<u8> {
         }
         out.extend_from_slice(&id.to_le_bytes());
     }
-    out
 }
 
-impl<const D: usize> InsertNote<D> {
-    /// Serialize: tag, item count, then `2*D` coordinates + id per item.
-    pub fn encode(&self) -> Vec<u8> {
-        encode_items(NOTE_INSERT, &self.items)
+impl<const D: usize> InsertNote<'_, D> {
+    /// Append the encoding to `out`: tag, item count, then `2*D`
+    /// coordinates + id per item.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        encode_items(NOTE_INSERT, &self.items, out)
     }
 }
 
-impl<const D: usize> DeleteNote<D> {
-    /// Serialize in the insert note's layout under the delete tag.
-    pub fn encode(&self) -> Vec<u8> {
-        encode_items(NOTE_DELETE, &self.items)
+impl<const D: usize> DeleteNote<'_, D> {
+    /// Append the encoding to `out`, in the insert note's layout under
+    /// the delete tag.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        encode_items(NOTE_DELETE, &self.items, out)
     }
 }
 
 impl FlipNote {
-    /// Serialize: tag, new segment id, seal LSN, written flag, then the
-    /// removed ids.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(22 + self.removed.len() * 8);
+    /// Append the encoding to `out`: tag, new segment id, seal LSN,
+    /// written flag, then the removed ids.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        out.reserve(22 + self.removed.len() * 8);
         out.push(NOTE_FLIP);
         out.extend_from_slice(&self.new_id.to_le_bytes());
         out.extend_from_slice(&self.seal_lsn.to_le_bytes());
@@ -110,7 +117,6 @@ impl FlipNote {
         for id in &self.removed {
             out.extend_from_slice(&id.to_le_bytes());
         }
-        out
     }
 }
 
@@ -195,10 +201,10 @@ impl<const D: usize> Note<D> {
         let mut r = Reader { buf, at: 1 };
         match tag {
             NOTE_INSERT => Ok(Note::Insert(InsertNote {
-                items: r.items("insert")?,
+                items: r.items("insert")?.into(),
             })),
             NOTE_DELETE => Ok(Note::Delete(DeleteNote {
-                items: r.items("delete")?,
+                items: r.items("delete")?.into(),
             })),
             NOTE_FLIP => {
                 let new_id = r.u64()?;
@@ -238,15 +244,23 @@ impl<const D: usize> Note<D> {
 mod tests {
     use super::*;
 
+    /// The bytes `encode_into` appends to an empty buffer.
+    fn bytes(encode_into: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+        let mut out = Vec::new();
+        encode_into(&mut out);
+        out
+    }
+
     #[test]
     fn insert_note_round_trips() {
         let note = InsertNote::<2> {
             items: vec![
                 (Rect::new([0.0, 1.0], [2.0, 3.0]), 7),
                 (Rect::new([-5.0, -5.0], [-1.0, -2.5]), u64::MAX),
-            ],
+            ]
+            .into(),
         };
-        let bytes = note.encode();
+        let bytes = bytes(|out| note.encode_into(out));
         match Note::<2>::decode(&bytes).unwrap() {
             Note::Insert(back) => assert_eq!(back, note),
             other => panic!("wrong variant: {other:?}"),
@@ -258,16 +272,38 @@ mod tests {
         assert!(Note::<2>::decode(&long).is_err());
     }
 
+    /// `encode_into` appends, after whatever the buffer holds, exactly
+    /// the layout the log has always carried: tag, count, every item's
+    /// minimum corner, maximum corner and id.
+    #[test]
+    fn insert_note_bytes_are_pinned_and_appended() {
+        let items = [(Rect::new([1.0, 2.0], [3.0, 4.0]), 7u64)];
+        let mut want = vec![0xAB, NOTE_INSERT, 1, 0, 0, 0];
+        for c in [1.0f64, 2.0, 3.0, 4.0] {
+            want.extend_from_slice(&c.to_le_bytes());
+        }
+        want.extend_from_slice(&7u64.to_le_bytes());
+        let mut out = vec![0xAB];
+        InsertNote::<2> {
+            items: items[..].into(),
+        }
+        .encode_into(&mut out);
+        assert_eq!(out, want);
+    }
+
     #[test]
     fn delete_note_round_trips_under_its_own_tag() {
         let items = vec![(Rect::new([0.0, 1.0], [2.0, 3.0]), 7)];
         let note = DeleteNote::<2> {
-            items: items.clone(),
+            items: items.as_slice().into(),
         };
-        let bytes = note.encode();
+        let bytes = bytes(|out| note.encode_into(out));
         assert_eq!(bytes[0], NOTE_DELETE);
         // Same layout as an insert note, told apart only by the tag.
-        assert_eq!(bytes[1..], InsertNote::<2> { items }.encode()[1..]);
+        let insert = InsertNote::<2> {
+            items: items[..].into(),
+        };
+        assert_eq!(bytes[1..], self::bytes(|out| insert.encode_into(out))[1..]);
         match Note::<2>::decode(&bytes).unwrap() {
             Note::Delete(back) => assert_eq!(back, note),
             other => panic!("wrong variant: {other:?}"),
@@ -290,7 +326,7 @@ mod tests {
                 wrote_segment,
                 removed: vec![1, 2],
             };
-            let bytes = note.encode();
+            let bytes = bytes(|out| note.encode_into(out));
             assert_eq!(bytes.len(), 22 + 2 * 8);
             match Note::<2>::decode(&bytes).unwrap() {
                 Note::Flip(back) => assert_eq!(back, note),
@@ -302,13 +338,13 @@ mod tests {
             long.push(0);
             assert!(Note::<2>::decode(&long).is_err());
         }
-        let mut flag = FlipNote {
+        let flip = FlipNote {
             new_id: 3,
             seal_lsn: 999,
             wrote_segment: true,
             removed: vec![],
-        }
-        .encode();
+        };
+        let mut flag = bytes(|out| flip.encode_into(out));
         flag[17] = 2;
         assert!(matches!(
             Note::<2>::decode(&flag),

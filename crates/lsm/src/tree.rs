@@ -292,12 +292,12 @@ impl<const D: usize> LsmTree<D> {
         for (_, note) in redo.iter().filter(|(lsn, _)| *lsn > watermark) {
             match note {
                 Note::Insert(n) => {
-                    for &(rect, id) in &n.items {
+                    for &(rect, id) in n.items.iter() {
                         active.insert(rect, id);
                     }
                 }
                 Note::Delete(n) => {
-                    for (rect, id) in &n.items {
+                    for (rect, id) in n.items.iter() {
                         active.delete(rect, *id);
                     }
                 }
@@ -308,7 +308,7 @@ impl<const D: usize> LsmTree<D> {
 
         // A new log must start past every LSN on media, so old and new
         // records never share one.
-        let wal = Wal::create(log, scanned.max_lsn.max(watermark) + 1)?;
+        let wal = Wal::create(log, &scanned, scanned.max_lsn.max(watermark) + 1)?;
 
         let inner = Arc::new(Inner {
             state: RwLock::new(State {
@@ -371,11 +371,10 @@ impl<const D: usize> LsmTree<D> {
                 // always covers exactly the items in the sealed memtable.
                 let g = self.inner.state.read();
                 if g.active.entries() < self.inner.opts.memtable_items {
-                    let payload = InsertNote {
-                        items: items.to_vec(),
-                    }
-                    .encode();
-                    let lsn = self.inner.wal.append_note(&payload)?;
+                    let note = InsertNote {
+                        items: items.into(),
+                    };
+                    let lsn = self.inner.wal.append_note(|buf| note.encode_into(buf))?;
                     for &(rect, id) in items {
                         g.active.insert(rect, id);
                     }
@@ -409,11 +408,11 @@ impl<const D: usize> LsmTree<D> {
                     return Ok(false);
                 }
                 if g.active.entries() < self.inner.opts.memtable_items {
-                    let payload = DeleteNote {
-                        items: vec![(*rect, id)],
-                    }
-                    .encode();
-                    let lsn = self.inner.wal.append_note(&payload)?;
+                    let item = [(*rect, id)];
+                    let note = DeleteNote {
+                        items: item[..].into(),
+                    };
+                    let lsn = self.inner.wal.append_note(|buf| note.encode_into(buf))?;
                     g.active.delete(rect, id);
                     let bytes = g.active.approx_bytes();
                     drop(g);
@@ -723,7 +722,7 @@ impl<const D: usize> Inner<D> {
             let _fspan = obs::trace::span("lsm.flip");
             // (2) The commit point: once this note is durable the flip
             // happens — now, or during recovery.
-            let lsn = self.wal.append_note(&flip.encode())?;
+            let lsn = self.wal.append_note(|buf| flip.encode_into(buf))?;
             self.wal.commit(lsn)?;
             // (3) One superblock write makes it visible to opens.
             apply_flip(&self.alloc, &*self.disk, &flip)?;
@@ -934,6 +933,30 @@ mod tests {
         assert_eq!(SpatialIndex::len(&tree), 10);
     }
 
+    /// A batch whose note the log cannot hold (over 4 MiB of payload,
+    /// 104,858 2-D items) fails whole and leaves the tree as it was:
+    /// logged, it would read back as a torn tail that drops it and
+    /// every later insert.
+    #[test]
+    fn oversized_batch_is_refused_before_the_log() {
+        let opts = small_opts();
+        let (tree, disk, log, segs) = open_mem(LsmOptions {
+            memtable_items: 1 << 20,
+            ..opts
+        });
+        tree.insert(rect_for(0), 0).unwrap();
+        let batch: Vec<(Rect<2>, u64)> = (1..=104_858).map(|i| (rect_for(i), i)).collect();
+        assert!(matches!(
+            tree.insert_batch(&batch),
+            Err(LsmError::Storage(storage::StorageError::Io(_)))
+        ));
+        tree.insert_batch(&batch[..104_857]).unwrap();
+        assert_eq!(SpatialIndex::len(&tree), 104_858);
+        drop(tree);
+        let tree = LsmTree::<2>::open(disk, log, segs, opts).unwrap();
+        assert_eq!(SpatialIndex::len(&tree), 104_858);
+    }
+
     /// A store of version-1 `FLT1` images, sealed with FNV-1a as older
     /// builds wrote them, is refused: `open` fails with the flat tier's
     /// typed error naming the version.
@@ -968,6 +991,76 @@ mod tests {
         }
     }
 
+    /// Every segment's image with one coordinate — axis 0's minimum
+    /// (`max` false) or maximum of `slot` — set to `v`, resealed so its
+    /// checksum passes.
+    fn damage_segments(segs: &Arc<dyn SegmentStore>, slot: usize, max: bool, v: f64) {
+        for id in segs.list().unwrap() {
+            let mut bytes = segs.read(id).unwrap().unwrap();
+            let layout = flat::Header::parse(&bytes).unwrap().layout();
+            let col = if max {
+                layout.axis_max_off(0)
+            } else {
+                layout.axis_min_off(0)
+            };
+            bytes[col + 8 * slot..col + 8 * slot + 8].copy_from_slice(&v.to_le_bytes());
+            let sum = flat::abi::checksum(&bytes);
+            bytes[flat::abi::CHECKSUM_OFF..flat::HEADER_LEN].copy_from_slice(&sum.to_le_bytes());
+            segs.put(id, &bytes).unwrap();
+        }
+        segs.sync().unwrap();
+    }
+
+    /// A segment whose image is checksum-valid but holds a NaN or an
+    /// inverted slot is refused at open, not left for the compaction
+    /// that drains it to trip over.
+    #[test]
+    fn segment_with_a_nan_or_inverted_slot_is_refused_at_open() {
+        for (max, v) in [(false, f64::NAN), (true, -1.0)] {
+            let opts = small_opts();
+            let (tree, disk, log, segs) = open_mem(opts);
+            for i in 0..40u64 {
+                tree.insert(rect_for(i), i).unwrap();
+            }
+            tree.flush().unwrap();
+            drop(tree);
+            damage_segments(&segs, 3, max, v);
+            match LsmTree::<2>::open(disk, log, segs, opts) {
+                Err(LsmError::Flat(flat::FlatError::Parse(msg))) => {
+                    assert!(msg.contains("slot 3 has an invalid MBR"), "{msg}")
+                }
+                Err(other) => panic!("{v}: wrong error {other}"),
+                Ok(_) => panic!("{v}: a damaged segment opened"),
+            }
+        }
+    }
+
+    /// WAL segments written before an open are recycled like the
+    /// current log's own, once a compaction covers their notes.
+    #[test]
+    fn wal_segments_of_an_earlier_open_are_recycled() {
+        let opts = small_opts();
+        let (tree, disk, log, segs) = open_mem(opts);
+        for i in 0..10u64 {
+            tree.insert(rect_for(i), i).unwrap();
+        }
+        drop(tree);
+        let before = log.list().unwrap();
+        assert_eq!(before.len(), 1);
+
+        let tree = LsmTree::<2>::open(disk.clone(), log.clone(), segs.clone(), opts).unwrap();
+        tree.insert(rect_for(10), 10).unwrap();
+        tree.flush().unwrap();
+        let after = log.list().unwrap();
+        assert!(
+            after.iter().all(|s| !before.contains(s)),
+            "segments {before:?} of the first open survived: {after:?}"
+        );
+        drop(tree);
+        let tree = LsmTree::<2>::open(disk, log, segs, opts).unwrap();
+        assert_eq!(ids(&tree), (0..11).collect::<Vec<_>>());
+    }
+
     /// A checksummed WAL record, framed by hand as `storage::wal` frames
     /// one: `[len u32][kind u32][lsn u64][payload][fnv1a u64]`.
     fn raw_record(kind: u32, lsn: u64, payload: &[u8]) -> Vec<u8> {
@@ -997,10 +1090,12 @@ mod tests {
         drop(tree);
         let mut old = Vec::new();
         for lsn in 1..=3u64 {
-            let note = InsertNote {
-                items: vec![(rect_for(lsn), lsn)],
-            };
-            old.extend(raw_record(4, lsn, &note.encode()));
+            let mut note = Vec::new();
+            InsertNote {
+                items: vec![(rect_for(lsn), lsn)].into(),
+            }
+            .encode_into(&mut note);
+            old.extend(raw_record(4, lsn, &note));
             old.extend(raw_record(3, lsn, &0u64.to_le_bytes()));
         }
         log.append(0, &old).unwrap();

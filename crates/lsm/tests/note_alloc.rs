@@ -69,10 +69,11 @@ fn notes_with_inflated_counts_stay_within_budget() {
     let mut delete = vec![3u8];
     delete.extend_from_slice(&u32::MAX.to_le_bytes());
     assert_corrupt_within_budget("delete note", &delete);
-    let mut one_short = lsm::DeleteNote::<2> {
-        items: vec![(geom::Rect::new([0.0, 0.0], [1.0, 1.0]), 9)],
+    let mut one_short = Vec::new();
+    lsm::DeleteNote::<2> {
+        items: vec![(geom::Rect::new([0.0, 0.0], [1.0, 1.0]), 9)].into(),
     }
-    .encode();
+    .encode_into(&mut one_short);
     one_short[1..5].copy_from_slice(&2u32.to_le_bytes());
     assert_corrupt_within_budget("delete note one item short", &one_short);
 

@@ -38,10 +38,16 @@
 //! # Group commit
 //!
 //! Writers append their note to a shared in-memory batch under the log
-//! mutex and then call [`Wal::commit`]. The first committer to find no
-//! fsync in flight becomes the *leader*: it takes the whole batch,
+//! mutex and then call [`Wal::commit`]. [`Wal::append_note`] takes an
+//! encoder that writes the payload straight into that batch, behind a
+//! header whose length is filled in afterwards, so a note costs no
+//! buffer of its own. The first committer to find no fsync in flight
+//! becomes the *leader*: it swaps the batch with a cleared spare buffer,
 //! appends it to the current segment, fsyncs, advances `durable_lsn`,
-//! and wakes every waiter through a condvar. Followers whose LSN the
+//! and wakes every waiter through a condvar. The written batch becomes
+//! the next spare, so the two buffers alternate and a steady stream of
+//! notes allocates nothing; a buffer grown past `SEGMENT_BYTES` by one
+//! large batch is dropped instead of kept. Followers whose LSN the
 //! leader covered return without touching the disk — one fsync absorbs
 //! every commit that queued behind it. With group commit switched off
 //! ([`Wal::set_group_commit`]) every committer syncs for itself (the
@@ -365,12 +371,17 @@ impl LogStore for FileLogStore {
 // Record codec
 // ---------------------------------------------------------------------------
 
-fn put_record(buf: &mut Vec<u8>, kind: u32, lsn: u64, payload: &[u8]) {
+/// Append one record to `buf`: the header with a placeholder length,
+/// the payload `encode` appends, then the length patched in and the
+/// checksum over header and payload.
+fn put_record(buf: &mut Vec<u8>, kind: u32, lsn: u64, encode: impl FnOnce(&mut Vec<u8>)) {
     let start = buf.len();
-    buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    buf.extend_from_slice(&[0; 4]);
     buf.extend_from_slice(&kind.to_le_bytes());
     buf.extend_from_slice(&lsn.to_le_bytes());
-    buf.extend_from_slice(payload);
+    encode(buf);
+    let len = (buf.len() - start - REC_HEADER) as u32;
+    buf[start..start + 4].copy_from_slice(&len.to_le_bytes());
     let crc = fnv1a_update(FNV_SEED, &buf[start..]);
     buf.extend_from_slice(&crc.to_le_bytes());
 }
@@ -389,6 +400,11 @@ pub struct ScanResult {
     /// is garbage by the LSN-ordering contract.
     /// [`truncate_torn_tail`] applies exactly this cut.
     pub torn_seg: Option<(u64, u64)>,
+    /// Every segment the scan read, up to the torn one, with the highest
+    /// LSN seen by its end: a bound on the LSNs it holds. [`Wal::create`]
+    /// seeds recycling with it, so segments written before this open
+    /// are deleted once their notes are applied.
+    pub seg_max_lsn: BTreeMap<u64, u64>,
 }
 
 /// Physically drop a torn tail found by [`scan`]: truncate the torn
@@ -440,7 +456,8 @@ pub fn scan(store: &dyn LogStore) -> Result<ScanResult> {
     let mut torn = None;
     let mut torn_seg = None;
     let mut max_lsn = 0u64;
-    'outer: for seg in store.list()? {
+    let mut seg_max_lsn = BTreeMap::new();
+    for seg in store.list()? {
         let data = store.read(seg)?;
         let mut off = 0usize;
         while off < data.len() {
@@ -472,7 +489,11 @@ pub fn scan(store: &dyn LogStore) -> Result<ScanResult> {
             };
             torn = Some(format!("segment {seg}: {why} at offset {off}"));
             torn_seg = Some((seg, off as u64));
-            break 'outer;
+            break;
+        }
+        seg_max_lsn.insert(seg, max_lsn);
+        if torn.is_some() {
+            break;
         }
     }
     Ok(ScanResult {
@@ -480,6 +501,7 @@ pub fn scan(store: &dyn LogStore) -> Result<ScanResult> {
         torn,
         max_lsn,
         torn_seg,
+        seg_max_lsn,
     })
 }
 
@@ -499,6 +521,9 @@ struct WalInner {
     next_lsn: u64,
     /// Staged records not yet handed to the store.
     buf: Vec<u8>,
+    /// An empty buffer the next leader swaps in for `buf`: the batch it
+    /// last wrote, cleared, unless that outgrew `SEGMENT_BYTES`.
+    spare: Vec<u8>,
     /// Highest LSN staged into `buf` so far.
     staged_lsn: u64,
     /// Highest LSN whose records reached the store (possibly unsynced).
@@ -529,14 +554,21 @@ impl Wal {
     /// Start a log whose first note gets `start_lsn` (use the
     /// superblock's `wal_applied_lsn + 1`; LSN 0 means "none"), with
     /// group commit on. New segments are numbered past any segment
-    /// already in the store.
-    pub fn create(store: Arc<dyn LogStore>, start_lsn: u64) -> Result<Arc<Self>> {
+    /// already in the store; the segments `scanned` found there are
+    /// recycled like this log's own (pass the [`scan`] of `store`, after
+    /// [`truncate_torn_tail`]).
+    pub fn create(
+        store: Arc<dyn LogStore>,
+        scanned: &ScanResult,
+        start_lsn: u64,
+    ) -> Result<Arc<Self>> {
         let cur_seg = store.list()?.last().map(|s| s + 1).unwrap_or(0);
         Ok(Arc::new(Self {
             store,
             inner: Mutex::new(WalInner {
                 next_lsn: start_lsn.max(1),
                 buf: Vec::new(),
+                spare: Vec::new(),
                 staged_lsn: 0,
                 appended_lsn: 0,
                 durable_lsn: start_lsn.max(1) - 1,
@@ -544,7 +576,7 @@ impl Wal {
                 cur_seg,
                 cur_seg_len: 0,
                 rotate: false,
-                seg_max_lsn: BTreeMap::new(),
+                seg_max_lsn: scanned.seg_max_lsn.clone(),
             }),
             cv: Condvar::new(),
             group_commit: AtomicBool::new(true),
@@ -562,14 +594,29 @@ impl Wal {
     /// log's durability and ordering, as one self-committing record
     /// under a fresh LSN, which is returned. Durable once
     /// [`Wal::commit`] returns for that LSN.
-    pub fn append_note(&self, payload: &[u8]) -> Result<u64> {
+    ///
+    /// `encode` appends the payload to the staging buffer it is given,
+    /// under the log mutex; it must only append, and must not panic. A
+    /// payload longer than the scan accepts (4 MiB) is taken back out
+    /// and refused with an `InvalidInput` I/O error, using no LSN:
+    /// logged, it would read back as a torn tail and take every later
+    /// note with it.
+    pub fn append_note(&self, encode: impl FnOnce(&mut Vec<u8>)) -> Result<u64> {
         let _tspan = obs::trace::span("wal.append");
         let mut g = self.inner.lock();
         let lsn = g.next_lsn;
-        g.next_lsn += 1;
         let before = g.buf.len();
-        put_record(&mut g.buf, REC_NOTE, lsn, payload);
+        put_record(&mut g.buf, REC_NOTE, lsn, encode);
         let added = (g.buf.len() - before) as u64;
+        let payload = added - (REC_HEADER + REC_TRAILER) as u64;
+        if payload > u64::from(MAX_PAYLOAD) {
+            g.buf.truncate(before);
+            return Err(StorageError::Io(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                format!("a {payload}-byte note exceeds the {MAX_PAYLOAD}-byte WAL record limit"),
+            )));
+        }
+        g.next_lsn += 1;
         g.staged_lsn = lsn;
         WAL_TXNS.inc();
         WAL_BYTES.add(added);
@@ -607,7 +654,8 @@ impl Wal {
             }
             // Become the leader for the current batch.
             g.syncing = true;
-            let batch = std::mem::take(&mut g.buf);
+            let spare = std::mem::take(&mut g.spare);
+            let mut batch = std::mem::replace(&mut g.buf, spare);
             let batch_max = g.staged_lsn;
             if g.cur_seg_len > 0 && (g.rotate || g.cur_seg_len + batch.len() as u64 > SEGMENT_BYTES)
             {
@@ -623,6 +671,11 @@ impl Wal {
                 self.store.append(seg, &batch)
             };
             g = self.inner.lock();
+            let written = batch.len() as u64;
+            if batch.capacity() as u64 <= SEGMENT_BYTES {
+                batch.clear();
+                g.spare = batch;
+            }
             if let Err(e) = append_res {
                 // Put nothing back: the batch may be half-written. The
                 // store-side tail is unsynced and recovery discards it.
@@ -630,15 +683,15 @@ impl Wal {
                 self.cv.notify_all();
                 return Err(e);
             }
-            if !batch.is_empty() {
-                g.cur_seg_len += batch.len() as u64;
+            if written > 0 {
+                g.cur_seg_len += written;
                 let entry = g.seg_max_lsn.entry(seg).or_insert(0);
                 *entry = (*entry).max(batch_max);
                 g.appended_lsn = g.appended_lsn.max(batch_max);
             }
             let sync_target = g.appended_lsn;
             drop(g);
-            let fsync_start = std::time::Instant::now();
+            let fsync_start = obs::enabled().then(std::time::Instant::now);
             let fsync_span = obs::trace::span("wal.fsync");
             let sync_res = self.store.sync();
             drop(fsync_span);
@@ -646,7 +699,9 @@ impl Wal {
             g.syncing = false;
             match sync_res {
                 Ok(()) => {
-                    WAL_FSYNC_NS.record(fsync_start.elapsed().as_nanos() as u64);
+                    if let Some(t) = fsync_start {
+                        WAL_FSYNC_NS.record(t.elapsed().as_nanos() as u64);
+                    }
                     WAL_FSYNCS.inc();
                     self.fsyncs.fetch_add(1, Ordering::Relaxed);
                     g.durable_lsn = g.durable_lsn.max(sync_target);
@@ -701,10 +756,22 @@ impl Wal {
 mod tests {
     use super::*;
 
+    /// A log over `store`, recycling what a scan of it finds.
+    fn open(store: &Arc<MemLogStore>) -> Arc<Wal> {
+        let scanned = scan(store.as_ref()).unwrap();
+        Wal::create(store.clone(), &scanned, scanned.max_lsn + 1).unwrap()
+    }
+
+    /// Stage `payload` as one note.
+    fn append(wal: &Wal, payload: &[u8]) -> u64 {
+        wal.append_note(|buf| buf.extend_from_slice(payload))
+            .unwrap()
+    }
+
     /// Append and commit one note; returns its LSN and the global log
     /// offset just past its record.
     fn note(wal: &Wal, store: &MemLogStore, payload: &[u8]) -> (u64, u64) {
-        let lsn = wal.append_note(payload).unwrap();
+        let lsn = append(wal, payload);
         wal.commit(lsn).unwrap();
         (lsn, store.total_len())
     }
@@ -712,12 +779,12 @@ mod tests {
     #[test]
     fn append_commit_scan_roundtrip() {
         let store = MemLogStore::new();
-        let wal = Wal::create(store.clone(), 1).unwrap();
+        let wal = open(&store);
         note(&wal, &store, b"insert 42");
         // Two notes staged before one commit: one fsync makes both
         // durable, each still its own record.
-        let n2 = wal.append_note(b"delete 42").unwrap();
-        let n3 = wal.append_note(b"flip seg-1").unwrap();
+        let n2 = append(&wal, b"delete 42");
+        let n3 = append(&wal, b"flip seg-1");
         assert_eq!(wal.last_lsn(), n3);
         wal.commit(n3).unwrap();
         assert_eq!(wal.stat().fsyncs, 2);
@@ -741,7 +808,7 @@ mod tests {
     #[test]
     fn torn_tail_and_bit_flip_stop_the_scan() {
         let store = MemLogStore::new();
-        let wal = Wal::create(store.clone(), 1).unwrap();
+        let wal = open(&store);
         let ends: Vec<u64> = (0..4u8).map(|i| note(&wal, &store, &[i; 64]).1).collect();
         // Truncate mid-way through the third note.
         store.truncate_global(ends[2] - 5);
@@ -757,7 +824,7 @@ mod tests {
 
         // Fresh log; flip a byte inside the second note.
         let store = MemLogStore::new();
-        let wal = Wal::create(store.clone(), 1).unwrap();
+        let wal = open(&store);
         let ends: Vec<u64> = (0..3u8).map(|i| note(&wal, &store, &[i; 64]).1).collect();
         store.flip_byte_global(ends[0] + 20);
         let res = scan(store.as_ref()).unwrap();
@@ -775,11 +842,11 @@ mod tests {
     fn retired_record_kinds_fail_the_scan() {
         for kind in [1u32, 2, 3] {
             let store = MemLogStore::new();
-            let wal = Wal::create(store.clone(), 1).unwrap();
+            let wal = open(&store);
             note(&wal, &store, b"kept");
             let mut rec = Vec::new();
-            put_record(&mut rec, kind, 2, &0u64.to_le_bytes());
-            put_record(&mut rec, REC_NOTE, 3, b"after");
+            put_record(&mut rec, kind, 2, |b| b.extend_from_slice(&[0; 8]));
+            put_record(&mut rec, REC_NOTE, 3, |b| b.extend_from_slice(b"after"));
             store.append(0, &rec).unwrap();
             match scan(store.as_ref()) {
                 Err(StorageError::Corrupt { reason, .. }) => {
@@ -794,10 +861,112 @@ mod tests {
         }
     }
 
+    /// The record of one 2-D insert note, byte for byte: the encoder
+    /// writes into the staging buffer and the length is patched in after
+    /// it, but the bytes are those the log has always written.
+    #[test]
+    fn insert_note_record_bytes_are_pinned() {
+        // Tag 1, one item: min (1, 2), max (3, 4), id 7 (an LSM insert note).
+        let mut payload = vec![1u8];
+        payload.extend_from_slice(&1u32.to_le_bytes());
+        for c in [1.0f64, 2.0, 3.0, 4.0] {
+            payload.extend_from_slice(&c.to_le_bytes());
+        }
+        payload.extend_from_slice(&7u64.to_le_bytes());
+        assert_eq!(payload.len(), 45);
+
+        let store = MemLogStore::new();
+        let wal = open(&store);
+        note(&wal, &store, &payload);
+        let mut want = Vec::new();
+        want.extend_from_slice(&45u32.to_le_bytes());
+        want.extend_from_slice(&REC_NOTE.to_le_bytes());
+        want.extend_from_slice(&1u64.to_le_bytes());
+        want.extend_from_slice(&payload);
+        want.extend_from_slice(&0xb1a3_b09a_d546_1b57u64.to_le_bytes());
+        assert_eq!(store.read(0).unwrap(), want);
+        assert_eq!(
+            fnv1a_update(FNV_SEED, &want[..61]),
+            0xb1a3_b09a_d546_1b57,
+            "the checksum is FNV-1a over header and payload"
+        );
+    }
+
+    /// Staging buffers are reused between batches, and a batch larger
+    /// than a segment does not leave its buffer behind.
+    #[test]
+    fn staging_capacity_is_reused_and_capped() {
+        let store = MemLogStore::new();
+        let wal = open(&store);
+        let capacities = |wal: &Wal| {
+            let g = wal.inner.lock();
+            (g.buf.capacity(), g.spare.capacity())
+        };
+        note(&wal, &store, &[1; 64]);
+        note(&wal, &store, &[2; 64]);
+        let (buf, spare) = capacities(&wal);
+        assert!(
+            buf >= 88 && spare >= 88,
+            "both buffers kept: {buf}, {spare}"
+        );
+
+        note(&wal, &store, &vec![3; 2 << 20]);
+        let (buf, spare) = capacities(&wal);
+        assert!(
+            buf as u64 <= SEGMENT_BYTES && spare as u64 <= SEGMENT_BYTES,
+            "a 2 MiB batch left {buf} + {spare} bytes of staging capacity"
+        );
+        note(&wal, &store, &[4; 64]);
+        let res = scan(store.as_ref()).unwrap();
+        assert!(res.torn.is_none());
+        assert_eq!(res.notes.len(), 4);
+        assert_eq!(res.notes[2].1.len(), 2 << 20);
+    }
+
+    /// A note longer than the scan accepts is refused before it is
+    /// staged: acknowledged, it would read back as a torn tail and take
+    /// every later note with it.
+    #[test]
+    fn oversized_note_is_refused_before_the_log() {
+        let store = MemLogStore::new();
+        let wal = open(&store);
+        note(&wal, &store, b"before");
+        let big = vec![5u8; MAX_PAYLOAD as usize + 1];
+        match wal.append_note(|buf| buf.extend_from_slice(&big)) {
+            Err(StorageError::Io(e)) => assert_eq!(e.kind(), std::io::ErrorKind::InvalidInput),
+            other => panic!("an oversized note was staged: {other:?}"),
+        }
+        let (lsn, _) = note(&wal, &store, &vec![6u8; MAX_PAYLOAD as usize]);
+        assert_eq!(lsn, 2, "the refused note used no LSN");
+        let res = scan(store.as_ref()).unwrap();
+        assert!(res.torn.is_none(), "{:?}", res.torn);
+        assert_eq!(res.notes.len(), 2);
+        assert_eq!(res.notes[1].1.len(), MAX_PAYLOAD as usize);
+    }
+
+    /// Segments written before the log was (re)created are recycled
+    /// once their LSNs are applied, like the log's own.
+    #[test]
+    fn segments_of_an_earlier_open_are_recycled() {
+        let store = MemLogStore::new();
+        let wal = open(&store);
+        note(&wal, &store, &[0; 16]);
+        let first = note(&wal, &store, &[1; 16]).0;
+        drop(wal);
+        let wal = open(&store);
+        let later = note(&wal, &store, &[2; 16]).0;
+        assert_eq!(store.list().unwrap(), [0, 1]);
+        assert_eq!(wal.recycle(first - 1).unwrap(), 0, "LSN {first} unapplied");
+        wal.start_segment();
+        note(&wal, &store, &[3; 16]);
+        assert_eq!(wal.recycle(later).unwrap(), 2);
+        assert_eq!(store.list().unwrap(), [2]);
+    }
+
     #[test]
     fn segments_rotate_and_recycle() {
         let store = MemLogStore::new();
-        let wal = Wal::create(store.clone(), 1).unwrap();
+        let wal = open(&store);
         // Eight notes of a quarter segment each: the size cap rotates
         // the log at least once.
         let payload = vec![7u8; (SEGMENT_BYTES / 4) as usize];
@@ -817,7 +986,7 @@ mod tests {
     #[test]
     fn start_segment_cuts_the_log_for_recycling() {
         let store = MemLogStore::new();
-        let wal = Wal::create(store.clone(), 1).unwrap();
+        let wal = open(&store);
         note(&wal, &store, &[0; 64]);
         let cut = note(&wal, &store, &[1; 64]).0;
         wal.start_segment();
@@ -842,7 +1011,7 @@ mod tests {
     fn group_commit_amortizes_fsyncs() {
         let store = MemLogStore::new();
         store.set_sync_delay(Duration::from_millis(2));
-        let wal = Wal::create(store.clone(), 1).unwrap();
+        let wal = open(&store);
         let threads = 8;
         let per = 4;
         std::thread::scope(|s| {
@@ -870,7 +1039,7 @@ mod tests {
     #[test]
     fn torn_tail_truncation_makes_the_log_clean_again() {
         let store = MemLogStore::new();
-        let wal = Wal::create(store.clone(), 1).unwrap();
+        let wal = open(&store);
         let ends: Vec<u64> = (0..4u8).map(|i| note(&wal, &store, &[i; 16]).1).collect();
         store.truncate_global(ends[2] - 3);
         let first = scan(store.as_ref()).unwrap();

@@ -168,11 +168,13 @@ fn zeroed_and_random_pages_are_rejected() {
 }
 
 fn encode_note(note: &Note<2>) -> Vec<u8> {
+    let mut out = Vec::new();
     match note {
-        Note::Insert(n) => n.encode(),
-        Note::Delete(n) => n.encode(),
-        Note::Flip(f) => f.encode(),
+        Note::Insert(n) => n.encode_into(&mut out),
+        Note::Delete(n) => n.encode_into(&mut out),
+        Note::Flip(f) => f.encode_into(&mut out),
     }
+    out
 }
 
 /// Every truncation and every length-inflated count of a delete note is
@@ -185,9 +187,10 @@ fn delete_note_corruption_is_typed_or_exact() {
         items: vec![
             (Rect::new([0.25, 0.5], [0.75, 1.0]), 42),
             (Rect::new([-3.0, 2.0], [-1.5, 2.0]), u64::MAX),
-        ],
+        ]
+        .into(),
     };
-    let bytes = note.encode();
+    let bytes = encode_note(&Note::Delete(note));
     let corrupt = |b: &[u8], what: &str| match Note::<2>::decode(b) {
         Err(LsmError::Corrupt(_)) => {}
         other => panic!("{what}: expected Corrupt, got {other:?}"),
