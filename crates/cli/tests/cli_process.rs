@@ -229,6 +229,41 @@ fn lsm_build_delete_reopen_query_round_trip() {
     assert!(query(&dir).contains("# 2000 hits"));
 }
 
+/// `query --lsm --metrics json` reports the memtable scan histogram:
+/// block MBRs plus rows tested, one sample per memtable a read scans.
+#[test]
+fn lsm_query_reports_memtable_rows_tested() {
+    let data = tmp("lsm-rows.csv");
+    let dir = tmp("lsm-rows.lsm");
+    let _ = std::fs::remove_dir_all(&dir);
+    run_ok(
+        bin()
+            .args(["gen", "--dataset", "uniform", "--n", "500", "--output"])
+            .arg(&data),
+    );
+    run_ok(
+        bin()
+            .args(["build", "--input"])
+            .arg(&data)
+            .arg("--lsm")
+            .arg(&dir),
+    );
+    let out = run_ok(
+        bin()
+            .args(["query", "--region", "0,0,1,1", "--metrics", "json", "--lsm"])
+            .arg(&dir),
+    );
+    assert!(out.contains("# 500 hits"), "{out}");
+    let key = "\"lsm.memtable.rows_tested\": {\"count\": ";
+    let at = out.find(key).unwrap_or_else(|| panic!("no {key} in {out}"));
+    let count: u64 = out[at + key.len()..]
+        .split(',')
+        .next()
+        .and_then(|n| n.parse().ok())
+        .unwrap();
+    assert!(count >= 1, "{out}");
+}
+
 /// `trees` on an LSM directory's index file lists each segment as a
 /// row of its own, read from the segment's image: its catalog entry
 /// owns no meta page to read.

@@ -1,6 +1,7 @@
 //! The durable write path allocates nothing per operation once warm: an
 //! insert or delete note is encoded straight into the WAL's reused
-//! staging buffer, and the memtable's columns only grow by doubling.
+//! staging buffer, the memtable's columns only grow by doubling, and a
+//! chunk sort permutes them through scratch buffers the memtable keeps.
 //!
 //! A counting `#[global_allocator]` (as in `rtree`'s `zero_alloc` test)
 //! counts the heap allocations each thread makes. This lives in its own
@@ -135,4 +136,24 @@ fn deleting_a_held_copy_allocates_nothing() {
     let allocs = allocs_during(|| deleted = tree.delete(&target, 40).unwrap());
     assert!(deleted);
     assert_eq!(allocs, 0, "a delete of a memtable copy allocated");
+}
+
+#[test]
+fn chunk_completing_inserts_allocate_nothing_once_warm() {
+    // 2,048 rows span at least two memtable chunks; inserting and then
+    // deleting them warms every column, block column and sort buffer.
+    const ROWS: u64 = 2_048;
+    let tree = open(Arc::new(SinkLog));
+    for i in 0..ROWS {
+        tree.insert(rect_for(i), i).unwrap();
+    }
+    for i in 0..ROWS {
+        assert!(tree.delete(&rect_for(i), i).unwrap());
+    }
+    assert_eq!(tree.stats().memtable_items, 0);
+    for i in 0..ROWS {
+        let allocs = allocs_during(|| tree.insert(rect_for(i), i).unwrap());
+        assert_eq!(allocs, 0, "insert {i} of a warm memtable allocated");
+    }
+    assert_eq!(tree.stats().compactions, 0, "nothing sealed");
 }
