@@ -180,49 +180,49 @@ pub fn query_region_flat(path: &Path, region: geom::Rect2) -> CliResult<String> 
     Ok(out)
 }
 
-type LsmParts = (
-    Arc<dyn storage::Disk>,
-    Arc<dyn storage::LogStore>,
-    Arc<dyn lsm::SegmentStore>,
-);
-
-/// The three files/directories of an on-disk LSM tree under `dir`:
-/// superblock+meta disk, WAL directory, segment directory. Only
-/// `create` makes `dir` and its superblock file; otherwise a directory
-/// without one is an error, so a mistyped path never becomes an empty
-/// tree.
-fn open_lsm_parts(dir: &Path, create: bool) -> CliResult<LsmParts> {
-    let index = dir.join("index.v2");
+/// With `create`, make `dir`; otherwise fail unless it holds an LSM
+/// tree, which is keyed on its `wal/` directory, so a mistyped path
+/// never becomes an empty tree.
+fn require_lsm_dir(dir: &Path, create: bool) -> CliResult<()> {
     if create {
-        std::fs::create_dir_all(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
-    } else if !index.exists() {
-        return Err(format!(
+        std::fs::create_dir_all(dir).map_err(|e| format!("{}: {e}", dir.display()))
+    } else if dir.join("wal").is_dir() {
+        Ok(())
+    } else {
+        Err(format!(
             "{}: no LSM tree here (build --lsm creates one)",
             dir.display()
-        ));
+        ))
     }
-    let disk: Arc<dyn storage::Disk> = Arc::new(
-        if index.exists() {
-            FileDisk::open(&index, DEFAULT_PAGE_SIZE)
-        } else {
-            FileDisk::create(&index, DEFAULT_PAGE_SIZE)
-        }
-        .map_err(|e| format!("{}: {e}", index.display()))?,
-    );
-    let log: Arc<dyn storage::LogStore> = storage::FileLogStore::open(dir.join("wal"))
+}
+
+fn open_segments(dir: &Path) -> CliResult<Arc<dyn lsm::SegmentStore>> {
+    let segs = lsm::FileSegmentStore::open(dir.join("segments"))
         .map_err(|e| format!("{}: {e}", dir.display()))?;
-    let segs: Arc<dyn lsm::SegmentStore> = Arc::new(
-        lsm::FileSegmentStore::open(dir.join("segments"))
-            .map_err(|e| format!("{}: {e}", dir.display()))?,
-    );
-    Ok((disk, log, segs))
+    Ok(Arc::new(segs))
 }
 
 /// Open the LSM tree stored under `dir`, running recovery; with
-/// `create`, make an empty one there if there is none.
+/// `create`, make an empty one there if there is none. Its `wal/` and
+/// `segments/` directories are its whole durable state, so it gets an
+/// empty in-memory main disk, unless `dir` still holds the `index.v2`
+/// superblock file of an older build: that one is handed over for
+/// [`lsm::LsmTree::open`] to refuse.
 pub fn open_lsm(dir: &Path, opts: lsm::LsmOptions, create: bool) -> CliResult<lsm::LsmTree<2>> {
-    let (disk, log, segs) = open_lsm_parts(dir, create)?;
-    lsm::LsmTree::open(disk, log, segs, opts).map_err(|e| format!("{}: {e}", dir.display()))
+    require_lsm_dir(dir, create)?;
+    let older = dir.join("index.v2");
+    let disk: Arc<dyn storage::Disk> = if older.exists() {
+        Arc::new(
+            FileDisk::open(&older, DEFAULT_PAGE_SIZE)
+                .map_err(|e| format!("{}: {e}", older.display()))?,
+        )
+    } else {
+        Arc::new(storage::MemDisk::default_size())
+    };
+    let log: Arc<dyn storage::LogStore> = storage::FileLogStore::open(dir.join("wal"))
+        .map_err(|e| format!("{}: {e}", dir.display()))?;
+    lsm::LsmTree::open(disk, log, open_segments(dir)?, opts)
+        .map_err(|e| format!("{}: {e}", dir.display()))
 }
 
 /// `query --lsm` / `point --lsm`: answer from an LSM directory.
@@ -300,10 +300,6 @@ pub fn trees(index: &Path) -> CliResult<String> {
         "tree", "kind", "dims", "capacity", "entries", "height"
     );
     for entry in alloc.trees() {
-        if flat::parse_segment_file_name(&entry.name).is_some() {
-            out.push_str(&segment_row(index, &entry.name));
-            continue;
-        }
         let meta = rtree::read_tree_meta(disk.as_ref(), &alloc, &entry.name)
             .map_err(|e| format!("{}: tree '{}': {e}", index.display(), entry.name))?;
         out.push_str(&format!(
@@ -324,25 +320,49 @@ pub fn trees(index: &Path) -> CliResult<String> {
     Ok(out)
 }
 
-/// A `trees` row for an LSM segment: its catalog entry owns no page, so
-/// the figures come from the header of its `FLT1` image in the
-/// `segments` directory beside the index file (`-` if it cannot be read).
-fn segment_row(index: &Path, name: &str) -> String {
-    let path = index.with_file_name("segments").join(name);
-    let header = std::fs::read(path)
-        .ok()
-        .and_then(|bytes| flat::Header::parse(&bytes).ok());
-    let field =
-        |f: fn(&flat::Header) -> u64| header.as_ref().map_or("-".into(), |h| f(h).to_string());
-    format!(
-        "{:<24} {:<8} {:>4} {:>8} {:>10} {:>7}\n",
-        name,
-        "segment",
-        field(|h| h.dims.into()),
-        field(|h| h.node_capacity.into()),
-        field(|h| h.num_items),
-        field(|h| u64::from(h.num_levels) - 1),
-    )
+/// `trees --lsm`: list the segments of an LSM directory, oldest first,
+/// with the figures of each `FLT1` image and the seal LSN and fold id
+/// of its lineage trailer (`-` where a segment does not decode).
+pub fn lsm_segments(dir: &Path) -> CliResult<String> {
+    require_lsm_dir(dir, false)?;
+    let segs = open_segments(dir)?;
+    let ids = segs.list().map_err(|e| format!("{}: {e}", dir.display()))?;
+    let mut out = format!(
+        "{:<20} {:>4} {:>8} {:>10} {:>7} {:>10} {:>10}\n",
+        "segment", "dims", "capacity", "entries", "height", "seal_lsn", "fold_id"
+    );
+    for &id in &ids {
+        let bytes = segs.read(id).ok().flatten().unwrap_or_default();
+        let decoded = lsm::Lineage::decode(&bytes)
+            .ok()
+            .and_then(|(lineage, image_len)| {
+                let h = flat::Header::parse(&bytes[..image_len]).ok()?;
+                Some([
+                    h.dims.into(),
+                    h.node_capacity.into(),
+                    h.num_items,
+                    u64::from(h.num_levels) - 1,
+                    lineage.seal_lsn,
+                    lineage.fold_id,
+                ])
+            });
+        let f: [String; 6] = match decoded {
+            Some(v) => v.map(|x| x.to_string()),
+            None => std::array::from_fn(|_| "-".into()),
+        };
+        out.push_str(&format!(
+            "{:<20} {:>4} {:>8} {:>10} {:>7} {:>10} {:>10}\n",
+            flat::segment_file_name(id),
+            f[0],
+            f[1],
+            f[2],
+            f[3],
+            f[4],
+            f[5]
+        ));
+    }
+    out.push_str(&format!("{} segment(s)\n", ids.len()));
+    Ok(out)
 }
 
 /// `gen`: generate a named data set as CSV.

@@ -21,6 +21,7 @@
 //! rtree-cli delete   --index index.rtree --input victims.csv
 //! rtree-cli delete   --lsm DIR --input victims.csv
 //! rtree-cli trees    --index index.rtree
+//! rtree-cli trees    --lsm DIR
 //! ```
 //!
 //! Index files use the v2 on-disk format, which holds several named
@@ -33,14 +34,17 @@
 //! mmap. `query --flat auto` (or `--flat path.flat`) answers from that
 //! file instead of the paged index.
 //!
-//! `--lsm DIR` points `build`/`query`/`point`/`delete` at an LSM tree
-//! directory (superblock file, WAL, flat segments — see DESIGN.md §15):
+//! `--lsm DIR` points `build`/`query`/`point`/`delete`/`trees` at an LSM
+//! tree directory (`wal/` and `segments/`, its whole durable state — see
+//! DESIGN.md §15):
 //! `build --lsm` ingests through the durable insert path instead of
 //! bulk packing, `delete --lsm` removes through the durable delete
 //! path, and queries answer over the memtable plus every flat level
-//! through the same `SpatialIndex` interface as the other tiers. Only
-//! `build --lsm` creates the directory; the others fail on a path that
-//! holds no LSM tree.
+//! through the same `SpatialIndex` interface as the other tiers, and
+//! `trees --lsm` lists the segments with each one's seal LSN and fold
+//! id. Only `build --lsm` creates the directory; the others fail on a
+//! path that holds no LSM tree, and a directory an older build left
+//! with an `index.v2` superblock file is refused.
 //!
 //! Every command additionally accepts `--metrics text|json`, which
 //! turns the observability layer on for the run and appends a snapshot
@@ -245,7 +249,10 @@ fn run() -> CliResult<String> {
         "validate" => commands::validate(&PathBuf::from(flags.req("index")?), &tree),
         "check" => commands::check(&PathBuf::from(flags.req("index")?), &tree),
         "dump-leaves" => commands::dump_leaves(&PathBuf::from(flags.req("index")?), &tree),
-        "trees" => commands::trees(&PathBuf::from(flags.req("index")?)),
+        "trees" => match flags.get("lsm") {
+            Some(dir) => commands::lsm_segments(&PathBuf::from(dir)),
+            None => commands::trees(&PathBuf::from(flags.req("index")?)),
+        },
         "insert" => commands::insert(
             &PathBuf::from(flags.req("index")?),
             &PathBuf::from(flags.req("input")?),

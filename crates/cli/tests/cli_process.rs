@@ -264,9 +264,9 @@ fn lsm_query_reports_memtable_rows_tested() {
     assert!(count >= 1, "{out}");
 }
 
-/// `trees` on an LSM directory's index file lists each segment as a
-/// row of its own, read from the segment's image: its catalog entry
-/// owns no meta page to read.
+/// `trees --lsm` lists each segment of an LSM directory with its
+/// image's figures and its lineage: an LSM directory is `wal/` and
+/// `segments/`, with no superblock file.
 #[test]
 fn trees_lists_the_segments_of_an_lsm_directory() {
     let data = tmp("lsm-trees.csv");
@@ -284,21 +284,89 @@ fn trees_lists_the_segments_of_an_lsm_directory() {
             .args(["--capacity", "16", "--lsm"])
             .arg(&dir),
     );
-    let out = run_ok(bin().args(["trees", "--index"]).arg(dir.join("index.v2")));
+    let mut entries: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    entries.sort();
+    assert_eq!(entries, ["segments", "wal"]);
+    let out = run_ok(bin().args(["trees", "--lsm"]).arg(&dir));
     let rows: Vec<Vec<&str>> = out
         .lines()
         .filter(|l| l.starts_with("seg-"))
         .map(|l| l.split_whitespace().collect())
         .collect();
     assert!(!rows.is_empty(), "{out}");
+    let mut last_seal = 0;
     for row in &rows {
-        assert_eq!(&row[1..4], ["segment", "2", "16"], "{out}");
+        assert_eq!(&row[1..3], ["2", "16"], "{out}");
+        let seal: u64 = row[5].parse().unwrap();
+        assert!(seal > last_seal, "seal LSNs rise with ids: {out}");
+        last_seal = seal;
+        row[6].parse::<u64>().unwrap();
     }
-    let items: u64 = rows.iter().map(|r| r[4].parse::<u64>().unwrap()).sum();
+    let items: u64 = rows.iter().map(|r| r[3].parse::<u64>().unwrap()).sum();
     assert_eq!(items, 3000, "{out}");
-    assert!(out.contains(&format!("{} tree(s)", rows.len())), "{out}");
+    assert!(out.contains(&format!("{} segment(s)", rows.len())), "{out}");
     std::fs::remove_dir_all(&dir).ok();
     std::fs::remove_file(&data).ok();
+}
+
+/// Every file under `dir` with its bytes, by relative path.
+fn snapshot(dir: &std::path::Path) -> Vec<(PathBuf, Vec<u8>)> {
+    let mut out = Vec::new();
+    let mut stack = vec![dir.to_path_buf()];
+    while let Some(d) = stack.pop() {
+        for e in std::fs::read_dir(&d).unwrap() {
+            let path = e.unwrap().path();
+            if path.is_dir() {
+                stack.push(path.clone());
+            }
+            let bytes = if path.is_dir() {
+                Vec::new()
+            } else {
+                std::fs::read(&path).unwrap()
+            };
+            out.push((path.strip_prefix(dir).unwrap().to_path_buf(), bytes));
+        }
+    }
+    out.sort();
+    out
+}
+
+/// An LSM directory an older build wrote keeps its segment catalog in
+/// an `index.v2` superblock file. Every command refuses it with the
+/// tree's typed older-build error, and leaves every file as it was.
+#[test]
+fn an_lsm_directory_with_an_older_superblock_is_refused_unchanged() {
+    let data = tmp("lsm-old.csv");
+    let dir = tmp("lsm-old.lsm");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::write(&data, "min_x,min_y,max_x,max_y,id\n0,0,1,1,7\n").unwrap();
+    run_ok(
+        bin()
+            .args(["build", "--input"])
+            .arg(&data)
+            .arg("--lsm")
+            .arg(&dir),
+    );
+    std::fs::write(dir.join("index.v2"), vec![0x5A; 4096]).unwrap();
+    let before = snapshot(&dir);
+    let data = data.to_str().unwrap();
+    let runs: [&[&str]; 4] = [
+        &["query", "--region", "0,0,1,1"],
+        &["point", "--at", "0.5,0.5"],
+        &["delete", "--input", data],
+        &["build", "--input", data],
+    ];
+    for args in runs {
+        let out = bin().args(args).arg("--lsm").arg(&dir).output().unwrap();
+        assert!(!out.status.success(), "{args:?} succeeded");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("older build"), "{args:?}: {err}");
+        assert_eq!(snapshot(&dir), before, "{args:?} changed the directory");
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Only `build --lsm` creates an LSM directory: a read or a delete

@@ -15,7 +15,8 @@
 //! * [`flatten_to_bytes`] lowers an existing packed paged tree, read
 //!   level by level in BFS order ([`RTree::level_order`]).
 //!
-//! Both give the same bytes for the same tree. One representational
+//! Both give the same bytes for the same tree, and [`empty_to_bytes`]
+//! gives the bytes both would give an empty one. One representational
 //! note: the paged tree stores *entry* rectangles in parents, and its
 //! validator enforces tightness (a parent entry's MBR equals the child
 //! node's MBR exactly), so pruning on per-node MBRs visits exactly the
@@ -167,6 +168,17 @@ pub fn pack_to_bytes<const D: usize>(
         frontier = next;
     }
     Ok(image.seal(n))
+}
+
+/// The image of an empty tree: no items and one root slot holding
+/// [`Rect::empty`], byte-identical to [`flatten_to_bytes`] of an empty
+/// paged tree of capacity `cap`. [`pack_to_bytes`] refuses an empty
+/// load, so a producer that may end up with no items (an LSM compaction
+/// whose tombstones deleted everything) takes this one.
+pub fn empty_to_bytes<const D: usize>(cap: NodeCapacity) -> Vec<u8> {
+    let mut image = Image::<D>::new(&[0, 1]);
+    image.put(0, &Rect::empty(), 0);
+    image.seal(cap.max())
 }
 
 /// Lower `tree` into a self-contained flat buffer (see [`crate::abi`]

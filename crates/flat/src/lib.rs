@@ -35,7 +35,7 @@ use rtree::{IndexStats, RTree, SpatialIndex};
 use storage::Mmap;
 
 pub use abi::{Header, Layout, HEADER_LEN, MAGIC, VERSION};
-pub use build::{flatten_to_bytes, pack_to_bytes};
+pub use build::{empty_to_bytes, flatten_to_bytes, pack_to_bytes};
 
 /// File-name stem for LSM flat segments: `seg-<id, 8 hex digits>.flat`.
 /// One naming scheme shared by the compaction writer, recovery's orphan
@@ -195,33 +195,15 @@ impl<const D: usize> FlatTree<'static, D> {
         Self::load(Backing::Mapped(Mmap::map_path(path)?))
     }
 
-    /// Lower `tree` and write the result to `path` (followed by a
-    /// re-open + checksum verification of the written bytes), returning
-    /// the byte length written.
+    /// Lower `tree` and write the result to `path`, returning the byte
+    /// length written. The image is validated before anything touches
+    /// disk, and the file is re-opened afterwards so the bytes future
+    /// serving trusts — the ones on disk — are the ones verified.
     pub fn write_file<P: AsRef<Path>>(tree: &RTree<D>, path: P) -> Result<u64> {
-        Self::persist(flatten_to_bytes(tree)?, path, false)
-    }
-
-    /// The one write path every producer funnels through: validate
-    /// `bytes` as a flat index (before anything touches disk), write
-    /// them to `path`, and re-open the file so the bytes future serving
-    /// trusts — the ones on disk — are the ones verified. With
-    /// `durable`, the file and its parent directory are fsynced before
-    /// the read-back, which is what the LSM compaction writer needs
-    /// before it may commit a catalog flip referencing the segment.
-    pub fn persist<P: AsRef<Path>>(bytes: Vec<u8>, path: P, durable: bool) -> Result<u64> {
-        let tree = Self::from_vec(bytes)?;
+        let tree = Self::from_vec(flatten_to_bytes(tree)?)?;
         let len = tree.as_bytes().len() as u64;
         let path = path.as_ref();
         std::fs::write(path, tree.as_bytes())?;
-        if durable {
-            std::fs::File::open(path)?.sync_all()?;
-            if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-                std::fs::File::open(dir)?.sync_all()?;
-            }
-        }
-        // Read-back validation: the file on disk, not our buffer, is
-        // what future serving trusts.
         Self::open(path)?;
         Ok(len)
     }

@@ -100,6 +100,9 @@ fn empty_tree_flattens_and_serves() {
     assert!(flat.root_mbr().is_empty());
     assert!(flat.query_region(&Rect::unit()).is_empty());
     assert!(flat.query_point(&geom::Point::new([0.0, 0.0])).is_empty());
+    // The direct writer of an empty image gives the same bytes.
+    let cap = NodeCapacity::new(8).unwrap();
+    assert_eq!(flat::empty_to_bytes::<2>(cap), flat.as_bytes());
 }
 
 #[test]

@@ -1,4 +1,5 @@
-//! Wire format of the LSM tier's WAL note payloads.
+//! Wire formats of the LSM tier: WAL note payloads and the lineage
+//! trailer that ends every segment.
 //!
 //! Everything here is little-endian and self-validating. Notes travel
 //! inside the WAL's checksummed records, so they carry only a tag byte.
@@ -6,13 +7,17 @@
 //! (`encode_into`): the write path hands it the WAL's staging buffer, so
 //! logging a note copies its items once, straight into the batch. Item
 //! notes borrow the items they log and own the ones they decode.
-//! Segments need no format of their own here: each is a `FLT1` image
-//! sealed end to end by its own checksum ([`flat::FlatTree::from_vec`]
-//! validates it), named in the superblock catalog by its id.
+//!
+//! A segment is its `FLT1` image, sealed end to end by its own checksum
+//! ([`flat::FlatTree::from_vec`] validates it), followed by a
+//! [`Lineage`] trailer: the segment's seal LSN and the lowest segment id
+//! it retires. The segment store's id names the segment; nothing else
+//! does.
 
 use std::borrow::Cow;
 
 use geom::Rect;
+use storage::wide_hash;
 
 use crate::{LsmError, Result};
 
@@ -20,12 +25,15 @@ use crate::{LsmError, Result};
 pub const NOTE_INSERT: u8 = 1;
 /// Note tag: a batch of acknowledged deletes (memtable redo).
 pub const NOTE_DELETE: u8 = 3;
-/// Note tag: a compaction's catalog flip (the commit point). Tag 2 was
-/// the flip note of older builds, which named segment meta pages; it is
-/// refused.
-pub const NOTE_FLIP: u8 = 4;
-/// The retired flip note tag.
-const NOTE_FLIP_V1: u8 = 2;
+/// Retired note tags: the flip notes of older builds, which named a
+/// compaction's output in the log (tag 2 also named segment meta
+/// pages). A segment's own lineage trailer records that now.
+const RETIRED_FLIP_TAGS: [u8; 2] = [2, 4];
+
+/// Bytes of the [`Lineage`] trailer after a segment's `FLT1` image.
+pub const TRAILER_LEN: usize = 32;
+/// First word of every lineage trailer.
+const TRAILER_MAGIC: [u8; 8] = *b"LINEAGE1";
 
 /// A batch of inserts, logged before the memtable mutation so recovery
 /// can replay exactly the acknowledged set.
@@ -43,23 +51,6 @@ pub struct DeleteNote<'a, const D: usize> {
     pub items: Cow<'a, [(Rect<D>, u64)]>,
 }
 
-/// A compaction's commit point: once this note's WAL record is durable,
-/// the flip MUST happen; before it, the flip MUST NOT.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FlipNote {
-    /// Id of the newly packed segment. Ids only grow, so this also
-    /// orders the new level after every level it does not replace.
-    pub new_id: u64,
-    /// WAL watermark: inserts with LSN <= this are covered by the flip.
-    pub seal_lsn: u64,
-    /// Whether the flip wrote segment `new_id`: false when the
-    /// compaction's tombstones deleted every item it folded, so the
-    /// flip only removes levels.
-    pub wrote_segment: bool,
-    /// Ids of the segments the flip replaces.
-    pub removed: Vec<u64>,
-}
-
 /// Any LSM note payload, as scanned back out of the WAL.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Note<const D: usize> {
@@ -67,8 +58,99 @@ pub enum Note<const D: usize> {
     Insert(InsertNote<'static, D>),
     /// Acknowledged deletes to replay into the memtable.
     Delete(DeleteNote<'static, D>),
-    /// A committed compaction to re-execute if the superblock missed it.
-    Flip(FlipNote),
+}
+
+/// Where a segment came from, recorded in the trailer after its image.
+///
+/// Trailer layout (32 bytes): `"LINEAGE1"`, `seal_lsn u64`, `fold_id
+/// u64`, then `wide_hash` seeded with the image's own checksum over the
+/// first 24 bytes. The seed ties the trailer to its image: moved onto
+/// another image, it fails its seal.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Lineage {
+    /// The drained memtable's seal LSN: every note at or below it is in
+    /// this segment or in a level older than it.
+    pub seal_lsn: u64,
+    /// The lowest segment id this one retires: every segment whose id
+    /// lies in `[fold_id, own id)` was folded into it, or retired by a
+    /// segment that was. Equal to its own id when it folded nothing.
+    pub fold_id: u64,
+}
+
+impl Lineage {
+    /// Append the trailer to `image`, a sealed `FLT1` image.
+    pub fn encode_onto(&self, image: &mut Vec<u8>) {
+        let seed = image_checksum(image);
+        let at = image.len();
+        image.reserve_exact(TRAILER_LEN);
+        image.extend_from_slice(&TRAILER_MAGIC);
+        image.extend_from_slice(&self.seal_lsn.to_le_bytes());
+        image.extend_from_slice(&self.fold_id.to_le_bytes());
+        let seal = wide_hash(seed, &image[at..]);
+        image.extend_from_slice(&seal.to_le_bytes());
+    }
+
+    /// Decode the trailer that ends `segment`. Returns the lineage and
+    /// the length of the image before it, which the caller still
+    /// validates as `FLT1` ([`decode_segment`] does both).
+    pub fn decode(segment: &[u8]) -> Result<(Self, usize)> {
+        let Some(image_len) = segment
+            .len()
+            .checked_sub(TRAILER_LEN)
+            .filter(|&n| n >= flat::HEADER_LEN)
+        else {
+            return Err(LsmError::Corrupt(format!(
+                "segment of {} bytes cannot hold an image and its lineage trailer",
+                segment.len()
+            )));
+        };
+        let (image, trailer) = segment.split_at(image_len);
+        let word = |i: usize| {
+            u64::from_le_bytes(
+                trailer[8 * i..8 * i + 8]
+                    .try_into()
+                    .expect("an 8-byte word"),
+            )
+        };
+        if trailer[..8] != TRAILER_MAGIC {
+            return Err(LsmError::Corrupt(
+                "segment has no lineage trailer (a bare FLT1 image, as older builds \
+                 wrote segments, or a damaged one)"
+                    .into(),
+            ));
+        }
+        if wide_hash(image_checksum(image), &trailer[..24]) != word(3) {
+            return Err(LsmError::Corrupt(
+                "lineage trailer seal mismatch (damaged, or not this image's trailer)".into(),
+            ));
+        }
+        Ok((
+            Self {
+                seal_lsn: word(1),
+                fold_id: word(2),
+            },
+            image_len,
+        ))
+    }
+}
+
+/// The checksum an `FLT1` image stores in its header.
+fn image_checksum(image: &[u8]) -> u64 {
+    u64::from_le_bytes(
+        image[flat::abi::CHECKSUM_OFF..flat::HEADER_LEN]
+            .try_into()
+            .expect("the checksum field is 8 bytes"),
+    )
+}
+
+/// Decode a segment's bytes: its lineage trailer, then the image the
+/// trailer seals, validated in full by [`flat::FlatTree::from_vec`].
+pub fn decode_segment<const D: usize>(
+    mut segment: Vec<u8>,
+) -> Result<(Lineage, flat::FlatTree<'static, D>)> {
+    let (lineage, image_len) = Lineage::decode(&segment)?;
+    segment.truncate(image_len);
+    Ok((lineage, flat::FlatTree::from_vec(segment)?))
 }
 
 /// Append an item batch to `out`: tag, item count, then `2*D`
@@ -104,22 +186,6 @@ impl<const D: usize> DeleteNote<'_, D> {
     }
 }
 
-impl FlipNote {
-    /// Append the encoding to `out`: tag, new segment id, seal LSN,
-    /// written flag, then the removed ids.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
-        out.reserve(22 + self.removed.len() * 8);
-        out.push(NOTE_FLIP);
-        out.extend_from_slice(&self.new_id.to_le_bytes());
-        out.extend_from_slice(&self.seal_lsn.to_le_bytes());
-        out.push(u8::from(self.wrote_segment));
-        out.extend_from_slice(&(self.removed.len() as u32).to_le_bytes());
-        for id in &self.removed {
-            out.extend_from_slice(&id.to_le_bytes());
-        }
-    }
-}
-
 /// Cursor over a note payload that fails loudly on truncation.
 struct Reader<'a> {
     buf: &'a [u8],
@@ -136,10 +202,6 @@ impl<'a> Reader<'a> {
         out.copy_from_slice(&self.buf[self.at..end]);
         self.at = end;
         Ok(out)
-    }
-
-    fn u8(&mut self) -> Result<u8> {
-        Ok(self.take::<1>()?[0])
     }
 
     fn u32(&mut self) -> Result<u32> {
@@ -206,34 +268,8 @@ impl<const D: usize> Note<D> {
             NOTE_DELETE => Ok(Note::Delete(DeleteNote {
                 items: r.items("delete")?.into(),
             })),
-            NOTE_FLIP => {
-                let new_id = r.u64()?;
-                let seal_lsn = r.u64()?;
-                let wrote_segment = match r.u8()? {
-                    0 => false,
-                    1 => true,
-                    other => {
-                        return Err(LsmError::Corrupt(format!(
-                            "flip note has written flag {other}"
-                        )))
-                    }
-                };
-                let count = r.u32()? as usize;
-                let mut removed = Vec::with_capacity(count.min(r.remaining() / 8));
-                for _ in 0..count {
-                    removed.push(r.u64()?);
-                }
-                r.done()?;
-                Ok(Note::Flip(FlipNote {
-                    new_id,
-                    seal_lsn,
-                    wrote_segment,
-                    removed,
-                }))
-            }
-            NOTE_FLIP_V1 => Err(LsmError::Corrupt(format!(
-                "retired note tag {NOTE_FLIP_V1}: a flip note naming segment meta pages, \
-                 written by an older build"
+            tag if RETIRED_FLIP_TAGS.contains(&tag) => Err(LsmError::Corrupt(format!(
+                "retired note tag {tag}: a flip note, written by an older build"
             ))),
             other => Err(LsmError::Corrupt(format!("unknown note tag {other}"))),
         }
@@ -317,61 +353,83 @@ mod tests {
         }
     }
 
+    /// The flip notes of older builds — tag 2, which named segment
+    /// meta pages, and tag 4, which named a compaction's output — are
+    /// refused with a typed error naming the retired tag.
     #[test]
-    fn flip_note_round_trips() {
-        for wrote_segment in [true, false] {
-            let note = FlipNote {
-                new_id: 3,
-                seal_lsn: 999,
-                wrote_segment,
-                removed: vec![1, 2],
-            };
-            let bytes = bytes(|out| note.encode_into(out));
-            assert_eq!(bytes.len(), 22 + 2 * 8);
-            match Note::<2>::decode(&bytes).unwrap() {
-                Note::Flip(back) => assert_eq!(back, note),
-                other => panic!("wrong variant: {other:?}"),
-            }
-            // Truncation and trailing garbage both fail loudly.
-            assert!(Note::<2>::decode(&bytes[..bytes.len() - 1]).is_err());
-            let mut long = bytes.clone();
-            long.push(0);
-            assert!(Note::<2>::decode(&long).is_err());
+    fn retired_flip_note_tags_are_refused() {
+        // Tag 2: new segment id, its meta page, seal LSN, then `(id,
+        // meta page)` pairs removed.
+        let mut v1 = vec![2u8];
+        for word in [3u64, 17, 999] {
+            v1.extend_from_slice(&word.to_le_bytes());
         }
-        let flip = FlipNote {
-            new_id: 3,
-            seal_lsn: 999,
-            wrote_segment: true,
-            removed: vec![],
-        };
-        let mut flag = bytes(|out| flip.encode_into(out));
-        flag[17] = 2;
-        assert!(matches!(
-            Note::<2>::decode(&flag),
-            Err(LsmError::Corrupt(_))
-        ));
+        v1.extend_from_slice(&1u32.to_le_bytes());
+        for word in [1u64, 5] {
+            v1.extend_from_slice(&word.to_le_bytes());
+        }
+        // Tag 4: new segment id, seal LSN, written flag, removed ids.
+        let mut v2 = vec![4u8];
+        for word in [3u64, 999] {
+            v2.extend_from_slice(&word.to_le_bytes());
+        }
+        v2.push(1);
+        v2.extend_from_slice(&1u32.to_le_bytes());
+        v2.extend_from_slice(&2u64.to_le_bytes());
+        for (tag, old) in [(2, v1), (4, v2)] {
+            match Note::<2>::decode(&old) {
+                Err(LsmError::Corrupt(msg)) => {
+                    assert!(msg.contains(&format!("retired note tag {tag}")), "{msg}")
+                }
+                other => panic!("a tag-{tag} flip note decoded: {other:?}"),
+            }
+        }
         assert!(Note::<2>::decode(&[42]).is_err());
         assert!(Note::<2>::decode(&[]).is_err());
     }
 
-    /// A flip note as older builds wrote it (tag 2: new segment id, its
-    /// meta page, seal LSN, then `(id, meta page)` pairs removed) is
-    /// refused with a typed error naming the retired tag.
+    /// A small packed image and its segment: the image plus a trailer.
+    fn segment(lineage: Lineage) -> (Vec<u8>, Vec<u8>) {
+        let items = (0..20u64)
+            .map(|i| (Rect::new([i as f64, 0.0], [i as f64 + 0.5, 1.0]), i))
+            .collect();
+        let cap = rtree::NodeCapacity::new(4).unwrap();
+        let image = str_core::pack_str_to_flat::<2>(items, cap, 1).unwrap();
+        let mut seg = image.clone();
+        lineage.encode_onto(&mut seg);
+        (image, seg)
+    }
+
     #[test]
-    fn retired_flip_note_tag_is_refused() {
-        let mut old = vec![NOTE_FLIP_V1];
-        for word in [3u64, 17, 999] {
-            old.extend_from_slice(&word.to_le_bytes());
-        }
-        old.extend_from_slice(&1u32.to_le_bytes());
-        for word in [1u64, 5] {
-            old.extend_from_slice(&word.to_le_bytes());
-        }
-        match Note::<2>::decode(&old) {
-            Err(LsmError::Corrupt(msg)) => {
-                assert!(msg.contains("retired note tag 2"), "{msg}")
-            }
-            other => panic!("a tag-2 flip note decoded: {other:?}"),
+    fn lineage_round_trips_behind_the_unchanged_image() {
+        let lineage = Lineage {
+            seal_lsn: 999,
+            fold_id: 3,
+        };
+        let (image, seg) = segment(lineage);
+        assert_eq!(seg.len(), image.len() + TRAILER_LEN);
+        assert_eq!(&seg[..image.len()], &image[..]);
+        assert_eq!(Lineage::decode(&seg).unwrap(), (lineage, image.len()));
+        let (back, tree) = decode_segment::<2>(seg).unwrap();
+        assert_eq!(back, lineage);
+        assert_eq!(tree.as_bytes(), &image[..]);
+    }
+
+    /// A trailer moved onto another image fails its seal.
+    #[test]
+    fn a_trailer_does_not_seal_another_image() {
+        let lineage = Lineage {
+            seal_lsn: 7,
+            fold_id: 1,
+        };
+        let (_, seg) = segment(lineage);
+        let items = vec![(Rect::new([0.0, 0.0], [1.0, 1.0]), 1)];
+        let cap = rtree::NodeCapacity::new(4).unwrap();
+        let mut other = str_core::pack_str_to_flat::<2>(items, cap, 1).unwrap();
+        other.extend_from_slice(&seg[seg.len() - TRAILER_LEN..]);
+        match Lineage::decode(&other) {
+            Err(LsmError::Corrupt(msg)) => assert!(msg.contains("seal mismatch"), "{msg}"),
+            other => panic!("a foreign trailer decoded: {other:?}"),
         }
     }
 }

@@ -15,13 +15,14 @@
 //!   ([`str_core::pack_str_to_flat`], [`flat::FlatTree`]) — ingest
 //!   sustains near bulk-load throughput while queries keep STR-packed
 //!   locality;
-//! * the drain **commits with an atomic catalog flip**: segment bytes
-//!   durable, one WAL flip note (the commit point), then one format-v2
-//!   superblock write that adds the new segment's name, drops any
-//!   replaced ones, and advances the WAL watermark indivisibly. Recovery re-executes committed flips the
-//!   superblock missed and discards uncommitted ones, so a crash at any
-//!   sync point loses **zero acknowledged inserts** (see DESIGN.md §15
-//!   for the atomicity argument);
+//! * the drain **commits by publishing its segment**: the output's
+//!   `FLT1` image ends in a lineage trailer (its seal LSN and the lowest
+//!   segment id it retires), and the segment store's `put` + `sync` of
+//!   it is the commit point. Recovery lists the segments in id order and
+//!   lets each retire the older ones it folded, so the log and the
+//!   segment files are the whole durable state, and a crash at any sync
+//!   point loses **zero acknowledged inserts** (see DESIGN.md §15 for
+//!   the atomicity argument);
 //! * every component — memtable, each flat level, and the composed
 //!   [`LsmTree`] — implements [`rtree::SpatialIndex`], so the executor,
 //!   the CLI, and the differential suites run unchanged over it.
@@ -31,7 +32,7 @@ mod memtable;
 mod segstore;
 mod tree;
 
-pub use codec::{DeleteNote, FlipNote, InsertNote, Note};
+pub use codec::{decode_segment, DeleteNote, InsertNote, Lineage, Note, TRAILER_LEN};
 pub use memtable::Memtable;
 pub use segstore::{FileSegmentStore, MemSegmentStore, SegmentStore};
 pub use tree::{LsmOptions, LsmStats, LsmTree};
@@ -39,7 +40,7 @@ pub use tree::{LsmOptions, LsmStats, LsmTree};
 /// Errors from the LSM tier.
 #[derive(Debug)]
 pub enum LsmError {
-    /// Storage-layer failure (disk, WAL, allocator, segment store).
+    /// Storage-layer failure (WAL, segment store).
     Storage(storage::StorageError),
     /// Flat-tier failure packing, loading or validating a segment.
     Flat(flat::FlatError),

@@ -1,12 +1,14 @@
 //! Where segment bytes live: a small blob store keyed by segment id.
 //!
 //! Segments are immutable once written, so the store needs only
-//! put/read/delete plus an explicit `sync` barrier — the compaction
-//! protocol orders that barrier before the WAL flip note, which is what
-//! makes the flip a commit point. The in-memory implementation models a
-//! crash exactly like [`storage::MemLogStore`]: writes that were never
-//! synced vanish on [`MemSegmentStore::lose_unsynced`], so the crash
-//! harness can prove the protocol never depends on unsynced bytes.
+//! put/read/delete plus an explicit `sync` barrier. A segment's name is
+//! published only over bytes already durable, so the `put` + `sync` of a
+//! compaction's output is its commit point: from then on recovery sees
+//! the segment, whole. The in-memory implementation models a crash like
+//! [`storage::MemLogStore`]: puts that were never synced vanish on
+//! [`MemSegmentStore::lose_unsynced`], while deletes, synced or not,
+//! stay done, so the crash harness can prove the protocol never depends
+//! on an unsynced put and never deletes what it still needs.
 
 use std::collections::BTreeMap;
 use std::fs;
@@ -21,8 +23,9 @@ use storage::{PageId, Result, StorageError, SyncClock};
 pub trait SegmentStore: Send + Sync {
     /// Ids of every segment present, ascending.
     fn list(&self) -> Result<Vec<u64>>;
-    /// Write (or overwrite) a segment's bytes. Not durable until
-    /// [`sync`](Self::sync) returns.
+    /// Write (or overwrite) a segment's bytes. A crash leaves the id
+    /// absent or holding all of `bytes`, never a part of them; not
+    /// durable until [`sync`](Self::sync) returns.
     fn put(&self, id: u64, bytes: &[u8]) -> Result<()>;
     /// Read a segment's bytes in full. `Ok(None)` if absent.
     fn read(&self, id: u64) -> Result<Option<Vec<u8>>>;
@@ -61,9 +64,11 @@ impl MemSegmentStore {
     }
 
     /// Simulate the power cut: drop every segment that was never synced.
-    /// Synced segments deleted-but-not-synced stay deleted — fail-stop
-    /// deletion is the conservative direction for this store because
-    /// recovery treats a missing segment as "flip not materialized".
+    /// Synced segments deleted-but-not-synced stay deleted. A put is the
+    /// commit point and a delete is cleanup after it, so losing puts and
+    /// keeping deletes is the adversarial direction: a protocol that
+    /// deleted a victim before its output was durable would lose items
+    /// here.
     pub fn lose_unsynced(&self) {
         self.segs.lock().retain(|_, s| s.durable);
     }
@@ -129,10 +134,10 @@ impl SegmentStore for MemSegmentStore {
 }
 
 /// File-backed segment store: one `seg-XXXXXXXX.flat` file per segment
-/// in a directory, fsynced (file then directory) on `sync`.
+/// in a directory. `put` fsyncs each file before renaming it into
+/// place, and `sync` fsyncs the directory.
 pub struct FileSegmentStore {
     dir: PathBuf,
-    dirty: Mutex<Vec<u64>>,
 }
 
 impl FileSegmentStore {
@@ -140,19 +145,11 @@ impl FileSegmentStore {
     pub fn open<P: AsRef<Path>>(dir: P) -> Result<Self> {
         let dir = dir.as_ref().to_path_buf();
         fs::create_dir_all(&dir)?;
-        Ok(Self {
-            dir,
-            dirty: Mutex::new(Vec::new()),
-        })
+        Ok(Self { dir })
     }
 
     fn path_for(&self, id: u64) -> PathBuf {
         self.dir.join(flat::segment_file_name(id))
-    }
-
-    fn sync_dir(&self) -> Result<()> {
-        fs::File::open(&self.dir)?.sync_all()?;
-        Ok(())
     }
 }
 
@@ -170,16 +167,16 @@ impl SegmentStore for FileSegmentStore {
     }
 
     fn put(&self, id: u64, bytes: &[u8]) -> Result<()> {
-        // Write-then-rename so a crash mid-put never leaves a segment
-        // file with torn contents under its final name.
+        // Write, fsync, then rename: the final name only ever points at
+        // durable bytes, so a crash leaves the old state or the whole
+        // segment, never a torn file under its name.
         let tmp = self
             .dir
             .join(format!(".{}.tmp", flat::segment_file_name(id)));
         let mut f = fs::File::create(&tmp)?;
         f.write_all(bytes)?;
-        f.flush()?;
+        f.sync_all()?;
         fs::rename(&tmp, self.path_for(id))?;
-        self.dirty.lock().push(id);
         Ok(())
     }
 
@@ -200,17 +197,10 @@ impl SegmentStore for FileSegmentStore {
     }
 
     fn sync(&self) -> Result<()> {
-        let dirty: Vec<u64> = std::mem::take(&mut *self.dirty.lock());
-        for id in dirty {
-            // The file may have been deleted after the put; that is fine,
-            // the directory fsync below covers the unlink.
-            match fs::File::open(self.path_for(id)) {
-                Ok(f) => f.sync_all()?,
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-                Err(e) => return Err(e.into()),
-            }
-        }
-        self.sync_dir()
+        // Every file is already durable (`put`): only the directory's
+        // renames and unlinks remain.
+        fs::File::open(&self.dir)?.sync_all()?;
+        Ok(())
     }
 }
 

@@ -3,31 +3,31 @@
 //!
 //! # Commit protocol
 //!
-//! A compaction drains the sealed memtable plus its victims — a suffix
-//! of the newest levels, chosen by the policy below — into one new flat
+//! The durable state is the WAL and the segment files, nothing else. A
+//! compaction drains the sealed memtable plus its victims — a suffix of
+//! the newest levels, chosen by the policy below — into one new flat
 //! segment, STR packed in memory straight into the `FLT1` image
-//! ([`str_core::pack_str_to_flat`]), then commits it in this exact
-//! order:
+//! ([`str_core::pack_str_to_flat`]) and followed by a [`Lineage`]
+//! trailer: the drained memtable's seal LSN and the fold id, the lowest
+//! segment id the output retires (its own id when it has no victims,
+//! else one past the newest level it keeps). Then, in this exact order:
 //!
-//! 1. segment bytes durable in the [`SegmentStore`] (`put` + `sync`);
-//! 2. flip note appended to the WAL and committed — **the commit
-//!    point**;
-//! 3. one superblock write ([`PageAllocator::flip_catalog`]) that adds
-//!    the new segment's name, drops the replaced ones, and advances the
-//!    WAL watermark to the drained memtable's seal LSN, followed by a
-//!    disk sync;
-//! 4. in-memory flip, then cleanup (delete replaced segment bytes,
-//!    recycle fully-applied WAL segments).
+//! 1. the segment store's `put` + `sync` of the output — **the commit
+//!    point**: the segment now says which older segments it retires and
+//!    which notes it covers;
+//! 2. in-memory flip, then cleanup: delete the victims' segments + sync,
+//!    then recycle the WAL segments the seal LSN covers.
 //!
-//! Recovery inverts the order: a flip note whose `seal_lsn` is above
-//! the superblock watermark was committed but may have missed step 3,
-//! so its catalog flip is re-executed (step 1 made its segment durable
-//! first); a flip that never reached the log never happened, and its
-//! segment bytes are garbage-collected as orphans, like the victims a
-//! crash left before cleanup. Insert and delete notes above the final
-//! watermark rebuild the memtable, in log order. The main disk holds
-//! only the superblock, so a crash leaks nothing there; segments own
-//! nothing but their bytes, each `FLT1` image checksummed end to end.
+//! A drain therefore syncs twice when it has victims and once when it
+//! has none. Recovery lists the segments in ascending id order; each
+//! retires every live segment whose id lies in `[fold id, own id)`, and
+//! the retired ones are deleted. The newest segment's seal LSN is the
+//! watermark: insert and delete notes above it rebuild the memtable, in
+//! log order. An output that never became durable never happened, and
+//! its notes are still in the log. A fold whose tombstones delete every
+//! item still writes its output, an empty image: it is the segment
+//! that retires the victims, and an ordinary 0-item level the next
+//! compaction folds.
 //!
 //! # Compaction policy
 //!
@@ -61,10 +61,10 @@ use geom::Rect;
 use obs::{LazyCounter, LazyGauge, LazyHistogram};
 use parking_lot::{Condvar, Mutex, RwLock};
 use rtree::{IndexStats, NodeCapacity, SpatialIndex};
-use storage::{truncate_torn_tail, wal::scan, Disk, LogStore, PageAllocator, PageId, Wal};
+use storage::{truncate_torn_tail, wal::scan, Disk, LogStore, Wal};
 use str_core::pack_str_to_flat;
 
-use crate::codec::{DeleteNote, FlipNote, InsertNote, Note};
+use crate::codec::{decode_segment, DeleteNote, InsertNote, Lineage, Note};
 use crate::memtable::{Memtable, Shadow};
 use crate::segstore::SegmentStore;
 use crate::{LsmError, Result};
@@ -169,8 +169,6 @@ struct Signal {
 
 struct Inner<const D: usize> {
     state: RwLock<State<D>>,
-    alloc: Arc<PageAllocator>,
-    disk: Arc<dyn Disk>,
     wal: Arc<Wal>,
     segs: Arc<dyn SegmentStore>,
     opts: LsmOptions,
@@ -196,10 +194,13 @@ pub struct LsmTree<const D: usize> {
 
 impl<const D: usize> LsmTree<D> {
     /// Open (or create) an LSM tree over the given devices, running
-    /// recovery: re-execute the committed-but-unapplied flip if one
-    /// exists, garbage-collect orphan segments, rebuild the memtable
-    /// from insert notes past the watermark, and truncate any torn WAL
-    /// tail.
+    /// recovery: let each segment retire the older segments it folded
+    /// and delete them, rebuild the memtable from the notes past the
+    /// newest segment's seal LSN, and truncate any torn WAL tail.
+    ///
+    /// The tree keeps nothing on `disk`: it must be empty. One that
+    /// holds pages is an older build's superblock and catalog, refused
+    /// with [`LsmError::Corrupt`] before anything is read or written.
     pub fn open(
         disk: Arc<dyn Disk>,
         log: Arc<dyn LogStore>,
@@ -217,79 +218,56 @@ impl<const D: usize> LsmTree<D> {
                 "max_levels must be at least 1".into(),
             ));
         }
-        let alloc = if disk.num_pages() == 0 {
-            PageAllocator::format(disk.clone())?
-        } else {
-            PageAllocator::open(disk.clone())?
-        };
+        if disk.num_pages() != 0 {
+            return Err(LsmError::Corrupt(format!(
+                "the main disk holds {} page(s): a superblock catalog written by an \
+                 older build (an LSM tree keeps only its log and segment files)",
+                disk.num_pages()
+            )));
+        }
 
         let scanned = scan(&*log)?;
         truncate_torn_tail(&*log, &scanned)?;
 
-        let mut redo: Vec<(u64, Note<D>)> = Vec::new();
-        let mut max_seen_id = 0u64;
-        for (lsn, payload) in &scanned.notes {
-            match Note::<D>::decode(payload)? {
-                Note::Flip(flip) => {
-                    // Victims are older than the output: their ids are
-                    // smaller.
-                    max_seen_id = max_seen_id.max(flip.new_id);
-                    // Re-execute a committed flip the superblock missed.
-                    // Seal LSNs strictly increase across compactions and
-                    // the watermark advances with each applied flip, so
-                    // at most the newest flip can qualify. Its segment
-                    // is loaded, and so validated, with the others below.
-                    if flip.seal_lsn > alloc.wal_applied_lsn() {
-                        apply_flip(&alloc, &*disk, &flip)?;
-                    }
-                }
-                other => redo.push((*lsn, other)),
-            }
-        }
-        let watermark = alloc.wal_applied_lsn();
-
-        // Load the levels the catalog now describes, oldest first.
+        // Oldest first, each segment retires the live segments it folded.
+        // Victims are always the newest levels, so they are the tail of
+        // `levels` here too.
+        let ids = segs.list()?;
         let mut levels: Vec<Arc<Segment<D>>> = Vec::new();
-        for entry in alloc.trees() {
-            let Some(id) = flat::parse_segment_file_name(&entry.name) else {
-                continue; // a paged tree sharing the disk, not ours
-            };
-            if entry.meta_page != PageId::INVALID {
+        let mut retired: Vec<u64> = Vec::new();
+        let mut watermark = 0;
+        for &id in &ids {
+            let bytes = segs
+                .read(id)?
+                .ok_or_else(|| LsmError::Corrupt(format!("listed segment {id} is missing")))?;
+            let (lineage, tree) = decode_segment::<D>(bytes)?;
+            if lineage.fold_id > id {
                 return Err(LsmError::Corrupt(format!(
-                    "catalog entry {} names page {}: a segment owns no page \
-                     (a store written by an older build)",
-                    entry.name, entry.meta_page
+                    "segment {id} claims to retire segments from {}, above its own id",
+                    lineage.fold_id
                 )));
             }
-            let bytes = segs.read(id)?.ok_or_else(|| {
-                LsmError::Corrupt(format!("catalog references missing segment {id}"))
-            })?;
-            let tree = flat::FlatTree::<D>::from_vec(bytes)?;
-            max_seen_id = max_seen_id.max(id);
+            let keep = levels.partition_point(|s| s.id < lineage.fold_id);
+            retired.extend(levels.drain(keep..).map(|s| s.id));
             levels.push(Arc::new(Segment { id, tree }));
+            watermark = lineage.seal_lsn;
         }
-        levels.sort_by_key(|s| s.id);
-
-        // Garbage-collect segments the catalog does not name: a crashed
-        // compaction's uncommitted output, or the victims of a flip that
-        // committed but missed its cleanup.
-        let mut deleted_orphan = false;
-        for id in segs.list()? {
-            max_seen_id = max_seen_id.max(id);
-            if !levels.iter().any(|s| s.id == id) {
+        if !retired.is_empty() {
+            for &id in &retired {
                 segs.delete(id)?;
-                deleted_orphan = true;
             }
-        }
-        if deleted_orphan {
             segs.sync()?;
         }
 
         // Rebuild the memtable from acknowledged inserts and deletes the
-        // flipped segments don't already cover, in log order — the order
-        // they were applied in.
+        // segments don't already cover, in log order — the order they
+        // were applied in.
         let active = Arc::new(Memtable::<D>::new());
-        for (_, note) in redo.iter().filter(|(lsn, _)| *lsn > watermark) {
+        for (lsn, payload) in &scanned.notes {
+            let note = Note::<D>::decode(payload)?;
+            if *lsn <= watermark {
+                continue;
+            }
             match note {
                 Note::Insert(n) => {
                     for &(rect, id) in n.items.iter() {
@@ -301,13 +279,13 @@ impl<const D: usize> LsmTree<D> {
                         active.delete(rect, *id);
                     }
                 }
-                Note::Flip(_) => unreachable!("flip notes are collected apart"),
             }
         }
         LSM_MEMTABLE_BYTES.set(active.approx_bytes() as i64);
 
-        // A new log must start past every LSN on media, so old and new
-        // records never share one.
+        // A new log must start past every LSN on media and every LSN a
+        // segment covers, so old and new notes never share one, even
+        // when the log was recycled empty.
         let wal = Wal::create(log, &scanned, scanned.max_lsn.max(watermark) + 1)?;
 
         let inner = Arc::new(Inner {
@@ -315,10 +293,8 @@ impl<const D: usize> LsmTree<D> {
                 active,
                 sealed: None,
                 levels,
-                next_seg_id: max_seen_id + 1,
+                next_seg_id: ids.last().map_or(1, |&id| id + 1),
             }),
-            alloc,
-            disk,
             wal,
             segs,
             opts,
@@ -550,8 +526,7 @@ fn seal_locked<const D: usize>(inner: &Inner<D>, g: &mut State<D>) {
     let seal_lsn = inner.wal.last_lsn();
     // One WAL segment per memtable: the compaction that drains this one
     // recycles at `seal_lsn` every segment before the cut, so the log
-    // keeps only what no segment holds yet, however its flip note
-    // interleaves with inserts.
+    // keeps only what no segment holds yet.
     inner.wal.start_segment();
     let full = std::mem::replace(&mut g.active, Arc::new(Memtable::new()));
     g.sealed = Some(Sealed {
@@ -627,24 +602,6 @@ fn is_live<const D: usize>(g: &State<D>, rect: &Rect<D>, id: u64) -> bool {
     older.saturating_sub(sealed_shadowing) > shadowing
 }
 
-/// Apply `flip` to the catalog in one superblock write — add the new
-/// segment's name, drop the victims', advance the WAL watermark to the
-/// seal LSN — and sync. Step 3 of the commit protocol, and all that
-/// recovery re-executes of a committed flip.
-fn apply_flip(alloc: &PageAllocator, disk: &dyn Disk, flip: &FlipNote) -> Result<()> {
-    let removes: Vec<String> = flip
-        .removed
-        .iter()
-        .map(|&id| flat::segment_file_name(id))
-        .collect();
-    let removes: Vec<&str> = removes.iter().map(String::as_str).collect();
-    let name = flat::segment_file_name(flip.new_id);
-    let adds: &[&str] = if flip.wrote_segment { &[&name] } else { &[] };
-    alloc.flip_catalog(&removes, adds, Some(flip.seal_lsn))?;
-    disk.sync()?;
-    Ok(())
-}
-
 impl<const D: usize> Inner<D> {
     /// Drain the sealed memtable plus the newest levels the policy
     /// folds ([`kept_levels`]) into one new flat segment and commit it.
@@ -654,7 +611,7 @@ impl<const D: usize> Inner<D> {
 
         // Only compactions change `levels`, and they are serialized, so
         // the victims are still the newest suffix at the flip.
-        let (mem, seal_lsn, victims, new_id) = {
+        let (mem, lineage, victims, new_id) = {
             let g = self.state.read();
             let Some(sealed) = &g.sealed else {
                 return Ok(false);
@@ -666,8 +623,21 @@ impl<const D: usize> Inner<D> {
             } else {
                 kept_levels(&g.levels, sealed.mem.len(), self.opts.max_levels)
             };
+            // An output with victims retires every id above the newest
+            // level it keeps: its victims, and any segment they retired
+            // whose delete failed, which only they still name.
+            let new_id = g.next_seg_id;
+            let fold_id = if keep == g.levels.len() {
+                new_id
+            } else {
+                keep.checked_sub(1).map_or(0, |k| g.levels[k].id + 1)
+            };
+            let lineage = Lineage {
+                seal_lsn: sealed.seal_lsn,
+                fold_id,
+            };
             let victims = g.levels[keep..].to_vec();
-            (sealed.mem.clone(), sealed.seal_lsn, victims, g.next_seg_id)
+            (sealed.mem.clone(), lineage, victims, new_id)
         };
         // Traced only once there is work: a worker woken for a memtable
         // a foreground caller already drained records nothing.
@@ -695,49 +665,34 @@ impl<const D: usize> Inner<D> {
         if let Some(s) = tspan.as_mut() {
             s.set_args(victims.len() as u64, item_count);
         }
-        let bytes = if items.is_empty() {
-            None
-        } else {
+        let mut bytes = {
             let _dspan = obs::trace::span("lsm.drain");
-            Some(pack_str_to_flat(
-                items,
-                self.opts.capacity,
-                self.opts.threads,
-            )?)
+            if items.is_empty() {
+                flat::empty_to_bytes::<D>(self.opts.capacity)
+            } else {
+                pack_str_to_flat(items, self.opts.capacity, self.opts.threads)?
+            }
         };
 
-        // (1) Segment bytes durable before anything references them.
-        if let Some(bytes) = &bytes {
-            self.segs.put(new_id, bytes)?;
+        // (1) The commit point: once the output is durable, it retires
+        // its victims and covers every note up to the seal LSN.
+        let image_len = bytes.len();
+        lineage.encode_onto(&mut bytes);
+        {
+            let _pspan = obs::trace::span("lsm.publish");
+            self.segs.put(new_id, &bytes)?;
             self.segs.sync()?;
         }
+        bytes.truncate(image_len);
 
-        let flip = FlipNote {
-            new_id,
-            seal_lsn,
-            wrote_segment: bytes.is_some(),
-            removed: victims.iter().map(|s| s.id).collect(),
-        };
-        {
-            let _fspan = obs::trace::span("lsm.flip");
-            // (2) The commit point: once this note is durable the flip
-            // happens — now, or during recovery.
-            let lsn = self.wal.append_note(|buf| flip.encode_into(buf))?;
-            self.wal.commit(lsn)?;
-            // (3) One superblock write makes it visible to opens.
-            apply_flip(&self.alloc, &*self.disk, &flip)?;
-        }
-
-        // (4) In-memory flip, then cleanup.
-        let tree = bytes.map(flat::FlatTree::<D>::from_vec).transpose()?;
+        // (2) In-memory flip, then cleanup.
+        let tree = flat::FlatTree::<D>::from_vec(bytes)?;
         {
             let mut g = self.state.write();
             g.sealed = None;
             let keep = g.levels.len() - victims.len();
             g.levels.truncate(keep);
-            if let Some(tree) = tree {
-                g.levels.push(Arc::new(Segment { id: new_id, tree }));
-            }
+            g.levels.push(Arc::new(Segment { id: new_id, tree }));
             g.next_seg_id = new_id + 1;
         }
         LSM_COMPACTIONS.inc();
@@ -745,13 +700,13 @@ impl<const D: usize> Inner<D> {
         self.items_packed.fetch_add(item_count, Ordering::Relaxed);
         self.notify_done();
 
-        if !flip.removed.is_empty() {
-            for &id in &flip.removed {
-                self.segs.delete(id)?;
+        if !victims.is_empty() {
+            for seg in &victims {
+                self.segs.delete(seg.id)?;
             }
             self.segs.sync()?;
         }
-        self.wal.recycle(seal_lsn)?;
+        self.wal.recycle(lineage.seal_lsn)?;
         Ok(true)
     }
 
@@ -825,8 +780,9 @@ impl<const D: usize> SpatialIndex<D> for LsmTree<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::TRAILER_LEN;
     use crate::segstore::MemSegmentStore;
-    use storage::{fnv1a_update, FaultDisk, MemDisk, MemLogStore, SyncClock, FNV_SEED};
+    use storage::{fnv1a_update, MemDisk, MemLogStore, SyncClock, FNV_SEED};
 
     fn small_opts() -> LsmOptions {
         LsmOptions {
@@ -970,16 +926,14 @@ mod tests {
         tree.flush().unwrap();
         assert!(tree.stats().levels >= 1);
         drop(tree);
-        // Downgrade every segment to version 1.
+        // Downgrade every segment's image to version 1, under a trailer
+        // that seals it, so the image check is what refuses it.
         let ids = segs.list().unwrap();
-        for &id in &ids {
-            let mut bytes = segs.read(id).unwrap().unwrap();
+        rewrite_images(&segs, |bytes| {
             bytes[4..6].copy_from_slice(&1u16.to_le_bytes());
             let sum = fnv1a_update(fnv1a_update(FNV_SEED, &bytes[..56]), &bytes[64..]);
             bytes[56..64].copy_from_slice(&sum.to_le_bytes());
-            segs.put(id, &bytes).unwrap();
-        }
-        segs.sync().unwrap();
+        });
         assert!(!ids.is_empty());
 
         match LsmTree::<2>::open(disk, log, segs, opts) {
@@ -991,24 +945,35 @@ mod tests {
         }
     }
 
+    /// Apply `edit` to every segment's image, keeping its lineage under
+    /// a trailer resealed for the edited image.
+    fn rewrite_images(segs: &Arc<dyn SegmentStore>, edit: impl Fn(&mut Vec<u8>)) {
+        for id in segs.list().unwrap() {
+            let mut bytes = segs.read(id).unwrap().unwrap();
+            let (lineage, image_len) = Lineage::decode(&bytes).unwrap();
+            bytes.truncate(image_len);
+            edit(&mut bytes);
+            lineage.encode_onto(&mut bytes);
+            segs.put(id, &bytes).unwrap();
+        }
+        segs.sync().unwrap();
+    }
+
     /// Every segment's image with one coordinate — axis 0's minimum
     /// (`max` false) or maximum of `slot` — set to `v`, resealed so its
     /// checksum passes.
     fn damage_segments(segs: &Arc<dyn SegmentStore>, slot: usize, max: bool, v: f64) {
-        for id in segs.list().unwrap() {
-            let mut bytes = segs.read(id).unwrap().unwrap();
-            let layout = flat::Header::parse(&bytes).unwrap().layout();
+        rewrite_images(segs, |bytes| {
+            let layout = flat::Header::parse(bytes).unwrap().layout();
             let col = if max {
                 layout.axis_max_off(0)
             } else {
                 layout.axis_min_off(0)
             };
             bytes[col + 8 * slot..col + 8 * slot + 8].copy_from_slice(&v.to_le_bytes());
-            let sum = flat::abi::checksum(&bytes);
+            let sum = flat::abi::checksum(bytes);
             bytes[flat::abi::CHECKSUM_OFF..flat::HEADER_LEN].copy_from_slice(&sum.to_le_bytes());
-            segs.put(id, &bytes).unwrap();
-        }
-        segs.sync().unwrap();
+        });
     }
 
     /// A segment whose image is checksum-valid but holds a NaN or an
@@ -1111,10 +1076,11 @@ mod tests {
         assert_eq!(log_bytes(&log), before, "the old log was cut");
     }
 
-    /// A segment's catalog entry owns no page. One that names a page —
-    /// as the meta-page design of older builds wrote them — is refused.
+    /// A segment as older builds wrote it — a bare `FLT1` image with no
+    /// lineage trailer — is refused typed, and the store is left as it
+    /// was.
     #[test]
-    fn segment_entry_naming_a_page_is_refused() {
+    fn segment_without_a_lineage_trailer_is_refused() {
         let opts = small_opts();
         let (tree, disk, log, segs) = open_mem(opts);
         for i in 0..40u64 {
@@ -1122,19 +1088,235 @@ mod tests {
         }
         tree.flush().unwrap();
         drop(tree);
-        let alloc = PageAllocator::open(disk.clone()).unwrap();
-        assert!(alloc.trees().iter().all(|e| e.meta_page == PageId::INVALID));
-        // Re-register the newest segment under a real page.
-        let name = alloc.trees().last().unwrap().name.clone();
-        alloc.flip_catalog(&[&name], &[], None).unwrap();
-        alloc.create_tree(&name).unwrap();
-        disk.sync().unwrap();
-        drop(alloc);
-        match LsmTree::<2>::open(disk, log, segs, opts) {
-            Err(LsmError::Corrupt(msg)) => assert!(msg.contains("names page"), "{msg}"),
-            Err(other) => panic!("wrong error for a paged segment entry: {other}"),
-            Ok(_) => panic!("a segment entry naming a page opened"),
+        let id = *segs.list().unwrap().last().unwrap();
+        let mut bytes = segs.read(id).unwrap().unwrap();
+        bytes.truncate(bytes.len() - TRAILER_LEN);
+        segs.put(id, &bytes).unwrap();
+        segs.sync().unwrap();
+        let before = segs.list().unwrap();
+        match LsmTree::<2>::open(disk, log, segs.clone(), opts) {
+            Err(LsmError::Corrupt(msg)) => assert!(msg.contains("no lineage trailer"), "{msg}"),
+            Err(other) => panic!("wrong error for a trailer-less segment: {other}"),
+            Ok(_) => panic!("a trailer-less segment opened"),
         }
+        assert_eq!(segs.list().unwrap(), before);
+        assert_eq!(segs.read(id).unwrap().unwrap(), bytes);
+    }
+
+    /// A main disk that holds pages is an older build's superblock
+    /// catalog: `open` refuses it typed before it reads the log or the
+    /// segments, and writes nothing to it.
+    #[test]
+    fn disk_holding_an_older_superblock_is_refused() {
+        let opts = small_opts();
+        let (tree, _, log, segs) = open_mem(opts);
+        for i in 0..40u64 {
+            tree.insert(rect_for(i), i).unwrap();
+        }
+        drop(tree);
+        let disk: Arc<dyn Disk> = Arc::new(MemDisk::default_size());
+        let page = disk.allocate().unwrap();
+        disk.write_page(page, &vec![0xA5; disk.page_size()])
+            .unwrap();
+        let (log_before, segs_before) = (log_bytes(&log), segs.list().unwrap());
+        match LsmTree::<2>::open(disk.clone(), log.clone(), segs.clone(), opts) {
+            Err(LsmError::Corrupt(msg)) => assert!(msg.contains("older build"), "{msg}"),
+            Err(other) => panic!("wrong error for a disk with pages: {other}"),
+            Ok(_) => panic!("a disk holding a superblock opened"),
+        }
+        assert_eq!(disk.num_pages(), 1);
+        let mut after = vec![0u8; disk.page_size()];
+        disk.read_page(page, &mut after).unwrap();
+        assert!(after.iter().all(|&b| b == 0xA5));
+        assert_eq!(
+            (log_bytes(&log), segs.list().unwrap()),
+            (log_before, segs_before)
+        );
+    }
+
+    /// A hand-made segment of items `0..n`, whose lineage is `seal_lsn`
+    /// and `fold_id`.
+    fn put_segment(segs: &dyn SegmentStore, id: u64, n: u64, seal_lsn: u64, fold_id: u64) {
+        let items = (0..n).map(|i| (rect_for(i), i)).collect();
+        let mut bytes = pack_str_to_flat::<2>(items, small_opts().capacity, 1).unwrap();
+        Lineage { seal_lsn, fold_id }.encode_onto(&mut bytes);
+        segs.put(id, &bytes).unwrap();
+        segs.sync().unwrap();
+    }
+
+    /// A, then B folding A, then C folding B: a victim delete failed and
+    /// the next compaction still ran. The store opens to exactly C, and
+    /// A and B are deleted.
+    #[test]
+    fn a_fold_chain_opens_to_its_newest_segment() {
+        let segs: Arc<dyn SegmentStore> = Arc::new(MemSegmentStore::new());
+        put_segment(&*segs, 1, 10, 10, 1);
+        put_segment(&*segs, 2, 20, 20, 1);
+        put_segment(&*segs, 3, 30, 30, 2);
+        let tree = LsmTree::<2>::open(
+            Arc::new(MemDisk::default_size()),
+            MemLogStore::new(),
+            segs.clone(),
+            small_opts(),
+        )
+        .unwrap();
+        assert_eq!(level_shape(&tree), [(3, 30)]);
+        assert_eq!(ids(&tree), (0..30).collect::<Vec<_>>());
+        assert_eq!(segs.list().unwrap(), [3]);
+    }
+
+    /// A segment that claims to retire ids above its own is refused.
+    #[test]
+    fn a_fold_id_above_the_own_id_is_refused() {
+        let segs: Arc<dyn SegmentStore> = Arc::new(MemSegmentStore::new());
+        put_segment(&*segs, 1, 10, 10, 2);
+        match LsmTree::<2>::open(
+            Arc::new(MemDisk::default_size()),
+            MemLogStore::new(),
+            segs,
+            small_opts(),
+        ) {
+            Err(LsmError::Corrupt(msg)) => assert!(msg.contains("above its own id"), "{msg}"),
+            Err(other) => panic!("wrong error: {other}"),
+            Ok(_) => panic!("a segment retiring newer ids opened"),
+        }
+    }
+
+    /// The newest segment's seal LSN.
+    fn newest_seal_lsn(segs: &Arc<dyn SegmentStore>) -> u64 {
+        let id = *segs.list().unwrap().last().unwrap();
+        Lineage::decode(&segs.read(id).unwrap().unwrap())
+            .unwrap()
+            .0
+            .seal_lsn
+    }
+
+    /// With every note in a segment and the log recycled empty, a
+    /// reopened log still resumes past the newest seal LSN.
+    #[test]
+    fn an_empty_log_resumes_past_the_newest_seal_lsn() {
+        let opts = small_opts();
+        let (tree, disk, log, segs) = open_mem(opts);
+        for i in 0..40u64 {
+            tree.insert(rect_for(i), i).unwrap();
+        }
+        tree.flush().unwrap();
+        drop(tree);
+        assert!(
+            scan(&*log).unwrap().notes.is_empty(),
+            "the log was recycled"
+        );
+        let seal = newest_seal_lsn(&segs);
+        assert!(seal >= 40);
+
+        let tree = LsmTree::<2>::open(disk, log.clone(), segs, opts).unwrap();
+        tree.insert(rect_for(40), 40).unwrap();
+        let notes = scan(&*log).unwrap().notes;
+        assert_eq!(notes.len(), 1);
+        assert!(
+            notes[0].0 > seal,
+            "LSN {} reused at or below {seal}",
+            notes[0].0
+        );
+        assert_eq!(ids(&tree), (0..41).collect::<Vec<_>>());
+    }
+
+    /// Syncs of one drain, counted by a shared clock: the output's put,
+    /// and, when it has victims, their deletes. Nothing else syncs.
+    #[test]
+    fn a_drain_syncs_twice_with_victims_and_once_without() {
+        let clock = SyncClock::new();
+        let log = MemLogStore::with_clock(clock.clone());
+        let segs = Arc::new(MemSegmentStore::with_clock(clock.clone()));
+        let opts = LsmOptions {
+            memtable_items: 1000,
+            ..small_opts()
+        };
+        let tree = LsmTree::<2>::open(Arc::new(MemDisk::default_size()), log, segs, opts).unwrap();
+        let flush_syncs = |from: u64| {
+            for i in from..from + 20 {
+                tree.insert(rect_for(i), i).unwrap();
+            }
+            let before = clock.syncs_seen();
+            tree.flush().unwrap();
+            clock.syncs_seen() - before
+        };
+        assert_eq!(flush_syncs(0), 1, "a drain with no victims");
+        assert_eq!(level_shape(&tree).len(), 1);
+        assert_eq!(flush_syncs(20), 2, "a drain folding the level");
+        assert_eq!(level_shape(&tree).len(), 1);
+    }
+
+    /// A segment store whose next `delete` fails once armed.
+    struct FailingDelete {
+        inner: MemSegmentStore,
+        armed: std::sync::atomic::AtomicBool,
+    }
+
+    impl SegmentStore for FailingDelete {
+        fn list(&self) -> storage::Result<Vec<u64>> {
+            self.inner.list()
+        }
+        fn put(&self, id: u64, bytes: &[u8]) -> storage::Result<()> {
+            self.inner.put(id, bytes)
+        }
+        fn read(&self, id: u64) -> storage::Result<Option<Vec<u8>>> {
+            self.inner.read(id)
+        }
+        fn delete(&self, id: u64) -> storage::Result<()> {
+            if self.armed.swap(false, Ordering::Relaxed) {
+                return Err(std::io::Error::other("injected delete failure").into());
+            }
+            self.inner.delete(id)
+        }
+        fn sync(&self) -> storage::Result<()> {
+            self.inner.sync()
+        }
+    }
+
+    /// A victim whose delete failed stays retired after the segment
+    /// that retired it is itself folded and deleted: every output
+    /// retires all ids above the newest level it keeps.
+    #[test]
+    fn a_failed_victim_delete_never_resurrects_the_victim() {
+        let opts = LsmOptions {
+            memtable_items: 1000,
+            max_levels: 4,
+            ..small_opts()
+        };
+        let store = Arc::new(FailingDelete {
+            inner: MemSegmentStore::new(),
+            armed: false.into(),
+        });
+        let segs: Arc<dyn SegmentStore> = store.clone();
+        let (disk, log): (Arc<dyn Disk>, Arc<dyn LogStore>) =
+            (Arc::new(MemDisk::default_size()), MemLogStore::new());
+        let tree = LsmTree::<2>::open(disk.clone(), log.clone(), segs.clone(), opts).unwrap();
+        let fill = |range: std::ops::Range<u64>| {
+            for i in range {
+                tree.insert(rect_for(i), i).unwrap();
+            }
+        };
+        fill(0..100);
+        tree.flush().unwrap(); // [100]
+        fill(100..110);
+        tree.flush().unwrap(); // [100, 10]
+        let x = level_shape(&tree)[1].0;
+        fill(110..120);
+        store.armed.store(true, Ordering::Relaxed);
+        assert!(tree.flush().is_err(), "the victim delete fails"); // [100, 20]
+        assert!(segs.list().unwrap().contains(&x));
+        fill(120..140);
+        tree.flush().unwrap(); // [100, 40], folding the 20
+        assert_eq!(level_shape(&tree).len(), 2);
+        assert!(segs.list().unwrap().contains(&x), "x is still on disk");
+        drop(tree);
+
+        let tree = LsmTree::<2>::open(disk, log, segs.clone(), opts).unwrap();
+        assert_eq!(ids(&tree), (0..140).collect::<Vec<_>>());
+        assert_eq!(SpatialIndex::len(&tree), 140);
+        let live: Vec<u64> = level_shape(&tree).iter().map(|l| l.0).collect();
+        assert_eq!(segs.list().unwrap(), live);
     }
 
     /// `(id, item count)` of every level, oldest first.
@@ -1178,7 +1360,7 @@ mod tests {
             max_levels: 4,
             ..LsmOptions::default()
         };
-        let (tree, _, log, _) = open_mem(opts);
+        let (tree, _, log, segs) = open_mem(opts);
         let mut before = level_shape(&tree);
         let mut compactions = 0;
         let mut packed = 0;
@@ -1191,18 +1373,13 @@ mod tests {
             let after = level_shape(tree);
             check_flip(&before, &after, M);
             assert_eq!(st.items_packed - packed, after.last().unwrap().1);
-            // The drained memtable's WAL segment went with it: the log
-            // keeps the flip note and nothing at or below its seal LSN.
+            // The store holds the levels and nothing else, and the
+            // drained memtable's WAL segment went with it: the log keeps
+            // nothing at or below the newest segment's seal LSN.
+            let live: Vec<u64> = after.iter().map(|l| l.0).collect();
+            assert_eq!(segs.list().unwrap(), live);
             let wal = scan(&*log).unwrap();
-            let seal = wal
-                .notes
-                .iter()
-                .rev()
-                .find_map(|(_, n)| match Note::<2>::decode(n).unwrap() {
-                    Note::Flip(f) => Some(f.seal_lsn),
-                    _ => None,
-                })
-                .expect("the flip note is in the log");
+            let seal = newest_seal_lsn(&segs);
             assert!(
                 wal.notes.iter().all(|&(lsn, _)| lsn > seal),
                 "WAL kept records at or below {seal}"
@@ -1277,36 +1454,49 @@ mod tests {
         assert_eq!(ids(&tree), want);
     }
 
-    /// A crash right after the flip note's commit, before the superblock
-    /// write: recovery flips the catalog from the note, so the drained
-    /// items come back as the new level, not as a replayed memtable.
+    /// A crash right after the output's sync, before its cleanup: the
+    /// output is committed, so recovery keeps it, deletes the victim it
+    /// retires, and replays none of the drained notes still in the log.
     #[test]
-    fn committed_flip_is_re_executed_by_open() {
+    fn crash_after_the_output_sync_before_cleanup_keeps_the_output() {
         let opts = small_opts();
         let clock = SyncClock::new();
-        let disk = Arc::new(FaultDisk::new(Arc::new(MemDisk::default_size())));
-        disk.set_sync_clock(clock.clone());
         let log = MemLogStore::with_clock(clock.clone());
         let segs = Arc::new(MemSegmentStore::with_clock(clock.clone()));
+        let disk: Arc<dyn Disk> = Arc::new(MemDisk::default_size());
         let tree = LsmTree::<2>::open(disk.clone(), log.clone(), segs.clone(), opts).unwrap();
         for i in 0..20u64 {
             tree.insert(rect_for(i), i).unwrap();
         }
-        // The drain's syncs: segment bytes, then the flip note.
-        clock.crash_after_nth_sync(clock.syncs_seen() + 1);
+        tree.flush().unwrap();
+        let victim = level_shape(&tree)[0].0;
+        for i in 20..40u64 {
+            tree.insert(rect_for(i), i).unwrap();
+        }
+        // The drain's syncs: the output's put, then the victim delete.
+        // Crash right after the first.
+        clock.crash_after_nth_sync(clock.syncs_seen());
         assert!(tree.flush().is_err());
         drop(tree);
         log.lose_unsynced();
         segs.lose_unsynced();
         clock.revive();
-        disk.revive();
-        disk.set_armed(false);
+        assert_eq!(
+            segs.list().unwrap().len(),
+            2,
+            "victim and output both on disk"
+        );
+        assert!(
+            !scan(&*log).unwrap().notes.is_empty(),
+            "the log was not recycled"
+        );
 
-        let tree = LsmTree::<2>::open(disk.clone(), log, segs, opts).unwrap();
+        let tree = LsmTree::<2>::open(disk, log, segs.clone(), opts).unwrap();
         let st = tree.stats();
-        assert_eq!((st.levels, st.level_items, st.memtable_items), (1, 20, 0));
-        assert_eq!(ids(&tree), (0..20).collect::<Vec<_>>());
-        assert_eq!(disk.num_pages(), 1, "only the superblock");
+        assert_eq!((st.levels, st.level_items, st.memtable_items), (1, 40, 0));
+        assert_eq!(ids(&tree), (0..40).collect::<Vec<_>>());
+        assert!(!segs.list().unwrap().contains(&victim));
+        assert_eq!(segs.list().unwrap(), [level_shape(&tree)[0].0]);
     }
 
     #[test]
@@ -1353,8 +1543,10 @@ mod tests {
         assert_eq!(ids(&tree), (0..40).filter(|&i| i != 5).collect::<Vec<_>>());
     }
 
+    /// A fold whose tombstones delete every item writes an empty image:
+    /// one 0-item level, which the next flush folds and retires.
     #[test]
-    fn deleting_everything_flips_to_no_levels() {
+    fn deleting_everything_leaves_one_empty_level_until_the_next_flush() {
         let opts = small_opts();
         let (tree, disk, log, segs) = open_mem(opts);
         for i in 0..40u64 {
@@ -1366,14 +1558,24 @@ mod tests {
         }
         tree.flush().unwrap();
         let st = tree.stats();
-        assert_eq!((st.levels, st.level_items, st.tombstones), (0, 0, 0));
-        assert!(segs.list().unwrap().is_empty());
+        assert_eq!((st.levels, st.level_items, st.tombstones), (1, 0, 0));
         assert_eq!(SpatialIndex::len(&tree), 0);
+        let empty = segs.list().unwrap();
+        assert_eq!(empty.len(), 1, "at most one empty image");
+        let (_, image) = decode_segment::<2>(segs.read(empty[0]).unwrap().unwrap()).unwrap();
+        assert!(image.is_empty());
         drop(tree);
-        let tree = LsmTree::<2>::open(disk, log, segs, opts).unwrap();
-        assert_eq!(tree.stats().levels, 0);
+
+        let tree = LsmTree::<2>::open(disk, log, segs.clone(), opts).unwrap();
+        assert_eq!(level_shape(&tree), [(empty[0], 0)]);
+        assert_eq!(SpatialIndex::len(&tree), 0);
         tree.insert(rect_for(5), 5).unwrap();
+        tree.flush().unwrap();
         assert_eq!(ids(&tree), vec![5]);
+        let shape = level_shape(&tree);
+        assert_eq!(shape.len(), 1);
+        assert_eq!(segs.list().unwrap(), [shape[0].0]);
+        assert_ne!(shape[0].0, empty[0], "the empty level was retired");
     }
 
     #[test]

@@ -77,8 +77,8 @@ fn notes_with_inflated_counts_stay_within_budget() {
     one_short[1..5].copy_from_slice(&2u32.to_le_bytes());
     assert_corrupt_within_budget("delete note one item short", &one_short);
 
-    // Tag 4 (flip): new segment id, seal LSN, written flag, then a
-    // removed count of u32::MAX and no removed ids.
+    // Tag 4, the retired flip note: new segment id, seal LSN, written
+    // flag, then a removed count of u32::MAX and no removed ids.
     let mut flip = vec![4u8];
     for word in [7u64, 11] {
         flip.extend_from_slice(&word.to_le_bytes());

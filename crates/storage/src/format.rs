@@ -15,7 +15,7 @@
 //! 12      4     tree_count   (catalog entries in use)
 //! 16      8     free_head    (PageId of first free page; u64::MAX = none)
 //! 24      8     free_count   (length of the free chain)
-//! 32      8     wal_applied_lsn (newest WAL transaction fully applied)
+//! 32      8     reserved     (written as zero)
 //! 40      8     checksum     (FNV-1a of bytes 0..40 ++ catalog region)
 //! 48      —     catalog: tree_count × 48-byte entries
 //! ```
@@ -25,9 +25,7 @@
 //! Each catalog entry is `u8 name_len ++ 39 bytes name ++ u64 meta_page`.
 //! A tree's meta page holds whatever the tree layer wants (root, height,
 //! capacities — see `rtree`'s `TreeMeta`); the allocator only hands the
-//! page out and remembers it by name. An entry added by
-//! [`PageAllocator::flip_catalog`] (an LSM segment, whose bytes live in
-//! their own file) names no page: its `meta_page` is `u64::MAX`.
+//! page out and remembers it by name.
 //!
 //! Freed pages form a **chain threaded through the free pages
 //! themselves**: a free page starts with `"FREE"` ++ reserved u32 ++
@@ -84,15 +82,13 @@ fn corrupt(page: PageId, reason: impl Into<String>) -> StorageError {
 pub struct CatalogEntry {
     /// The tree's name (≤ 39 bytes of UTF-8).
     pub name: String,
-    /// The page holding the tree's meta block; [`PageId::INVALID`] for
-    /// an entry whose data lives off this disk (an LSM segment).
+    /// The page holding the tree's meta block.
     pub meta_page: PageId,
 }
 
 struct AllocState {
     free_head: PageId,
     free_count: u64,
-    wal_lsn: u64,
     catalog: Vec<CatalogEntry>,
 }
 
@@ -124,7 +120,6 @@ impl PageAllocator {
             state: Mutex::new(AllocState {
                 free_head: PageId::INVALID,
                 free_count: 0,
-                wal_lsn: 0,
                 catalog: Vec::new(),
             }),
         };
@@ -156,13 +151,6 @@ impl PageAllocator {
     /// Pages currently on the free chain.
     pub fn free_count(&self) -> u64 {
         self.state.lock().free_count
-    }
-
-    /// Newest WAL transaction the media fully reflects. Recovery skips
-    /// transactions at or below this LSN — the idempotence watermark,
-    /// advanced by [`flip_catalog`](Self::flip_catalog).
-    pub fn wal_applied_lsn(&self) -> u64 {
-        self.state.lock().wal_lsn
     }
 
     /// Allocate one page: pop the free chain if non-empty (committing
@@ -246,62 +234,6 @@ impl PageAllocator {
         });
         self.write_superblock(&st)?;
         Ok(meta_page)
-    }
-
-    /// Atomically flip the catalog: remove the entries named in
-    /// `remove`, add the names in `add`, and optionally advance the WAL
-    /// watermark — all in **one** superblock write, so a crash leaves
-    /// either the old catalog+watermark or the new one, never a mix.
-    /// This is how the LSM tier makes a compaction visible: the new
-    /// segment's entry appears, the drained memtable's history drops
-    /// below the watermark, and the replaced segments' entries vanish,
-    /// indivisibly. An added entry names data kept outside this disk (a
-    /// segment file), so it holds [`PageId::INVALID`], not a meta page.
-    ///
-    /// Names in `remove` that are absent are ignored (the flip may be a
-    /// recovery re-execution that already removed them). A name in `add`
-    /// that still exists after the removals is an error, as is
-    /// overflowing the catalog or an invalid name.
-    pub fn flip_catalog(
-        &self,
-        remove: &[&str],
-        add: &[&str],
-        applied_lsn: Option<u64>,
-    ) -> Result<()> {
-        for name in add {
-            if name.is_empty() || name.len() > MAX_NAME_LEN {
-                return Err(corrupt(
-                    SUPERBLOCK_PAGE,
-                    format!(
-                        "tree name must be 1..={MAX_NAME_LEN} bytes, got {}",
-                        name.len()
-                    ),
-                ));
-            }
-        }
-        let mut st = self.state.lock();
-        let mut catalog = st.catalog.clone();
-        catalog.retain(|e| !remove.contains(&e.name.as_str()));
-        for &name in add {
-            if catalog.iter().any(|e| e.name == name) {
-                return Err(StorageError::TreeExists(name.to_string()));
-            }
-            catalog.push(CatalogEntry {
-                name: name.to_string(),
-                meta_page: PageId::INVALID,
-            });
-        }
-        if catalog.len() > self.max_trees() {
-            return Err(corrupt(
-                SUPERBLOCK_PAGE,
-                format!("catalog full ({} trees)", catalog.len()),
-            ));
-        }
-        st.catalog = catalog;
-        if let Some(lsn) = applied_lsn {
-            st.wal_lsn = lsn;
-        }
-        self.write_superblock(&st)
     }
 
     /// Meta page of the named tree, if it exists.
@@ -407,7 +339,7 @@ impl PageAllocator {
             w.put_u32_le(st.catalog.len() as u32);
             w.put_u64_le(st.free_head.0);
             w.put_u64_le(st.free_count);
-            w.put_u64_le(st.wal_lsn);
+            w.put_u64_le(0); // reserved
             w.put_u64_le(0); // checksum, patched below
         }
         for (i, e) in st.catalog.iter().enumerate() {
@@ -441,7 +373,7 @@ impl PageAllocator {
         let tree_count = r.get_u32_le() as usize;
         let free_head = PageId(r.get_u64_le());
         let free_count = r.get_u64_le();
-        let wal_lsn = r.get_u64_le();
+        let _reserved = r.get_u64_le();
         let stored_checksum = r.get_u64_le();
         if magic != FORMAT_V2_MAGIC {
             return Err(corrupt(
@@ -504,7 +436,6 @@ impl PageAllocator {
         Ok(AllocState {
             free_head,
             free_count,
-            wal_lsn,
             catalog,
         })
     }
@@ -536,6 +467,10 @@ mod tests {
         // The freed page is reused, not leaked, by the reopened allocator.
         assert_eq!(b.allocate().unwrap(), data);
         assert_eq!(b.free_count(), 0);
+        // The reserved field is written as zero.
+        let mut page = vec![0u8; 512];
+        disk.read_page(PageId(0), &mut page).unwrap();
+        assert_eq!(page[32..40], [0; 8]);
     }
 
     #[test]
@@ -624,42 +559,6 @@ mod tests {
         assert!(a.free_page(PageId(0)).is_err());
         assert!(a.free_page(PageId(999)).is_err());
         assert!(a.free_page(PageId::INVALID).is_err());
-    }
-
-    #[test]
-    fn wal_watermark_roundtrips() {
-        let disk = mem();
-        let a = PageAllocator::format(disk.clone()).unwrap();
-        assert_eq!(a.wal_applied_lsn(), 0);
-        a.create_tree("t").unwrap();
-        a.flip_catalog(&[], &[], Some(41)).unwrap();
-        let b = PageAllocator::open(disk).unwrap();
-        assert_eq!(b.wal_applied_lsn(), 41);
-        assert_eq!(b.lookup_tree("t"), Some(PageId(1)));
-    }
-
-    #[test]
-    fn flip_catalog_is_one_commit() {
-        let disk = mem();
-        let a = PageAllocator::format(disk.clone()).unwrap();
-        a.flip_catalog(&[], &["seg-old"], None).unwrap();
-        a.create_tree("keep").unwrap();
-        a.flip_catalog(&["seg-old"], &["seg-new"], Some(17))
-            .unwrap();
-        // Reopen from media: the flip must be fully there or fully not.
-        let b = PageAllocator::open(disk.clone()).unwrap();
-        assert_eq!(b.lookup_tree("seg-old"), None);
-        assert_eq!(b.lookup_tree("seg-new"), Some(PageId::INVALID));
-        assert!(b.lookup_tree("keep").is_some());
-        assert_eq!(b.wal_applied_lsn(), 17);
-        // Flipped entries own no page: only the superblock and the
-        // paged tree's meta page exist.
-        assert_eq!(disk.num_pages(), 2);
-        // Removing a name that is already gone is fine (recovery
-        // re-executes flips); adding a duplicate or an empty name is not.
-        b.flip_catalog(&["seg-old"], &[], None).unwrap();
-        assert!(b.flip_catalog(&[], &["keep"], None).is_err());
-        assert!(b.flip_catalog(&[], &[""], None).is_err());
     }
 
     /// A hand-built version-2 superblock (checksum at 32, catalog at

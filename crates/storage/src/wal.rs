@@ -1,13 +1,13 @@
 //! Write-ahead log: self-committing note records, group commit, scan.
 //!
 //! The log carries *notes*: opaque application payloads (the LSM tier's
-//! inserts, deletes and catalog flips) that ride its durability and
+//! inserts and deletes) that ride its durability and
 //! ordering guarantees. Each note is one checksummed record under a
 //! fresh LSN, appended to the current log segment, and that record is
 //! its own commit: the caller is acknowledged once an fsync has made it
 //! durable. The log's owner applies the notes: after a crash it
 //! [`scan`]s the valid prefix and redoes every note past its own
-//! watermark (the LSM keeps it in the superblock's `wal_applied_lsn`).
+//! watermark (the LSM's is its newest segment's seal LSN).
 //!
 //! # Record format
 //!
@@ -55,7 +55,7 @@
 //!
 //! Segments rotate once the current one would exceed 1 MiB
 //! (`SEGMENT_BYTES`; a batch never splits across segments) or when
-//! [`Wal::start_segment`] asks for it, and are recycled — deleted —
+//! [`Wal::start_segment`] cuts the log, and are recycled — deleted —
 //! once the owner reports every LSN they hold applied
 //! ([`Wal::recycle`]).
 
@@ -534,8 +534,6 @@ struct WalInner {
     syncing: bool,
     cur_seg: u64,
     cur_seg_len: u64,
-    /// The next batch opens a new segment ([`Wal::start_segment`]).
-    rotate: bool,
     /// Max LSN each segment holds (for recycling).
     seg_max_lsn: BTreeMap<u64, u64>,
 }
@@ -551,8 +549,8 @@ pub struct Wal {
 }
 
 impl Wal {
-    /// Start a log whose first note gets `start_lsn` (use the
-    /// superblock's `wal_applied_lsn + 1`; LSN 0 means "none"), with
+    /// Start a log whose first note gets `start_lsn` (past every LSN on
+    /// media and the owner's watermark; LSN 0 means "none"), with
     /// group commit on. New segments are numbered past any segment
     /// already in the store; the segments `scanned` found there are
     /// recycled like this log's own (pass the [`scan`] of `store`, after
@@ -575,7 +573,6 @@ impl Wal {
                 syncing: false,
                 cur_seg,
                 cur_seg_len: 0,
-                rotate: false,
                 seg_max_lsn: scanned.seg_max_lsn.clone(),
             }),
             cv: Condvar::new(),
@@ -657,12 +654,10 @@ impl Wal {
             let spare = std::mem::take(&mut g.spare);
             let mut batch = std::mem::replace(&mut g.buf, spare);
             let batch_max = g.staged_lsn;
-            if g.cur_seg_len > 0 && (g.rotate || g.cur_seg_len + batch.len() as u64 > SEGMENT_BYTES)
-            {
+            if g.cur_seg_len > 0 && g.cur_seg_len + batch.len() as u64 > SEGMENT_BYTES {
                 g.cur_seg += 1;
                 g.cur_seg_len = 0;
             }
-            g.rotate = false;
             let seg = g.cur_seg;
             drop(g);
             let append_res = if batch.is_empty() {
@@ -684,7 +679,10 @@ impl Wal {
                 return Err(e);
             }
             if written > 0 {
-                g.cur_seg_len += written;
+                // A cut while this batch was in flight closed `seg`.
+                if seg == g.cur_seg {
+                    g.cur_seg_len += written;
+                }
                 let entry = g.seg_max_lsn.entry(seg).or_insert(0);
                 *entry = (*entry).max(batch_max);
                 g.appended_lsn = g.appended_lsn.max(batch_max);
@@ -716,12 +714,18 @@ impl Wal {
         }
     }
 
-    /// Make the next appended batch open a new segment, unless the
-    /// current one is still empty. Every record staged from now on lands
-    /// past the cut, so [`Wal::recycle`] at today's [`Wal::last_lsn`]
-    /// can delete everything before it whatever commits interleave.
+    /// Close the current segment now, unless it is still empty: every
+    /// batch appended from here on opens or joins a new one, so
+    /// [`Wal::recycle`] at today's [`Wal::last_lsn`] can delete everything
+    /// before the cut whatever commits interleave, even before another
+    /// note is appended. A leader already appending finishes its batch in
+    /// the closed segment; each of its LSNs was staged before the cut.
     pub fn start_segment(&self) {
-        self.inner.lock().rotate = true;
+        let mut g = self.inner.lock();
+        if g.cur_seg_len > 0 || g.syncing {
+            g.cur_seg += 1;
+            g.cur_seg_len = 0;
+        }
     }
 
     /// Delete every closed segment whose newest LSN is at or below
@@ -981,6 +985,24 @@ mod tests {
         assert!(store.list().unwrap().len() < segs.len());
         // The scan must still parse the surviving suffix.
         assert!(scan(store.as_ref()).unwrap().torn.is_none());
+    }
+
+    /// A cut closes the current segment at once: the owner can recycle
+    /// it before anything else is appended, and the next note opens a
+    /// new one.
+    #[test]
+    fn a_cut_segment_is_recycled_before_the_next_append() {
+        let store = MemLogStore::new();
+        let wal = open(&store);
+        let cut = note(&wal, &store, &[0; 64]).0;
+        wal.start_segment();
+        assert_eq!(wal.recycle(cut).unwrap(), 1);
+        assert!(store.list().unwrap().is_empty());
+        let after = note(&wal, &store, &[1; 64]).0;
+        assert_eq!(store.list().unwrap(), [1]);
+        let left = scan(store.as_ref()).unwrap();
+        assert_eq!(left.notes.len(), 1);
+        assert_eq!(left.notes[0].0, after);
     }
 
     #[test]

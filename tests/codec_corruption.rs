@@ -9,11 +9,12 @@
 //! bit-identical to the original (flips past the entry region land in
 //! stale bytes the count field makes unreachable).
 //!
-//! The LSM's WAL delete note gets the same matrix: its decoder reads
-//! untrusted log bytes, so it must be total.
+//! The LSM's WAL delete note and its segments' lineage trailer get the
+//! same matrix: their decoders read untrusted bytes, so they must be
+//! total.
 
 use str_rtree::geom::Rect;
-use str_rtree::lsm::{DeleteNote, LsmError, Note};
+use str_rtree::lsm::{decode_segment, DeleteNote, Lineage, LsmError, Note, TRAILER_LEN};
 use str_rtree::rtree::codec::{self, entry_size};
 use str_rtree::rtree::{Entry, Node, NodeView};
 use str_rtree::storage::PageId;
@@ -172,7 +173,6 @@ fn encode_note(note: &Note<2>) -> Vec<u8> {
     match note {
         Note::Insert(n) => n.encode_into(&mut out),
         Note::Delete(n) => n.encode_into(&mut out),
-        Note::Flip(f) => f.encode_into(&mut out),
     }
     out
 }
@@ -224,4 +224,87 @@ fn delete_note_corruption_is_typed_or_exact() {
         rejected > 0 && exact > 0,
         "{rejected} rejected, {exact} exact"
     );
+}
+
+/// A small segment: a packed `FLT1` image of 24 items followed by its
+/// lineage trailer. Returns the segment and the image's length.
+fn sample_segment() -> (Vec<u8>, usize) {
+    let items = (0..24u64)
+        .map(|i| {
+            let x = i as f64;
+            (Rect::new([x, 0.0], [x + 0.5, 1.0]), 100 + i)
+        })
+        .collect();
+    let cap = str_rtree::rtree::NodeCapacity::new(4).unwrap();
+    let mut seg = str_rtree::str_core::pack_str_to_flat::<2>(items, cap, 1).unwrap();
+    let image_len = seg.len();
+    Lineage {
+        seal_lsn: 4242,
+        fold_id: 3,
+    }
+    .encode_onto(&mut seg);
+    (seg, image_len)
+}
+
+/// Decode a whole segment; a refusal must be typed.
+fn segment_verdict(bytes: &[u8], what: &str) -> Option<Lineage> {
+    match decode_segment::<2>(bytes.to_vec()) {
+        Ok((lineage, _)) => Some(lineage),
+        Err(LsmError::Corrupt(_) | LsmError::Flat(_)) => None,
+        Err(other) => panic!("{what}: untyped error {other}"),
+    }
+}
+
+/// Every truncation, every length-inflated segment and every single-bit
+/// flip of a segment is refused with a typed error — by the lineage
+/// trailer's own check wherever the trailer is hit — and never panics.
+/// An older build's segment, a bare `FLT1` image with no trailer, is
+/// refused too.
+#[test]
+fn lineage_trailer_corruption_is_typed() {
+    let (seg, image_len) = sample_segment();
+    assert_eq!(seg.len(), image_len + TRAILER_LEN);
+    assert_eq!(
+        segment_verdict(&seg, "pristine"),
+        Some(Lineage {
+            seal_lsn: 4242,
+            fold_id: 3
+        })
+    );
+    let trailer_corrupt = |b: &[u8], what: &str| match Lineage::decode(b) {
+        Err(LsmError::Corrupt(_)) => {}
+        other => panic!("{what}: expected Corrupt, got {other:?}"),
+    };
+    for len in 0..seg.len() {
+        let what = format!("truncated to {len}");
+        trailer_corrupt(&seg[..len], &what);
+        assert_eq!(segment_verdict(&seg[..len], &what), None, "{what}");
+    }
+    for extra in [1usize, 8, TRAILER_LEN, 4096] {
+        let mut long = seg.clone();
+        long.extend(std::iter::repeat_n(0u8, extra));
+        let what = format!("inflated by {extra} bytes");
+        trailer_corrupt(&long, &what);
+        assert_eq!(segment_verdict(&long, &what), None, "{what}");
+    }
+    // A second copy of the trailer passes the trailer check — it seals
+    // the same image checksum — but the image it then ends no longer
+    // parses.
+    let mut doubled = seg.clone();
+    doubled.extend_from_slice(&seg[image_len..]);
+    assert_eq!(segment_verdict(&doubled, "doubled trailer"), None);
+    for bit in 0..seg.len() * 8 {
+        let mut flipped = seg.clone();
+        flipped[bit / 8] ^= 1 << (bit % 8);
+        let what = format!("bit {bit}");
+        if bit / 8 >= image_len {
+            trailer_corrupt(&flipped, &what);
+        }
+        assert_eq!(segment_verdict(&flipped, &what), None, "{what} decoded");
+    }
+    // An older build's segment: the image alone.
+    match Lineage::decode(&seg[..image_len]) {
+        Err(LsmError::Corrupt(msg)) => assert!(msg.contains("no lineage trailer"), "{msg}"),
+        other => panic!("a bare image decoded: {other:?}"),
+    }
 }

@@ -20,21 +20,23 @@
 //!
 //! The committed prefix is observable from the workload driver itself:
 //! `insert`/`delete` return only after their commit fsync, so `Ok`
-//! means durable. A compaction's commit protocol adds four sync points
-//! per drain — segment bytes, the WAL flip note (the commit point), the
-//! superblock flip, and cleanup — so crash points land inside ordinary
-//! commits and every step of every flip alike.
+//! means durable. A compaction's commit protocol adds two sync points
+//! per drain that has victims and one per drain that has none — the
+//! output segment's `put` + `sync` (the commit point), then the victims'
+//! deletes — so crash points land inside ordinary commits and on both
+//! sides of every compaction's commit point alike.
 //!
-//! After every recovery the main disk must hold the superblock and
-//! nothing else, with an empty free chain: segments own no page, so no
-//! crash point may leak one.
+//! After every recovery the main disk must hold no page (the tree keeps
+//! its state in the log and the segment files only), and the segment
+//! store must hold exactly the recovered levels: every crash leftover,
+//! an uncommitted output or a committed output's victims, is gone.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use str_rtree::lsm::{LsmStats, MemSegmentStore};
+use str_rtree::lsm::{decode_segment, LsmStats, MemSegmentStore, SegmentStore};
 use str_rtree::prelude::*;
-use str_rtree::storage::{Disk, FaultDisk, MemLogStore, PageAllocator, SyncClock};
+use str_rtree::storage::{Disk, FaultDisk, MemLogStore, SyncClock};
 
 /// Distinct grid rectangle for item `i`.
 fn rect_of(i: u64) -> Rect2 {
@@ -121,15 +123,30 @@ impl Rig {
         self.clock.revive();
         self.fault.revive();
         self.fault.set_armed(false);
-        let tree = LsmTree::open(self.fault.clone(), self.log, self.segs, self.opts)
+        let tree = LsmTree::open(self.fault.clone(), self.log, self.segs.clone(), self.opts)
             .unwrap_or_else(|e| panic!("n={n}: recovery failed: {e}"));
         assert_eq!(
             self.fault.num_pages(),
-            1,
-            "n={n}: the main disk holds more than the superblock"
+            0,
+            "n={n}: the main disk holds a page"
         );
-        let alloc = PageAllocator::open(self.fault).unwrap();
-        assert_eq!(alloc.free_count(), 0, "n={n}: pages on the free chain");
+        // The store holds the levels and nothing else: as many segments
+        // as levels, each a valid segment, holding the levels' items.
+        let ids = self.segs.list().unwrap();
+        let st = tree.stats();
+        assert_eq!(
+            ids.len(),
+            st.levels,
+            "n={n}: segments {ids:?} beside the levels"
+        );
+        let items: u64 = ids
+            .iter()
+            .map(|&id| {
+                let bytes = self.segs.read(id).unwrap().unwrap();
+                decode_segment::<2>(bytes).unwrap().1.len()
+            })
+            .sum();
+        assert_eq!(items, st.level_items, "n={n}: segment items diverge");
         tree
     }
 }
@@ -158,7 +175,7 @@ fn mix_opts() -> LsmOptions {
 
 /// The fixed workload: 200 mutations with a delete every fifth op and a
 /// flush every 60th, so tombstones reach levels, force full folds, and
-/// crash points land inside commits, seals and flips alike.
+/// crash points land inside commits, seals and compactions alike.
 fn mix_workload() -> Vec<Op> {
     let mut ops = Vec::new();
     let mut next_id = 0u64;
@@ -241,17 +258,17 @@ fn crash_after_final_sync_is_a_clean_shutdown() {
 }
 
 // ---------------------------------------------------------------------
-// Compaction shapes: crash schedules across the catalog-flip commit
+// Compaction shapes: crash schedules across the segment-publish commit
 // point.
 //
-// Crashing between any two sync points of a flip must never lose an
-// acknowledged insert or delete: before the flip note syncs, recovery
-// rebuilds the drained memtable from insert and delete notes; after it,
-// recovery re-executes the flip against the durable segment bytes. The
-// tiny memtable bound forces a compaction every 8 entries; the flips
-// remove every level, none, or the newest level while keeping an older
-// one, and a delete of a level item puts a tombstone in a memtable
-// whose drain must fold every level.
+// Crashing between any two sync points of a compaction must never lose
+// an acknowledged insert or delete: before the output segment's sync,
+// recovery rebuilds the drained memtable from insert and delete notes;
+// after it, the output retires its victims and covers those notes. The
+// tiny memtable bound forces a compaction every 8 entries; the
+// compactions fold every level, none, or the newest level while keeping
+// an older one, and a delete of a level item puts a tombstone in a
+// memtable whose drain must fold every level.
 // ---------------------------------------------------------------------
 
 fn shape_opts() -> LsmOptions {
@@ -318,7 +335,7 @@ fn every_lsm_sync_point_preserves_acknowledged_inserts() {
     let compactions = r.tree.stats().compactions;
     assert!(
         compactions >= 6,
-        "workload must cross the flip commit point repeatedly, got {compactions} compactions"
+        "workload must cross the commit point repeatedly, got {compactions} compactions"
     );
     assert_eq!(contents(&r.tree), full);
     let total_syncs = r.clock.syncs_seen() - r.base;
