@@ -264,6 +264,34 @@ fn lsm_query_reports_memtable_rows_tested() {
     assert!(count >= 1, "{out}");
 }
 
+/// `build --packer str --metrics json` splits the in-memory pack's time
+/// per level into its top-level sort and its slab recursion. 3000
+/// entries at capacity 64 fill 47 leaves, and 47 entries fit one node,
+/// so exactly one level is tiled.
+#[test]
+fn str_build_reports_sort_and_slab_phases() {
+    let data = tmp("str-phases.csv");
+    let index = tmp("str-phases.rtree");
+    let _ = std::fs::remove_file(&index);
+    run_ok(
+        bin()
+            .args(["gen", "--dataset", "uniform", "--n", "3000", "--output"])
+            .arg(&data),
+    );
+    let out = run_ok(
+        bin()
+            .args(["build", "--packer", "str", "--capacity", "64"])
+            .args(["--metrics", "json", "--input"])
+            .arg(&data)
+            .arg("--output")
+            .arg(&index),
+    );
+    for name in ["str.sort_ns", "str.slabs_ns"] {
+        let key = format!("\"{name}\": {{\"count\": 1,");
+        assert!(out.contains(&key), "no {key} in {out}");
+    }
+}
+
 /// `trees --lsm` lists each segment of an LSM directory with its
 /// image's figures and its lineage: an LSM directory is `wal/` and
 /// `segments/`, with no superblock file.

@@ -1,5 +1,6 @@
 //! Sort-Tile-Recursive packing — the paper's new algorithm (§2.2).
 
+use obs::LazyHistogram;
 use rtree::{Entry, NodeCapacity};
 
 use crate::PackingOrder;
@@ -68,53 +69,63 @@ impl Default for StrPacker {
     }
 }
 
+// A level's phases (DESIGN.md §13): the top-level sort on the first
+// coordinate, then the recursion over its slabs.
+static SORT_NS: LazyHistogram = LazyHistogram::new("str.sort_ns");
+static SLABS_NS: LazyHistogram = LazyHistogram::new("str.slabs_ns");
+
 impl<const D: usize> PackingOrder<D> for StrPacker {
     fn name(&self) -> &'static str {
         "STR"
     }
 
+    /// The outermost sort runs on the calling thread: above
+    /// [`extsort::FLAG_SORT_ABOVE`] entries it is one in-place pass that
+    /// moves each entry once, bound by memory bandwidth, not by cores.
+    /// The independent slabs then fan out across `threads` workers; the
+    /// result is identical at every thread count because slab processing
+    /// never crosses slab boundaries.
     fn order_level(&self, entries: &mut Vec<Entry<D>>, _level: u32, cap: NodeCapacity) {
-        if self.threads > 1 {
-            str_order_parallel::<D>(entries, cap.max(), self.threads);
-        } else {
-            str_order::<D>(entries, 0, cap.max());
+        let n = cap.max();
+        if D == 1 {
+            let _sort = SORT_NS.start();
+            crate::order::sort_by_center(entries, 0);
+            return;
         }
-    }
-}
-
-/// Parallel STR: the outermost sort runs single-threaded (it is the
-/// bandwidth-bound part and `slice::sort_by` is already fast), then the
-/// independent slabs fan out across `threads` workers. The result is
-/// identical to [`str_order`] because slab processing never crosses slab
-/// boundaries.
-fn str_order_parallel<const D: usize>(entries: &mut [Entry<D>], n: usize, threads: usize) {
-    if D == 1 {
+        let pages = entries.len().div_ceil(n);
+        if pages <= 1 {
+            return;
+        }
+        let slab_size = n * slab_pages(pages, D as u32);
+        let sort = SORT_NS.start();
         crate::order::sort_by_center(entries, 0);
-        return;
-    }
-    let pages = entries.len().div_ceil(n);
-    if pages <= 1 {
-        return;
-    }
-    let slab_size = n * slab_pages(pages, D as u32);
-    crate::order::sort_by_center(entries, 0);
+        drop(sort);
 
-    let slabs: Vec<&mut [Entry<D>]> = entries.chunks_mut(slab_size).collect();
-    // Round-robin slabs over workers inside a scope: no allocation of
-    // intermediate buffers, no unsafe, deterministic output.
-    std::thread::scope(|scope| {
-        let mut queues: Vec<Vec<&mut [Entry<D>]>> = (0..threads).map(|_| Vec::new()).collect();
-        for (i, slab) in slabs.into_iter().enumerate() {
-            queues[i % threads].push(slab);
+        let _slabs = SLABS_NS.start();
+        if self.threads == 1 {
+            for slab in entries.chunks_mut(slab_size) {
+                str_order::<D>(slab, 1, n);
+            }
+            return;
         }
-        for queue in queues {
-            scope.spawn(move || {
-                for slab in queue {
-                    str_order::<D>(slab, 1, n);
-                }
-            });
-        }
-    });
+        let slabs: Vec<&mut [Entry<D>]> = entries.chunks_mut(slab_size).collect();
+        // Round-robin slabs over workers inside a scope: no allocation of
+        // intermediate buffers, no unsafe, deterministic output.
+        std::thread::scope(|scope| {
+            let mut queues: Vec<Vec<&mut [Entry<D>]>> =
+                (0..self.threads).map(|_| Vec::new()).collect();
+            for (i, slab) in slabs.into_iter().enumerate() {
+                queues[i % self.threads].push(slab);
+            }
+            for queue in queues {
+                scope.spawn(move || {
+                    for slab in queue {
+                        str_order::<D>(slab, 1, n);
+                    }
+                });
+            }
+        });
+    }
 }
 
 /// Order one slab (already selected by the first coordinate) over the

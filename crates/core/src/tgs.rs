@@ -178,7 +178,7 @@ fn split_recursive<const D: usize>(
 
     for axis in 0..D {
         let mut sorted = entries.to_vec();
-        sorted.sort_by(|a, b| a.rect.cmp_center(&b.rect, axis));
+        crate::order::sort_by_center(&mut sorted, axis);
         // Prefix and suffix MBRs at unit granularity.
         let mut prefix = vec![Rect::<D>::empty(); groups + 1];
         for g in 0..groups {

@@ -1,17 +1,30 @@
-//! Stable radix sort on `u64` keys — the one sort behind run formation
-//! and STR's in-memory slab tiling.
+//! Stable radix sorts on `u64` keys: the sorts behind run formation and
+//! every STR/NX ordering.
 //!
 //! Once every record is reduced to one order-preserving integer key (a
 //! center coordinate through `hilbert::f64_order_key`), a comparison sort
 //! spends its time calling the key extractor and moving wide records.
-//! This sort calls the extractor once per record, sorts 16-byte
-//! `(key, index)` pairs back and forth between two buffers one byte-digit
-//! at a time, least significant first and skipping digits that every key
-//! shares, and then applies the resulting permutation to the records in
-//! place.
+//! Both sorts here call the extractor once per record. Both give exactly
+//! `slice::sort_by_key` with the same key.
 //!
-//! Each pass scatters in input order, so the sort is stable: the result
-//! is exactly `slice::sort_by_key` with the same key.
+//! - [`radix_sort_by_key`] sorts 16-byte `(key, index)` pairs back and
+//!   forth between two buffers one byte-digit at a time, least
+//!   significant first and skipping digits that every key shares, and
+//!   then applies the resulting permutation to the records in place.
+//!   Each pass scatters in input order, so the sort is stable. Run
+//!   formation and every slab of an STR build use it: on slices that
+//!   short it is as fast as the flag sort.
+//! - [`flag_sort_by_key`] is for longer slices, where those eight passes
+//!   over two pair buffers, and the permutation's dependent swap chain
+//!   through the records, all run at DRAM speed. It keeps a key and an
+//!   input-index column beside the records and makes one in-place
+//!   American-flag pass on the 11 highest key bits that vary, swapping
+//!   record, key and index together, so each record crosses DRAM once.
+//!   Each bucket is then ordered by the same pass on its next bits,
+//!   inside the cache once buckets are small. Ties are ordered by input
+//!   index, which makes the sort stable although the pass is not; once
+//!   no key bit varies the passes run on the index bits, so even a
+//!   bucket holding every record needs no second array.
 
 /// Slices up to this length sort their `(key, index)` pairs with a
 /// comparison sort: below it, the 8 × 256 digit histograms cost more than
@@ -111,6 +124,160 @@ fn permute<T>(items: &mut [T], order: &mut [(u64, usize)]) {
     }
 }
 
+/// [`flag_sort_by_key`] hands slices up to this length to
+/// [`radix_sort_by_key`]. Up to here the two sorts measure within noise
+/// of each other; above it the pair buffers and the permutation's swap
+/// chain outgrow the L2 cache, and the pair sort falls behind (DESIGN
+/// §13).
+pub const FLAG_SORT_ABOVE: usize = 65_536;
+
+/// Widest digit of a flag pass, and the bucket count at that width.
+const FLAG_BITS: u32 = 11;
+const FLAG_BUCKETS: usize = 1 << FLAG_BITS;
+
+/// Buckets up to this length are finished by insertion sort.
+const INSERTION: usize = 32;
+
+/// Stable sort of `items` by `key`, calling `key` once per item.
+///
+/// Equivalent to `items.sort_by_key(key)`, and to
+/// [`radix_sort_by_key`], which it calls at or below
+/// [`FLAG_SORT_ABOVE`] items. Above it, the scratch is a `u64` key and a
+/// `u32` index column: 12 bytes per item, freed on return.
+pub fn flag_sort_by_key<T: Copy>(items: &mut [T], mut key: impl FnMut(&T) -> u64) {
+    let n = items.len();
+    if n <= FLAG_SORT_ABOVE || n > u32::MAX as usize {
+        radix_sort_by_key(items, key);
+        return;
+    }
+    let mut keys: Vec<u64> = items.iter().map(&mut key).collect();
+    let mut index: Vec<u32> = (0..n as u32).collect();
+    flag_sort(items, &mut keys, &mut index);
+}
+
+/// Order `items` and their `keys` and (unique) `index` columns by
+/// `(key, index)`: one in-place flag pass on the highest bits that vary
+/// in that pair, then the same on each bucket. A pass takes at least 5
+/// of the 96 bits, so the recursion is at most 20 deep, each level
+/// holding one 8 KiB bucket table on the stack.
+fn flag_sort<T: Copy>(items: &mut [T], keys: &mut [u64], index: &mut [u32]) {
+    let n = items.len();
+    if n <= INSERTION {
+        insertion_sort(items, keys, index);
+        return;
+    }
+    // Short buckets use narrow digits, so their histograms stay shorter
+    // than they are.
+    let bits = FLAG_BITS.min(n.ilog2());
+    let digit = Digit::highest_varying(keys, index, bits);
+    let ends = flag_pass(items, keys, index, digit);
+    let mut start = 0;
+    for &end in &ends[..1 << bits] {
+        let end = end as usize;
+        if end - start > 1 {
+            flag_sort(
+                &mut items[start..end],
+                &mut keys[start..end],
+                &mut index[start..end],
+            );
+        }
+        start = end;
+    }
+}
+
+/// `bits` consecutive bits of the 96-bit number `key << 32 | index`,
+/// the lowest at `shift`.
+#[derive(Clone, Copy)]
+struct Digit {
+    shift: u32,
+    mask: u64,
+}
+
+impl Digit {
+    /// The `bits` bits ending at the highest bit that varies across the
+    /// pairs; there are at least two pairs, and indices are unique.
+    fn highest_varying(keys: &[u64], index: &[u32], bits: u32) -> Self {
+        let varying = keys.iter().fold(0, |acc, &k| acc | (k ^ keys[0]));
+        let top = if varying != 0 {
+            95 - varying.leading_zeros()
+        } else {
+            let varying = index.iter().fold(0, |acc, &i| acc | (i ^ index[0]));
+            31 - varying.leading_zeros()
+        };
+        Self {
+            shift: (top + 1).saturating_sub(bits),
+            mask: (1 << bits) - 1,
+        }
+    }
+
+    #[inline(always)]
+    fn of(self, key: u64, index: u32) -> usize {
+        let wide = if self.shift >= 32 {
+            key >> (self.shift - 32)
+        } else {
+            key << (32 - self.shift) | u64::from(index) >> self.shift
+        };
+        (wide & self.mask) as usize
+    }
+}
+
+/// One in-place American-flag pass: permute the three columns so that
+/// the buckets of `digit` lie in ascending order, and return each
+/// bucket's end. An item out of place is carried along its cycle: it
+/// goes into its bucket's next free slot, and the item it displaces is
+/// carried on, until one that belongs in the starting slot comes back.
+/// Each item is written once, into its final bucket.
+fn flag_pass<T: Copy>(
+    items: &mut [T],
+    keys: &mut [u64],
+    index: &mut [u32],
+    digit: Digit,
+) -> [u32; FLAG_BUCKETS] {
+    let buckets = digit.mask as usize + 1;
+    let mut ends = [0u32; FLAG_BUCKETS];
+    for (&k, &i) in keys.iter().zip(index.iter()) {
+        ends[digit.of(k, i)] += 1;
+    }
+    let mut next = [0u32; FLAG_BUCKETS];
+    let mut sum = 0;
+    for (slot, end) in next.iter_mut().zip(&mut ends[..buckets]) {
+        *slot = sum;
+        sum += *end;
+        *end = sum;
+    }
+    for b in 0..buckets {
+        for i in next[b] as usize..ends[b] as usize {
+            let mut d = digit.of(keys[i], index[i]);
+            if d == b {
+                continue;
+            }
+            let (mut item, mut k, mut x) = (items[i], keys[i], index[i]);
+            while d != b {
+                let j = next[d] as usize;
+                next[d] += 1;
+                std::mem::swap(&mut item, &mut items[j]);
+                std::mem::swap(&mut k, &mut keys[j]);
+                std::mem::swap(&mut x, &mut index[j]);
+                d = digit.of(k, x);
+            }
+            (items[i], keys[i], index[i]) = (item, k, x);
+        }
+    }
+    ends
+}
+
+fn insertion_sort<T>(items: &mut [T], keys: &mut [u64], index: &mut [u32]) {
+    for i in 1..items.len() {
+        let mut j = i;
+        while j > 0 && (keys[j], index[j]) < (keys[j - 1], index[j - 1]) {
+            items.swap(j, j - 1);
+            keys.swap(j, j - 1);
+            index.swap(j, j - 1);
+            j -= 1;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -119,11 +286,37 @@ mod tests {
     /// `(key, id)` records: the oracle is the standard library's stable
     /// sort on the key alone, so tied keys must keep their id order.
     fn check(keys: &[u64]) {
+        check_with(keys, |items| radix_sort_by_key(items, |r| r.0));
+    }
+
+    fn check_with(keys: &[u64], sort: impl Fn(&mut [(u64, usize)])) {
         let mut got: Vec<(u64, usize)> = keys.iter().copied().zip(0..).collect();
         let mut expect = got.clone();
         expect.sort_by_key(|r| r.0);
-        radix_sort_by_key(&mut got, |r| r.0);
+        sort(&mut got);
         assert_eq!(got, expect, "n={}", keys.len());
+    }
+
+    /// Above [`FLAG_SORT_ABOVE`] the flag passes sort; the shapes put the
+    /// varying bits at the top of the key, at the bottom (where a digit
+    /// takes index bits too), nowhere (every key in one bucket, ordered
+    /// by index alone), and in a few wide ties.
+    #[test]
+    fn flag_sort_matches_stable_sort_around_its_bound() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(13);
+        for n in [FLAG_SORT_ABOVE, FLAG_SORT_ABOVE + 1, 3 * FLAG_SORT_ABOVE] {
+            let shapes: [Vec<u64>; 6] = [
+                (0..n).map(|_| rng.gen()).collect(),
+                (0..n).map(|_| rng.gen::<u64>() % 7).collect(),
+                (0..n).map(|_| (rng.gen::<u64>() % 5) << 56).collect(),
+                (0..n).map(|_| rng.gen::<u64>() % 300).collect(),
+                vec![0xDEAD_BEEF; n],
+                (0..n as u64).rev().collect(),
+            ];
+            for keys in &shapes {
+                check_with(keys, |items| flag_sort_by_key(items, |r| r.0));
+            }
+        }
     }
 
     #[test]
