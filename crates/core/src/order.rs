@@ -52,17 +52,14 @@ pub(crate) fn center_key<const D: usize>(rect: &Rect<D>, axis: usize) -> u64 {
 /// STR and NX packing, each axis TGS tries, each slab of the out-of-core
 /// pipeline ([`crate::str_pack::order_slab`]) and each LSM compaction
 /// ([`crate::pack_str_to_flat`]). Each center is computed once, as a
-/// `u64` order key, and [`extsort::flag_sort_by_key`] orders the
-/// entries. Up to [`extsort::FLAG_SORT_ABOVE`] entries that is the
-/// least-significant-digit radix sort over `(key, index)` pairs; on a
-/// 2-vCPU Xeon VM it sorted a 14k-entry slab in 0.58 ms against 0.91 ms
-/// for the `sort_by_cached_key` it replaced. Above the bound, where the
-/// pair buffers outgrow the L2 cache, one in-place pass on the top key
-/// bits moves each entry once and every bucket sorts inside the cache;
-/// there a 1M-entry level took 174–254 ms by the pair sort and
-/// 70–95 ms by the flag pass (DESIGN §13).
+/// `u64` order key, and [`extsort::radix_sort_by_key`] orders the
+/// entries: one in-place pass on the top key bits moves each entry once,
+/// and every bucket then sorts inside the cache. On a 2-vCPU Xeon VM a
+/// 1M-entry level sorts in 0.4 of the time of the least-significant-digit
+/// pair sort this replaced, whose pair buffers and permutation outgrow
+/// the L2 cache, and a 14k-entry slab in about the same (DESIGN §13).
 pub fn sort_by_center<const D: usize>(entries: &mut [Entry<D>], axis: usize) {
-    extsort::flag_sort_by_key(entries, |e| center_key(&e.rect, axis));
+    extsort::radix_sort_by_key(entries, |e| center_key(&e.rect, axis));
 }
 
 /// A [`PackingOrder`] defined by a closure — for experimenting with new
@@ -192,12 +189,12 @@ mod tests {
         assert_eq!(PackingOrder::<2>::name(&reverse), "REV");
     }
 
-    /// The radix sorts behind [`sort_by_center`] against the comparator
-    /// sort they replaced: the same permutation, entry for entry, so ties
-    /// keep their input order. The sizes straddle
-    /// [`extsort::FLAG_SORT_ABOVE`], where the pair sort hands over to
-    /// the flag passes, and reach 1M entries; "all equal" puts every
-    /// entry of a flag pass in one bucket, ordered by input index alone.
+    /// The radix sort behind [`sort_by_center`] against the comparator
+    /// sort it replaced: the same permutation, entry for entry, so ties
+    /// keep their input order. The sizes straddle the insertion cut and
+    /// each change of digit width, 64Ki (about where a level's entries
+    /// outgrow a 2 MiB L2 cache), and reach 1M entries; "all equal" puts
+    /// every entry of a pass in one bucket, ordered by input index alone.
     /// Infinite centers come from `[x, +∞]` rectangles here;
     /// `infinite_corners_sort_like_the_comparator` covers `−∞` corners.
     #[test]
@@ -239,8 +236,21 @@ mod tests {
             }
         }
         let mut rng = StdRng::seed_from_u64(19);
-        let bound = extsort::FLAG_SORT_ABOVE;
-        for n in [0, 1, 2, 255, 256, 257, bound - 1, bound, bound + 1, 1 << 20] {
+        for n in [
+            0,
+            1,
+            2,
+            16,
+            17,
+            127,
+            128,
+            1_023,
+            1_024,
+            65_535,
+            65_536,
+            65_537,
+            1 << 20,
+        ] {
             for shape in ["all equal", "heavy ties", "specials", "negative"] {
                 let entries: Vec<Entry<2>> = (0..n as u64)
                     .map(|id| {

@@ -79,9 +79,9 @@ impl<const D: usize> PackingOrder<D> for StrPacker {
         "STR"
     }
 
-    /// The outermost sort runs on the calling thread: above
-    /// [`extsort::FLAG_SORT_ABOVE`] entries it is one in-place pass that
-    /// moves each entry once, bound by memory bandwidth, not by cores.
+    /// The outermost sort runs on the calling thread: on a large level its
+    /// first pass moves each entry once, in place, bound by memory
+    /// bandwidth, not by cores.
     /// The independent slabs then fan out across `threads` workers; the
     /// result is identical at every thread count because slab processing
     /// never crosses slab boundaries.

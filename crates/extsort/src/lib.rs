@@ -22,7 +22,7 @@
 //! Records are fixed-size ([`FixedRecord`]); R-tree [`rtree::Entry`]
 //! values implement it. Sorting is by a caller-supplied `u64` key
 //! extractor, and each batch is sorted with [`radix_sort_by_key`], the
-//! stable radix sort STR's slab tiling uses too. Every spill page
+//! stable radix sort behind every STR/NX ordering too. Every spill page
 //! is sealed with [`storage::wide_hash`] in its last 8 bytes; the merge
 //! checks each seal and decodes records with validation, so a damaged
 //! scratch page fails the sort with [`SortError::Corrupt`].
@@ -60,7 +60,7 @@ use obs::{LazyCounter, LazyGauge, LazyHistogram};
 use storage::{Disk, PageId};
 
 pub use merge::MergeIter;
-pub use radix::{flag_sort_by_key, radix_sort_by_key, FLAG_SORT_ABOVE};
+pub use radix::radix_sort_by_key;
 
 use parallel::RunFormerPool;
 use run::{Prefetcher, Run, RunReader};

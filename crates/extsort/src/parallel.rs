@@ -12,7 +12,7 @@
 //! Memory: the pusher owns one batch being filled and the rendezvous
 //! hand-off means each worker owns at most one batch being sorted, so
 //! peak buffered records ≤ budget + one batch. A batch being sorted
-//! also holds 32 bytes of radix scratch per record.
+//! also holds 12 bytes of radix scratch per record.
 
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Mutex};

@@ -1,153 +1,35 @@
-//! Stable radix sorts on `u64` keys: the sorts behind run formation and
-//! every STR/NX ordering.
+//! Stable radix sort on `u64` keys — the one sort behind run formation
+//! and every STR/NX ordering.
 //!
 //! Once every record is reduced to one order-preserving integer key (a
 //! center coordinate through `hilbert::f64_order_key`), a comparison sort
 //! spends its time calling the key extractor and moving wide records.
-//! Both sorts here call the extractor once per record. Both give exactly
-//! `slice::sort_by_key` with the same key.
+//! This sort calls the extractor once per record, into a `u64` key column
+//! beside a `u32` input-index column, and orders the three columns
+//! together by `(key, index)`, most significant bits first. One in-place
+//! American-flag pass on the highest bits that vary moves each record
+//! once, straight into its bucket, so a slice larger than the cache
+//! crosses DRAM once; each bucket is then ordered by the same pass on its
+//! next bits, inside the cache once buckets are small.
 //!
-//! - [`radix_sort_by_key`] sorts 16-byte `(key, index)` pairs back and
-//!   forth between two buffers one byte-digit at a time, least
-//!   significant first and skipping digits that every key shares, and
-//!   then applies the resulting permutation to the records in place.
-//!   Each pass scatters in input order, so the sort is stable. Run
-//!   formation and every slab of an STR build use it: on slices that
-//!   short it is as fast as the flag sort.
-//! - [`flag_sort_by_key`] is for longer slices, where those eight passes
-//!   over two pair buffers, and the permutation's dependent swap chain
-//!   through the records, all run at DRAM speed. It keeps a key and an
-//!   input-index column beside the records and makes one in-place
-//!   American-flag pass on the 11 highest key bits that vary, swapping
-//!   record, key and index together, so each record crosses DRAM once.
-//!   Each bucket is then ordered by the same pass on its next bits,
-//!   inside the cache once buckets are small. Ties are ordered by input
-//!   index, which makes the sort stable although the pass is not; once
-//!   no key bit varies the passes run on the index bits, so even a
-//!   bucket holding every record needs no second array.
-
-/// Slices up to this length sort their `(key, index)` pairs with a
-/// comparison sort: below it, the 8 × 256 digit histograms cost more than
-/// they save. Pair indices are unique, so ordering whole pairs is the
-/// stable order by key.
-const SMALL: usize = 256;
-
-/// Digit width in bits, and the number of digits in a `u64` key.
-const DIGIT_BITS: u32 = 8;
-const DIGITS: usize = (u64::BITS / DIGIT_BITS) as usize;
-const BUCKETS: usize = 1 << DIGIT_BITS;
-
-/// Stable sort of `items` by `key`, calling `key` once per item.
-///
-/// Equivalent to `items.sort_by_key(key)`. Scratch is two `(u64, usize)`
-/// buffers of `items.len()` entries: 32 bytes per item, freed on return.
-pub fn radix_sort_by_key<T>(items: &mut [T], mut key: impl FnMut(&T) -> u64) {
-    let n = items.len();
-    if n < 2 {
-        return;
-    }
-    let mut pairs: Vec<(u64, usize)> = items
-        .iter()
-        .enumerate()
-        .map(|(i, item)| (key(item), i))
-        .collect();
-    let mut tmp = if n > SMALL {
-        vec![(0, 0); n]
-    } else {
-        Vec::new()
-    };
-    sort_pairs(&mut pairs, &mut tmp);
-    permute(items, &mut pairs);
-}
-
-/// Stable sort of `pairs` by key. `tmp` is scratch of the same length
-/// (unused at or below [`SMALL`]).
-fn sort_pairs(pairs: &mut [(u64, usize)], tmp: &mut [(u64, usize)]) {
-    let n = pairs.len();
-    if n <= SMALL {
-        pairs.sort_unstable();
-        return;
-    }
-    let mut counts = [[0usize; BUCKETS]; DIGITS];
-    for &(k, _) in pairs.iter() {
-        for (d, count) in counts.iter_mut().enumerate() {
-            count[digit(k, d)] += 1;
-        }
-    }
-    // A digit every key shares would make its pass a copy.
-    let varies = |d: usize| counts[d].iter().all(|&c| c != n);
-    let (mut src, mut dst) = (pairs, tmp);
-    let mut in_tmp = false;
-    for d in (0..DIGITS).filter(|&d| varies(d)) {
-        scatter(src, dst, &counts[d], d);
-        std::mem::swap(&mut src, &mut dst);
-        in_tmp = !in_tmp;
-    }
-    if in_tmp {
-        dst.copy_from_slice(src);
-    }
-}
-
-/// One stable counting pass: `src` into `dst` in order of digit `d`,
-/// whose histogram is `count`.
-fn scatter(src: &[(u64, usize)], dst: &mut [(u64, usize)], count: &[usize; BUCKETS], d: usize) {
-    let mut next = [0usize; BUCKETS];
-    let mut sum = 0;
-    for (slot, &c) in next.iter_mut().zip(count) {
-        *slot = sum;
-        sum += c;
-    }
-    for &pair in src {
-        let b = digit(pair.0, d);
-        dst[next[b]] = pair;
-        next[b] += 1;
-    }
-}
-
-#[inline(always)]
-fn digit(key: u64, d: usize) -> usize {
-    ((key >> (d as u32 * DIGIT_BITS)) as usize) & (BUCKETS - 1)
-}
-
-/// Move `items[order[i].1]` to position `i` for every `i`, in place, with
-/// the swap loop of `slice::sort_by_cached_key`: an index below `i` names
-/// an item an earlier swap moved away, found by following the indices
-/// those swaps left behind.
-fn permute<T>(items: &mut [T], order: &mut [(u64, usize)]) {
-    for i in 0..items.len() {
-        let mut index = order[i].1;
-        while index < i {
-            index = order[index].1;
-        }
-        order[i].1 = index;
-        items.swap(i, index);
-    }
-}
-
-/// [`flag_sort_by_key`] hands slices up to this length to
-/// [`radix_sort_by_key`]. Up to here the two sorts measure within noise
-/// of each other; above it the pair buffers and the permutation's swap
-/// chain outgrow the L2 cache, and the pair sort falls behind (DESIGN
-/// §13).
-pub const FLAG_SORT_ABOVE: usize = 65_536;
-
-/// Widest digit of a flag pass, and the bucket count at that width.
-const FLAG_BITS: u32 = 11;
-const FLAG_BUCKETS: usize = 1 << FLAG_BITS;
+//! Ties are ordered by input index, which makes the sort stable although
+//! the pass is not: the result is exactly `slice::sort_by_key` with the
+//! same key. Once no key bit varies the passes run on the index bits, so
+//! even a bucket holding every record needs no second array.
 
 /// Buckets up to this length are finished by insertion sort.
-const INSERTION: usize = 32;
+const INSERTION: usize = 16;
 
 /// Stable sort of `items` by `key`, calling `key` once per item.
 ///
-/// Equivalent to `items.sort_by_key(key)`, and to
-/// [`radix_sort_by_key`], which it calls at or below
-/// [`FLAG_SORT_ABOVE`] items. Above it, the scratch is a `u64` key and a
+/// Equivalent to `items.sort_by_key(key)`. Scratch is a `u64` key and a
 /// `u32` index column: 12 bytes per item, freed on return.
-pub fn flag_sort_by_key<T: Copy>(items: &mut [T], mut key: impl FnMut(&T) -> u64) {
+pub fn radix_sort_by_key<T: Copy>(items: &mut [T], mut key: impl FnMut(&T) -> u64) {
     let n = items.len();
-    if n <= FLAG_SORT_ABOVE || n > u32::MAX as usize {
-        radix_sort_by_key(items, key);
+    if n > u32::MAX as usize {
+        // Past the index column's range; the standard library's stable
+        // sort also calls `key` once per item.
+        items.sort_by_cached_key(key);
         return;
     }
     let mut keys: Vec<u64> = items.iter().map(&mut key).collect();
@@ -156,23 +38,68 @@ pub fn flag_sort_by_key<T: Copy>(items: &mut [T], mut key: impl FnMut(&T) -> u64
 }
 
 /// Order `items` and their `keys` and (unique) `index` columns by
-/// `(key, index)`: one in-place flag pass on the highest bits that vary
-/// in that pair, then the same on each bucket. A pass takes at least 5
-/// of the 96 bits, so the recursion is at most 20 deep, each level
-/// holding one 8 KiB bucket table on the stack.
+/// `(key, index)`. A pass takes the widest of 5, 8 and 11 bits whose
+/// buckets number at most twice the items, so its bucket tables stay in
+/// proportion to the items it moves.
 fn flag_sort<T: Copy>(items: &mut [T], keys: &mut [u64], index: &mut [u32]) {
     let n = items.len();
     if n <= INSERTION {
         insertion_sort(items, keys, index);
-        return;
+    } else if n < 128 {
+        flag_pass::<T, 32>(items, keys, index);
+    } else if n < 1024 {
+        flag_pass::<T, 256>(items, keys, index);
+    } else {
+        flag_pass::<T, 2048>(items, keys, index);
     }
-    // Short buckets use narrow digits, so their histograms stay shorter
-    // than they are.
-    let bits = FLAG_BITS.min(n.ilog2());
-    let digit = Digit::highest_varying(keys, index, bits);
-    let ends = flag_pass(items, keys, index, digit);
+}
+
+/// One in-place American-flag pass into `B` buckets, on the bits of
+/// `(key, index)` that end at the highest one that varies, then
+/// [`flag_sort`] on each bucket.
+///
+/// An item out of place is carried along its cycle: it goes into its
+/// bucket's next free slot, and the item it displaces is carried on,
+/// until one that belongs in the starting slot comes back. Each item is
+/// written once, into its final bucket.
+///
+/// The pass holds two `B`-entry `u32` tables on the stack (16 KiB at
+/// 2048 buckets). A nested pass works on bits below its caller's digit,
+/// so the nesting covers the 96 bits at most once: at most nine
+/// 2048-bucket passes, under 150 KiB of stack in all.
+fn flag_pass<T: Copy, const B: usize>(items: &mut [T], keys: &mut [u64], index: &mut [u32]) {
+    let digit = Digit::highest_varying(keys, index, B.ilog2());
+    let mut ends = [0u32; B];
+    for (&k, &i) in keys.iter().zip(index.iter()) {
+        ends[digit.of(k, i)] += 1;
+    }
+    let mut next = [0u32; B];
+    let mut sum = 0;
+    for (slot, end) in next.iter_mut().zip(&mut ends) {
+        *slot = sum;
+        sum += *end;
+        *end = sum;
+    }
+    for b in 0..B {
+        for i in next[b] as usize..ends[b] as usize {
+            let mut d = digit.of(keys[i], index[i]);
+            if d == b {
+                continue;
+            }
+            let (mut item, mut k, mut x) = (items[i], keys[i], index[i]);
+            while d != b {
+                let j = next[d] as usize;
+                next[d] += 1;
+                std::mem::swap(&mut item, &mut items[j]);
+                std::mem::swap(&mut k, &mut keys[j]);
+                std::mem::swap(&mut x, &mut index[j]);
+                d = digit.of(k, x);
+            }
+            (items[i], keys[i], index[i]) = (item, k, x);
+        }
+    }
     let mut start = 0;
-    for &end in &ends[..1 << bits] {
+    for end in ends {
         let end = end as usize;
         if end - start > 1 {
             flag_sort(
@@ -221,51 +148,6 @@ impl Digit {
     }
 }
 
-/// One in-place American-flag pass: permute the three columns so that
-/// the buckets of `digit` lie in ascending order, and return each
-/// bucket's end. An item out of place is carried along its cycle: it
-/// goes into its bucket's next free slot, and the item it displaces is
-/// carried on, until one that belongs in the starting slot comes back.
-/// Each item is written once, into its final bucket.
-fn flag_pass<T: Copy>(
-    items: &mut [T],
-    keys: &mut [u64],
-    index: &mut [u32],
-    digit: Digit,
-) -> [u32; FLAG_BUCKETS] {
-    let buckets = digit.mask as usize + 1;
-    let mut ends = [0u32; FLAG_BUCKETS];
-    for (&k, &i) in keys.iter().zip(index.iter()) {
-        ends[digit.of(k, i)] += 1;
-    }
-    let mut next = [0u32; FLAG_BUCKETS];
-    let mut sum = 0;
-    for (slot, end) in next.iter_mut().zip(&mut ends[..buckets]) {
-        *slot = sum;
-        sum += *end;
-        *end = sum;
-    }
-    for b in 0..buckets {
-        for i in next[b] as usize..ends[b] as usize {
-            let mut d = digit.of(keys[i], index[i]);
-            if d == b {
-                continue;
-            }
-            let (mut item, mut k, mut x) = (items[i], keys[i], index[i]);
-            while d != b {
-                let j = next[d] as usize;
-                next[d] += 1;
-                std::mem::swap(&mut item, &mut items[j]);
-                std::mem::swap(&mut k, &mut keys[j]);
-                std::mem::swap(&mut x, &mut index[j]);
-                d = digit.of(k, x);
-            }
-            (items[i], keys[i], index[i]) = (item, k, x);
-        }
-    }
-    ends
-}
-
 fn insertion_sort<T>(items: &mut [T], keys: &mut [u64], index: &mut [u32]) {
     for i in 1..items.len() {
         let mut j = i;
@@ -286,53 +168,38 @@ mod tests {
     /// `(key, id)` records: the oracle is the standard library's stable
     /// sort on the key alone, so tied keys must keep their id order.
     fn check(keys: &[u64]) {
-        check_with(keys, |items| radix_sort_by_key(items, |r| r.0));
-    }
-
-    fn check_with(keys: &[u64], sort: impl Fn(&mut [(u64, usize)])) {
         let mut got: Vec<(u64, usize)> = keys.iter().copied().zip(0..).collect();
         let mut expect = got.clone();
         expect.sort_by_key(|r| r.0);
-        sort(&mut got);
+        radix_sort_by_key(&mut got, |r| r.0);
         assert_eq!(got, expect, "n={}", keys.len());
     }
 
-    /// Above [`FLAG_SORT_ABOVE`] the flag passes sort; the shapes put the
-    /// varying bits at the top of the key, at the bottom (where a digit
-    /// takes index bits too), nowhere (every key in one bucket, ordered
-    /// by index alone), and in a few wide ties.
-    #[test]
-    fn flag_sort_matches_stable_sort_around_its_bound() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(13);
-        for n in [FLAG_SORT_ABOVE, FLAG_SORT_ABOVE + 1, 3 * FLAG_SORT_ABOVE] {
-            let shapes: [Vec<u64>; 6] = [
-                (0..n).map(|_| rng.gen()).collect(),
-                (0..n).map(|_| rng.gen::<u64>() % 7).collect(),
-                (0..n).map(|_| (rng.gen::<u64>() % 5) << 56).collect(),
-                (0..n).map(|_| rng.gen::<u64>() % 300).collect(),
-                vec![0xDEAD_BEEF; n],
-                (0..n as u64).rev().collect(),
-            ];
-            for keys in &shapes {
-                check_with(keys, |items| flag_sort_by_key(items, |r| r.0));
-            }
-        }
-    }
-
+    /// The lengths straddle the insertion cut and each change of digit
+    /// width, and reach past the L2 cache. The shapes put the varying
+    /// bits at the top of the key, at the bottom (where a digit takes
+    /// index bits too), nowhere (every key in one bucket, ordered by index
+    /// alone), and in a few wide ties.
     #[test]
     fn matches_stable_sort_at_every_length_boundary() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(11);
-        for n in [0usize, 1, 2, 3, 255, 256, 257, 1_000, 100_000] {
+        for n in [
+            0usize, 1, 2, 3, 16, 17, 127, 128, 129, 1_023, 1_024, 1_025, 65_535, 65_536, 65_537,
+            200_000,
+        ] {
             let random: Vec<u64> = (0..n).map(|_| rng.gen()).collect();
             check(&random);
             let ties: Vec<u64> = (0..n).map(|_| rng.gen::<u64>() % 7).collect();
             check(&ties);
-            // Ties that differ only in the high digits, so low-digit
-            // passes are skipped and high-digit passes are not.
+            let few: Vec<u64> = (0..n).map(|_| rng.gen::<u64>() % 300).collect();
+            check(&few);
+            // Keys that vary only in their top bits: each first-pass
+            // bucket holds one key, and the passes below run on index
+            // bits.
             let high: Vec<u64> = (0..n).map(|_| (rng.gen::<u64>() % 5) << 56).collect();
             check(&high);
-            // Two values in the top digit over varying low digits: the
-            // skipped middle digits sit between two passes.
+            // Two values in the top bits over varying low bits: the bits
+            // that never vary sit between two passes.
             let skewed: Vec<u64> = (0..n)
                 .map(|_| ((rng.gen::<u64>() % 2) << 60) | (rng.gen::<u64>() % 100_000))
                 .collect();
@@ -345,9 +212,9 @@ mod tests {
     #[test]
     fn every_single_digit_position_sorts() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(12);
-        for d in 0..DIGITS {
+        for byte in 0..8 {
             let keys: Vec<u64> = (0..1_000)
-                .map(|_| (rng.gen::<u64>() & 0xFF) << (d * 8))
+                .map(|_| (rng.gen::<u64>() & 0xFF) << (byte * 8))
                 .collect();
             check(&keys);
         }
