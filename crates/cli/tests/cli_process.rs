@@ -292,6 +292,43 @@ fn str_build_reports_sort_and_slab_phases() {
     }
 }
 
+/// `build --threads 2 --metrics json` on an out-of-core build reports
+/// the workers' merge-and-pack phase and the pages the rank split read:
+/// 20 000 entries under a 2 000-record budget shared by two sorter
+/// threads spill twenty runs, and the split between the two workers
+/// reads at least one page of them.
+#[test]
+fn external_build_reports_pack_phase_and_split_pages() {
+    let data = tmp("ext-split.csv");
+    let index = tmp("ext-split.rtree");
+    let _ = std::fs::remove_file(&index);
+    run_ok(
+        bin()
+            .args(["gen", "--dataset", "uniform", "--n", "20000", "--output"])
+            .arg(&data),
+    );
+    let out = run_ok(
+        bin()
+            .args(["build", "--packer", "str", "--capacity", "64"])
+            .args(["--external", "2000", "--threads", "2"])
+            .args(["--metrics", "json", "--input"])
+            .arg(&data)
+            .arg("--output")
+            .arg(&index),
+    );
+    assert!(
+        out.contains("\"external.pack_ns\": {\"count\": 1,"),
+        "{out}"
+    );
+    let pages: u64 = out
+        .split("\"extsort.split_pages\": ")
+        .nth(1)
+        .and_then(|rest| rest.split([',', '}']).next())
+        .and_then(|n| n.trim().parse().ok())
+        .unwrap_or_else(|| panic!("no extsort.split_pages in {out}"));
+    assert!(pages >= 1, "{out}");
+}
+
 /// `trees --lsm` lists each segment of an LSM directory with its
 /// image's figures and its lineage: an LSM directory is `wal/` and
 /// `segments/`, with no superblock file.

@@ -12,22 +12,27 @@
 //! 2. once the sort finishes, `r` is known and every slab boundary is an
 //!    exact *rank* in the sorted stream — slab `s` is rectangles
 //!    `[s·slab, (s+1)·slab)`, a few node-capacities of memory regardless
-//!    of data size. The merge thread cuts the sorted stream into slabs
-//!    in memory; the scratch disk is only the sort's spill device;
-//! 3. each slab is tiled over the remaining coordinates (§2.2's
-//!    recursion) and its leaves are written into a contiguous page range
-//!    reserved for it up front ([`rtree::ParallelLoad`]) — by a pool of
-//!    workers fed over a rendezvous channel, or inline on the merge
-//!    thread when there is one thread;
+//!    of data size. The slabs are dealt out to `t` workers in contiguous
+//!    ranges, and the rank where each worker's first slab starts is
+//!    split across the runs ([`extsort::SortedRuns::split`]);
+//! 3. each worker merges its own rank range of every run, cuts its slabs
+//!    from that stream, tiles each slab over the remaining coordinates
+//!    (§2.2's recursion) while it is still in the worker's cache, and
+//!    writes its leaves into a contiguous page range reserved for it up
+//!    front ([`rtree::ParallelLoad`]). Worker 0 runs on the calling
+//!    thread and the others on scoped threads; nothing passes between
+//!    them;
 //! 4. the (tiny) upper levels are stitched sequentially at the end.
 //!
-//! Peak memory is `O(sort budget + (threads + 1) · slab size)` —
-//! independent of `r` — while the result is **bit-identical** to
-//! in-memory [`StrPacker`](crate::StrPacker) packing at every thread
-//! count (the tests assert it page by page).
+//! Peak memory is `O(sort budget + threads · slab size)` — independent
+//! of `r` but for the level-1 parents, the runs' fence keys (8 bytes per
+//! spill page) and the merge cursors (16 pages per run at any thread
+//! count) — while the result is **bit-identical** to in-memory
+//! [`StrPacker`](crate::StrPacker) packing at every thread count (the
+//! tests assert it page by page).
 
-use std::sync::mpsc::sync_channel;
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 use extsort::ExternalSorter;
 use geom::Rect;
@@ -39,10 +44,9 @@ use crate::order::center_key;
 use crate::str_pack::{order_slab, slab_pages};
 use crate::PackingOrder;
 
-// Per-phase wall times and volumes (see DESIGN.md §13). Phases overlap:
-// scatter is the merge thread's cut-and-hand-off loop (with one thread it
-// includes the inline packing), pack runs from the first slab to the
-// last worker done.
+// Per-phase wall times and volumes (see DESIGN.md §13): scatter is the
+// rank split that gives each worker its range, pack runs from the
+// workers' start to the last worker done.
 static SORT_NS: LazyHistogram = LazyHistogram::new("external.sort_ns");
 static SCATTER_NS: LazyHistogram = LazyHistogram::new("external.scatter_ns");
 static PACK_NS: LazyHistogram = LazyHistogram::new("external.pack_ns");
@@ -86,8 +90,8 @@ impl From<rtree::RTreeError> for ExternalPackError {
 pub struct ExternalPackOptions {
     /// Total records buffered in memory by the sort phase.
     pub budget: usize,
-    /// Worker threads for run formation and slab packing. `1` packs
-    /// every slab inline on the merge thread.
+    /// Worker threads for run formation and for the merge-and-pack
+    /// workers. `1` merges and packs every slab on the calling thread.
     pub threads: usize,
 }
 
@@ -133,7 +137,7 @@ where
 
 /// [`pack_str_external`] into the catalog entry `name`, with full
 /// [`ExternalPackOptions`] — notably a worker thread count for parallel
-/// run formation and per-slab packing.
+/// run formation and for the workers that merge and pack slab ranges.
 pub fn pack_str_external_opts<const D: usize, I>(
     pool: Arc<BufferPool>,
     name: &str,
@@ -178,33 +182,29 @@ where
         n * slab_pages(pages, D as u32)
     };
 
-    let merge = sorter.finish()?;
+    let runs = sorter.finish_runs()?;
     drop(sort_tspan);
     drop(sort_span);
 
-    pack_slabs(pool, name, merge, total, slab_size, cap, threads)
+    pack_slabs(pool, name, &runs, total, slab_size, cap, threads)
 }
 
 fn key<const D: usize>(e: &Entry<D>) -> u64 {
     center_key(&e.rect, 0)
 }
 
-type Merge<const D: usize> = extsort::MergeIter<Entry<D>, fn(&Entry<D>) -> u64>;
+type Runs<const D: usize> = extsort::SortedRuns<Entry<D>, fn(&Entry<D>) -> u64>;
 
-/// The tail of the pipeline: cut the merged stream at fixed ranks into
-/// whole-leaf slabs, tile each slab ([`order_slab`]) and write its leaves
-/// into the range [`rtree::ParallelLoad`] reserved for it, then stitch
-/// the upper levels. With `threads > 1` each slab is handed over a
-/// rendezvous channel to a pool of `threads` workers, so at most
-/// `threads + 1` slabs are resident; with one thread the merge thread
-/// packs each slab itself: always spawning one worker measured ~9% fewer
-/// LSM ingest inserts/s (six alternating perfbench `ingest` pairs on a
-/// 2-vCPU VM, equal peak RSS), measured while every LSM compaction still
-/// drained through this pipeline as a 1-thread pack.
+/// The tail of the pipeline: deal the whole-leaf slabs out to `threads`
+/// workers in contiguous ranges, split the merged order at each worker's
+/// first slab, and let every worker merge its range, tile each slab
+/// ([`order_slab`]) and write its leaves into the range
+/// [`rtree::ParallelLoad`] reserved for it; then stitch the upper
+/// levels. Each worker holds one slab at a time.
 fn pack_slabs<const D: usize>(
     pool: Arc<BufferPool>,
     name: &str,
-    mut merge: Merge<D>,
+    runs: &Runs<D>,
     total: usize,
     slab_size: usize,
     cap: NodeCapacity,
@@ -219,91 +219,87 @@ fn pack_slabs<const D: usize>(
     let leaves_per_slab = (slab_size / n) as u64;
 
     let load = BulkLoader::new(cap).begin_parallel::<D>(pool, name, total_leaves)?;
-    let level1: Mutex<Vec<Vec<Entry<D>>>> = Mutex::new(vec![Vec::new(); num_slabs]);
-    let pack = |idx: usize, mut slab: Vec<Entry<D>>| -> Result<(), ExternalPackError> {
-        let _slab_span = obs::trace::span("external.pack_slab");
-        order_slab::<D>(&mut slab, n);
-        let mut writer =
-            load.leaf_writer(idx as u64 * leaves_per_slab, slab.len().div_ceil(n) as u64);
-        let parents = slab
-            .chunks(n)
-            .map(|group| writer.write_leaf(group))
-            .collect::<rtree::Result<Vec<_>>>()?;
-        writer.finish()?;
-        level1.lock().expect("a slab packer panicked")[idx] = parents;
-        SLABS_PACKED.inc();
-        Ok(())
+
+    // Worker `w` packs slabs `first_slab(w)..first_slab(w + 1)`.
+    let workers = threads.min(num_slabs);
+    let first_slab = |w: usize| w * num_slabs / workers;
+    let ranks: Vec<u64> = (0..=workers)
+        .map(|w| (first_slab(w) * slab_size).min(total) as u64)
+        .collect();
+    let splits = {
+        let _scatter_span = SCATTER_NS.start();
+        let _scatter_tspan = obs::trace::span("external.scatter");
+        runs.split(&ranks)?
     };
 
-    let error: Mutex<Option<ExternalPackError>> = Mutex::new(None);
+    // Merge, tile and write the slabs of worker `w`; return their
+    // level-1 entries in slab order.
+    let failed = AtomicBool::new(false);
+    let work = |w: usize| -> Result<Vec<Entry<D>>, ExternalPackError> {
+        let mut merge = runs.merge_range(&splits[w], &splits[w + 1])?;
+        let mut parents = Vec::with_capacity((ranks[w + 1] - ranks[w]).div_ceil(n as u64) as usize);
+        for idx in first_slab(w)..first_slab(w + 1) {
+            if failed.load(Ordering::Relaxed) {
+                break;
+            }
+            let mut slab = Vec::with_capacity(slab_size);
+            for _ in 0..slab_size.min(total - idx * slab_size) {
+                // The split counted these records; the merge cannot come
+                // up short without an error.
+                slab.push(merge.next().expect("merge ended early")?);
+            }
+            let _slab_span = obs::trace::span("external.pack_slab");
+            order_slab::<D>(&mut slab, n);
+            let mut writer =
+                load.leaf_writer(idx as u64 * leaves_per_slab, slab.len().div_ceil(n) as u64);
+            for group in slab.chunks(n) {
+                parents.push(writer.write_leaf(group)?);
+            }
+            writer.finish()?;
+            SLABS_PACKED.inc();
+        }
+        Ok(parents)
+    };
+    let run = |w: usize| {
+        let out = work(w);
+        if out.is_err() {
+            failed.store(true, Ordering::Relaxed);
+        }
+        out
+    };
+
     let pack_span = PACK_NS.start();
     let pack_tspan = obs::trace::span("external.pack");
     let ctx = obs::trace::current();
-    std::thread::scope(|scope| -> Result<(), ExternalPackError> {
-        let tx = (threads > 1).then(|| {
-            let (tx, rx) = sync_channel::<(usize, Vec<Entry<D>>)>(0);
-            let rx = Arc::new(Mutex::new(rx));
-            for _ in 0..threads {
-                let (rx, pack, error) = (rx.clone(), &pack, &error);
+    let level1 = std::thread::scope(|scope| {
+        let spawned: Vec<_> = (1..workers)
+            .map(|w| {
+                let run = &run;
                 scope.spawn(move || {
                     let _attached = ctx.attach();
-                    loop {
-                        // Hold the receiver lock across `recv` only, not
-                        // across the pack.
-                        let job = rx.lock().expect("slab receiver poisoned").recv();
-                        let Ok((idx, slab)) = job else { return };
-                        if let Err(e) = pack(idx, slab) {
-                            error.lock().expect("error slot poisoned").get_or_insert(e);
-                        }
-                    }
-                });
-            }
-            tx
-        });
-
-        let _scatter_span = SCATTER_NS.start();
-        let _scatter_tspan = obs::trace::span("external.scatter");
-        for idx in 0..num_slabs {
-            let records = slab_size.min(total - idx * slab_size);
-            let mut slab = Vec::with_capacity(records);
-            for _ in 0..records {
-                // The sorter counted `total` records; the merge cannot
-                // come up short without an error.
-                slab.push(merge.next().expect("merge ended early")?);
-            }
-            match &tx {
-                Some(tx) => {
-                    // Workers only hang up by panicking; the scope
-                    // re-raises that.
-                    if tx.send((idx, slab)).is_err()
-                        || error.lock().expect("error slot poisoned").is_some()
-                    {
-                        break;
-                    }
-                }
-                None => pack(idx, slab)?,
-            }
-        }
-        Ok(())
-    })?;
+                    run(w)
+                })
+            })
+            .collect();
+        let mut level1 = vec![run(0)];
+        level1.extend(
+            spawned
+                .into_iter()
+                .map(|h| h.join().expect("a slab worker panicked")),
+        );
+        level1
+    });
     drop(pack_tspan);
     drop(pack_span);
-    if let Some(e) = error.into_inner().expect("error slot poisoned") {
-        return Err(e);
-    }
-
-    // The merge's cursor buffers are no longer needed; free them before
-    // the stitch.
-    drop(merge);
 
     // Level-1 entries in slab order, stitched exactly as in-memory
-    // packing stitches its upper levels. Each slab's parents are freed as
-    // they are moved, so the level is held once.
+    // packing stitches its upper levels. Each worker's parents are freed
+    // as they are moved, so the level is held once.
     let _stitch_span = STITCH_NS.start();
     let _stitch_tspan = obs::trace::span("external.stitch");
     let mut parents = Vec::with_capacity(total_leaves as usize);
-    for slab in level1.into_inner().expect("a slab packer panicked") {
-        parents.extend(slab);
+    for worker in level1 {
+        parents.extend(worker?);
     }
     let str_packer = crate::StrPacker::new();
     Ok(load.finish(total as u64, parents, &mut |entries, level| {
@@ -367,39 +363,41 @@ mod tests {
 
     /// The external pipeline writes the same disk image as in-memory
     /// STR packing — every page byte-identical — at every thread count.
+    /// Both inputs end in a short slab: 9 876 entries at capacity 32
+    /// make 18 slabs of 576 (the last holds 84), 700 make five slabs of
+    /// 160 (the last holds 60), fewer than eight threads.
     #[test]
     fn byte_identical_to_in_memory_at_every_thread_count() {
-        let data = items(9_876, 5);
-        let cap = NodeCapacity::new(32).unwrap();
-        let mem_disk = Arc::new(MemDisk::default_size());
-        StrPacker::new()
-            .pack(pool_on(mem_disk.clone()), data.clone(), cap)
-            .unwrap();
+        for count in [9_876usize, 700] {
+            let data = items(count, 5);
+            let cap = NodeCapacity::new(32).unwrap();
+            let mem_disk = Arc::new(MemDisk::default_size());
+            StrPacker::new()
+                .pack(pool_on(mem_disk.clone()), data.clone(), cap)
+                .unwrap();
 
-        for threads in [1usize, 2, 4, 8] {
-            let ext_disk = Arc::new(MemDisk::default_size());
-            let ext = pack_str_external_opts(
-                pool_on(ext_disk.clone()),
-                rtree::DEFAULT_TREE,
-                Arc::new(MemDisk::default_size()),
-                data.clone(),
-                cap,
-                ExternalPackOptions::new(700).threads(threads),
-            )
-            .unwrap();
-            ext.validate(false).unwrap();
-            assert_eq!(ext.len(), data.len() as u64);
-            assert_eq!(
-                mem_disk.num_pages(),
-                ext_disk.num_pages(),
-                "threads={threads}"
-            );
-            let mut a = vec![0u8; mem_disk.page_size()];
-            let mut b = vec![0u8; ext_disk.page_size()];
-            for p in 0..mem_disk.num_pages() {
-                mem_disk.read_page(storage::PageId(p), &mut a).unwrap();
-                ext_disk.read_page(storage::PageId(p), &mut b).unwrap();
-                assert_eq!(a, b, "threads={threads}: page {p} differs");
+            for threads in [1usize, 2, 3, 4, 8] {
+                let case = format!("count={count} threads={threads}");
+                let ext_disk = Arc::new(MemDisk::default_size());
+                let ext = pack_str_external_opts(
+                    pool_on(ext_disk.clone()),
+                    rtree::DEFAULT_TREE,
+                    Arc::new(MemDisk::default_size()),
+                    data.clone(),
+                    cap,
+                    ExternalPackOptions::new(700).threads(threads),
+                )
+                .unwrap();
+                ext.validate(false).unwrap();
+                assert_eq!(ext.len(), data.len() as u64);
+                assert_eq!(mem_disk.num_pages(), ext_disk.num_pages(), "{case}");
+                let mut a = vec![0u8; mem_disk.page_size()];
+                let mut b = vec![0u8; ext_disk.page_size()];
+                for p in 0..mem_disk.num_pages() {
+                    mem_disk.read_page(storage::PageId(p), &mut a).unwrap();
+                    ext_disk.read_page(storage::PageId(p), &mut b).unwrap();
+                    assert_eq!(a, b, "{case}: page {p} differs");
+                }
             }
         }
     }

@@ -3,10 +3,10 @@
 //! * **Fault injection** — [`storage::FaultDisk`] schedules on one
 //!   device at a time. On the *scratch* disk, which is only the sort's
 //!   spill device, faults land in run formation (write errors, torn
-//!   spills) and in the merge (read errors). On the *destination* disk
-//!   they land in the leaf-range writes of the slab packers and in the
-//!   stitch of the upper levels. Every injected failure must surface as
-//!   a clean `Err` from the pipeline — no panic, no hang, no
+//!   spills), in the rank split and in the merge (read errors). On the
+//!   *destination* disk they land in the workers' leaf-range writes and
+//!   in the stitch of the upper levels. Every injected failure must
+//!   surface as a clean `Err` from the pipeline — no panic, no hang, no
 //!   half-registered tree — at thread count 1 and 4 alike. Bit flips in
 //!   scratch reads must fail the spill page's seal, not build a wrong
 //!   tree.
@@ -130,8 +130,9 @@ fn torn_spill_mid_run_is_clean() {
 #[test]
 fn read_error_during_merge_is_clean() {
     for threads in [1usize, 4] {
-        // Reads on scratch only begin at the merge; the very first one
-        // failing kills the build before any slab completes.
+        // Reads on scratch only begin at the rank split (four threads)
+        // or the merge (one); the very first one failing kills the
+        // build before any slab completes.
         let err = build_with_faults(
             Device::Scratch,
             threads,
@@ -152,8 +153,8 @@ fn read_error_during_merge_is_clean() {
 
 /// Sweep one-shot faults across the whole operation stream of one
 /// device, far enough to land in every phase that touches it. Scratch
-/// writes land in run formation and scratch reads in the merge; the
-/// slab packers never touch scratch. Destination writes land in the
+/// writes land in run formation and scratch reads in the rank split and
+/// the merge; leaf writing never touches scratch. Destination writes land in the
 /// catalog set-up, the packers' leaf ranges, the stitch of the upper
 /// levels and the final persist. Whatever the placement, the pipeline
 /// either completes with a valid, correct tree or returns a clean error
@@ -217,14 +218,45 @@ fn fault_sweep_every_phase_fails_clean_or_succeeds_valid() {
     );
 }
 
-/// Flip bits in scratch pages as the merge reads them: in record bytes
+/// Scratch reads of a fault-free build at `threads`, and how many of
+/// them the rank split made: the pages read inside its
+/// `external.scatter` span, which runs on the calling thread before any
+/// worker reads.
+fn fault_free_scratch_reads(threads: usize, n: usize) -> (u64, u64) {
+    let scratch = Arc::new(MemDisk::default_size());
+    obs::trace::set_enabled(true);
+    let trace = {
+        let root = obs::trace::span("test.build").expect("tracing is on");
+        pack_str_external_opts::<2, _>(
+            pool(),
+            rtree::DEFAULT_TREE,
+            scratch.clone(),
+            uniform_items(n, 42),
+            NodeCapacity::new(16).unwrap(),
+            ExternalPackOptions::new(128).threads(threads),
+        )
+        .unwrap();
+        root.trace_id()
+    };
+    obs::trace::set_enabled(false);
+    let split = obs::trace::dump()
+        .iter()
+        .filter(|r| r.trace == trace && r.name == "external.scatter")
+        .map(|r| r.io.pages_read)
+        .sum();
+    (scratch.stats().reads(), split)
+}
+
+/// Flip bits in scratch pages as the build reads them: in record bytes
 /// (every byte of the first record — coordinates, low mantissa bits, the
 /// id — and records further in), in the unused tail and in the seal.
-/// The merge reads every scratch page once — 47 at one thread (23 runs
-/// of two pages and one of one), 94 at four — so a flip on read 0, 5 or
-/// 30 lands in the stream and must fail the build with a clean `Sort`
-/// error, whatever byte it hits. A flip on read 1000 lies past the stream and must leave
-/// the tree equal to the in-memory build, ids included.
+/// The ordinals come from a fault-free build's scratch reads: a flip on
+/// the first read, the middle one or the last lands in the stream and
+/// must fail the build with a clean `Sort` error, whatever byte it
+/// hits. At four threads the rank split reads first, so its first,
+/// middle and last reads are flipped too. A flip on the first read past
+/// the stream must leave the tree equal to the in-memory build, ids
+/// included.
 #[test]
 fn bit_flip_sweep_over_scratch_reads_fails_clean_or_succeeds_valid() {
     let n = 3_000;
@@ -236,9 +268,20 @@ fn bit_flip_sweep_over_scratch_reads_fails_clean_or_succeeds_valid() {
     // unused, 4088..4096 the seal.
     let offsets = (0..40).chain([31, 1_000, 2_047, 4_079, 4_080, 4_087, 4_088, 4_095]);
     for threads in [1usize, 4] {
+        let (reads, split) = fault_free_scratch_reads(threads, n);
+        // One thread merges one range, which needs no split.
+        assert_eq!(
+            split == 0,
+            threads == 1,
+            "threads={threads}: {split} split reads"
+        );
+        let mut ats = vec![0, 5, 30, reads / 2, reads - 1, reads];
+        if split > 0 {
+            ats.extend([split / 2, split - 1]);
+        }
         for offset in offsets.clone() {
             for mask in [0x01u8, 0x3f] {
-                for at in [0u64, 5, 30, 1_000] {
+                for &at in &ats {
                     let result = build_with_faults(
                         Device::Scratch,
                         threads,
@@ -252,7 +295,7 @@ fn bit_flip_sweep_over_scratch_reads_fails_clean_or_succeeds_valid() {
                     let case = format!("threads={threads} flip {mask:#x}@{offset} read {at}");
                     match result {
                         Ok(tree) => {
-                            assert_eq!(at, 1_000, "{case}: a flipped read built a tree");
+                            assert_eq!(at, reads, "{case}: a flipped read built a tree");
                             tree.validate(false).unwrap();
                             assert_eq!(tree.height(), reference.height(), "{case}");
                             for level in 0..reference.height() {
@@ -265,7 +308,7 @@ fn bit_flip_sweep_over_scratch_reads_fails_clean_or_succeeds_valid() {
                             assert_eq!(tree.all_entries().unwrap(), expected_entries, "{case}");
                         }
                         Err(e) => {
-                            assert_ne!(at, 1_000, "{case}: a flip past the stream failed");
+                            assert_ne!(at, reads, "{case}: a flip past the stream failed");
                             assert!(matches!(e, ExternalPackError::Sort(_)), "{case}: {e}");
                         }
                     }
@@ -374,13 +417,15 @@ proptest! {
     /// external at 1 thread == external at k threads == in-memory, page
     /// by page, for random configurations. `n >= 3 * cap` keeps the
     /// tree multi-leaf (a single leaf is x-sorted by the external
-    /// pipeline but left in input order in memory).
+    /// pipeline but left in input order in memory). These inputs make 3
+    /// to 14 slabs, the last one mostly short, so up to 9 threads often
+    /// outnumber them.
     #[test]
     fn external_builds_identical_across_thread_counts(
         n in 200usize..1_500,
         cap in 8usize..32,
         budget in 16usize..300,
-        threads in 2usize..6,
+        threads in 2usize..10,
         seed in 1u64..1_000,
     ) {
         prop_assume!(n >= 3 * cap);

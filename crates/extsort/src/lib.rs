@@ -14,10 +14,9 @@
 //! budget, a pool of workers sorts and spills them concurrently (each
 //! run's pages are reserved atomically with [`Disk::allocate_run`] and
 //! written with batched sequential appends), and the merge — a loser
-//! tree with read-ahead cursors — breaks key ties by batch ordinal.
-//! Batch-stable sorting plus ordinal tie-breaks make the merged output
-//! the *stable* sort of the input, byte-identical for every thread
-//! count.
+//! tree — breaks key ties by batch ordinal. Batch-stable sorting plus
+//! ordinal tie-breaks make the merged output the *stable* sort of the
+//! input, byte-identical for every thread count.
 //!
 //! Records are fixed-size ([`FixedRecord`]); R-tree [`rtree::Entry`]
 //! values implement it. Sorting is by a caller-supplied `u64` key
@@ -27,12 +26,17 @@
 //! checks each seal and decodes records with validation, so a damaged
 //! scratch page fails the sort with [`SortError::Corrupt`].
 //!
-//! The merge cursors read their runs a chunk of 8 consecutive pages at a
-//! time. With sorter threads, a pool of as many reader threads fetches
-//! each cursor's next chunk into the buffer its previous chunk was
-//! merged from, so the merge allocates nothing per page. Every page is
-//! still one [`Disk::read_page`]; page counts do not depend on the
-//! chunking.
+//! The merge can be cut by rank ([`SortedRuns::split`]): each run keeps
+//! the key of every spill page's first record in memory, 8 bytes per
+//! page, and a split finds where a rank of the merged order falls in
+//! every run from those fence keys and at most two page reads per run.
+//! The merges of the ranges between splits ([`SortedRuns::merge_range`])
+//! concatenate to the whole merge, so `t` threads can each merge their
+//! own range with no hand-off; [`ExternalSorter::finish`] is the
+//! one-range case. A
+//! cursor reads its run `max(1, 16 / t)` consecutive pages at a time
+//! into one buffer it reuses, so a run's cursors hold 16 pages together
+//! at any `t`. Every page is still one [`Disk::read_page`].
 //!
 //! ```
 //! use std::sync::Arc;
@@ -53,6 +57,7 @@ mod merge;
 mod parallel;
 mod radix;
 mod run;
+mod split;
 
 use std::sync::Arc;
 
@@ -63,12 +68,14 @@ pub use merge::MergeIter;
 pub use radix::radix_sort_by_key;
 
 use parallel::RunFormerPool;
-use run::{Prefetcher, Run, RunReader};
+use run::{Run, RunReader};
 
 // Phase metrics (see DESIGN.md §13): spill volume, run counts, sort time
-// per run, and the fan-in the merge ended up with.
+// per run, the fan-in the merge ended up with, and the pages rank splits
+// read.
 static SPILL_RECORDS: LazyCounter = LazyCounter::new("extsort.spill_records");
 static SPILL_PAGES: LazyCounter = LazyCounter::new("extsort.spill_pages");
+static SPLIT_PAGES: LazyCounter = LazyCounter::new("extsort.split_pages");
 static RUNS_FORMED: LazyCounter = LazyCounter::new("extsort.runs");
 static MERGE_FANIN: LazyGauge = LazyGauge::new("extsort.merge_fanin");
 pub(crate) static RUN_SORT_NS: LazyHistogram = LazyHistogram::new("extsort.run_sort_ns");
@@ -173,8 +180,7 @@ pub type Result<T> = std::result::Result<T, SortError>;
 ///
 /// `budget` is the total number of records buffered in memory across all
 /// sorter threads — the paper-era analogue of the sort buffer. The merge
-/// phase streams every run through one chunk buffer each (two with the
-/// multi-threaded read-ahead).
+/// phase streams every run through one chunk buffer per merged range.
 pub struct ExternalSorter<T: FixedRecord, F: Fn(&T) -> u64> {
     scratch: Arc<dyn Disk>,
     key: F,
@@ -253,7 +259,7 @@ impl<T: FixedRecord, F: Fn(&T) -> u64> ExternalSorter<T, F> {
             radix_sort_by_key(&mut batch, &self.key);
             drop(_span);
             self.runs
-                .push(run::spill_run(self.scratch.as_ref(), &batch)?);
+                .push(run::spill_run(self.scratch.as_ref(), &batch, &self.key)?);
         }
         Ok(())
     }
@@ -261,7 +267,13 @@ impl<T: FixedRecord, F: Fn(&T) -> u64> ExternalSorter<T, F> {
     /// Finish pushing and return a streaming merge iterator over all
     /// records in key order. Key ties preserve batch arrival order, so
     /// the sort is stable and its output independent of thread count.
-    pub fn finish(mut self) -> Result<MergeIter<T, F>> {
+    pub fn finish(self) -> Result<MergeIter<T, F>> {
+        self.finish_runs()?.merge()
+    }
+
+    /// Finish pushing and return the sorted runs, to be split by rank
+    /// and merged a range at a time.
+    pub fn finish_runs(mut self) -> Result<SortedRuns<T, F>> {
         self.dispatch_current()?;
         let mut runs = std::mem::take(&mut self.runs);
         if let Some(pool) = self.pool.take() {
@@ -273,17 +285,89 @@ impl<T: FixedRecord, F: Fn(&T) -> u64> ExternalSorter<T, F> {
             SPILL_PAGES.add(runs.iter().map(|r| r.pages).sum());
             MERGE_FANIN.set(runs.len() as i64);
         }
-        // Read-ahead only pays when sorter threads were requested and
-        // there is more than one run to overlap.
-        let prefetcher = (self.threads > 1 && runs.len() > 1)
-            .then(|| Arc::new(Prefetcher::new(self.scratch.clone(), self.threads)));
-        let readers = runs
-            .into_iter()
-            .map(|r| RunReader::new(self.scratch.clone(), r, prefetcher.clone()))
-            .collect();
-        // `self.key` can't move out while `self` has a Drop-relevant
-        // field; it doesn't, so plain move is fine.
-        MergeIter::new(readers, self.key, prefetcher)
+        Ok(SortedRuns {
+            per_page: run::per_page::<T>(self.scratch.page_size()) as u64,
+            chunk_pages: (run::CURSOR_PAGES / self.threads as u64).max(1),
+            scratch: self.scratch,
+            runs,
+            key: self.key,
+            _marker: std::marker::PhantomData,
+        })
+    }
+}
+
+/// The sorted runs of a finished [`ExternalSorter`]: split the merged
+/// order by rank and merge any range of it.
+///
+/// A split is, for every run, the count of its records before a rank of
+/// the merged order; [`split`](SortedRuns::split) finds it from the
+/// runs' in-memory fence keys (the key of every spill page's first
+/// record) and at most two sealed page reads per run, counted in
+/// `extsort.split_pages`.
+/// [`merge_range`](SortedRuns::merge_range) merges the records between
+/// two splits, so the merges of consecutive ranges concatenate to the
+/// merge of all records.
+pub struct SortedRuns<T: FixedRecord, F: Fn(&T) -> u64> {
+    scratch: Arc<dyn Disk>,
+    runs: Vec<Run>,
+    key: F,
+    per_page: u64,
+    chunk_pages: u64,
+    _marker: std::marker::PhantomData<fn() -> T>,
+}
+
+impl<T: FixedRecord, F: Fn(&T) -> u64> SortedRuns<T, F> {
+    /// For each of `ranks` (ascending, none past the number of records),
+    /// the number of records of every run, in run order, that the merged
+    /// order puts before that rank. Rank 0, the last rank and every rank of a single
+    /// run are placed without a read.
+    pub fn split(&self, ranks: &[u64]) -> Result<Vec<Vec<u64>>> {
+        let mut buf = Vec::new();
+        let mut pages = 0u64;
+        let splits = split::split_ranks(&self.runs, self.per_page, ranks, |r, page| {
+            pages += 1;
+            run::page_keys(
+                self.scratch.as_ref(),
+                &self.runs[r],
+                page,
+                &self.key,
+                &mut buf,
+            )
+        });
+        SPLIT_PAGES.add(pages);
+        splits
+    }
+
+    /// Merge the records from split `from` up to split `to`.
+    ///
+    /// # Panics
+    /// Panics unless `from` and `to` hold one count per run, `from` no
+    /// larger than `to` and `to` no larger than the run.
+    pub fn merge_range(&self, from: &[u64], to: &[u64]) -> Result<MergeIter<T, F>>
+    where
+        F: Clone,
+    {
+        MergeIter::new(self.readers(from, to), self.key.clone())
+    }
+
+    /// Merge every record: the one-range case of
+    /// [`merge_range`](Self::merge_range).
+    pub fn merge(self) -> Result<MergeIter<T, F>> {
+        let ends: Vec<u64> = self.runs.iter().map(|r| r.records).collect();
+        let from = vec![0; ends.len()];
+        let readers = self.readers(&from, &ends);
+        MergeIter::new(readers, self.key)
+    }
+
+    fn readers(&self, from: &[u64], to: &[u64]) -> Vec<RunReader<T>> {
+        assert!(from.len() == self.runs.len() && to.len() == self.runs.len());
+        self.runs
+            .iter()
+            .zip(from.iter().zip(to))
+            .map(|(run, (&start, &end))| {
+                RunReader::new(self.scratch.clone(), run, start, end, self.chunk_pages)
+            })
+            .collect()
     }
 }
 
@@ -453,8 +537,7 @@ mod tests {
     }
 
     /// Parallel spill I/O stays two passes: every scratch page written
-    /// once by run formation, read once by the merge (read-ahead fetches
-    /// each page exactly once).
+    /// once by run formation, read once by the one-range merge.
     #[test]
     fn parallel_scratch_io_is_two_passes() {
         // budget 248 / 4 threads = 62-record batches = exactly 2 pages
@@ -533,14 +616,14 @@ mod tests {
         }
     }
 
-    /// Runs of 1, chunk−1, chunk and chunk+1 pages, with more runs than
-    /// read-ahead threads and inline: the output is sorted and complete,
-    /// and every spilled page is read exactly once.
+    /// Runs of 1, chunk−1, chunk and chunk+1 pages, with cursors of 16
+    /// and of 8 pages: the output is sorted and complete, and every
+    /// spilled page is read exactly once.
     #[test]
-    fn chunked_read_ahead_reads_every_page_once() {
-        let chunk = run::CHUNK_PAGES;
-        for run_pages in [1, chunk - 1, chunk, chunk + 1, 3 * chunk + 2] {
-            for threads in [1usize, 2] {
+    fn chunked_cursors_read_every_page_once() {
+        for threads in [1usize, 2] {
+            let chunk = run::CURSOR_PAGES / threads as u64;
+            for run_pages in [1, chunk - 1, chunk, chunk + 1, 3 * chunk + 2] {
                 let runs = 5;
                 let scratch = Arc::new(MemDisk::new(256));
                 let got: Vec<u64> = interleaved_sort(scratch.clone(), runs, run_pages, threads)
@@ -561,7 +644,9 @@ mod tests {
     /// its run comes out before it.
     #[test]
     fn read_error_on_any_chunk_page_is_clean() {
-        let (runs, run_pages) = (3u64, 2 * run::CHUNK_PAGES + 1);
+        // One cursor chunk and a page at one thread, two and a page at
+        // two.
+        let (runs, run_pages) = (3u64, run::CURSOR_PAGES + 1);
         for threads in [1usize, 2] {
             for page in 0..runs * run_pages {
                 let mem = Arc::new(MemDisk::new(256));
@@ -614,6 +699,304 @@ mod tests {
                 ),
                 "offset={offset}: {err}"
             );
+        }
+    }
+
+    /// A disk that logs the page of every read.
+    struct ReadLog {
+        inner: MemDisk,
+        reads: std::sync::Mutex<Vec<u64>>,
+    }
+
+    impl ReadLog {
+        fn new() -> Arc<Self> {
+            Arc::new(Self {
+                inner: MemDisk::new(256),
+                reads: Default::default(),
+            })
+        }
+
+        fn take(&self) -> Vec<u64> {
+            std::mem::take(&mut self.reads.lock().unwrap())
+        }
+    }
+
+    impl Disk for ReadLog {
+        fn page_size(&self) -> usize {
+            self.inner.page_size()
+        }
+        fn num_pages(&self) -> u64 {
+            self.inner.num_pages()
+        }
+        fn allocate(&self) -> storage::Result<PageId> {
+            self.inner.allocate()
+        }
+        fn read_page(&self, id: PageId, buf: &mut [u8]) -> storage::Result<()> {
+            self.reads.lock().unwrap().push(id.0);
+            self.inner.read_page(id, buf)
+        }
+        fn write_page(&self, id: PageId, buf: &[u8]) -> storage::Result<()> {
+            self.inner.write_page(id, buf)
+        }
+        fn stats(&self) -> &storage::IoStats {
+            self.inner.stats()
+        }
+    }
+
+    type KeyFn = fn(&u64) -> u64;
+
+    /// Split-test records: a unique id in the low 32 bits, and the key
+    /// functions below read the high 32.
+    fn uniform_key(v: &u64) -> u64 {
+        v >> 32
+    }
+    fn equal_key(_: &u64) -> u64 {
+        7
+    }
+    fn two_keys(v: &u64) -> u64 {
+        (v >> 32) & 1
+    }
+    /// Half the records carry `u64::MAX`, the key of a NaN center.
+    fn max_key(v: &u64) -> u64 {
+        if (v >> 32) & 1 == 1 {
+            u64::MAX
+        } else {
+            v >> 33
+        }
+    }
+
+    fn split_values(n: u64, seed: u64) -> Vec<u64> {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        (0..n).map(|i| (rng.gen::<u64>() << 32) | i).collect()
+    }
+
+    /// Sort `values` at `threads` threads in batches of `batch` records
+    /// through 256-byte pages on `disk`; run `r` is batch `r`.
+    fn sorted_runs(
+        disk: Arc<dyn Disk>,
+        values: &[u64],
+        batch: usize,
+        threads: usize,
+        key: KeyFn,
+    ) -> SortedRuns<u64, KeyFn> {
+        let mut sorter = ExternalSorter::with_threads(disk, batch * threads, threads, key);
+        for &v in values {
+            sorter.push(v).unwrap();
+        }
+        sorter.finish_runs().unwrap()
+    }
+
+    /// The splits by brute force: every record tagged `(key, run, pos)`,
+    /// sorted, and counted per run over the first `g`.
+    fn oracle_splits(values: &[u64], batch: usize, key: KeyFn) -> Vec<Vec<u64>> {
+        let runs = values.len().div_ceil(batch);
+        let mut tagged: Vec<(u64, usize, usize)> = values
+            .chunks(batch)
+            .enumerate()
+            .flat_map(|(r, chunk)| {
+                let mut run = chunk.to_vec();
+                run.sort_by_key(key);
+                run.into_iter()
+                    .enumerate()
+                    .map(move |(i, v)| (key(&v), r, i))
+            })
+            .collect();
+        tagged.sort_unstable();
+        let mut counts = vec![0u64; runs];
+        let mut out = vec![counts.clone()];
+        for &(_, r, _) in &tagged {
+            counts[r] += 1;
+            out.push(counts.clone());
+        }
+        out
+    }
+
+    const SPLIT_KEYS: [(&str, KeyFn); 4] = [
+        ("uniform", uniform_key),
+        ("all equal", equal_key),
+        ("two keys", two_keys),
+        ("u64::MAX", max_key),
+    ];
+
+    /// Every rank splits where the brute-force merged order puts it, one
+    /// rank at a time and all ranks in one call, on uniform keys, keys
+    /// that are all equal, two distinct keys and `u64::MAX` keys, over
+    /// many runs (batches of 100 records: three full pages and a short
+    /// one) and over a single run.
+    #[test]
+    fn split_matches_the_merged_order_at_every_rank() {
+        let n = 1_500u64;
+        for (name, key) in SPLIT_KEYS {
+            for batch in [100usize, n as usize] {
+                let values = split_values(n, 11);
+                let runs = sorted_runs(Arc::new(MemDisk::new(256)), &values, batch, 1, key);
+                let expect = oracle_splits(&values, batch, key);
+                let ranks: Vec<u64> = (0..=n).collect();
+                assert_eq!(runs.split(&ranks).unwrap(), expect, "{name} batch={batch}");
+                for g in (0..=n).step_by(7) {
+                    let one = runs.split(&[g]).unwrap();
+                    assert_eq!(one[0], expect[g as usize], "{name} batch={batch} g={g}");
+                }
+            }
+        }
+    }
+
+    /// Merging the ranges between consecutive splits, empty ranges
+    /// included, gives the full merge record for record.
+    #[test]
+    fn merge_ranges_concatenate_to_the_full_merge() {
+        let n = 1_500u64;
+        for (name, key) in SPLIT_KEYS {
+            for (batch, threads) in [(100usize, 1usize), (100, 3), (n as usize, 1)] {
+                let values = split_values(n, 12);
+                let disk = Arc::new(MemDisk::new(256));
+                let full: Vec<u64> = sorted_runs(disk, &values, batch, threads, key)
+                    .merge()
+                    .unwrap()
+                    .map(|r| r.unwrap())
+                    .collect();
+                let runs = sorted_runs(Arc::new(MemDisk::new(256)), &values, batch, threads, key);
+                for cuts in [
+                    vec![0, n],
+                    vec![0, 0, 1, 37, 37, 700, n - 1, n, n],
+                    (0..=n).step_by(31).chain([n]).collect(),
+                ] {
+                    let splits = runs.split(&cuts).unwrap();
+                    let mut got = Vec::new();
+                    for pair in splits.windows(2) {
+                        let range = runs.merge_range(&pair[0], &pair[1]).unwrap();
+                        got.extend(range.map(|r| r.unwrap()));
+                    }
+                    let case = format!("{name} batch={batch} threads={threads} cuts={cuts:?}");
+                    assert_eq!(got, full, "{case}");
+                }
+            }
+        }
+    }
+
+    /// A ranged cursor starts anywhere: at the run's first record, mid
+    /// page, on a page boundary, on a cursor chunk boundary, on the
+    /// run's last record, and at its end.
+    #[test]
+    fn ranged_cursor_starts_anywhere_in_its_run() {
+        let n = 400u64;
+        let values = split_values(n, 13);
+        // One run; at 8 threads each cursor reads 2 pages a request.
+        let threads = 8;
+        let runs = sorted_runs(
+            Arc::new(MemDisk::new(256)),
+            &values,
+            n as usize,
+            threads,
+            uniform_key,
+        );
+        let full: Vec<u64> = runs
+            .merge_range(&[0], &[n])
+            .unwrap()
+            .map(|r| r.unwrap())
+            .collect();
+        let per_page = PER_PAGE_256;
+        for start in [0, 15, per_page, 2 * per_page, 2 * per_page + 1, n - 1, n] {
+            for end in [start, (start + 1).min(n), (start + per_page).min(n), n] {
+                let got: Vec<u64> = runs
+                    .merge_range(&[start], &[end])
+                    .unwrap()
+                    .map(|r| r.unwrap())
+                    .collect();
+                assert_eq!(got, full[start as usize..end as usize], "{start}..{end}");
+            }
+        }
+    }
+
+    /// Keys crowded into one band: one run holds 20 pages inside it,
+    /// while each of the other ten runs has a single page straddling it.
+    fn crowded_values() -> Vec<u64> {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(14);
+        let batch = 20 * PER_PAGE_256;
+        let mut values = Vec::new();
+        for r in 0..11u64 {
+            for i in 0..batch {
+                let key = if r == 5 {
+                    (1 << 30) + rng.gen_range(0..1_000u64)
+                } else {
+                    rng.gen_range(0..1u64 << 31)
+                };
+                values.push((key << 32) | (r * batch + i));
+            }
+        }
+        values
+    }
+
+    /// Two runs dense in one band, alternating page by page, while ten
+    /// runs straddle the band with one page whose records lie almost all
+    /// below it.
+    fn striped_values() -> Vec<u64> {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(16);
+        let pp = PER_PAGE_256;
+        let batch = 20 * pp;
+        let (b0, w) = (1u64 << 30, 1u64 << 16);
+        let b1 = b0 + 40 * w;
+        let mut values = Vec::new();
+        for r in 0..12u64 {
+            for i in 0..batch {
+                let key = if r < 10 {
+                    if i < 10 * pp + pp - 1 {
+                        rng.gen_range(0..b0)
+                    } else {
+                        rng.gen_range(b1..b1 + (1 << 20))
+                    }
+                } else {
+                    let j = i / pp;
+                    b0 + (2 * j + (r - 10)) * w + rng.gen_range(0..w)
+                };
+                values.push((key << 32) | (r * batch + i));
+            }
+        }
+        values
+    }
+
+    /// A split reads at most two pages of any run, at every rank: on
+    /// uniform keys over 40 runs, on tied and `u64::MAX` keys, on one run
+    /// crowded into a band the other runs straddle, and on two runs
+    /// striped across a band that ten runs straddle. Ranks 0 and `len`
+    /// read nothing.
+    #[test]
+    fn a_split_reads_at_most_two_pages_per_run() {
+        let mut cases: Vec<(&str, Vec<u64>, usize, KeyFn)> = SPLIT_KEYS
+            .iter()
+            .map(|&(name, key)| (name, split_values(4_000, 15), 100, key))
+            .collect();
+        cases.push((
+            "crowded",
+            crowded_values(),
+            20 * PER_PAGE_256 as usize,
+            uniform_key,
+        ));
+        cases.push((
+            "striped",
+            striped_values(),
+            20 * PER_PAGE_256 as usize,
+            uniform_key,
+        ));
+        for (name, values, batch, key) in cases {
+            let disk = ReadLog::new();
+            let runs = sorted_runs(disk.clone(), &values, batch, 1, key);
+            let pages_per_run = (batch as u64).div_ceil(PER_PAGE_256);
+            let n = values.len() as u64;
+            disk.take();
+            for g in 0..=n {
+                runs.split(&[g]).unwrap();
+                let reads = disk.take();
+                if g == 0 || g == n {
+                    assert!(reads.is_empty(), "{name} g={g}");
+                }
+                let mut per_run = std::collections::HashMap::new();
+                for page in reads {
+                    *per_run.entry(page / pages_per_run).or_insert(0) += 1;
+                }
+                let most = per_run.values().max().copied().unwrap_or(0);
+                assert!(most <= 2, "{name} g={g}: {most} pages of one run");
+            }
         }
     }
 }

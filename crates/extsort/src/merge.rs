@@ -6,10 +6,12 @@
 //! the comparisons touch a flat `Vec<usize>` instead of moving records
 //! through heap nodes. The total order it realizes is `(key, run_idx)`,
 //! identical to the heap's, so merged output is byte-for-byte unchanged.
+//!
+//! A merge covers one rank range of the runs (see [`crate::SortedRuns`]):
+//! each cursor streams its run's share of the range, so the merges of
+//! adjacent ranges concatenate to the merge of their union.
 
-use std::sync::Arc;
-
-use crate::run::{Prefetcher, RunReader};
+use crate::run::RunReader;
 use crate::{FixedRecord, Result};
 
 /// Tournament tree over `k` leaves. `node[0]` is the overall winner;
@@ -84,22 +86,16 @@ fn beats<K: Ord, T>(items: &[Option<(K, T)>], a: usize, b: usize) -> bool {
     }
 }
 
-/// Streaming k-way merge over the sorted runs.
+/// Streaming k-way merge over one rank range of the sorted runs.
 pub struct MergeIter<T: FixedRecord, F: Fn(&T) -> u64> {
     readers: Vec<RunReader<T>>,
     items: Vec<Option<(u64, T)>>,
     tree: LoserTree,
     key: F,
-    // Owns the read-ahead pool; dropping the iterator stops its threads.
-    _prefetcher: Option<Arc<Prefetcher>>,
 }
 
 impl<T: FixedRecord, F: Fn(&T) -> u64> MergeIter<T, F> {
-    pub(crate) fn new(
-        mut readers: Vec<RunReader<T>>,
-        key: F,
-        prefetcher: Option<Arc<Prefetcher>>,
-    ) -> Result<Self> {
+    pub(crate) fn new(mut readers: Vec<RunReader<T>>, key: F) -> Result<Self> {
         let mut items = Vec::with_capacity(readers.len());
         for reader in readers.iter_mut() {
             items.push(reader.next_record()?.map(|rec| (key(&rec), rec)));
@@ -110,7 +106,6 @@ impl<T: FixedRecord, F: Fn(&T) -> u64> MergeIter<T, F> {
             items,
             tree,
             key,
-            _prefetcher: prefetcher,
         })
     }
 }

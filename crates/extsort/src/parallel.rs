@@ -151,7 +151,7 @@ fn worker<T, F>(
         let _span = crate::RUN_SORT_NS.start();
         crate::radix_sort_by_key(&mut batch, &key);
         drop(_span);
-        match spill_run(scratch.as_ref(), &batch) {
+        match spill_run(scratch.as_ref(), &batch, &key) {
             Ok(run) => shared.runs.lock().unwrap().push((ordinal, run)),
             Err(e) => {
                 let mut slot = shared.error.lock().unwrap();

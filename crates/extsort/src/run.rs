@@ -1,14 +1,13 @@
-//! Sorted runs on the scratch disk: spill writer, streaming reader, and
-//! the read-ahead service the merge uses to overlap run reads.
+//! Sorted runs on the scratch disk: the spill writer with its fence
+//! keys, and the ranged reader a merge cursor streams a run through.
 //!
 //! Every spill page is sealed: its last [`SEAL`] bytes hold
 //! [`storage::wide_hash`] of the rest, seeded with the page id, so a
 //! flipped bit, a torn page or a page read from the wrong place fails
-//! the merge with [`SortError::Corrupt`] instead of reaching the output.
+//! the merge (or the rank split) with [`SortError::Corrupt`] instead of
+//! reaching the output.
 
-use std::sync::mpsc::{channel, Sender};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
+use std::sync::Arc;
 
 use storage::{wide_hash, Disk, PageId};
 
@@ -22,16 +21,20 @@ pub(crate) const SPILL_BATCH_PAGES: usize = 64;
 /// Bytes at the end of every spill page holding its seal.
 pub(crate) const SEAL: usize = 8;
 
-/// Consecutive pages of one run a cursor reads per request: one buffer,
-/// one wake-up and one hand-off per chunk instead of per page.
-pub(crate) const CHUNK_PAGES: u64 = 8;
+/// Cursor pages per run across all ranged merges: a sorter with `t`
+/// threads gives each cursor `max(1, CURSOR_PAGES / t)` pages per
+/// request, so when `t` workers each merge a range, the cursors of one
+/// run hold at most this many pages together.
+pub(crate) const CURSOR_PAGES: u64 = 16;
 
-/// One sorted run: a contiguous page range plus its record count.
-#[derive(Clone, Copy, Debug)]
+/// One sorted run: a contiguous page range, its record count, and the
+/// key of the first record of every page (its fence keys).
+#[derive(Clone, Debug)]
 pub(crate) struct Run {
     pub first: PageId,
     pub pages: u64,
     pub records: u64,
+    pub fences: Vec<u64>,
 }
 
 /// Records per scratch page for a record type: the page less its seal.
@@ -45,24 +48,31 @@ fn seal_of(id: PageId, page: &[u8]) -> u64 {
     wide_hash(id.0, &page[..page.len() - SEAL])
 }
 
-/// Encode `records` (already sorted) into a freshly reserved contiguous
-/// run on `scratch`, writing in [`SPILL_BATCH_PAGES`]-page batches.
+/// Encode `records` (already sorted by `key`) into a freshly reserved
+/// contiguous run on `scratch`, writing in [`SPILL_BATCH_PAGES`]-page
+/// batches, and keep the key of each page's first record.
 ///
 /// This is the per-worker sequential appender of the parallel sorter:
 /// because the range is reserved atomically before any byte is written,
 /// any number of workers can spill concurrently without interleaving
 /// their runs.
-pub(crate) fn spill_run<T: FixedRecord>(scratch: &dyn Disk, records: &[T]) -> Result<Run> {
+pub(crate) fn spill_run<T: FixedRecord>(
+    scratch: &dyn Disk,
+    records: &[T],
+    key: impl Fn(&T) -> u64,
+) -> Result<Run> {
     debug_assert!(!records.is_empty());
     let page_size = scratch.page_size();
     let per_page = per_page::<T>(page_size);
     let pages = records.len().div_ceil(per_page) as u64;
     let first = scratch.allocate_run(pages)?;
 
+    let mut fences = Vec::with_capacity(pages as usize);
     let mut buf = vec![0u8; page_size * SPILL_BATCH_PAGES.min(pages as usize)];
     let mut page_in_batch = 0usize;
     let mut batch_first = first;
     for (page_idx, chunk) in records.chunks(per_page).enumerate() {
+        fences.push(key(&chunk[0]));
         let page = &mut buf[page_in_batch * page_size..(page_in_batch + 1) * page_size];
         page.fill(0);
         for (rec, out) in chunk.iter().zip(page.chunks_exact_mut(T::SIZE)) {
@@ -84,6 +94,7 @@ pub(crate) fn spill_run<T: FixedRecord>(scratch: &dyn Disk, records: &[T]) -> Re
         first,
         pages,
         records: records.len() as u64,
+        fences,
     })
 }
 
@@ -108,102 +119,47 @@ fn read_chunk(disk: &dyn Disk, first: PageId, pages: u64, buf: &mut Vec<u8>) -> 
     Ok(())
 }
 
-/// The one outstanding chunk request of a cursor. The cursor keeps its
-/// slot for the whole merge, so a request allocates nothing.
-#[derive(Default)]
-struct Slot {
-    state: Mutex<Option<Result<Vec<u8>>>>,
-    ready: Condvar,
-}
-
-impl Slot {
-    fn fill(&self, value: Result<Vec<u8>>) {
-        *self.state.lock().expect("a read-ahead thread panicked") = Some(value);
-        self.ready.notify_one();
-    }
-
-    fn wait(&self) -> Result<Vec<u8>> {
-        let mut guard = self.state.lock().expect("a read-ahead thread panicked");
-        loop {
-            if let Some(v) = guard.take() {
-                return v;
-            }
-            guard = self
-                .ready
-                .wait(guard)
-                .expect("a read-ahead thread panicked");
-        }
+fn corrupt_record(page: PageId) -> SortError {
+    SortError::Corrupt {
+        page,
+        reason: "record does not decode",
     }
 }
 
-/// A chunk request: first page, page count, the buffer to fill, and the
-/// slot to hand it back through.
-type Job = (PageId, u64, Vec<u8>, Arc<Slot>);
-
-/// A small pool of reader threads that fetch run chunks ahead of the
-/// merge. The merge consumes runs at data-dependent rates, but each run's
-/// *next* chunk is always known, so each cursor keeps one chunk in
-/// flight while it merges the previous one and the pool overlaps their
-/// device latency. Output order is unaffected — only when the reads
-/// happen changes.
-pub(crate) struct Prefetcher {
-    tx: Option<Sender<Job>>,
-    handles: Vec<JoinHandle<()>>,
+/// The keys of every record on run-relative page `page` of `run`, read
+/// and checked like a merge read: one [`Disk::read_page`].
+pub(crate) fn page_keys<T: FixedRecord>(
+    disk: &dyn Disk,
+    run: &Run,
+    page: u64,
+    key: impl Fn(&T) -> u64,
+    buf: &mut Vec<u8>,
+) -> Result<Vec<u64>> {
+    let per_page = per_page::<T>(disk.page_size()) as u64;
+    let id = PageId(run.first.0 + page);
+    read_chunk(disk, id, 1, buf)?;
+    let records = per_page.min(run.records - page * per_page) as usize;
+    buf.chunks_exact(T::SIZE)
+        .take(records)
+        .map(|rec| {
+            T::decode(rec)
+                .map(|rec| key(&rec))
+                .ok_or(corrupt_record(id))
+        })
+        .collect()
 }
 
-impl Prefetcher {
-    pub(crate) fn new(disk: Arc<dyn Disk>, threads: usize) -> Self {
-        let (tx, rx) = channel::<Job>();
-        let rx = Arc::new(Mutex::new(rx));
-        let handles = (0..threads.max(1))
-            .map(|_| {
-                let rx = rx.clone();
-                let disk = disk.clone();
-                std::thread::spawn(move || loop {
-                    let job = rx.lock().expect("a read-ahead thread panicked").recv();
-                    let Ok((first, pages, mut buf, slot)) = job else {
-                        return;
-                    };
-                    let res = read_chunk(disk.as_ref(), first, pages, &mut buf).map(|()| buf);
-                    slot.fill(res);
-                })
-            })
-            .collect();
-        Self {
-            tx: Some(tx),
-            handles,
-        }
-    }
-
-    fn submit(&self, job: Job) {
-        // Workers only exit once `tx` drops, so the send cannot fail.
-        self.tx
-            .as_ref()
-            .expect("prefetcher live")
-            .send(job)
-            .expect("prefetch workers live");
-    }
-}
-
-impl Drop for Prefetcher {
-    fn drop(&mut self) {
-        self.tx = None;
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
-/// Streaming reader over one run, a [`CHUNK_PAGES`]-page chunk at a
-/// time: read inline, or with a [`Prefetcher`] double-buffered — the
-/// cursor merges one chunk while the next is fetched into the buffer it
-/// drained before.
+/// Streaming reader over the records `start..end` of one run, reading
+/// `chunk_pages` consecutive pages per request and never a page outside
+/// the range. A range may start or end anywhere inside a page.
 pub(crate) struct RunReader<T: FixedRecord> {
     disk: Arc<dyn Disk>,
-    run: Run,
-    prefetch: Option<(Arc<Prefetcher>, Arc<Slot>)>,
-    /// Run-relative index of the next page to request or read.
+    first: PageId,
+    chunk_pages: u64,
+    /// Run-relative index of the next page to read, and of the page
+    /// after the range's last.
     next_page: u64,
+    end_page: u64,
     /// The chunk being merged, starting at run-relative page `buf_first`.
     buf: Vec<u8>,
     buf_first: u64,
@@ -211,7 +167,9 @@ pub(crate) struct RunReader<T: FixedRecord> {
     /// the next record.
     next_page_start: usize,
     offset: usize,
+    /// Records left on the current page, and to skip on the first.
     in_page: usize,
+    skip: usize,
     per_page: usize,
     page_size: usize,
     records_left: u64,
@@ -219,63 +177,48 @@ pub(crate) struct RunReader<T: FixedRecord> {
 }
 
 impl<T: FixedRecord> RunReader<T> {
-    pub(crate) fn new(disk: Arc<dyn Disk>, run: Run, prefetch: Option<Arc<Prefetcher>>) -> Self {
+    pub(crate) fn new(
+        disk: Arc<dyn Disk>,
+        run: &Run,
+        start: u64,
+        end: u64,
+        chunk_pages: u64,
+    ) -> Self {
+        assert!(start <= end && end <= run.records, "range outside its run");
+        debug_assert!(chunk_pages > 0);
         let page_size = disk.page_size();
-        let mut reader = Self {
-            per_page: per_page::<T>(page_size),
-            page_size,
+        let per_page = per_page::<T>(page_size);
+        Self {
             disk,
-            run,
-            prefetch: prefetch.map(|pf| (pf, Arc::default())),
-            next_page: 0,
+            first: run.first,
+            chunk_pages,
+            next_page: start / per_page as u64,
+            end_page: end.div_ceil(per_page as u64),
             buf: Vec::new(),
-            buf_first: 0,
+            buf_first: start / per_page as u64,
             next_page_start: 0,
             offset: 0,
             in_page: 0,
-            records_left: run.records,
+            skip: (start % per_page as u64) as usize,
+            per_page,
+            page_size,
+            records_left: end - start,
             _marker: std::marker::PhantomData,
-        };
-        reader.request(Vec::new());
-        reader
-    }
-
-    /// The first page and page count of the run's next chunk; moves
-    /// `next_page` past it.
-    fn take_chunk(&mut self) -> (PageId, u64) {
-        let pages = CHUNK_PAGES.min(self.run.pages - self.next_page);
-        let first = PageId(self.run.first.0 + self.next_page);
-        self.next_page += pages;
-        (first, pages)
-    }
-
-    /// Hand the next chunk's read to the prefetcher, recycling `buf`.
-    /// No-op without a prefetcher or past the end of the run.
-    fn request(&mut self, buf: Vec<u8>) {
-        if self.prefetch.is_none() || self.next_page == self.run.pages {
-            return;
         }
-        let (first, pages) = self.take_chunk();
-        let (pf, slot) = self.prefetch.as_ref().expect("checked above");
-        pf.submit((first, pages, buf, slot.clone()));
     }
 
-    /// Make the next chunk current: take the one in flight and request
-    /// the one after into the drained buffer, or read it inline.
+    /// Make the range's next chunk current, reading it into the buffer
+    /// the previous chunk was merged from.
     fn load_chunk(&mut self) -> Result<()> {
-        self.buf_first += (self.buf.len() / self.page_size) as u64;
-        let drained = std::mem::take(&mut self.buf);
-        match &self.prefetch {
-            Some((_, slot)) => {
-                self.buf = slot.wait()?;
-                self.request(drained);
-            }
-            None => {
-                let (first, pages) = self.take_chunk();
-                self.buf = drained;
-                read_chunk(self.disk.as_ref(), first, pages, &mut self.buf)?;
-            }
-        }
+        let pages = self.chunk_pages.min(self.end_page - self.next_page);
+        self.buf_first = self.next_page;
+        read_chunk(
+            self.disk.as_ref(),
+            PageId(self.first.0 + self.next_page),
+            pages,
+            &mut self.buf,
+        )?;
+        self.next_page += pages;
         self.next_page_start = 0;
         Ok(())
     }
@@ -288,17 +231,16 @@ impl<T: FixedRecord> RunReader<T> {
             if self.next_page_start == self.buf.len() {
                 self.load_chunk()?;
             }
-            self.offset = self.next_page_start;
+            self.offset = self.next_page_start + self.skip * T::SIZE;
             self.next_page_start += self.page_size;
-            self.in_page = self.per_page;
+            self.in_page = self.per_page - self.skip;
+            self.skip = 0;
         }
         let Some(rec) = T::decode(&self.buf[self.offset..self.offset + T::SIZE]) else {
             let in_buf = (self.next_page_start / self.page_size - 1) as u64;
-            let page = self.run.first.0 + self.buf_first + in_buf;
-            return Err(SortError::Corrupt {
-                page: PageId(page),
-                reason: "record does not decode",
-            });
+            return Err(corrupt_record(PageId(
+                self.first.0 + self.buf_first + in_buf,
+            )));
         };
         self.offset += T::SIZE;
         self.in_page -= 1;

@@ -11,8 +11,8 @@
 //! and random/merge reads dominate — the regime the paper's external
 //! sort operates in — and is what makes thread scaling measurable on a
 //! single-core host: the 1-thread pipeline reads strictly
-//! synchronously, while the parallel pipeline overlaps merge
-//! read-ahead with leaf writes across workers.
+//! synchronously, while the `t` workers of the parallel pipeline each
+//! merge their own rank range, so their reads and leaf writes overlap.
 //!
 //! Per cell the artifact records wall time, build throughput
 //! (entries/s), and the process peak RSS (`VmHWM`, reset via
@@ -25,8 +25,7 @@
 //!
 //! * 8-thread build ≥ 3× the 1-thread build on the 10⁷ cell;
 //! * 10⁸ peak RSS ≤ sort budget + threads × slab + fixed allowance —
-//!   bounded by the memory model, not by `r` (the slab the merge thread
-//!   is cutting, the model's `+1`, is covered by the allowance);
+//!   bounded by the memory model, not by `r`;
 //! * 10⁸ peak RSS ≤ 2× the 10⁷ peak at the same thread count (RSS is
 //!   governed by budget and slab, not data size).
 
@@ -48,8 +47,8 @@ const THREADS: [usize; 3] = [1, 4, 8];
 /// Bytes per `Entry<2>` (2 × 2 f64 corners + u64 payload).
 const ENTRY_BYTES: u64 = 40;
 /// RSS the gate grants beyond budget + threads × slab: binary + buffer
-/// pool + merge cursors + the slab the merge thread is cutting (~4 MB at
-/// 10⁸) + the level-1 parent entries (~40 MB at 10⁸).
+/// pool + merge cursors + fence keys + the level-1 parent entries
+/// (~40 MB at 10⁸).
 const RSS_ALLOWANCE: u64 = 256 * 1024 * 1024;
 
 /// Data scales with their simulated read latency. The 10⁷ cell carries
